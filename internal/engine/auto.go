@@ -22,22 +22,26 @@ import (
 //   - lazy GLR otherwise — ambiguous or conflicted grammars keep the
 //     paper's machinery, including incremental updates and snapshots;
 //   - Earley when the entry's recent update-rate/parse-rate ratio
-//     crosses the churn threshold *and* the current backend cannot
-//     absorb updates by in-place repair: a tenant editing its grammar
-//     faster than it parses pays nothing per update on the table-free
-//     backend, and rejoins a table-driven one once parse traffic
-//     dominates again (hysteresis keeps the selection from flapping).
-//     LALR and LL repair their tables in place, so churn never evicts
-//     them from their fast deterministic drivers.
+//     crosses the churn threshold *and* lazy GLR serves: a tenant
+//     editing its grammar faster than it parses pays nothing per update
+//     on the table-free backend, and rejoins a table-driven one once
+//     parse traffic dominates again (hysteresis keeps the selection from
+//     flapping). LALR and LL repair their tables in place, so churn
+//     never evicts them from their fast deterministic drivers.
 //
-// After a rule update the grammar is re-probed: a modification can
-// move a grammar across the determinism boundary in either direction,
-// and the engine follows it (an already-warm lazy GLR table is kept when
-// the verdict does not change). Re-probing is deferred and cached: a
-// batch of k rule updates pays one probe (on the next engine use), not
-// k, and the probe's verdict — including the LALR table it built — is
-// stamped with the grammar version so a same-version reselection never
-// regenerates anything.
+// A rule update can move a grammar across the determinism boundary in
+// either direction, and the engine follows it (an already-warm lazy GLR
+// table is kept when the verdict does not change), but no update
+// regenerates a table just to re-read the verdict. LALR and LL repair
+// their own tables and read the verdict from them. Auto keeps the
+// conflicted tables its probe built — the LALR(1) table while LL or
+// lazy GLR serves, the LL(1) table too under lazy GLR — and splices
+// every update into them, so the verdict costs what the damage costs,
+// not what the grammar costs. Each update is settled on the next
+// engine use — the registry makes one right after every update — where
+// the churn heuristic is consulted and a verdict that moved swaps the
+// backend, adopting the repaired table. A full probe runs only when no
+// kept table can decide the verdict (see Reprobes).
 type Auto struct {
 	opts Options
 
@@ -50,19 +54,31 @@ type Auto struct {
 	// the grammar per version), so grammar mutations keep taking its
 	// write lock after it is retired.
 	lastEarley *Earley
-	// probeVersion is the grammar version the current selection was
-	// probed at; a reselection at the same version is a no-op (same
-	// grammar ⇒ same verdict ⇒ same table).
+	// probeVersion is the grammar version the current selection is known
+	// to be right for; a reselection at the same version is a no-op
+	// (same grammar ⇒ same verdict ⇒ same table).
 	probeVersion uint64
 	// retired accumulates the counters of replaced backends, so the
 	// entry's counters stay monotonic across reselections (a rule
 	// update must not reset parses_served to zero).
 	retired core.Counters
 
+	// lrTbl and llTbl are the conflicted probe tables that lost the
+	// verdict: lrTbl is kept while LL or lazy GLR serves, llTbl while
+	// lazy GLR serves (nil otherwise). Every update in those modes is
+	// spliced into lrTbl, so a non-nil lrTbl always reflects the current
+	// grammar. llTbl is repaired on deletions only, since LL(1) conflicts
+	// are monotone under rule addition (FIRST, NULLABLE and FOLLOW only
+	// grow): llPending holds the additions it has not seen, and is
+	// non-empty only while llTbl has conflicts.
+	lrTbl     *lalr.Table
+	llTbl     *ll.Table
+	llPending []*grammar.Rule
+
 	// reprobe marks that rule updates (or a churn-window shift) have
-	// outdated the selection; the next access re-probes once for the
-	// whole batch. reprobes counts consumed re-probe passes — the
-	// auto-reprobe event counter /metrics exposes per grammar.
+	// outdated the selection; the next access reselects once for the
+	// whole batch. reprobes counts the reselections that ran a full
+	// table probe — the reprobe counter /metrics exposes per grammar.
 	reprobe  atomic.Bool
 	reprobes atomic.Uint64
 	// churnSelected records that cur was selected by the churn
@@ -98,7 +114,7 @@ func NewAuto(g *grammar.Grammar, opts *Options) *Auto {
 	if opts != nil {
 		a.opts = *opts
 	}
-	a.cur = probe(g, &a.opts)
+	a.cur, a.lrTbl, a.llTbl = probe(g, &a.opts)
 	a.probeVersion = g.Version()
 	return a
 }
@@ -108,26 +124,52 @@ func NewAuto(g *grammar.Grammar, opts *Options) *Auto {
 // verdict is the table probe's; the churn heuristic needs live traffic
 // and never applies to a fresh engine.
 func Probe(g *grammar.Grammar) (Kind, string) {
-	e := probe(g, nil)
+	e, _, _ := probe(g, nil)
 	return e.Kind(), e.Reason()
 }
 
-// probe runs the selection: conflict-free ⇒ LALR(1); LL(1)-able ⇒ LL;
-// else lazy GLR. The LALR table built for conflict counting is adopted
-// by the LALR engine when it wins (and the LL prediction table by the
-// LL engine), so the probe is never wasted work on the path that needs
-// it.
-func probe(g *grammar.Grammar, opts *Options) Engine {
+// probe generates the LALR(1) table (and, when it conflicts, the LL(1)
+// table) and selects from them. The tables that lost the verdict are
+// returned too, for Auto to keep and repair.
+func probe(g *grammar.Grammar, opts *Options) (Engine, *lalr.Table, *ll.Table) {
 	tbl := lalr.Generate(g)
+	var lt *ll.Table
+	if len(tbl.Conflicts()) > 0 {
+		lt = ll.Generate(g)
+	}
+	e := selectFrom(g, opts, tbl, lt)
+	tbl, lt = losers(e, tbl, lt)
+	return e, tbl, lt
+}
+
+// losers returns the tables e was not built from — the ones Auto keeps
+// beside it — out of the pair it was selected from.
+func losers(e Engine, tbl *lalr.Table, lt *ll.Table) (*lalr.Table, *ll.Table) {
+	switch e.Kind() {
+	case KindLALR:
+		return nil, nil
+	case KindLL:
+		return tbl, nil
+	default:
+		return tbl, lt
+	}
+}
+
+// selectFrom reads the verdict from tables that reflect g:
+// conflict-free ⇒ LALR(1); LL(1)-able ⇒ LL; else lazy GLR. The winning
+// table is adopted by its engine, so the table that decided the verdict
+// is never wasted work on the path that needs it. lt may be nil when tbl
+// is conflict-free; it may also lag g by rule additions, provided it has
+// conflicts (which additions cannot remove).
+func selectFrom(g *grammar.Grammar, opts *Options, tbl *lalr.Table, lt *ll.Table) Engine {
 	if len(tbl.Conflicts()) == 0 {
 		reason := fmt.Sprintf("auto: LALR(1) — conflict-free (%d states, deterministic LR driver)",
 			tbl.Automaton().Len())
 		return newLALRFromTable(g, tbl, reason)
 	}
-	if lt := ll.Generate(g); len(lt.Conflicts()) == 0 {
+	if len(lt.Conflicts()) == 0 {
 		reason := fmt.Sprintf("auto: LL(1) — %d LALR(1) conflicts but a clean prediction table", len(tbl.Conflicts()))
-		e := &LL{reason: reason, g: g, tbl: lt}
-		return e
+		return &LL{reason: reason, g: g, tbl: lt}
 	}
 	c := tbl.Conflicts()[0]
 	reason := fmt.Sprintf("auto: lazy GLR — %d LALR(1) conflicts (first: %s on %q in state %d)",
@@ -135,7 +177,7 @@ func probe(g *grammar.Grammar, opts *Options) Engine {
 	return NewGLR(g, opts, reason)
 }
 
-// current returns the selected backend, re-probing first when rule
+// current returns the selected backend, reselecting first when rule
 // updates or a churn-window shift have outdated the selection.
 func (a *Auto) current() Engine {
 	if !a.reprobe.Load() {
@@ -211,16 +253,16 @@ func (a *Auto) Counters() core.Counters {
 func (a *Auto) TableInfo() TableInfo { return a.current().TableInfo() }
 
 // AddRule implements Engine: the rule is applied through the selected
-// backend, and the grammar is re-probed only when the update could have
-// moved the verdict. Every backend now absorbs updates incrementally —
-// GLR splices through its generator, Earley updates its rule view, LALR
-// repairs the affected states in place, LL refills the damaged
-// prediction rows — so as long as the verdict visibly holds (LALR still
-// conflict-free, LL still accepting) the selection is stamped current
-// and no probe regenerates anything. A repaired update that does move
-// the verdict (a conflict appears in the LALR table, a rule is rolled
-// back as non-LL(1)) schedules the probe, which may carry the grammar
-// onto the lazy-GLR path.
+// backend, and the verdict is re-read from a repaired table. Every
+// backend absorbs updates incrementally — GLR splices through its
+// generator, Earley updates its rule view, LALR repairs the affected
+// states in place, LL refills the damaged prediction rows — so as long
+// as the verdict visibly holds (LALR still conflict-free, LL still
+// accepting, the retained tables of a GLR selection still conflicted)
+// the selection is stamped current and nothing is regenerated. A
+// repaired update that does move the verdict (a conflict appears in the
+// LALR table, a rule is rolled back as non-LL(1), a GLR selection's
+// tables lose their conflicts) schedules the reselection.
 func (a *Auto) AddRule(r *grammar.Rule) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -231,7 +273,7 @@ func (a *Auto) AddRule(r *grammar.Rule) error {
 			return err
 		}
 		a.noteUpdate()
-		a.reprobe.Store(true)
+		a.repairVerdictLocked(r, true)
 	case *Earley:
 		if err := cur.AddRule(r); err != nil {
 			return err
@@ -255,12 +297,14 @@ func (a *Auto) AddRule(r *grammar.Rule) error {
 		if errors.Is(err, ll.ErrNotLL1) {
 			// The backend rolled the rule back to keep its table clean,
 			// but the auto contract is to apply the rule and follow the
-			// grammar wherever it goes: reapply directly and let the
-			// probe pick the backend that now fits.
+			// grammar wherever it goes: reapply directly and let a full
+			// probe pick the backend that now fits (no LL(1) table
+			// reflects the grammar any more).
 			if aerr := a.g.AddRule(r); aerr != nil {
 				return aerr
 			}
 			a.noteUpdate()
+			a.dropTablesLocked()
 			a.reprobe.Store(true)
 			return nil
 		}
@@ -268,7 +312,7 @@ func (a *Auto) AddRule(r *grammar.Rule) error {
 			return err
 		}
 		a.noteUpdate()
-		a.probeVersion = a.g.Version()
+		a.repairVerdictLocked(r, true)
 	default:
 		if err := a.g.AddRule(r); err != nil {
 			return err
@@ -294,9 +338,7 @@ func (a *Auto) lockRetiredEarley() func() {
 }
 
 // DeleteRule implements Engine; see AddRule for the per-backend
-// application strategy. A deletion can only shrink the LALR conflict
-// set and cannot break LL(1), so the table-driven backends keep their
-// repaired tables without a re-probe.
+// application strategy.
 func (a *Auto) DeleteRule(r *grammar.Rule) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -307,7 +349,7 @@ func (a *Auto) DeleteRule(r *grammar.Rule) error {
 			return err
 		}
 		a.noteUpdate()
-		a.reprobe.Store(true)
+		a.repairVerdictLocked(r, false)
 	case *Earley:
 		if err := cur.DeleteRule(r); err != nil {
 			return err
@@ -329,7 +371,7 @@ func (a *Auto) DeleteRule(r *grammar.Rule) error {
 			return err
 		}
 		a.noteUpdate()
-		a.probeVersion = a.g.Version()
+		a.repairVerdictLocked(r, false)
 	default:
 		if _, err := a.g.DeleteRule(r); err != nil {
 			return err
@@ -340,20 +382,56 @@ func (a *Auto) DeleteRule(r *grammar.Rule) error {
 	return nil
 }
 
-// reselectLocked re-probes after one or more modifications (or a churn
-// shift). The churn heuristic is consulted first: while recent updates
+// repairVerdictLocked splices one rule update, already applied by the LL
+// or lazy-GLR backend, into the retained probe tables and re-reads the
+// verdict from them. While it holds — the LALR(1) table still
+// conflicted, and the LL(1) table still clean under LL (the LL backend
+// accepted the update) or still conflicted under lazy GLR — the
+// selection is stamped current: the next access consults the churn
+// heuristic but regenerates nothing. When the verdict moves, the stamp
+// is left behind and the reselection adopts the repaired table. A table
+// Repair reports stale is dropped, and the reselection probes in full.
+func (a *Auto) repairVerdictLocked(r *grammar.Rule, added bool) {
+	a.reprobe.Store(true)
+	if a.lrTbl == nil {
+		return
+	}
+	if a.lrTbl.Repair(r).Stale() {
+		a.dropTablesLocked()
+		return
+	}
+	if a.llTbl != nil {
+		if added && len(a.llTbl.Conflicts()) > 0 {
+			a.llPending = append(a.llPending, r)
+		} else {
+			a.llTbl.Repair(append(a.llPending, r)...)
+			a.llPending = a.llPending[:0]
+		}
+	}
+	if len(a.lrTbl.Conflicts()) > 0 && (a.llTbl == nil || len(a.llTbl.Conflicts()) > 0) {
+		a.probeVersion = a.g.Version()
+	}
+}
+
+// dropTablesLocked releases the retained probe tables.
+func (a *Auto) dropTablesLocked() {
+	a.lrTbl, a.llTbl, a.llPending = nil, nil, nil
+}
+
+// reselectLocked settles one or more modifications (or a churn shift).
+// The churn heuristic is consulted first: while recent updates
 // outnumber the enter threshold, the table-free Earley backend serves
-// the entry and no table is (re)generated at all. Otherwise the table
-// probe runs; it is skipped entirely when the grammar version has not
-// moved since the last one (nothing to relearn — and nothing to
-// regenerate: the current backend still holds the table that probe
-// built). A warm lazy-GLR table survives a GLR→GLR verdict (the
-// incremental splice already updated it); every other verdict adopts
-// the freshly probed engine, whose probe-built table reflects the
-// updated grammar, and banks the replaced backend's counters so the
-// entry's totals stay monotonic.
+// the entry and no table is (re)generated at all. Otherwise the verdict
+// is re-read; nothing happens when the grammar version has not moved
+// since the selection was last known right (nothing to relearn — and
+// nothing to regenerate: the current backend still holds its table).
+// The verdict comes from the retained tables when they can decide it
+// (they already reflect the grammar), and from a full probe otherwise.
+// A warm lazy-GLR table survives a GLR→GLR verdict (the incremental
+// splice already updated it); every other verdict adopts the new
+// engine, whose table reflects the updated grammar, and banks the
+// replaced backend's counters so the entry's totals stay monotonic.
 func (a *Auto) reselectLocked() {
-	a.reprobes.Add(1)
 	v := a.g.Version()
 	u, p := a.winUpdates.Load(), a.winParses.Load()
 	if a.churnJustifiesEarleyLocked() && u >= churnMinUpdates && float64(u) >= churnEnterRatio*float64(u+p) {
@@ -363,6 +441,9 @@ func (a *Auto) reselectLocked() {
 			e := NewEarley(a.g, reason)
 			a.retireTo(e)
 			a.lastEarley = e
+			// Earley updates do not repair the tables; the exit probe
+			// rebuilds them.
+			a.dropTablesLocked()
 		}
 		a.churnSelected.Store(true)
 		return
@@ -373,7 +454,18 @@ func (a *Auto) reselectLocked() {
 		return
 	}
 	a.probeVersion = v
-	next := probe(a.g, &a.opts)
+	var next Engine
+	if a.lrTbl != nil && (a.llTbl != nil || len(a.lrTbl.Conflicts()) == 0) {
+		next = selectFrom(a.g, &a.opts, a.lrTbl, a.llTbl)
+		a.lrTbl, a.llTbl = losers(next, a.lrTbl, a.llTbl)
+		if a.llTbl == nil {
+			a.llPending = nil
+		}
+	} else {
+		a.reprobes.Add(1)
+		next, a.lrTbl, a.llTbl = probe(a.g, &a.opts)
+		a.llPending = nil
+	}
 	if _, stayGLR := a.cur.(*GLR); stayGLR && next.Kind() == KindGLR {
 		return
 	}
@@ -381,11 +473,12 @@ func (a *Auto) reselectLocked() {
 }
 
 // churnJustifiesEarleyLocked reports whether heavy rule churn is worth
-// a switch to the table-free backend. Since LALR and LL absorb updates
-// by in-place table repair, churn no longer forces them off their fast
-// drivers: only backends whose per-update cost is not bounded by the
-// damage — lazy GLR, whose splice still re-expands eagerly-published
-// states — trade up to Earley under churn.
+// a switch to the table-free backend. LALR and LL absorb an update by
+// repairing their table in place, at a cost bounded by the damage, so
+// churn never forces them off their fast drivers. Lazy GLR trades up to
+// Earley under churn: each update splices its generator and repairs the
+// retained probe table, and re-expands the invalidated states on the
+// next parses, while Earley pays nothing per update.
 func (a *Auto) churnJustifiesEarleyLocked() bool {
 	switch a.cur.(type) {
 	case *LALR, *LL:
@@ -405,9 +498,13 @@ func (a *Auto) retireTo(next Engine) {
 	a.cur = next
 }
 
-// Reprobes counts the re-probe passes the engine has run after rule
-// updates or churn-window shifts — the observable cost of keeping the
-// selection honest, exposed as the auto_reprobes_total metric.
+// Reprobes counts the reselections that ran a full table probe
+// (lalr.Generate and, on conflicts, ll.Generate). One runs only when no
+// kept table can decide the verdict: a repair left its table stale, the
+// LALR backend's table gained a conflict, the LL backend refused a
+// rule, or the entry leaves the churn-selected Earley backend. Verdicts
+// re-read from repaired tables do not count. Exposed as the
+// ipg_engine_reprobes_total metric.
 func (a *Auto) Reprobes() uint64 { return a.reprobes.Load() }
 
 // snapshotter resolves the selected backend's snapshot capability (nil

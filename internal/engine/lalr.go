@@ -22,8 +22,9 @@ import (
 // than one action. A grammar modification is spliced into the existing
 // table by lalr.Table.Repair — only the states whose closures contained
 // the modified nonterminal are touched — falling back to full
-// regeneration when the repair declines (START rules, oversized damage
-// frontiers, conflict-set changes).
+// regeneration when the repair leaves the table stale (START rules,
+// oversized damage frontiers). A repair that moves the conflict set
+// leaves a correct table and is kept.
 type LALR struct {
 	reason string
 
@@ -161,11 +162,12 @@ func (e *LALR) DeleteRule(r *grammar.Rule) error {
 }
 
 // updateLocked absorbs one already-applied grammar mutation: repair in
-// place when possible, full regeneration otherwise.
+// place when possible, full regeneration when the repair left the table
+// stale.
 func (e *LALR) updateLocked(r *grammar.Rule) {
 	e.updates.Add(1)
 	st := e.tbl.Repair(r)
-	if st.FellBack {
+	if st.Stale() {
 		e.fallbacks.Add(1)
 		e.regenerateLocked()
 		return

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"ipg/internal/grammar"
 	"ipg/internal/lalr"
 	"ipg/internal/ll"
+	"ipg/internal/sdf"
 )
 
 // TestLALRSessionSurvivesRuleUpdates pins the session-facing win of the
@@ -138,6 +140,117 @@ func TestConcurrentLALRParseAndModify(t *testing.T) {
 	}
 }
 
+// loadSDFGrammar compiles testdata/SDF.sdf the way the registry does
+// for an SDF entry.
+func loadSDFGrammar(t testing.TB) *grammar.Grammar {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "SDF.sdf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := sdf.ParseDefinition(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := sdf.Convert(def, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conv.Grammar
+}
+
+// TestAutoVerdictParity is the property behind the incremental auto
+// verdict: over random add/delete sequences, after every update the auto
+// engine selects what a probe of a fresh copy of the grammar selects,
+// and while lazy GLR serves, the LALR(1) table auto keeps and repairs is
+// action-identical to a from-scratch generation (the LL(1) table too,
+// once no deferred additions are pending).
+func TestAutoVerdictParity(t *testing.T) {
+	grammars := []struct {
+		name string
+		load func(testing.TB) *grammar.Grammar
+	}{
+		{"CalcDet", func(tb testing.TB) *grammar.Grammar { return loadFixture(tb, "CalcDet.bnf") }},
+		{"ambiguous", func(testing.TB) *grammar.Grammar { return grammar.MustParse(ambiguousText) }},
+		{"SDF.sdf", loadSDFGrammar},
+	}
+	for _, c := range grammars {
+		for seed := int64(0); seed < 4; seed++ {
+			g := c.load(t)
+			a := NewAuto(g, nil)
+			rng := rand.New(rand.NewSource(seed))
+			var nts, pool []grammar.Symbol
+			for _, n := range g.Symbols().Nonterminals() {
+				if n != g.Start() {
+					nts = append(nts, n)
+					pool = append(pool, n)
+				}
+			}
+			for _, s := range g.Symbols().Terminals() {
+				if s != grammar.EOF {
+					pool = append(pool, s)
+				}
+			}
+			for step := 0; step < 10; step++ {
+				if rng.Intn(2) == 0 {
+					rhs := make([]grammar.Symbol, rng.Intn(4))
+					for i := range rhs {
+						rhs[i] = pool[rng.Intn(len(pool))]
+					}
+					r := grammar.NewRule(nts[rng.Intn(len(nts))], rhs...)
+					if g.Has(r) {
+						continue
+					}
+					if err := a.AddRule(r); err != nil {
+						t.Fatalf("%s seed %d step %d: add: %v", c.name, seed, step, err)
+					}
+				} else {
+					var candidates []*grammar.Rule
+					for _, r := range g.Rules() {
+						if r.Lhs != g.Start() {
+							candidates = append(candidates, r)
+						}
+					}
+					if len(candidates) == 0 {
+						continue
+					}
+					if err := a.DeleteRule(candidates[rng.Intn(len(candidates))]); err != nil {
+						t.Fatalf("%s seed %d step %d: delete: %v", c.name, seed, step, err)
+					}
+				}
+				// Parse traffic keeps the churn heuristic out of the way.
+				for i := 0; i < 3; i++ {
+					a.noteParse()
+				}
+				got := a.Kind()
+				want, reason := Probe(g.Clone())
+				if got != want {
+					t.Fatalf("%s seed %d step %d: auto selects %v, a fresh probe %v (%s)", c.name, seed, step, got, want, reason)
+				}
+				if got != KindGLR {
+					continue
+				}
+				a.mu.RLock()
+				lrTbl, llTbl, pending := a.lrTbl, a.llTbl, len(a.llPending)
+				a.mu.RUnlock()
+				if lrTbl == nil {
+					t.Fatalf("%s seed %d step %d: lazy GLR serves without the probe tables", c.name, seed, step)
+				}
+				if got, want := lrTbl.Signature(), lalr.Generate(g).Signature(); got != want {
+					t.Fatalf("%s seed %d step %d: retained LALR table diverges\n--- retained ---\n%s\n--- regenerated ---\n%s",
+						c.name, seed, step, got, want)
+				}
+				if pending == 0 {
+					if got, want := llTbl.Signature(), ll.Generate(g).Signature(); got != want {
+						t.Fatalf("%s seed %d step %d: retained LL table diverges\n--- retained ---\n%s\n--- regenerated ---\n%s",
+							c.name, seed, step, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 type errorf string
 
 func (e errorf) Error() string { return string(e) }
@@ -228,9 +341,10 @@ func FuzzTableRepair(f *testing.F) {
 					r = stored
 				}
 
-				// LALR: repairs must be signature-identical; fallbacks
-				// regenerate (mirroring the engine policy).
-				if st := ltab.Repair(r); st.FellBack {
+				// LALR: repairs — conflict-set changes included — must be
+				// signature-identical; stale tables regenerate (mirroring
+				// the engine policy).
+				if st := ltab.Repair(r); st.Stale() {
 					ltab = lalr.Generate(g)
 				} else if got, want := ltab.Signature(), lalr.Generate(g).Signature(); got != want {
 					t.Fatalf("%s step %d: repaired LALR table diverges\n--- repaired ---\n%s\n--- regenerated ---\n%s",

@@ -155,28 +155,39 @@ func (g *Grammar) FirstOfString(alpha []Symbol, first map[Symbol]SymbolSet, null
 // appear immediately after it in a sentential form. FOLLOW(START)
 // contains EOF.
 func (g *Grammar) FollowSets() map[Symbol]SymbolSet {
-	null := g.Nullable()
-	first := g.FirstSets()
+	return g.FollowSetsOf(g.FirstSets(), g.Nullable())
+}
+
+// FollowSetsOf is FollowSets over the FIRST and nullable sets of g's
+// current rules, for callers that have already computed them.
+func (g *Grammar) FollowSetsOf(first map[Symbol]SymbolSet, null SymbolSet) map[Symbol]SymbolSet {
 	follow := map[Symbol]SymbolSet{}
 	for _, n := range g.syms.Nonterminals() {
 		follow[n] = SymbolSet{}
 	}
 	follow[g.start].add(EOF)
+	// FIRST of the rest of a rule does not depend on FOLLOW: add it once,
+	// and iterate only FOLLOW(A) ⊆ FOLLOW(B) for rules A ::= α B β with β
+	// nullable.
+	type inclusion struct{ from, to Symbol }
+	var incs []inclusion
+	for _, r := range g.rules {
+		for i, s := range r.Rhs {
+			if g.syms.Kind(s) != Nonterminal {
+				continue
+			}
+			fs, restNullable := g.FirstOfString(r.Rhs[i+1:], first, null)
+			follow[s].addAll(fs)
+			if restNullable && r.Lhs != s {
+				incs = append(incs, inclusion{from: r.Lhs, to: s})
+			}
+		}
+	}
 	for changed := true; changed; {
 		changed = false
-		for _, r := range g.rules {
-			for i, s := range r.Rhs {
-				if g.syms.Kind(s) != Nonterminal {
-					continue
-				}
-				rest := r.Rhs[i+1:]
-				fs, restNullable := g.FirstOfString(rest, first, null)
-				if follow[s].addAll(fs) {
-					changed = true
-				}
-				if restNullable && follow[s].addAll(follow[r.Lhs]) {
-					changed = true
-				}
+		for _, in := range incs {
+			if follow[in.to].addAll(follow[in.from]) {
+				changed = true
 			}
 		}
 	}

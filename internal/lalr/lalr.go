@@ -115,8 +115,9 @@ func Generate(g *grammar.Grammar) *Table {
 		t.buildNetFor(t.netOf(s))
 	}
 	t.propagate()
+	terminals := g.Symbols().Terminals()
 	for _, s := range auto.States() {
-		t.derive(t.net[s])
+		t.derive(t.net[s], terminals)
 	}
 	t.assembleConflicts()
 	return t
@@ -188,7 +189,17 @@ type RepairStats struct {
 	// spliced: the caller must regenerate from scratch. Reason says why.
 	FellBack bool
 	Reason   string
+	// ConflictsChanged reports that the splice completed but moved the
+	// conflict set. The table is then correct, and FellBack is set by
+	// policy only; a FellBack without ConflictsChanged leaves the table
+	// stale.
+	ConflictsChanged bool
 }
+
+// Stale reports whether the repair left the table out of date with the
+// grammar — a START-rule edit or an oversized damage frontier — so only
+// a regeneration can serve the updated grammar.
+func (st RepairStats) Stale() bool { return st.FellBack && !st.ConflictsChanged }
 
 // Repair splices a single rule update into the table after the grammar
 // has already been mutated (AddRule or DeleteRule of rule). It re-expands
@@ -202,10 +213,10 @@ type RepairStats struct {
 //
 // Repair declines (FellBack=true) when the update touches a START rule,
 // when the damage frontier exceeds FallbackFraction of the automaton, or
-// when the splice changed the conflict set (policy: conflict transitions
-// get a clean regeneration). In the first two cases the table is
-// untouched and stale; in the last it is fully repaired and correct, but
-// the caller is expected to regenerate anyway.
+// when the splice changed the conflict set. In the first two cases the
+// table is untouched and stale (RepairStats.Stale); in the last it is
+// fully repaired and correct, and ConflictsChanged says so, so a caller
+// that reads the new conflict set can keep it.
 func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 	g := t.auto.Grammar()
 	a := rule.Lhs
@@ -264,12 +275,20 @@ func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 	// changes only when, for some rule it closes over, the FIRST
 	// computation of a suffix after a nonterminal position moved — those
 	// are exactly the inputs closure1 feeds FirstOfString. Diff each such
-	// suffix under the cached vs fresh analyses.
+	// suffix under the cached vs fresh analyses; only a suffix over a
+	// nonterminal whose FIRST or nullability moved can differ, so only
+	// rules mentioning one are diffed.
 	newFirst, newNull := g.FirstSets(), g.Nullable()
+	moved := make(map[grammar.Symbol]bool)
+	for _, n := range g.Symbols().Nonterminals() {
+		if t.null.Has(n) != newNull.Has(n) || !equalSets(t.first[n], newFirst[n]) {
+			moved[n] = true
+		}
+	}
 	ruleDamaged := make(map[*grammar.Rule]bool)
 	ntDamaged := make(map[grammar.Symbol]bool)
 	for _, r := range g.Rules() {
-		if t.suffixFirstsMoved(r, newFirst, newNull) {
+		if mentionsAny(r.Rhs, moved) && t.suffixFirstsMoved(r, newFirst, newNull) {
 			ruleDamaged[r] = true
 			ntDamaged[r.Lhs] = true
 		}
@@ -306,18 +325,19 @@ func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 		dirty[s] = true
 	}
 
+	terminals := g.Symbols().Terminals()
 	for s := range dirty {
-		t.derive(t.net[s])
+		t.derive(t.net[s], terminals)
 	}
 	st.Rederived = len(dirty)
 	st.Kept = t.auto.Len() - st.Rederived
 	t.assembleConflicts()
 
-	// Policy: a repair that changes the conflict set falls back to a full
-	// regeneration (the table here is already consistent, but conflict
-	// transitions change engine viability and deserve a clean slate).
+	// A moved conflict set changes engine viability, so the caller hears
+	// of it; the table itself is already consistent.
 	if after := t.conflictKeys(); !equalStrings(before, after) {
 		st.FellBack = true
+		st.ConflictsChanged = true
 		st.Reason = "conflict set changed"
 	}
 	return st
@@ -356,6 +376,15 @@ func (t *Table) suffixFirstsMoved(r *grammar.Rule, newFirst map[grammar.Symbol]g
 		oldFs, oldNullable := g.FirstOfString(suffix, t.first, t.null)
 		newFs, newNullable := g.FirstOfString(suffix, newFirst, newNull)
 		if oldNullable != newNullable || !equalSets(oldFs, newFs) {
+			return true
+		}
+	}
+	return false
+}
+
+func mentionsAny(syms []grammar.Symbol, set map[grammar.Symbol]bool) bool {
+	for _, s := range syms {
+		if set[s] {
 			return true
 		}
 	}
@@ -464,22 +493,30 @@ func (t *Table) propagate() map[*lr.State]bool {
 			c.dst.st.base[c.dst.idx][c.sym] = true
 		}
 	}
-	for changedPass := true; changedPass; {
-		changedPass = false
-		for _, sl := range t.net {
-			for i, dsts := range sl.edges {
-				if len(dsts) == 0 {
-					continue
+	// Worklist fixpoint: a slot is (re)visited only when its set grew.
+	var work []slotRef
+	for _, sl := range t.net {
+		for i, dsts := range sl.edges {
+			if len(dsts) > 0 && len(sl.base[i]) > 0 {
+				work = append(work, slotRef{st: sl, idx: i})
+			}
+		}
+	}
+	for len(work) > 0 {
+		src := work[len(work)-1]
+		work = work[:len(work)-1]
+		from := src.st.base[src.idx]
+		for _, d := range src.st.edges[src.idx] {
+			set := d.st.base[d.idx]
+			grew := false
+			for sym := range from {
+				if !set[sym] {
+					set[sym] = true
+					grew = true
 				}
-				for sym := range sl.base[i] {
-					for _, d := range dsts {
-						set := d.st.base[d.idx]
-						if !set[sym] {
-							set[sym] = true
-							changedPass = true
-						}
-					}
-				}
+			}
+			if grew && len(d.st.edges[d.idx]) > 0 {
+				work = append(work, d)
 			}
 		}
 	}
@@ -501,7 +538,7 @@ func (t *Table) propagate() map[*lr.State]bool {
 // current fixpoint: the LR(1) closure of the kernel under its final
 // lookaheads, collecting completed items (this also covers epsilon
 // reductions, whose items never appear in any kernel).
-func (t *Table) derive(sl *stateLA) {
+func (t *Table) derive(sl *stateLA, terminals []grammar.Symbol) {
 	g := t.auto.Grammar()
 	s := sl.state
 	items := make([]laItem, 0, len(s.Kernel)*2)
@@ -525,7 +562,7 @@ func (t *Table) derive(sl *stateLA) {
 	t.la[s] = las
 
 	sl.conflicts = sl.conflicts[:0]
-	for _, sym := range g.Symbols().Terminals() {
+	for _, sym := range terminals {
 		var reduces int
 		for _, r := range s.Reductions {
 			if las[r.Key()].Has(sym) {
@@ -621,18 +658,25 @@ type laItem struct {
 }
 
 // closure1 computes the LR(1) closure of items: for [A ::= α • B β, a]
-// and rule B ::= γ, add [B ::= • γ, b] for every b in FIRST(βa).
+// and rule B ::= γ, add [B ::= • γ, b] for every b in FIRST(βa). Callers
+// use the result as a set, so its order carries no meaning.
 func closure1(g *grammar.Grammar, items []laItem,
 	first map[grammar.Symbol]grammar.SymbolSet, null grammar.SymbolSet) []laItem {
 
+	// Items are keyed by rule value (not pointer, like lr.Item.Key) without
+	// building a string per item.
+	type core struct {
+		rule string
+		dot  int
+	}
 	type key struct {
-		ik string
+		core
 		la grammar.Symbol
 	}
-	seen := map[key]bool{}
-	var out []laItem
+	seen := make(map[key]bool, 4*len(items))
+	out := make([]laItem, 0, 4*len(items))
 	add := func(it laItem) {
-		k := key{it.item.Key(), it.la}
+		k := key{core{it.item.Rule.Key(), it.item.Dot}, it.la}
 		if seen[k] {
 			return
 		}
@@ -642,25 +686,32 @@ func closure1(g *grammar.Grammar, items []laItem,
 	for _, it := range items {
 		add(it)
 	}
+	// FIRST(β) depends on the item, not on its lookahead: compute it once
+	// per item core.
+	type betaFirst struct {
+		fs       grammar.SymbolSet
+		nullable bool
+	}
+	firsts := map[core]betaFirst{}
 	for i := 0; i < len(out); i++ {
 		it := out[i]
 		b := it.item.AfterDot()
 		if b == grammar.NoSymbol || g.Symbols().Kind(b) != grammar.Nonterminal {
 			continue
 		}
-		beta := it.item.Rule.Rhs[it.item.Dot+1:]
-		fs, betaNullable := g.FirstOfString(beta, first, null)
-		lookaheads := make([]grammar.Symbol, 0, len(fs)+1)
-		for s := range fs {
-			lookaheads = append(lookaheads, s)
+		c := core{it.item.Rule.Key(), it.item.Dot}
+		bf, ok := firsts[c]
+		if !ok {
+			bf.fs, bf.nullable = g.FirstOfString(it.item.Rule.Rhs[it.item.Dot+1:], first, null)
+			firsts[c] = bf
 		}
-		if betaNullable {
-			lookaheads = append(lookaheads, it.la)
-		}
-		sort.Slice(lookaheads, func(x, y int) bool { return lookaheads[x] < lookaheads[y] })
 		for _, r := range g.RulesFor(b) {
-			for _, la := range lookaheads {
-				add(laItem{item: lr.NewItem(r, 0), la: la})
+			ni := lr.NewItem(r, 0)
+			for la := range bf.fs {
+				add(laItem{item: ni, la: la})
+			}
+			if bf.nullable {
+				add(laItem{item: ni, la: it.la})
 			}
 		}
 	}

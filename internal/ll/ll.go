@@ -51,7 +51,7 @@ func Generate(g *grammar.Grammar) *Table {
 	}
 	t.first = g.FirstSets()
 	t.null = g.Nullable()
-	t.follow = g.FollowSets()
+	t.follow = g.FollowSetsOf(t.first, t.null)
 	for _, a := range g.Symbols().Nonterminals() {
 		if len(g.RulesFor(a)) > 0 {
 			t.fillRow(a)
@@ -118,52 +118,110 @@ type RepairStats struct {
 	ConflictsChanged bool
 }
 
-// Repair splices a single rule update into the table after the grammar
-// has already been mutated (AddRule or DeleteRule of rule): the analyses
-// are recomputed (they are global fixpoints, cheap next to row filling),
-// and only the rows whose prediction inputs moved — the modified
-// nonterminal itself, rows with a FIRST-of-RHS change, and nullable rows
-// whose FOLLOW changed — are refilled. The result is cell-identical to a
-// from-scratch Generate; unlike the LALR repair there is no structural
-// state to splice, so Repair never declines.
-func (t *Table) Repair(rule *grammar.Rule) RepairStats {
+// Repair splices rule updates into the table after the grammar has
+// already been mutated (AddRule or DeleteRule of each rule): the
+// analyses are recomputed (they are global fixpoints, cheap next to row
+// filling), and only the rows whose prediction inputs moved — the
+// modified nonterminals themselves, rows with a FIRST-of-RHS change, and
+// nullable rows whose FOLLOW changed — are refilled. A right-hand side's
+// FIRST can only move through a nonterminal whose FIRST or nullability
+// moved, so only rules mentioning one are diffed. The result is
+// cell-identical to a from-scratch Generate; unlike the LALR repair
+// there is no structural state to splice, so Repair never declines.
+func (t *Table) Repair(rules ...*grammar.Rule) RepairStats {
 	g := t.g
-	before := t.conflictKeys()
-	newFirst, newNull, newFollow := g.FirstSets(), g.Nullable(), g.FollowSets()
+	newFirst, newNull := g.FirstSets(), g.Nullable()
+	newFollow := g.FollowSetsOf(newFirst, newNull)
 
-	damaged := map[grammar.Symbol]bool{rule.Lhs: true}
+	nts := g.Symbols().Nonterminals()
+	moved := map[grammar.Symbol]bool{}
+	followMoved := map[grammar.Symbol]bool{}
+	for _, a := range nts {
+		if t.null.Has(a) != newNull.Has(a) || !equalSets(t.first[a], newFirst[a]) {
+			moved[a] = true
+		}
+		if !equalSets(t.follow[a], newFollow[a]) {
+			followMoved[a] = true
+		}
+	}
+	damaged := map[grammar.Symbol]bool{}
+	for _, r := range rules {
+		damaged[r.Lhs] = true
+	}
 	for _, r := range g.Rules() {
-		if damaged[r.Lhs] {
+		if damaged[r.Lhs] || !followMoved[r.Lhs] && !mentionsAny(r.Rhs, moved) {
 			continue
 		}
 		oldFs, oldNullable := g.FirstOfString(r.Rhs, t.first, t.null)
 		newFs, newNullable := g.FirstOfString(r.Rhs, newFirst, newNull)
-		if oldNullable != newNullable || !equalSets(oldFs, newFs) {
-			damaged[r.Lhs] = true
-			continue
-		}
-		if newNullable && !equalSets(t.follow[r.Lhs], newFollow[r.Lhs]) {
+		if oldNullable != newNullable || !equalSets(oldFs, newFs) || newNullable && followMoved[r.Lhs] {
 			damaged[r.Lhs] = true
 		}
 	}
 	t.first, t.null, t.follow = newFirst, newNull, newFollow
 
 	rows := 0
-	for _, a := range g.Symbols().Nonterminals() {
+	for _, a := range nts {
 		if len(g.RulesFor(a)) > 0 {
 			rows++
 		}
 	}
+	// Only refilled rows can change their conflicts.
+	st := RepairStats{RowsRepaired: len(damaged), RowsKept: max(rows-len(damaged), 0)}
 	for a := range damaged {
+		before := t.rowConflicts[a]
 		t.fillRow(a)
+		if !sameConflicts(before, t.rowConflicts[a]) {
+			st.ConflictsChanged = true
+		}
 	}
-	t.assembleConflicts()
-	st := RepairStats{RowsRepaired: len(damaged), RowsKept: rows - len(damaged)}
-	if st.RowsKept < 0 {
-		st.RowsKept = 0
+	if st.ConflictsChanged {
+		t.assembleConflicts()
 	}
-	st.ConflictsChanged = !equalStrings(before, t.conflictKeys())
 	return st
+}
+
+// sameConflicts reports whether two conflict lists of one row hold the
+// same cells with the same competing rules, in any order.
+func sameConflicts(a, b []Conflict) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	used := make([]bool, len(b))
+	for _, x := range a {
+		found := false
+		for j, y := range b {
+			if !used[j] && x.Lookahead == y.Lookahead && sameRules(x.Rules, y.Rules) {
+				used[j], found = true, true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+func sameRules(a, b []*grammar.Rule) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func mentionsAny(syms []grammar.Symbol, set map[grammar.Symbol]bool) bool {
+	for _, s := range syms {
+		if set[s] {
+			return true
+		}
+	}
+	return false
 }
 
 // conflictKeys renders the conflict set canonically for comparison.
@@ -214,18 +272,6 @@ func equalSets(a, b grammar.SymbolSet) bool {
 	}
 	for s := range a {
 		if !b.Has(s) {
-			return false
-		}
-	}
-	return true
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

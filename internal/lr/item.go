@@ -127,9 +127,8 @@ func (k Kernel) Contains(it Item) bool {
 // state's kernel is its identity, those indices are stable for the
 // state's whole lifetime.
 func (k Kernel) Index(it Item) int {
-	want := it.Key()
 	for i, x := range k {
-		if x.Key() == want {
+		if x.Dot == it.Dot && x.Rule.Equal(it.Rule) {
 			return i
 		}
 	}

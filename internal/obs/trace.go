@@ -401,11 +401,12 @@ func (tr *Tracer) Snapshot(grammar string, max int) []Span {
 	return out
 }
 
-// spanRing is a fixed-capacity lock-free ring of spans. Writers claim a
-// slot round-robin and publish with a per-slot seqlock (odd sequence =
-// write in progress); readers retry slots caught mid-write. Writes are
-// rare (sampled or slow parses only), so contention on a slot is
-// effectively nil, but correctness never depends on that.
+// spanRing is a fixed-capacity ring of spans. Writers claim a slot
+// round-robin; writers and readers hold a slot through a per-slot spin
+// lock on its sequence (odd = held, 0 = never written) while they copy
+// the span. Writes are rare (sampled or slow parses only) and reads
+// rarer (trace scrapes), so contention on a slot is effectively nil,
+// but correctness never depends on that.
 type spanRing struct {
 	next  atomic.Uint64
 	slots []ringSlot
@@ -441,12 +442,9 @@ func (r *spanRing) collect(out []Span) []Span {
 			if v == 0 { // never written
 				break
 			}
-			if v&1 == 1 { // mid-write; retry
-				continue
-			}
-			s := slot.span
-			if slot.seq.Load() == v {
-				out = append(out, s)
+			if v&1 == 0 && slot.seq.CompareAndSwap(v, v+1) {
+				out = append(out, slot.span)
+				slot.seq.Add(1)
 				break
 			}
 		}

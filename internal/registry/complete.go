@@ -166,8 +166,8 @@ func (r *Registry) OpenCompletion(e *Entry, prefix string, tr *obs.ParseTrace) (
 		r.completions = map[string]*CompletionSession{}
 	}
 	r.completions[cs.id] = cs
-	r.completionMu.Unlock()
 	r.completionsOpened.Add(1)
+	r.completionMu.Unlock()
 	return cs, -1, nil
 }
 
@@ -210,13 +210,15 @@ func (r *Registry) Completion(id string) (*CompletionSession, bool) {
 func (r *Registry) CloseCompletion(id string) bool {
 	r.completionMu.Lock()
 	cs, ok := r.completions[id]
-	delete(r.completions, id)
+	if ok {
+		delete(r.completions, id)
+		r.completionsClosed.Add(1)
+	}
 	r.completionMu.Unlock()
 	if !ok {
 		return false
 	}
 	cs.close()
-	r.completionsClosed.Add(1)
 	return true
 }
 
@@ -235,13 +237,13 @@ func (r *Registry) EvictIdleCompletions(now time.Time) int {
 	for id, cs := range r.completions {
 		if now.Sub(time.Unix(0, cs.lastUsed.Load())) > idle {
 			delete(r.completions, id)
+			r.completionsEvicted.Add(1)
 			victims = append(victims, cs)
 		}
 	}
 	r.completionMu.Unlock()
 	for _, cs := range victims {
 		cs.close()
-		r.completionsEvicted.Add(1)
 	}
 	return len(victims)
 }
@@ -273,13 +275,15 @@ func (r *Registry) CompletionStats() []CompletionStat {
 // /metrics endpoint.
 func (r *Registry) CompletionTotals() CompletionTotals {
 	t := CompletionTotals{
-		Opened:  r.completionsOpened.Load(),
-		Evicted: r.completionsEvicted.Load(),
-		Closed:  r.completionsClosed.Load(),
 		Queries: r.closedQueries.Load(),
 		Feeds:   r.closedFeeds.Load(),
 	}
+	// The lifecycle counters move under completionMu together with the
+	// table, so reading them there keeps Opened == Open+Closed+Evicted.
 	r.completionMu.Lock()
+	t.Opened = r.completionsOpened.Load()
+	t.Evicted = r.completionsEvicted.Load()
+	t.Closed = r.completionsClosed.Load()
 	open := make([]*CompletionSession, 0, len(r.completions))
 	for _, cs := range r.completions {
 		open = append(open, cs)
@@ -304,12 +308,12 @@ func (r *Registry) CloseAllCompletions() int {
 	victims := make([]*CompletionSession, 0, len(r.completions))
 	for id, cs := range r.completions {
 		delete(r.completions, id)
+		r.completionsClosed.Add(1)
 		victims = append(victims, cs)
 	}
 	r.completionMu.Unlock()
 	for _, cs := range victims {
 		cs.close()
-		r.completionsClosed.Add(1)
 	}
 	return len(victims)
 }
@@ -326,13 +330,13 @@ func (r *Registry) closeCompletionsOf(e *Entry) {
 	for id, cs := range r.completions {
 		if cs.entry == e {
 			delete(r.completions, id)
+			r.completionsClosed.Add(1)
 			victims = append(victims, cs)
 		}
 	}
 	r.completionMu.Unlock()
 	for _, cs := range victims {
 		cs.close()
-		r.completionsClosed.Add(1)
 	}
 }
 

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,6 +91,69 @@ func TestAutoSelectionPerGrammar(t *testing.T) {
 	res, err := amb.ParseInput("1 + 2 * 3", true)
 	if err != nil || !res.Accepted || res.Trees != 1 {
 		t.Fatalf("auto/GLR SDF parse: err=%v accepted=%v trees=%d", err, res.Accepted, res.Trees)
+	}
+}
+
+// registerTestdata registers a testdata grammar the way ipg-serve's
+// -grammar flag does: .sdf files as SDF definitions, others as rules.
+func registerTestdata(tb testing.TB, r *Registry, name, file string, kind engine.Kind) *Entry {
+	tb.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", file))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := Spec{Source: string(src), Engine: kind}
+	if strings.HasSuffix(file, ".sdf") {
+		spec.Form = FormSDF
+	}
+	e, err := r.Register(name, spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// TestAutoGLRUpdatesRepairProbe pins the incremental auto verdict on the
+// service path. SDF.sdf has LALR(1) conflicts, so auto serves it with
+// lazy GLR; fresh-keyword rule updates are spliced into the probe tables
+// auto keeps, and the verdict is re-read from them without a single
+// table probe. The parses between updates keep the churn heuristic on
+// GLR.
+func TestAutoGLRUpdatesRepairProbe(t *testing.T) {
+	e := registerTestdata(t, New(), "sdf", "SDF.sdf", engine.KindAuto)
+	if e.EngineKind() != engine.KindGLR {
+		t.Fatalf("auto picked %v for SDF.sdf, want glr (%s)", e.EngineKind(), e.Stats().EngineReason)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "exp.sdf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func() {
+		t.Helper()
+		res, err := e.ParseInput(string(doc), false)
+		if err != nil || !res.Accepted {
+			t.Fatalf("parse exp.sdf: err=%v accepted=%v", err, res.Accepted)
+		}
+	}
+	sorts := []string{"LEX-ELEM", "CF-ELEM", "PRIO-DEF", "ABBREV-LIST", "GT-CHAIN", "ATTRIBUTE"}
+	parse()
+	for i := 0; i < 12; i++ {
+		rule := fmt.Sprintf("%s ::= %q", sorts[i%len(sorts)], fmt.Sprintf("kw%d", i))
+		if n, err := e.AddRulesText(rule); err != nil || n != 1 {
+			t.Fatalf("add %s: n=%d err=%v", rule, n, err)
+		}
+		parse()
+		if n, err := e.DeleteRulesText(rule); err != nil || n != 1 {
+			t.Fatalf("delete %s: n=%d err=%v", rule, n, err)
+		}
+		parse()
+		parse()
+		if e.EngineKind() != engine.KindGLR {
+			t.Fatalf("pair %d: auto moved to %v (%s)", i, e.EngineKind(), e.Stats().EngineReason)
+		}
+	}
+	if got := e.Stats().EngineReprobes; got != 0 {
+		t.Errorf("24 verdict-stable updates ran %d table probes, want 0", got)
 	}
 }
 

@@ -838,8 +838,9 @@ type Stats struct {
 	// with Counters.ParsesServed it is the update-rate/parse-rate ratio
 	// the auto engine's churn heuristic watches (UpdateParseRatio).
 	RuleUpdates uint64
-	// EngineReprobes counts auto-engine re-probe passes (0 for
-	// explicitly selected backends).
+	// EngineReprobes counts the full table probes the auto engine ran
+	// to reselect (engine.Auto.Reprobes; 0 for explicitly selected
+	// backends).
 	EngineReprobes uint64
 	// SnapshotSaves counts snapshots persisted for this entry.
 	SnapshotSaves uint64

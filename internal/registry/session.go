@@ -164,8 +164,8 @@ func (r *Registry) OpenSession(e *Entry, input string) (*Session, error) {
 		r.sessions = map[string]*Session{}
 	}
 	r.sessions[s.id] = s
-	r.sessionMu.Unlock()
 	r.sessionsOpened.Add(1)
+	r.sessionMu.Unlock()
 	return s, nil
 }
 
@@ -182,13 +182,15 @@ func (r *Registry) Session(id string) (*Session, bool) {
 func (r *Registry) CloseSession(id string) bool {
 	r.sessionMu.Lock()
 	s, ok := r.sessions[id]
-	delete(r.sessions, id)
+	if ok {
+		delete(r.sessions, id)
+		r.sessionsClosed.Add(1)
+	}
 	r.sessionMu.Unlock()
 	if !ok {
 		return false
 	}
 	s.close()
-	r.sessionsClosed.Add(1)
 	return true
 }
 
@@ -207,13 +209,13 @@ func (r *Registry) EvictIdleSessions(now time.Time) int {
 	for id, s := range r.sessions {
 		if now.Sub(time.Unix(0, s.lastUsed.Load())) > idle {
 			delete(r.sessions, id)
+			r.sessionsEvicted.Add(1)
 			victims = append(victims, s)
 		}
 	}
 	r.sessionMu.Unlock()
 	for _, s := range victims {
 		s.close()
-		r.sessionsEvicted.Add(1)
 	}
 	return len(victims)
 }
@@ -245,16 +247,18 @@ func (r *Registry) SessionStats() []SessionStat {
 // /metrics endpoint.
 func (r *Registry) SessionTotals() SessionTotals {
 	t := SessionTotals{
-		Opened:       r.sessionsOpened.Load(),
-		Evicted:      r.sessionsEvicted.Load(),
-		Closed:       r.sessionsClosed.Load(),
 		Splices:      r.closedSplices.Load(),
 		Reparses:     r.closedReparses.Load(),
 		FullReparses: r.closedFullReparses.Load(),
 		SetsReused:   r.closedSetsReused.Load(),
 		SetsRebuilt:  r.closedSetsRebuilt.Load(),
 	}
+	// The lifecycle counters move under sessionMu together with the
+	// table, so reading them there keeps Opened == Open+Closed+Evicted.
 	r.sessionMu.Lock()
+	t.Opened = r.sessionsOpened.Load()
+	t.Evicted = r.sessionsEvicted.Load()
+	t.Closed = r.sessionsClosed.Load()
 	open := make([]*Session, 0, len(r.sessions))
 	for _, s := range r.sessions {
 		open = append(open, s)
@@ -285,12 +289,12 @@ func (r *Registry) CloseAllSessions() int {
 	victims := make([]*Session, 0, len(r.sessions))
 	for id, s := range r.sessions {
 		delete(r.sessions, id)
+		r.sessionsClosed.Add(1)
 		victims = append(victims, s)
 	}
 	r.sessionMu.Unlock()
 	for _, s := range victims {
 		s.close()
-		r.sessionsClosed.Add(1)
 	}
 	return len(victims)
 }
@@ -307,13 +311,13 @@ func (r *Registry) closeSessionsOf(e *Entry) {
 	for id, s := range r.sessions {
 		if s.entry == e {
 			delete(r.sessions, id)
+			r.sessionsClosed.Add(1)
 			victims = append(victims, s)
 		}
 	}
 	r.sessionMu.Unlock()
 	for _, s := range victims {
 		s.close()
-		r.sessionsClosed.Add(1)
 	}
 }
 

@@ -149,16 +149,23 @@ func TestSessionConcurrentStress(t *testing.T) {
 			}
 		}(w)
 	}
-	// Evictor and scraper race the workers.
+	// Evictor and scraper race the workers; every scrape must see the
+	// lifecycle counters conserved.
 	done := make(chan struct{})
+	var evictor sync.WaitGroup
+	evictor.Add(1)
 	go func() {
+		defer evictor.Done()
 		for {
 			select {
 			case <-done:
 				return
 			default:
 				r.EvictIdleSessions(time.Now().Add(time.Hour))
-				r.SessionTotals()
+				if tot := r.SessionTotals(); tot.Opened != uint64(tot.Open)+tot.Closed+tot.Evicted {
+					t.Errorf("scrape: opened %d != open %d + closed %d + evicted %d", tot.Opened, tot.Open, tot.Closed, tot.Evicted)
+					return
+				}
 				r.SessionStats()
 				time.Sleep(100 * time.Microsecond)
 			}
@@ -166,6 +173,7 @@ func TestSessionConcurrentStress(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
+	evictor.Wait()
 
 	r.EvictIdleSessions(time.Now().Add(time.Hour))
 	tot := r.SessionTotals()

@@ -109,7 +109,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Rule updates whose table repair declined and regenerated from scratch.",
 		func(st registry.Stats) float64 { return float64(st.Counters.RepairFallbacks) })
 	perGrammar("ipg_engine_reprobes_total", obs.TypeCounter,
-		"Auto-engine re-probe passes (churn-aware backend reselection).",
+		"Full table probes the auto engine ran to reselect its backend (verdicts re-read from repaired tables do not count).",
 		func(st registry.Stats) float64 { return float64(st.EngineReprobes) })
 	perGrammar("ipg_admission_rejected_total", obs.TypeCounter,
 		"Parses refused by the entry's admission control.",

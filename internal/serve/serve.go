@@ -606,9 +606,9 @@ type EntryInfo struct {
 	// moves an auto entry onto (and off) the table-free Earley backend.
 	RuleUpdates      uint64  `json:"rule_updates_total"`
 	UpdateParseRatio float64 `json:"update_parse_ratio"`
-	// EngineReprobes counts auto-engine re-probe passes (0 for
-	// explicitly selected backends); SnapshotSaves counts this entry's
-	// persisted table snapshots.
+	// EngineReprobes counts the full table probes the auto engine ran
+	// to reselect (0 for explicitly selected backends); SnapshotSaves
+	// counts this entry's persisted table snapshots.
 	EngineReprobes uint64 `json:"engine_reprobes_total"`
 	SnapshotSaves  uint64 `json:"snapshot_saves_total"`
 	States         int    `json:"states"`
