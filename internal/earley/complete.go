@@ -26,7 +26,7 @@ type Cursor struct {
 // OpenCursor opens a completion cursor at the empty prefix.
 func (p *Parser) OpenCursor() *Cursor {
 	d := p.OpenDoc(nil, false)
-	d.Reparse()
+	d.Reparse(nil)
 	return &Cursor{d: d}
 }
 
@@ -117,7 +117,7 @@ func (c *Cursor) Feed(t grammar.Symbol) bool {
 	if c.d.Splice(n, 0, one[:]) != nil {
 		return false
 	}
-	c.d.Reparse()
+	c.d.Reparse(nil)
 	return true
 }
 
@@ -135,7 +135,7 @@ func (c *Cursor) Restore(pos int) bool {
 	if c.d.Splice(pos, n-pos, nil) != nil {
 		return false
 	}
-	c.d.Reparse()
+	c.d.Reparse(nil)
 	return true
 }
 

@@ -49,6 +49,22 @@ type Doc struct {
 // is left unchanged.
 var ErrSplice = errors.New("earley: splice out of range")
 
+// CheckSplice validates replacing tokens[at : at+removed] of an n-token
+// document with insert, returning the ErrSplice a Splice would: the
+// range must lie inside the document and the end marker cannot be
+// inserted.
+func CheckSplice(n, at, removed int, insert []grammar.Symbol) error {
+	if at < 0 || removed < 0 || at > n || removed > n-at {
+		return fmt.Errorf("%w: at=%d remove=%d len=%d", ErrSplice, at, removed, n)
+	}
+	for _, s := range insert {
+		if s == grammar.EOF {
+			return fmt.Errorf("%w: cannot insert end marker", ErrSplice)
+		}
+	}
+	return nil
+}
+
 // OpenDoc opens a document session over input (a trailing end marker is
 // accepted and dropped). With buildTrees, reparses record completions
 // so Tree can rebuild the packed forest incrementally; without, the
@@ -78,13 +94,8 @@ func (d *Doc) Tokens() []grammar.Symbol { return d.tokens }
 // damage. The end marker cannot be inserted. A same-length splice on a
 // warm document performs no allocation.
 func (d *Doc) Splice(at, removed int, insert []grammar.Symbol) error {
-	if at < 0 || removed < 0 || at > len(d.tokens) || removed > len(d.tokens)-at {
-		return fmt.Errorf("%w: at=%d remove=%d len=%d", ErrSplice, at, removed, len(d.tokens))
-	}
-	for _, s := range insert {
-		if s == grammar.EOF {
-			return fmt.Errorf("%w: cannot insert end marker", ErrSplice)
-		}
+	if err := CheckSplice(len(d.tokens), at, removed, insert); err != nil {
+		return err
 	}
 	switch {
 	case removed >= len(insert):
@@ -111,18 +122,12 @@ func (d *Doc) Splice(at, removed int, insert []grammar.Symbol) error {
 // returns the cached result and expands nothing; after an edit at
 // leftmost token k it reuses sets 0..min(k, built-1) and re-drives the
 // rest; after a grammar change it reparses from scratch. A warm
-// same-length reparse allocates nothing.
-func (d *Doc) Reparse() Result {
-	res, _ := d.ReparseCancel(nil)
-	return res
-}
-
-// ReparseCancel is Reparse with a cancellation flag polled at the chart
-// drive's per-set checkpoints. An aborted reparse returns the
-// *cancel.Error and leaves the document needing a from-scratch drive on
-// its next reparse (the retained chart stops mid-set at the abort
-// point, so it cannot be resumed).
-func (d *Doc) ReparseCancel(fl *cancel.Flag) (Result, error) {
+// same-length reparse allocates nothing. fl (nil never cancels) is
+// polled at the chart drive's per-set checkpoints: an aborted reparse
+// returns the *cancel.Error and leaves the document needing a
+// from-scratch drive on its next reparse (the retained chart stops
+// mid-set at the abort point, so it cannot be resumed).
+func (d *Doc) Reparse(fl *cancel.Flag) (Result, error) {
 	pr := d.p.program()
 	if d.valid && d.prog == pr && d.damage < 0 {
 		d.lastReused, d.lastRebuilt = len(d.w.bounds)-1, 0
@@ -165,19 +170,16 @@ func (d *Doc) ReparseCancel(fl *cancel.Flag) (Result, error) {
 // Tree reparses if needed and builds the packed forest of the current
 // tokens, reusing every memoized forest node whose span lies entirely
 // left of all edits since the last build. Only valid on a Doc opened
-// with buildTrees.
-func (d *Doc) Tree() (Result, error) { return d.TreeCancel(nil) }
-
-// TreeCancel is Tree with a cancellation flag; both the chart drive and
-// the forest walk poll it. Memoized forest nodes completed before an
-// abort stay valid and are reused by the next build.
-func (d *Doc) TreeCancel(fl *cancel.Flag) (Result, error) {
+// with buildTrees. Both the chart drive and the forest walk poll fl;
+// memoized forest nodes completed before an abort stay valid and are
+// reused by the next build. On error the result is empty.
+func (d *Doc) Tree(fl *cancel.Flag) (Result, error) {
 	if !d.buildTrees {
 		return Result{}, errors.New("earley: Tree on a recognition-only document")
 	}
-	res, err := d.ReparseCancel(fl)
+	res, err := d.Reparse(fl)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
 	if d.treeValid {
 		res.Root = d.root

@@ -77,7 +77,7 @@ func TestDocSpliceMatchesFresh(t *testing.T) {
 		if err := d.Splice(at, remove, insert); err != nil {
 			t.Fatalf("step %d: splice(%d,%d,%d tokens): %v", step, at, remove, len(insert), err)
 		}
-		got := d.Reparse()
+		got, _ := d.Reparse(nil)
 		want, err := p.Parse(d.Tokens(), &Options{BuildTrees: true})
 		if err != nil {
 			t.Fatalf("step %d: fresh parse: %v", step, err)
@@ -89,7 +89,7 @@ func TestDocSpliceMatchesFresh(t *testing.T) {
 		}
 		docChartEqual(t, d, p)
 		if want.Accepted {
-			tree, err := d.Tree()
+			tree, err := d.Tree(nil)
 			if err != nil {
 				t.Fatalf("step %d: doc tree: %v", step, err)
 			}
@@ -117,7 +117,7 @@ func TestDocPrefixReuseAccounting(t *testing.T) {
 
 	for k := 0; k < len(toks); k++ {
 		d := p.OpenDoc(toks, false)
-		d.Reparse()
+		d.Reparse(nil)
 		prevSets := d.Stats().Sets
 		prefix := append([]item(nil), d.w.items[:d.w.bounds[min(k+1, prevSets)]]...)
 
@@ -128,7 +128,7 @@ func TestDocPrefixReuseAccounting(t *testing.T) {
 		if err := d.Splice(k, 1, []grammar.Symbol{repl}); err != nil {
 			t.Fatal(err)
 		}
-		d.Reparse()
+		d.Reparse(nil)
 		st := d.Stats()
 		wantReused := min(k, prevSets-1) + 1
 		if st.LastReused != wantReused {
@@ -152,9 +152,9 @@ func TestDocCleanReparseExpandsNothing(t *testing.T) {
 	g := fixtures.Booleans()
 	p := New(g)
 	d := p.OpenDoc(fixtures.Tokens(g, "true or false and true"), false)
-	first := d.Reparse()
+	first, _ := d.Reparse(nil)
 	rebuilt := d.Stats().SetsRebuilt
-	second := d.Reparse()
+	second, _ := d.Reparse(nil)
 	st := d.Stats()
 	if st.SetsRebuilt != rebuilt {
 		t.Fatalf("clean reparse rebuilt %d sets", st.SetsRebuilt-rebuilt)
@@ -180,7 +180,7 @@ func TestDocEditReparseAllocFree(t *testing.T) {
 	trueSym, _ := g.Symbols().Lookup("true")
 	falseSym, _ := g.Symbols().Lookup("false")
 	d := p.OpenDoc(toks, false)
-	d.Reparse()
+	d.Reparse(nil)
 	at := len(toks) - 1
 	repl := [2][]grammar.Symbol{{trueSym}, {falseSym}}
 	i := 0
@@ -189,13 +189,13 @@ func TestDocEditReparseAllocFree(t *testing.T) {
 		if err := d.Splice(at, 1, repl[i%2]); err != nil {
 			t.Fatal(err)
 		}
-		d.Reparse()
+		d.Reparse(nil)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := d.Splice(at, 1, repl[i%2]); err != nil {
 			t.Fatal(err)
 		}
-		if res := d.Reparse(); !res.Accepted {
+		if res, _ := d.Reparse(nil); !res.Accepted {
 			t.Fatal("edited document rejected")
 		}
 		i++
@@ -215,7 +215,7 @@ E ::= E "+" "x" | "x"
 `)
 	p := New(g)
 	d := p.OpenDoc(fixtures.Tokens(g, "x + x"), false)
-	if res := d.Reparse(); !res.Accepted {
+	if res, _ := d.Reparse(nil); !res.Accepted {
 		t.Fatal("baseline rejected")
 	}
 	g.Symbols().MustIntern("y", grammar.Terminal)
@@ -231,7 +231,7 @@ E ::= E "+" "x" | "x"
 		t.Fatal(err)
 	}
 	full := d.Stats().FullReparses
-	if res := d.Reparse(); !res.Accepted {
+	if res, _ := d.Reparse(nil); !res.Accepted {
 		t.Fatal("'y + x' rejected after rule update")
 	}
 	if d.Stats().FullReparses != full+1 {
@@ -249,7 +249,7 @@ func TestDocTreePrefixNodesShared(t *testing.T) {
 	toks := fixtures.Tokens(g, "( true or false ) and true or true")
 	falseSym, _ := g.Symbols().Lookup("false")
 	d := p.OpenDoc(toks, true)
-	res, err := d.Tree()
+	res, err := d.Tree(nil)
 	if err != nil || !res.Accepted {
 		t.Fatalf("baseline: %v accepted=%v", err, res.Accepted)
 	}
@@ -268,7 +268,7 @@ func TestDocTreePrefixNodesShared(t *testing.T) {
 	if err := d.Splice(len(toks)-1, 1, []grammar.Symbol{falseSym}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Tree(); err != nil {
+	if _, err := d.Tree(nil); err != nil {
 		t.Fatal(err)
 	}
 	if after := d.b.memo[key]; after != before {

@@ -6,10 +6,12 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ipg/internal/cancel"
 	"ipg/internal/core"
 	"ipg/internal/grammar"
 	"ipg/internal/lalr"
 	"ipg/internal/ll"
+	"ipg/internal/obs"
 )
 
 // Auto probes the grammar and delegates to the cheapest adequate
@@ -203,18 +205,28 @@ func (a *Auto) Reason() string { return a.current().Reason() }
 // Caps implements Engine: the selected backend's capabilities.
 func (a *Auto) Caps() Caps { return a.current().Caps() }
 
-// Parse implements Engine. Every parse feeds the churn window; while
-// the churn verdict holds, parse traffic pushing the window ratio under
-// the exit threshold schedules a table re-probe.
+// Parse implements Engine by forwarding to drive.
 func (a *Auto) Parse(input []grammar.Symbol, buildTrees bool) (Result, error) {
-	a.noteParse()
-	return a.current().Parse(input, buildTrees)
+	return a.drive(input, buildTrees, nil, nil)
 }
 
-// Recognize implements Engine.
+// Recognize implements Engine by forwarding to drive.
 func (a *Auto) Recognize(input []grammar.Symbol) (bool, error) {
+	return accepted(a.drive(input, false, nil, nil))
+}
+
+// drive implements Driver. Every parse feeds the churn window; while
+// the churn verdict holds, parse traffic pushing the window ratio under
+// the exit threshold schedules a table re-probe. Selection (including
+// any deferred re-probe) is its own stage, then the chosen backend
+// records its phases and the span is attributed to it.
+func (a *Auto) drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
 	a.noteParse()
-	return a.current().Recognize(input)
+	tr.BeginStage(obs.StageSelect)
+	cur := a.current()
+	tr.EndStage(obs.StageSelect)
+	tr.SetEngine(cur.Kind().String())
+	return cur.drive(input, buildTrees, tr, fl)
 }
 
 func (a *Auto) noteParse() {

@@ -52,22 +52,22 @@ func (e *Earley) Reason() string { return e.reason }
 // Caps implements Engine.
 func (e *Earley) Caps() Caps { return CapsOf(KindEarley) }
 
-// Parse implements Engine: one chart pass; with buildTrees the
-// completed items are threaded into a packed forest.
+// Parse implements Engine by forwarding to drive.
 func (e *Earley) Parse(input []grammar.Symbol, buildTrees bool) (Result, error) {
-	return e.parseTraced(input, buildTrees, nil)
+	return e.drive(input, buildTrees, nil, nil)
 }
 
-// parseTraced implements traceParser (see trace.go) by handing the
-// trace to the parser, which alone knows where the chart pass ends and
-// the forest walk begins. A nil trace records nothing.
-func (e *Earley) parseTraced(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace) (Result, error) {
-	return e.parseCancel(input, buildTrees, tr, nil)
+// Recognize implements Engine by forwarding to drive.
+func (e *Earley) Recognize(input []grammar.Symbol) (bool, error) {
+	return accepted(e.drive(input, false, nil, nil))
 }
 
-// parseCancel implements cancelParser: the flag reaches the chart
-// drive's per-set checkpoint and the forest walk.
-func (e *Earley) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
+// drive implements Driver: one chart pass; with buildTrees the
+// completed items are threaded into a packed forest. The trace goes to
+// the parser, which alone knows where the chart pass ends and the
+// forest walk begins; the flag reaches the chart drive's per-set
+// checkpoint and the forest walk.
+func (e *Earley) drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	e.parsesServed.Add(1)
@@ -76,12 +76,19 @@ func (e *Earley) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.Pa
 	*opts = earley.Options{BuildTrees: buildTrees, Trace: tr, Cancel: fl}
 	res, err := e.p.Parse(input, opts)
 	e.items.Add(uint64(res.Stats.Items))
+	return earleyResult(res, err, "engine: earley parse")
+}
+
+// earleyResult converts a chart parse's outcome into the engine shape
+// shared by Earley parses and Earley sessions: cancellation errors pass
+// through unwrapped, anything else is wrapped with context.
+func earleyResult(res earley.Result, err error, what string) (Result, error) {
 	if err != nil {
 		var cerr *cancel.Error
 		if errors.As(err, &cerr) {
 			return Result{}, err
 		}
-		return Result{}, fmt.Errorf("engine: earley parse: %w", err)
+		return Result{}, fmt.Errorf("%s: %w", what, err)
 	}
 	return Result{
 		Accepted: res.Accepted,
@@ -90,12 +97,6 @@ func (e *Earley) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.Pa
 		ErrorPos: res.ErrorPos,
 		Expected: res.Expected,
 	}, nil
-}
-
-// Recognize implements Engine.
-func (e *Earley) Recognize(input []grammar.Symbol) (bool, error) {
-	res, err := e.Parse(input, false)
-	return res.Accepted, err
 }
 
 // Counters implements Engine: Earley items stand in for action calls —

@@ -28,6 +28,13 @@
 // layers are engine-agnostic; capabilities the backends do not share
 // (tree building, incremental update, snapshots) are reported by Caps
 // and the optional Snapshotter interface, and degrade gracefully.
+//
+// Each backend and each document session has exactly one parse body,
+// its drive (see Driver): it attributes the backend's phases to the
+// parse trace and polls the cancellation flag. Parse, Recognize and
+// Session.Reparse forward to it, and ParseGuarded — the dispatch the
+// registry runs every parse and session reparse through — wraps it in
+// the panic, cancellation and fault-injection guard once.
 package engine
 
 import (
@@ -35,10 +42,12 @@ import (
 	"fmt"
 	"io"
 
+	"ipg/internal/cancel"
 	"ipg/internal/core"
 	"ipg/internal/glr"
 	"ipg/internal/grammar"
 	"ipg/internal/lr"
+	"ipg/internal/obs"
 )
 
 // Kind identifies a parsing backend.
@@ -165,10 +174,24 @@ type TableInfo struct {
 	States, Complete, Initial, Dirty int
 }
 
+// Driver is the one parse body behind ParseGuarded, implemented by
+// every Engine and every Session (and only by this package's types).
+type Driver interface {
+	// drive parses input — a Session parses its retained document
+	// instead and is handed nil — building the forest when buildTrees
+	// is set, recording the backend's stages into tr and polling fl at
+	// its checkpoints. A nil tr or fl costs only nil checks, so the
+	// warm path stays 0 allocs/op. A Session records its whole drive
+	// as one reuse stage and hands its backend a nil trace, since
+	// stages nested inside it would be counted twice.
+	drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error)
+}
+
 // Engine is one parsing backend bound to one grammar. Implementations
 // are safe for concurrent use: parses may run from many goroutines, and
 // rule updates exclude parses internally.
 type Engine interface {
+	Driver
 	// Kind identifies the backend (the concrete one: an auto engine
 	// reports the kind it selected).
 	Kind() Kind
@@ -178,9 +201,11 @@ type Engine interface {
 	// Caps reports the backend's capabilities.
 	Caps() Caps
 	// Parse parses a terminal stream (no end marker). buildTrees
-	// requests forest construction where supported.
+	// requests forest construction where supported. It forwards to the
+	// backend's drive, untraced and uncancellable.
 	Parse(input []grammar.Symbol, buildTrees bool) (Result, error)
-	// Recognize reports acceptance without building trees.
+	// Recognize reports acceptance without building trees; it forwards
+	// to the drive like Parse.
 	Recognize(input []grammar.Symbol) (bool, error)
 	// Counters samples the engine's work counters. Non-lazy engines fill
 	// the subset that applies (parses served; regeneration work mapped
@@ -196,6 +221,9 @@ type Engine interface {
 	// DeleteRule is the inverse of AddRule.
 	DeleteRule(r *grammar.Rule) error
 }
+
+// accepted adapts a drive's outcome to Recognize's shape.
+func accepted(res Result, err error) (bool, error) { return res.Accepted, err }
 
 // Snapshotter is the optional persistence capability: engines whose
 // table state is worth carrying across restarts implement it. Use

@@ -60,19 +60,25 @@ type glrScratch struct {
 
 var glrScratchPool = sync.Pool{New: func() any { return new(glrScratch) }}
 
-// Parse implements Engine: one GSS parse under the generator's shared
-// (read) access, expanding table states by need. Counter traffic is
-// batched per parse through a core.ParseSession, so the published-state
-// hot path performs no shared atomic writes.
+// Parse implements Engine by forwarding to drive.
 func (e *GLR) Parse(input []grammar.Symbol, buildTrees bool) (Result, error) {
-	return e.parseCancel(input, buildTrees, nil, nil)
+	return e.drive(input, buildTrees, nil, nil)
 }
 
-// parseCancel implements cancelParser: the flag reaches both the GSS
-// drive loop (per-sweep checkpoint) and the lazy-expansion path of the
-// generator session. The deferred End releases the table's shared lock
-// even when expansion aborts by panic.
-func (e *GLR) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
+// Recognize implements Engine by forwarding to drive.
+func (e *GLR) Recognize(input []grammar.Symbol) (bool, error) {
+	return accepted(e.drive(input, false, nil, nil))
+}
+
+// drive implements Driver: one GSS parse under the generator's shared
+// (read) access, expanding table states by need, recorded as one table
+// stage. Counter traffic is batched per parse through a
+// core.ParseSession, so the published-state hot path performs no
+// shared atomic writes. The flag reaches both the GSS drive loop
+// (per-sweep checkpoint) and the lazy-expansion path of the generator
+// session. The deferred End releases the table's shared lock even when
+// expansion aborts by panic.
+func (e *GLR) drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
 	gen := e.Generator()
 	sc := glrScratchPool.Get().(*glrScratch)
 	defer glrScratchPool.Put(sc)
@@ -84,12 +90,6 @@ func (e *GLR) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.Parse
 	res, err := glr.Parse(&sc.sess, input, &sc.opts)
 	tr.EndStage(obs.StageTable)
 	return res, err
-}
-
-// Recognize implements Engine.
-func (e *GLR) Recognize(input []grammar.Symbol) (bool, error) {
-	res, err := e.Parse(input, false)
-	return res.Accepted, err
 }
 
 // Counters implements Engine.

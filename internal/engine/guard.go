@@ -11,11 +11,12 @@ import (
 )
 
 // This file is the fault-tolerant engine dispatch: ParseGuarded is what
-// the registry drives every parse through. It (1) threads the parse's
-// cancellation flag into the backend's drive loop, (2) recovers panics
-// — a grammar or input that crashes an engine must cost the service one
-// structured error, not the process — and (3) hosts the dispatch-level
-// fault-injection site the chaos harness uses to simulate both.
+// the registry drives every parse and session reparse through. It (1)
+// threads the drive's cancellation flag into the backend's drive loop,
+// (2) recovers panics — a grammar or input that crashes an engine must
+// cost the service one structured error, not the process — and (3)
+// hosts the dispatch-level fault-injection site the chaos harness uses
+// to simulate both.
 
 // PanicError is an engine panic recovered at dispatch, converted into a
 // structured error so the serving layer can count it, feed the
@@ -31,21 +32,14 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: parse panicked: %v", e.Value)
 }
 
-// cancelParser is the optional capability of engines that thread a
-// cancellation flag into their drive loops. All built-in engines
-// implement it; the fallback for a hypothetical engine without it is an
-// uncancellable (but still panic-guarded) parse.
-type cancelParser interface {
-	parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error)
-}
-
-// ParseGuarded parses through e with lifecycle tracing (nil tr traces
-// nothing), cancellation (nil fl never cancels; both cost only nil
-// checks, keeping the warm path 0 allocs/op), and panic quarantine.
-// A cancel.Abort panicked by the lazy-expansion checkpoint surfaces as
-// the flag's structured *cancel.Error; any other panic surfaces as a
-// *PanicError.
-func ParseGuarded(e Engine, input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (res Result, err error) {
+// ParseGuarded runs one drive of d — an Engine parsing input, or a
+// Session (handed nil input) reparsing its retained document — with
+// lifecycle tracing (nil tr traces nothing), cancellation (nil fl
+// never cancels; both cost only nil checks, keeping the warm path 0
+// allocs/op), and panic quarantine. A cancel.Abort panicked by the
+// lazy-expansion checkpoint surfaces as the flag's structured
+// *cancel.Error; any other panic surfaces as a *PanicError.
+func ParseGuarded(d Driver, input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (res Result, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -56,7 +50,11 @@ func ParseGuarded(e Engine, input []grammar.Symbol, buildTrees bool, tr *obs.Par
 			// Cancellation observed inside the table machinery, not a
 			// fault: position is unknown at this layer, the work
 			// counter carries the partial progress.
-			err = a.Flag.Err(0, len(input), a.Work)
+			n := len(input)
+			if s, ok := d.(Session); ok {
+				n = s.Len()
+			}
+			err = a.Flag.Err(0, n, a.Work)
 			return
 		}
 		err = &PanicError{Value: r, Stack: debug.Stack()}
@@ -66,56 +64,5 @@ func ParseGuarded(e Engine, input []grammar.Symbol, buildTrees bool, tr *obs.Par
 			return Result{}, ferr
 		}
 	}
-	if cp, ok := e.(cancelParser); ok {
-		return cp.parseCancel(input, buildTrees, tr, fl)
-	}
-	return TraceParse(e, input, buildTrees, tr)
-}
-
-// cancelSession is the optional capability of sessions whose reparses
-// poll a cancellation flag. Both built-in session kinds implement it.
-type cancelSession interface {
-	ReparseCancel(fl *cancel.Flag) (Result, error)
-	TreeCancel(fl *cancel.Flag) (Result, error)
-}
-
-// ReparseGuarded runs s.Reparse with cancellation and the same panic
-// quarantine as ParseGuarded.
-func ReparseGuarded(s Session, fl *cancel.Flag) (res Result, err error) {
-	return sessionGuarded(s, fl, false)
-}
-
-// TreeGuarded runs s.Tree with cancellation and panic quarantine.
-func TreeGuarded(s Session, fl *cancel.Flag) (res Result, err error) {
-	return sessionGuarded(s, fl, true)
-}
-
-func sessionGuarded(s Session, fl *cancel.Flag, tree bool) (res Result, err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		res = Result{}
-		if a, ok := r.(cancel.Abort); ok {
-			err = a.Flag.Err(0, s.Len(), a.Work)
-			return
-		}
-		err = &PanicError{Value: r, Stack: debug.Stack()}
-	}()
-	if faultinject.Armed() {
-		if ferr := faultinject.Fire(faultinject.SiteDispatch); ferr != nil {
-			return Result{}, ferr
-		}
-	}
-	if cs, ok := s.(cancelSession); ok {
-		if tree {
-			return cs.TreeCancel(fl)
-		}
-		return cs.ReparseCancel(fl)
-	}
-	if tree {
-		return s.Tree()
-	}
-	return s.Reparse()
+	return d.drive(input, buildTrees, tr, fl)
 }

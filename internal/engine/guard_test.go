@@ -96,37 +96,52 @@ func TestCancelFlagAbortsEveryEngine(t *testing.T) {
 }
 
 // TestSessionGuardedCancelAndPanic covers the session mirror of the
-// guard: canceled reparses surface the structured error, panics are
-// recovered, and a healthy session keeps serving afterwards.
+// guard on every session kind — Earley's chart-reuse session and the
+// full-reparse fallback on GLR, LALR and LL, plus auto: canceled
+// reparses surface the structured error, panics are recovered, and a
+// healthy session keeps serving afterwards.
 func TestSessionGuardedCancelAndPanic(t *testing.T) {
 	defer faultinject.Reset()
-	g := guardFixture(t, "CalcDet.bnf")
-	e, err := engine.New(engine.KindEarley, g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := engine.OpenSession(e, fixtures.Tokens(g, "n + n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		kind    engine.Kind
+		fixture string
+	}{
+		{engine.KindGLR, "CalcDet.bnf"},
+		{engine.KindLALR, "CalcDet.bnf"},
+		{engine.KindEarley, "CalcDet.bnf"},
+		{engine.KindLL, "CalcLL.bnf"},
+		{engine.KindAuto, "CalcDet.bnf"},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			g := guardFixture(t, tc.fixture)
+			e, err := engine.New(tc.kind, g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := engine.OpenSession(e, fixtures.Tokens(g, "n + n"))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	fl := new(cancel.Flag)
-	fl.Cancel(cancel.ClientGone)
-	if _, err := engine.ReparseGuarded(s, fl); !errors.Is(err, cancel.ErrCanceled) {
-		t.Fatalf("fired flag on reparse produced %v, want canceled", err)
-	}
+			fl := new(cancel.Flag)
+			fl.Cancel(cancel.ClientGone)
+			if _, err := engine.ParseGuarded(s, nil, false, nil, fl); !errors.Is(err, cancel.ErrCanceled) {
+				t.Fatalf("fired flag on reparse produced %v, want canceled", err)
+			}
 
-	faultinject.Set(faultinject.SiteDispatch,
-		faultinject.Fault{Kind: faultinject.Panic, Times: 1})
-	var p *engine.PanicError
-	if _, err := engine.TreeGuarded(s, nil); !errors.As(err, &p) {
-		t.Fatalf("session panic surfaced as %v, want *engine.PanicError", err)
-	}
-	faultinject.Reset()
+			faultinject.Set(faultinject.SiteDispatch,
+				faultinject.Fault{Kind: faultinject.Panic, Times: 1})
+			var p *engine.PanicError
+			if _, err := engine.ParseGuarded(s, nil, true, nil, nil); !errors.As(err, &p) {
+				t.Fatalf("session panic surfaced as %v, want *engine.PanicError", err)
+			}
+			faultinject.Reset()
 
-	res, err := engine.ReparseGuarded(s, nil)
-	if err != nil || !res.Accepted {
-		t.Fatalf("session after recovered panic: %v accepted=%v", err, res.Accepted)
+			res, err := engine.ParseGuarded(s, nil, false, nil, nil)
+			if err != nil || !res.Accepted {
+				t.Fatalf("session after recovered panic: %v accepted=%v", err, res.Accepted)
+			}
+		})
 	}
 }
 

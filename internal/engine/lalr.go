@@ -83,15 +83,21 @@ func (e *LALR) Table() *lalr.Table {
 	return e.tbl
 }
 
-// Parse implements Engine. Conflict-free tables use the deterministic
-// LR-PARSE driver; conflicted ones the GSS driver.
+// Parse implements Engine by forwarding to drive.
 func (e *LALR) Parse(input []grammar.Symbol, buildTrees bool) (Result, error) {
-	return e.parseCancel(input, buildTrees, nil, nil)
+	return e.drive(input, buildTrees, nil, nil)
 }
 
-// parseCancel implements cancelParser: both the deterministic and the
-// GSS driver poll the flag at their checkpoints.
-func (e *LALR) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
+// Recognize implements Engine by forwarding to drive.
+func (e *LALR) Recognize(input []grammar.Symbol) (bool, error) {
+	return accepted(e.drive(input, false, nil, nil))
+}
+
+// drive implements Driver, recording the parse as one table stage.
+// Conflict-free tables use the deterministic LR-PARSE driver;
+// conflicted ones the GSS driver. Both poll the flag at their
+// checkpoints.
+func (e *LALR) drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	e.parsesServed.Add(1)
@@ -106,12 +112,6 @@ func (e *LALR) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.Pars
 		}
 	}
 	return glr.Parse(e.tbl, input, &glr.Options{Engine: glr.GSS, DisableTrees: !buildTrees, Cancel: fl})
-}
-
-// Recognize implements Engine.
-func (e *LALR) Recognize(input []grammar.Symbol) (bool, error) {
-	res, err := e.Parse(input, false)
-	return res.Accepted, err
 }
 
 // Counters implements Engine: parses served, plus table repairs and

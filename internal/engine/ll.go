@@ -61,15 +61,20 @@ func (e *LL) Reason() string {
 // Caps implements Engine.
 func (e *LL) Caps() Caps { return CapsOf(KindLL) }
 
-// Parse implements Engine: one predictive parse, building the unique
-// tree when buildTrees is set.
+// Parse implements Engine by forwarding to drive.
 func (e *LL) Parse(input []grammar.Symbol, buildTrees bool) (Result, error) {
-	return e.parseCancel(input, buildTrees, nil, nil)
+	return e.drive(input, buildTrees, nil, nil)
 }
 
-// parseCancel implements cancelParser: the predictive drive polls the
-// flag every 64 steps.
-func (e *LL) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
+// Recognize implements Engine by forwarding to drive.
+func (e *LL) Recognize(input []grammar.Symbol) (bool, error) {
+	return accepted(e.drive(input, false, nil, nil))
+}
+
+// drive implements Driver: one predictive parse, recorded as one table
+// stage, building the unique tree when buildTrees is set. The
+// predictive drive polls the flag every 64 steps.
+func (e *LL) drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	e.parsesServed.Add(1)
@@ -78,7 +83,7 @@ func (e *LL) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.ParseT
 	if !buildTrees {
 		// Single pass, no node construction: diagnostics come from the
 		// same drive that would have built the tree.
-		ok, errPos, expected, err := e.tbl.ParseDiagCancel(input, fl)
+		ok, errPos, expected, err := e.tbl.ParseDiag(input, fl)
 		if err != nil {
 			return Result{}, err
 		}
@@ -88,7 +93,7 @@ func (e *LL) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.ParseT
 		return Result{ErrorPos: errPos, Expected: expected}, nil
 	}
 	f := forest.NewForest()
-	root, errPos, expected, err := e.tbl.ParseForestCancel(input, f, fl)
+	root, errPos, expected, err := e.tbl.ParseForest(input, f, fl)
 	if err != nil {
 		return Result{}, err
 	}
@@ -99,12 +104,6 @@ func (e *LL) parseCancel(input []grammar.Symbol, buildTrees bool, tr *obs.ParseT
 		return Result{ErrorPos: errPos, Expected: expected, Forest: f}, nil
 	}
 	return Result{Accepted: true, ErrorPos: -1, Root: root, Forest: f}, nil
-}
-
-// Recognize implements Engine.
-func (e *LL) Recognize(input []grammar.Symbol) (bool, error) {
-	res, err := e.Parse(input, false)
-	return res.Accepted, err
 }
 
 // Counters implements Engine: prediction rows refilled by repairs map

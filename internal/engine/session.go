@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"errors"
-	"fmt"
-
 	"ipg/internal/cancel"
 	"ipg/internal/earley"
 	"ipg/internal/grammar"
+	"ipg/internal/obs"
 )
 
 // Session is a stateful document bound to one engine: the editor-style
@@ -20,7 +18,12 @@ import (
 // (the registry layer wraps each session in a mutex). Grammar updates
 // on the owning engine remain safe: sessions take the engine's reader
 // lock around every reparse and notice version changes.
+//
+// Reparse brings the parse up to date untraced and uncancellable; the
+// registry drives sessions through ParseGuarded instead, which also
+// builds the forest on request.
 type Session interface {
+	Driver
 	// Engine identifies the concrete backend serving this session.
 	Engine() Kind
 	// Incremental reports whether reparses reuse retained state (false
@@ -29,14 +32,12 @@ type Session interface {
 	// Len returns the current token count.
 	Len() int
 	// Splice replaces tokens[at : at+removed] with insert. The edit is
-	// applied to the retained document only; call Reparse or Tree to
-	// bring the parse up to date.
+	// applied to the retained document only; the next drive brings the
+	// parse up to date.
 	Splice(at, removed int, insert []grammar.Symbol) error
 	// Reparse brings the session up to date with its tokens and returns
-	// the recognition result.
+	// the recognition result. It forwards to the session's drive.
 	Reparse() (Result, error)
-	// Tree reparses if needed and builds the parse forest.
-	Tree() (Result, error)
 	// Stats returns the session's reuse accounting.
 	Stats() SessionStats
 	// Close releases retained state. Further calls are undefined.
@@ -64,6 +65,14 @@ type SessionStats struct {
 // document is unchanged). Serve maps it to 416.
 var ErrSplice = earley.ErrSplice
 
+// CheckSplice reports the ErrSplice that Session.Splice would return
+// for replacing tokens[at : at+removed] of an n-token document with
+// insert, without applying anything — so a batch of edits can be
+// validated before any of them lands.
+func CheckSplice(n, at, removed int, insert []grammar.Symbol) error {
+	return earley.CheckSplice(n, at, removed, insert)
+}
+
 // sessionOpener is the optional capability behind OpenSession: engines
 // that can serve a session natively implement it.
 type sessionOpener interface {
@@ -88,8 +97,8 @@ func OpenSession(e Engine, input []grammar.Symbol) (Session, error) {
 
 // earleySession is the incremental session: a retained earley.Doc whose
 // chart survives across reparses. The Doc runs in tree mode (it records
-// completions) so Tree is always available; Reparse still reports pure
-// recognition.
+// completions) so a tree-building drive is always available; a
+// recognition drive still reports pure recognition.
 type earleySession struct {
 	e *Earley
 	d *earley.Doc
@@ -111,49 +120,26 @@ func (s *earleySession) Splice(at, removed int, insert []grammar.Symbol) error {
 	return s.d.Splice(at, removed, insert)
 }
 
-func (s *earleySession) Reparse() (Result, error) { return s.ReparseCancel(nil) }
+func (s *earleySession) Reparse() (Result, error) { return s.drive(nil, false, nil, nil) }
 
-// ReparseCancel implements cancelSession: the incremental chart drive
-// polls the flag at its per-set checkpoints.
-func (s *earleySession) ReparseCancel(fl *cancel.Flag) (Result, error) {
+// drive implements Driver: the incremental chart drive polls fl at its
+// per-set checkpoints, and with buildTrees the retained forest is
+// rebuilt over the damaged spans only. Recognition reports no forest.
+func (s *earleySession) drive(_ []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
+	tr.BeginStage(obs.StageReuse)
+	defer tr.EndStage(obs.StageReuse)
 	s.e.mu.RLock()
 	defer s.e.mu.RUnlock()
 	s.e.parsesServed.Add(1)
-	res, err := s.d.ReparseCancel(fl)
-	s.e.items.Add(uint64(res.Stats.Items))
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Accepted: res.Accepted,
-		ErrorPos: res.ErrorPos,
-		Expected: res.Expected,
-	}, nil
-}
-
-func (s *earleySession) Tree() (Result, error) { return s.TreeCancel(nil) }
-
-// TreeCancel implements cancelSession.
-func (s *earleySession) TreeCancel(fl *cancel.Flag) (Result, error) {
-	s.e.mu.RLock()
-	defer s.e.mu.RUnlock()
-	s.e.parsesServed.Add(1)
-	res, err := s.d.TreeCancel(fl)
-	if err != nil {
-		var cerr *cancel.Error
-		if errors.As(err, &cerr) {
-			return Result{}, err
-		}
-		return Result{}, fmt.Errorf("engine: earley session tree: %w", err)
+	var res earley.Result
+	var err error
+	if buildTrees {
+		res, err = s.d.Tree(fl)
+	} else {
+		res, err = s.d.Reparse(fl)
 	}
 	s.e.items.Add(uint64(res.Stats.Items))
-	return Result{
-		Accepted: res.Accepted,
-		Root:     res.Root,
-		Forest:   res.Forest,
-		ErrorPos: res.ErrorPos,
-		Expected: res.Expected,
-	}, nil
+	return earleyResult(res, err, "engine: earley session tree")
 }
 
 func (s *earleySession) Stats() SessionStats {
@@ -185,7 +171,7 @@ type ForestResetter interface{ ResetForest() }
 
 // fallbackSession serves the Session interface on engines without
 // retained-state reuse: it keeps only the token stream and runs a
-// from-scratch parse on every Reparse/Tree.
+// from-scratch parse on every drive.
 type fallbackSession struct {
 	e      Engine
 	tokens []grammar.Symbol
@@ -207,13 +193,8 @@ func (s *fallbackSession) Incremental() bool { return false }
 func (s *fallbackSession) Len() int          { return len(s.tokens) }
 
 func (s *fallbackSession) Splice(at, removed int, insert []grammar.Symbol) error {
-	if at < 0 || removed < 0 || at > len(s.tokens) || removed > len(s.tokens)-at {
-		return fmt.Errorf("%w: at=%d remove=%d len=%d", ErrSplice, at, removed, len(s.tokens))
-	}
-	for _, sym := range insert {
-		if sym == grammar.EOF {
-			return fmt.Errorf("%w: cannot insert end marker", ErrSplice)
-		}
+	if err := CheckSplice(len(s.tokens), at, removed, insert); err != nil {
+		return err
 	}
 	out := make([]grammar.Symbol, 0, len(s.tokens)-removed+len(insert))
 	out = append(out, s.tokens[:at]...)
@@ -224,28 +205,18 @@ func (s *fallbackSession) Splice(at, removed int, insert []grammar.Symbol) error
 	return nil
 }
 
-func (s *fallbackSession) Reparse() (Result, error) { return s.ReparseCancel(nil) }
+func (s *fallbackSession) Reparse() (Result, error) { return s.drive(nil, false, nil, nil) }
 
-// ReparseCancel implements cancelSession: the from-scratch parse runs
-// through the backend's cancel-aware path when it has one.
-func (s *fallbackSession) ReparseCancel(fl *cancel.Flag) (Result, error) {
-	if s.valid {
+// drive implements Driver with a from-scratch parse through the
+// backend's drive. A recognition result is cached until the next
+// splice; a tree is rebuilt on every call.
+func (s *fallbackSession) drive(_ []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
+	tr.BeginStage(obs.StageReuse)
+	defer tr.EndStage(obs.StageReuse)
+	if s.valid && !buildTrees {
 		return s.last, nil
 	}
-	res, err := parseMaybeCancel(s.e, s.tokens, false, fl)
-	if err != nil {
-		return Result{}, err
-	}
-	s.reparses++
-	s.last, s.valid = res, true
-	return res, nil
-}
-
-func (s *fallbackSession) Tree() (Result, error) { return s.TreeCancel(nil) }
-
-// TreeCancel implements cancelSession.
-func (s *fallbackSession) TreeCancel(fl *cancel.Flag) (Result, error) {
-	res, err := parseMaybeCancel(s.e, s.tokens, true, fl)
+	res, err := s.e.drive(s.tokens, buildTrees, nil, fl)
 	if err != nil {
 		return Result{}, err
 	}
@@ -253,15 +224,6 @@ func (s *fallbackSession) TreeCancel(fl *cancel.Flag) (Result, error) {
 	s.last = Result{Accepted: res.Accepted, ErrorPos: res.ErrorPos, Expected: res.Expected}
 	s.valid = true
 	return res, nil
-}
-
-// parseMaybeCancel routes through the cancel-aware parse when the
-// engine has one, plain Parse otherwise.
-func parseMaybeCancel(e Engine, input []grammar.Symbol, buildTrees bool, fl *cancel.Flag) (Result, error) {
-	if cp, ok := e.(cancelParser); ok {
-		return cp.parseCancel(input, buildTrees, nil, fl)
-	}
-	return e.Parse(input, buildTrees)
 }
 
 func (s *fallbackSession) Stats() SessionStats {

@@ -130,7 +130,7 @@ func FuzzSessionSplice(f *testing.F) {
 					if !want.Accepted {
 						continue
 					}
-					tree, err := s.Tree()
+					tree, err := s.drive(nil, true, nil, nil)
 					if err != nil {
 						t.Fatalf("step %d: %v session tree: %v", step, e.Kind(), err)
 					}

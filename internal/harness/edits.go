@@ -96,7 +96,7 @@ func runEditsOn(g *grammar.Grammar, in Input, repeat int) ([]EditResult, error) 
 	}
 
 	d := p.OpenDoc(in.Tokens, false)
-	if res := d.Reparse(); !res.Accepted {
+	if res, _ := d.Reparse(nil); !res.Accepted {
 		return nil, fmt.Errorf("document parse rejected")
 	}
 
@@ -123,7 +123,7 @@ func runEditsOn(g *grammar.Grammar, in Input, repeat int) ([]EditResult, error) 
 				if err := d.Splice(pos, size, insert); err != nil {
 					return err
 				}
-				if res := d.Reparse(); !res.Accepted {
+				if res, _ := d.Reparse(nil); !res.Accepted {
 					return fmt.Errorf("edited document rejected")
 				}
 				return nil

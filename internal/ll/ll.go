@@ -296,7 +296,7 @@ var ErrNotLL1 = fmt.Errorf("ll: grammar is not LL(1)")
 // Parse runs the table-driven predictive parser on input (terminals,
 // without end marker). It returns ErrNotLL1 when the table has conflicts.
 func (t *Table) Parse(input []grammar.Symbol) (bool, error) {
-	ok, _, _, err := t.ParseDiag(input)
+	ok, _, _, err := t.ParseDiag(input, nil)
 	return ok, err
 }
 
@@ -306,15 +306,10 @@ func (t *Table) Parse(input []grammar.Symbol) (bool, error) {
 // the one the LR engines build for the same sentence. On rejection it
 // reports the furthest input position reached and the terminals that
 // would have allowed progress there (the same diagnostic shape as
-// glr.Result). It returns ErrNotLL1 when the table has conflicts.
-func (t *Table) ParseForest(input []grammar.Symbol, f *forest.Forest) (root *forest.Node, errPos int, expected []grammar.Symbol, err error) {
-	return t.ParseForestCancel(input, f, nil)
-}
-
-// ParseForestCancel is ParseForest with a cancellation flag polled at
-// the drive loop's checkpoints (every 64 steps); a fired flag aborts
-// with a *cancel.Error.
-func (t *Table) ParseForestCancel(input []grammar.Symbol, f *forest.Forest, fl *cancel.Flag) (root *forest.Node, errPos int, expected []grammar.Symbol, err error) {
+// glr.Result). It returns ErrNotLL1 when the table has conflicts. fl
+// (nil never cancels) is polled at the drive loop's checkpoints (every
+// 64 steps); a fired flag aborts with a *cancel.Error.
+func (t *Table) ParseForest(input []grammar.Symbol, f *forest.Forest, fl *cancel.Flag) (root *forest.Node, errPos int, expected []grammar.Symbol, err error) {
 	if len(t.conflicts) > 0 {
 		return nil, -1, nil, ErrNotLL1
 	}
@@ -325,16 +320,10 @@ func (t *Table) ParseForestCancel(input []grammar.Symbol, f *forest.Forest, fl *
 	return root, errPos, expected, err
 }
 
-// ParseDiag is recognition with the ParseForest diagnostics but without
-// any node construction — one pass, no allocation per matched token.
-// errPos is -1 for accepted inputs.
-func (t *Table) ParseDiag(input []grammar.Symbol) (ok bool, errPos int, expected []grammar.Symbol, err error) {
-	return t.ParseDiagCancel(input, nil)
-}
-
-// ParseDiagCancel is ParseDiag with a cancellation flag (see
-// ParseForestCancel).
-func (t *Table) ParseDiagCancel(input []grammar.Symbol, fl *cancel.Flag) (ok bool, errPos int, expected []grammar.Symbol, err error) {
+// ParseDiag is recognition with the ParseForest diagnostics and
+// cancellation but without any node construction — one pass, no
+// allocation per matched token. errPos is -1 for accepted inputs.
+func (t *Table) ParseDiag(input []grammar.Symbol, fl *cancel.Flag) (ok bool, errPos int, expected []grammar.Symbol, err error) {
 	if len(t.conflicts) > 0 {
 		return false, -1, nil, ErrNotLL1
 	}

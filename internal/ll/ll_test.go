@@ -135,7 +135,7 @@ func TestParseForestBuildsUniqueTree(t *testing.T) {
 	g := grammar.MustParse(llExpr)
 	tbl := Generate(g)
 	f := forest.NewForest()
-	root, errPos, _, err := tbl.ParseForest(fixtures.Tokens(g, "x + ( x + x )"), f)
+	root, errPos, _, err := tbl.ParseForest(fixtures.Tokens(g, "x + ( x + x )"), f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestParseForestDiagnostics(t *testing.T) {
 		{"( x + x", 4}, // unclosed paren: end of input
 	} {
 		toks := fixtures.Tokens(g, tc.input)
-		root, errPos, expected, err := tbl.ParseForest(toks, forest.NewForest())
+		root, errPos, expected, err := tbl.ParseForest(toks, forest.NewForest(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ START ::= S
 S ::= "a" S | "a"
 `)
 	tbl := Generate(g)
-	if _, _, _, err := tbl.ParseForest(fixtures.Tokens(g, "a a"), forest.NewForest()); !errors.Is(err, ErrNotLL1) {
+	if _, _, _, err := tbl.ParseForest(fixtures.Tokens(g, "a a"), forest.NewForest(), nil); !errors.Is(err, ErrNotLL1) {
 		t.Fatalf("ParseForest on conflicted table: err = %v, want ErrNotLL1", err)
 	}
 }
@@ -214,7 +214,7 @@ func TestParseForestDeepInputNoStackGrowth(t *testing.T) {
 		}
 		input = append(input, x)
 	}
-	root, errPos, _, err := tbl.ParseForest(input, forest.NewForest())
+	root, errPos, _, err := tbl.ParseForest(input, forest.NewForest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

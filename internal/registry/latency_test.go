@@ -179,14 +179,14 @@ func TestWarmParseZeroAllocsWithTracing(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 16; i++ {
 		tr := tracer.StartParse("bool", "glr", "")
-		if _, err := e.ParseTraced(ctx, input, false, tr); err != nil {
+		if _, err := e.Run(ctx, "", input, false, tr); err != nil {
 			t.Fatal(err)
 		}
 		tr.Finish(true, nil)
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		tr := tracer.StartParse("bool", "glr", "")
-		res, err := e.ParseTraced(ctx, input, false, tr)
+		res, err := e.Run(ctx, "", input, false, tr)
 		tr.Finish(res.Accepted, err)
 		if err != nil || !res.Accepted {
 			t.Fatal("traced parse failed mid-measurement")

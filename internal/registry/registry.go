@@ -256,7 +256,7 @@ type Entry struct {
 	rel     *priority.Relation
 }
 
-// ErrNoScanner is returned by ParseText on entries registered from plain
+// ErrNoScanner is returned by ScanText on entries registered from plain
 // rules, which have no lexical syntax.
 var ErrNoScanner = errors.New("registry: entry has no scanner (registered from plain rules); parse token names instead")
 
@@ -356,17 +356,31 @@ type Result struct {
 
 // Parse parses a terminal stream through the shared table, holding
 // shared access for the whole parse. For SDF entries the priority and
-// associativity filters are applied to the forest before counting.
+// associativity filters are applied to the forest before counting. It
+// forwards to Run, untraced and uncancellable.
 func (e *Entry) Parse(input []grammar.Symbol, buildTrees bool) (Result, error) {
-	return e.ParseTraced(context.Background(), input, buildTrees, nil)
+	return e.Run(context.Background(), "", input, buildTrees, nil)
 }
 
-// ParseTraced is Parse with observability threaded through: lifecycle
-// stages are recorded into tr (nil traces nothing), and ctx carries the
-// request ID down to pprof profile labels when the registry's
-// SetProfileLabels switch is on. With a nil trace and labels off this
-// is exactly the zero-alloc warm path — the AllocsPerRun gates pin it.
-func (e *Entry) ParseTraced(ctx context.Context, input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace) (Result, error) {
+// ParseInput resolves input either as source text (SDF entries) or as
+// whitespace-separated terminal names (rules entries) and parses it. It
+// forwards to Run, untraced and uncancellable.
+func (e *Entry) ParseInput(input string, buildTrees bool) (Result, error) {
+	return e.Run(context.Background(), input, nil, buildTrees, nil)
+}
+
+// Run is the entry's one parse path; Parse and ParseInput forward to
+// it. It admits the request — admission brackets tokenization too, so
+// a saturated entry rejects before queueing on the serialized scanner
+// — observes its latency, holds the rule-update read lock, resolves
+// text like InputTokens unless toks already holds a token stream, and
+// drives the engine through the guarded dispatch (see drive). Lifecycle
+// stages are recorded into tr (nil traces nothing), and ctx arms
+// cancellation and carries the request ID down to pprof profile labels
+// when the registry's SetProfileLabels switch is on. With a Background
+// ctx, a nil trace and labels off this is exactly the zero-alloc warm
+// path — the AllocsPerRun gates pin it.
+func (e *Entry) Run(ctx context.Context, text string, toks []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace) (Result, error) {
 	tr.BeginStage(obs.StageAdmit)
 	err := e.admit()
 	tr.EndStage(obs.StageAdmit)
@@ -377,7 +391,19 @@ func (e *Entry) ParseTraced(ctx context.Context, input []grammar.Symbol, buildTr
 	defer e.observeLatency(time.Now())
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
-	return e.parseLocked(ctx, input, buildTrees, tr)
+	if toks == nil {
+		tr.BeginStage(obs.StageTokenize)
+		toks, err = e.inputTokensLocked(text)
+		tr.EndStage(obs.StageTokenize)
+		if err != nil {
+			return Result{}, err
+		}
+	}
+	res, err := e.drive(ctx, e.eng, toks, buildTrees, tr)
+	if err != nil {
+		return Result{Result: res}, err
+	}
+	return e.finishResult(res, tr)
 }
 
 // observeLatency records one admitted request's end-to-end latency
@@ -434,9 +460,13 @@ func (e *Entry) takeToken(rate float64) bool {
 	return true
 }
 
-func (e *Entry) parseLocked(ctx context.Context, input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace) (Result, error) {
-	// Cancellation is armed only for cancellable contexts; the warm
-	// path (Background) passes a nil flag and stays 0 allocs/op.
+// drive is the registry's one dispatch into the engine layer, shared by
+// parses and session reparses: ctx arms the cancellation flag (only
+// cancellable contexts arm one; the warm Background path passes nil and
+// stays 0 allocs/op), d runs through engine.ParseGuarded, and the
+// outcome feeds the entry's cancel/panic counters and quarantine
+// breaker.
+func (e *Entry) drive(ctx context.Context, d engine.Driver, input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace) (engine.Result, error) {
 	fl, stop := e.armCancel(ctx)
 	var res engine.Result
 	var err error
@@ -446,17 +476,14 @@ func (e *Entry) parseLocked(ctx context.Context, input []grammar.Symbol, buildTr
 		// multi-tenant service split by tenant. Gated because labeling
 		// allocates; the zero-alloc gates run with it off.
 		obs.WithProfileLabels(ctx, e.name, e.eng.Kind().String(), func() {
-			res, err = engine.ParseGuarded(e.eng, input, buildTrees, tr, fl)
+			res, err = engine.ParseGuarded(d, input, buildTrees, tr, fl)
 		})
 	} else {
-		res, err = engine.ParseGuarded(e.eng, input, buildTrees, tr, fl)
+		res, err = engine.ParseGuarded(d, input, buildTrees, tr, fl)
 	}
 	disarmCancel(fl, stop)
 	e.noteOutcome(err, tr)
-	if err != nil {
-		return Result{Result: res}, err
-	}
-	return e.finishResult(res, tr)
+	return res, err
 }
 
 // noteOutcome classifies a guarded-parse outcome into the entry's
@@ -545,6 +572,10 @@ func (e *Entry) finishResult(res engine.Result, tr *obs.ParseTrace) (Result, err
 func (e *Entry) InputTokens(input string) ([]grammar.Symbol, error) {
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
+	return e.inputTokensLocked(input)
+}
+
+func (e *Entry) inputTokensLocked(input string) ([]grammar.Symbol, error) {
 	if e.scanner != nil {
 		toks, _, err := e.scanTextLocked(input)
 		if err != nil {
@@ -628,89 +659,31 @@ func (e *Entry) scanTextLocked(src string) ([]grammar.Symbol, []isg.Token, error
 	return sdf.TokenizeWith(e.scanner, src, e.g.Symbols())
 }
 
-// ParseText scans and parses source text (SDF entries only). Admission
-// control brackets the scan too: a saturated entry rejects before
-// queueing on the serialized scanner.
-func (e *Entry) ParseText(src string, buildTrees bool) (Result, error) {
-	return e.ParseTextTraced(context.Background(), src, buildTrees, nil)
-}
-
-// ParseTextTraced is ParseText with lifecycle tracing; see ParseTraced.
-func (e *Entry) ParseTextTraced(ctx context.Context, src string, buildTrees bool, tr *obs.ParseTrace) (Result, error) {
-	tr.BeginStage(obs.StageAdmit)
-	err := e.admit()
-	tr.EndStage(obs.StageAdmit)
-	if err != nil {
-		return Result{}, err
-	}
-	defer e.release()
-	defer e.observeLatency(time.Now())
-	e.updateMu.RLock()
-	defer e.updateMu.RUnlock()
-	tr.BeginStage(obs.StageTokenize)
-	toks, _, err := e.scanTextLocked(src)
-	tr.EndStage(obs.StageTokenize)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.parseLocked(ctx, append(toks, grammar.EOF), buildTrees, tr)
-}
-
-// ParseInput resolves input either as source text (SDF entries) or as
-// whitespace-separated terminal names (rules entries) and parses it —
-// the form the serve front end hands through. Admission control
-// brackets tokenization as well as the parse.
-func (e *Entry) ParseInput(input string, buildTrees bool) (Result, error) {
-	return e.ParseInputTraced(context.Background(), input, buildTrees, nil)
-}
-
-// ParseInputTraced is ParseInput with observability threaded through:
-// admission, tokenization, engine selection, table/chart work, forest
-// work and the end-to-end outcome are recorded into tr (nil traces
-// nothing), and ctx carries the serve layer's request ID down through
-// the engine call for pprof attribution.
-func (e *Entry) ParseInputTraced(ctx context.Context, input string, buildTrees bool, tr *obs.ParseTrace) (Result, error) {
-	tr.BeginStage(obs.StageAdmit)
-	err := e.admit()
-	tr.EndStage(obs.StageAdmit)
-	if err != nil {
-		return Result{}, err
-	}
-	defer e.release()
-	defer e.observeLatency(time.Now())
-	e.updateMu.RLock()
-	defer e.updateMu.RUnlock()
-	if e.scanner != nil {
-		tr.BeginStage(obs.StageTokenize)
-		toks, _, err := e.scanTextLocked(input)
-		tr.EndStage(obs.StageTokenize)
-		if err != nil {
-			return Result{}, err
-		}
-		return e.parseLocked(ctx, append(toks, grammar.EOF), buildTrees, tr)
-	}
-	tr.BeginStage(obs.StageTokenize)
-	toks, err := e.tokensLocked(input)
-	tr.EndStage(obs.StageTokenize)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.parseLocked(ctx, toks, buildTrees, tr)
-}
-
 // AddRulesText parses BNF rule lines against the entry's symbol table
 // and adds each rule to the shared table incrementally (ADD-RULE,
 // section 6). For SDF entries, quoted terminals new to the scanner are
 // registered as literal token rules, so the new syntax is immediately
 // scannable — the paper's "simultaneous editing of language definitions
-// and programs". Returns the number of rules added.
+// and programs". Returns the number of rules added. It forwards to
+// UpdateRules, untraced.
 func (e *Entry) AddRulesText(text string) (n int, err error) {
-	return e.AddRulesTextTraced(text, nil)
+	return e.UpdateRules(text, true, nil)
 }
 
-// AddRulesTextTraced is AddRulesText with each engine update recorded
-// under the trace's repair stage (nil trace = untraced).
-func (e *Entry) AddRulesTextTraced(text string, tr *obs.ParseTrace) (n int, err error) {
+// DeleteRulesText parses BNF rule lines and deletes each from the shared
+// table incrementally (DELETE-RULE, section 6). Returns the number of
+// rules deleted. It forwards to UpdateRules, untraced.
+func (e *Entry) DeleteRulesText(text string) (n int, err error) {
+	return e.UpdateRules(text, false, nil)
+}
+
+// UpdateRules is the entry's one rule-update path; AddRulesText and
+// DeleteRulesText forward to it. It parses BNF rule lines against the
+// entry's symbol table and, under the exclusive update lock, adds them
+// (add) or deletes them, skipping rules already present or absent, and
+// returns how many it applied. Each engine update is recorded under the
+// trace's repair stage (nil trace = untraced).
+func (e *Entry) UpdateRules(text string, add bool, tr *obs.ParseTrace) (n int, err error) {
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
 	// Bump the version whenever the grammar changed, even when a later
@@ -724,16 +697,20 @@ func (e *Entry) AddRulesTextTraced(text string, tr *obs.ParseTrace) (n int, err 
 	if err != nil {
 		return 0, err
 	}
+	apply := e.eng.DeleteRule
+	if add {
+		apply = e.eng.AddRule
+	}
 	for _, r := range tmp.Rules() {
-		if e.g.Has(r) {
-			continue
+		if e.g.Has(r) == add {
+			continue // already present (add) or absent (delete)
 		}
-		if e.scanner != nil {
+		if add && e.scanner != nil {
 			if err := e.extendScanner(r); err != nil {
 				return n, err
 			}
 		}
-		if err := e.applyUpdate(tr, r, e.eng.AddRule); err != nil {
+		if err := e.applyUpdate(tr, r, apply); err != nil {
 			return n, err
 		}
 		e.ruleUpdates.Add(1)
@@ -782,40 +759,6 @@ func (e *Entry) extendScanner(r *grammar.Rule) error {
 		known[name] = true
 	}
 	return nil
-}
-
-// DeleteRulesText parses BNF rule lines and deletes each from the shared
-// table incrementally (DELETE-RULE, section 6). Returns the number of
-// rules deleted.
-func (e *Entry) DeleteRulesText(text string) (n int, err error) {
-	return e.DeleteRulesTextTraced(text, nil)
-}
-
-// DeleteRulesTextTraced is DeleteRulesText with each engine update
-// recorded under the trace's repair stage (nil trace = untraced).
-func (e *Entry) DeleteRulesTextTraced(text string, tr *obs.ParseTrace) (n int, err error) {
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
-	defer func() {
-		if n > 0 {
-			e.version.Add(1)
-		}
-	}()
-	tmp, err := grammar.Parse(text, e.g.Symbols())
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range tmp.Rules() {
-		if !e.g.Has(r) {
-			continue
-		}
-		if err := e.applyUpdate(tr, r, e.eng.DeleteRule); err != nil {
-			return n, err
-		}
-		e.ruleUpdates.Add(1)
-		n++
-	}
-	return n, nil
 }
 
 // Stats is a point-in-time snapshot of one entry.

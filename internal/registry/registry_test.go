@@ -161,13 +161,13 @@ func TestIncrementalUpdateThroughEntry(t *testing.T) {
 func TestSDFEntryScannerExtension(t *testing.T) {
 	r := New()
 	e, _ := r.Register("calc", Spec{Source: calcSDF})
-	if _, err := e.ParseText("7 % 2", true); err == nil {
+	if _, err := e.ParseInput("7 % 2", true); err == nil {
 		t.Fatal("'%' should not scan before the update")
 	}
 	if _, err := e.AddRulesText(`EXP ::= EXP "%" EXP`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ParseText("7 % 2", true)
+	res, err := e.ParseInput("7 % 2", true)
 	if err != nil || !res.Accepted {
 		t.Fatalf("after simultaneous lexical+syntactic update: %v %v", res.Accepted, err)
 	}

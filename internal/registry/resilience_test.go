@@ -53,7 +53,7 @@ func TestParseAbortsOnDeadlineAllEngines(t *testing.T) {
 			ctx, cancelCtx := context.WithTimeout(context.Background(), 15*time.Millisecond)
 			defer cancelCtx()
 			start := time.Now()
-			_, err = e.ParseInputTraced(ctx, slowInput(400), false, nil)
+			_, err = e.Run(ctx, slowInput(400), nil, false, nil)
 			elapsed := time.Since(start)
 			if err == nil {
 				t.Fatalf("%s: slow parse completed despite deadline", kind)
@@ -100,7 +100,7 @@ func TestParseAbortsOnClientGoneAllEngines(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 				cancelCtx()
 			}()
-			_, err = e.ParseInputTraced(ctx, slowInput(400), false, nil)
+			_, err = e.Run(ctx, slowInput(400), nil, false, nil)
 			var cerr *cancel.Error
 			if !errors.As(err, &cerr) {
 				t.Fatalf("%s: error %v carries no *cancel.Error", kind, err)
@@ -129,7 +129,7 @@ func TestInjectedCancelAbortsMidDrive(t *testing.T) {
 	// with a cancelable context.
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	defer cancelCtx()
-	_, err = e.ParseInputTraced(ctx, slowInput(400), false, nil)
+	_, err = e.Run(ctx, slowInput(400), nil, false, nil)
 	var cerr *cancel.Error
 	if !errors.As(err, &cerr) {
 		t.Fatalf("error %v carries no *cancel.Error", err)
@@ -408,7 +408,7 @@ func TestDrainStress(t *testing.T) {
 				default:
 				}
 				if w%2 == 0 {
-					_, err := e.ParseInputTraced(baseCtx, slowInput(50), false, nil)
+					_, err := e.Run(baseCtx, slowInput(50), nil, false, nil)
 					if err != nil && !errors.Is(err, cancel.ErrCanceled) &&
 						!errors.Is(err, ErrDraining) {
 						errs <- err
@@ -423,7 +423,7 @@ func TestDrainStress(t *testing.T) {
 						errs <- err
 						return
 					}
-					_, err = sess.ReparseCtx(baseCtx, nil)
+					_, err = sess.Run(baseCtx, nil, true, false, nil)
 					if err != nil && !errors.Is(err, cancel.ErrCanceled) &&
 						!errors.Is(err, ErrDraining) && !errors.Is(err, ErrNoSession) {
 						errs <- err

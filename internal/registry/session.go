@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ipg/internal/engine"
+	"ipg/internal/grammar"
 	"ipg/internal/obs"
 )
 
@@ -40,9 +41,10 @@ var ErrNoSession = errors.New("registry: no such session")
 // Session is one open document bound to one registry entry: the
 // editor-style open/splice/reparse lifecycle, retained server-side so
 // clients ship edits instead of whole documents. All methods are safe
-// for concurrent use; parse-shaped operations (Reparse, Tree) pass
-// through the owning entry's admission gate and rule-update lock, so
-// sessions obey the same rate/concurrency limits as stateless parses.
+// for concurrent use; edits and reparses (Run, and Splice and Reparse,
+// which forward to it) pass through the owning entry's admission gate
+// and rule-update lock, so sessions obey the same rate/concurrency
+// limits as stateless parses.
 type Session struct {
 	id        string
 	entry     *Entry
@@ -116,7 +118,7 @@ func (r *Registry) SessionLimits() SessionLimits {
 // for SDF entries, whitespace-separated terminal names otherwise. The
 // open passes through the entry's admission gate (tokenizing may hit
 // the scanner) and the registry's MaxSessions/MaxDocTokens caps. The
-// document is not parsed yet; the first Reparse or Tree call is.
+// document is not parsed yet; the first reparsing Run is.
 func (r *Registry) OpenSession(e *Entry, input string) (*Session, error) {
 	if err := e.admit(); err != nil {
 		return nil, err
@@ -361,127 +363,126 @@ func (s *Session) EngineName() string {
 	return s.es.Engine().String()
 }
 
-// Splice replaces tokens[at : at+remove] with the tokenization of
-// insert (resolved like the open input: scanned for SDF entries,
-// terminal names otherwise). The parse is brought up to date by the
-// next Reparse or Tree. Out-of-range edits return engine.ErrSplice
-// with the document unchanged.
+// Splice is one session edit: replace tokens[At : At+Remove] with the
+// tokenization of Insert, resolved like the open input (scanned for SDF
+// entries, terminal names otherwise).
+type Splice struct {
+	At     int    `json:"at"`
+	Remove int    `json:"remove"`
+	Insert string `json:"insert"`
+}
+
+// Splice applies one edit without reparsing. It forwards to Run.
 func (s *Session) Splice(at, remove int, insert string, tr *obs.ParseTrace) error {
-	tr.BeginStage(obs.StageSplice)
-	defer tr.EndStage(obs.StageSplice)
-	toks, err := s.entry.InputTokens(insert)
-	if err != nil {
-		return err
-	}
-	ins := toks[:len(toks)-1] // drop the EOF terminator
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrNoSession
-	}
-	if max := s.maxTokens; max > 0 {
-		if next := s.es.Len() - remove + len(ins); remove <= s.es.Len() && next > max {
-			return fmt.Errorf("%w (%d tokens, limit %d)", ErrDocTooLarge, next, max)
-		}
-	}
-	if err := s.es.Splice(at, remove, ins); err != nil {
-		return err
-	}
-	s.splices++
-	s.touch()
-	return nil
+	_, err := s.Run(context.Background(), []Splice{{At: at, Remove: remove, Insert: insert}}, false, false, tr)
+	return err
 }
 
 // Reparse brings the session's parse up to date and returns the
-// recognition result. It passes the entry's admission gate and latency
-// histogram like any parse request; the incremental drive is recorded
-// under the trace's reuse stage.
+// recognition result. It forwards to Run, uncancellable.
 func (s *Session) Reparse(tr *obs.ParseTrace) (Result, error) {
-	return s.ReparseCtx(context.Background(), tr)
+	return s.Run(context.Background(), nil, true, false, tr)
 }
 
-// ReparseCtx is Reparse with the request context threaded through:
-// deadline expiry, client disconnect and drain-timeout shutdown abort
-// the incremental drive at its checkpoints, and engine panics are
-// quarantined exactly like stateless parses.
-func (s *Session) ReparseCtx(ctx context.Context, tr *obs.ParseTrace) (Result, error) {
+// Run is the session's one request path; Splice and Reparse forward to
+// it. The request passes the entry's admission gate once, before any
+// edit lands, so a rejected request (429/503) leaves the document
+// untouched and is safe to retry. The edits then apply all or nothing
+// (see applyLocked). With reparse, the parse is brought up to date
+// under the entry's rule-update lock through the guarded dispatch —
+// ctx aborts the incremental drive at its checkpoints (deadline, client
+// disconnect, drain-timeout shutdown) and engine panics are quarantined
+// exactly like stateless parses — and the request is observed in the
+// entry's latency histogram. tree upgrades the reparse to forest
+// construction, applying the entry's forest-node limit, disambiguation
+// filters and derivation counting exactly like a stateless tree parse;
+// a session whose retained forest outgrows the node limit is
+// self-healed: the forest is dropped (to regrow compactly on the next
+// call) and the request fails with ErrForestLimit. Without reparse the
+// result is empty.
+func (s *Session) Run(ctx context.Context, edits []Splice, reparse, tree bool, tr *obs.ParseTrace) (Result, error) {
+	e := s.entry
 	tr.BeginStage(obs.StageAdmit)
-	err := s.entry.admit()
+	err := e.admit()
 	tr.EndStage(obs.StageAdmit)
 	if err != nil {
 		return Result{}, err
 	}
-	defer s.entry.release()
-	defer s.entry.observeLatency(time.Now())
+	defer e.release()
+	if reparse {
+		defer e.observeLatency(time.Now())
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return Result{}, ErrNoSession
 	}
-	s.entry.updateMu.RLock()
-	defer s.entry.updateMu.RUnlock()
-	fl, stop := s.entry.armCancel(ctx)
-	tr.BeginStage(obs.StageReuse)
-	res, err := engine.ReparseGuarded(s.es, fl)
-	tr.EndStage(obs.StageReuse)
-	disarmCancel(fl, stop)
-	s.entry.noteOutcome(err, tr)
+	e.updateMu.RLock()
+	defer e.updateMu.RUnlock()
+	if err := s.applyLocked(edits, tr); err != nil {
+		return Result{}, err
+	}
+	if !reparse {
+		return Result{}, nil
+	}
+	res, err := e.drive(ctx, s.es, nil, tree, tr)
 	if err != nil {
 		return Result{}, err
 	}
 	s.touch()
-	out := Result{Result: res}
-	if !res.Accepted {
-		out.TreesKnown = true // rejection is definite: zero derivations
+	if !tree {
+		// Rejection is definite: zero derivations.
+		return Result{Result: res, TreesKnown: !res.Accepted}, nil
 	}
-	return out, nil
-}
-
-// Tree reparses if needed and builds the parse forest, applying the
-// entry's forest-node limit, disambiguation filters and derivation
-// counting exactly like a stateless tree parse. A session whose
-// retained forest outgrows the node limit is self-healed: the forest
-// is dropped (to regrow compactly on the next call) and the request
-// fails with ErrForestLimit.
-func (s *Session) Tree(tr *obs.ParseTrace) (Result, error) {
-	return s.TreeCtx(context.Background(), tr)
-}
-
-// TreeCtx is Tree with the request context threaded through; see
-// ReparseCtx.
-func (s *Session) TreeCtx(ctx context.Context, tr *obs.ParseTrace) (Result, error) {
-	tr.BeginStage(obs.StageAdmit)
-	err := s.entry.admit()
-	tr.EndStage(obs.StageAdmit)
-	if err != nil {
-		return Result{}, err
-	}
-	defer s.entry.release()
-	defer s.entry.observeLatency(time.Now())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return Result{}, ErrNoSession
-	}
-	s.entry.updateMu.RLock()
-	defer s.entry.updateMu.RUnlock()
-	fl, stop := s.entry.armCancel(ctx)
-	tr.BeginStage(obs.StageReuse)
-	res, err := engine.TreeGuarded(s.es, fl)
-	tr.EndStage(obs.StageReuse)
-	disarmCancel(fl, stop)
-	s.entry.noteOutcome(err, tr)
-	if err != nil {
-		return Result{}, err
-	}
-	s.touch()
-	out, err := s.entry.finishResult(res, tr)
+	out, err := e.finishResult(res, tr)
 	if errors.Is(err, ErrForestLimit) {
 		if fr, ok := s.es.(engine.ForestResetter); ok {
 			fr.ResetForest()
 		}
 	}
 	return out, err
+}
+
+// applyLocked applies a batch of edits all or nothing: every insert is
+// tokenized and every splice checked — its range and the document's
+// token budget, against the length the earlier splices leave — before
+// the first one is applied. Errors name the failing splice's index; an
+// out-of-range splice returns engine.ErrSplice and an over-budget one
+// ErrDocTooLarge. Callers hold s.mu and the entry's update read lock.
+func (s *Session) applyLocked(edits []Splice, tr *obs.ParseTrace) error {
+	if len(edits) == 0 {
+		return nil
+	}
+	tr.BeginStage(obs.StageSplice)
+	defer tr.EndStage(obs.StageSplice)
+	// A one-splice edit, the common case, keeps its insert on the stack.
+	var one [1][]grammar.Symbol
+	inserts := one[:0]
+	n := s.es.Len()
+	for i, ed := range edits {
+		toks, err := s.entry.inputTokensLocked(ed.Insert)
+		if err != nil {
+			return fmt.Errorf("splice %d: %w", i, err)
+		}
+		ins := toks[:len(toks)-1] // drop the EOF terminator
+		next := n - ed.Remove + len(ins)
+		if max := s.maxTokens; max > 0 && ed.Remove <= n && next > max {
+			return fmt.Errorf("splice %d: %w (%d tokens, limit %d)", i, ErrDocTooLarge, next, max)
+		}
+		if err := engine.CheckSplice(n, ed.At, ed.Remove, ins); err != nil {
+			return fmt.Errorf("splice %d: %w", i, err)
+		}
+		inserts = append(inserts, ins)
+		n = next
+	}
+	for i, ed := range edits {
+		if err := s.es.Splice(ed.At, ed.Remove, inserts[i]); err != nil {
+			return fmt.Errorf("splice %d: %w", i, err)
+		}
+		s.splices++
+	}
+	s.touch()
+	return nil
 }
 
 // Stat snapshots the session for the stat endpoint.

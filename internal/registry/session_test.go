@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -34,7 +35,7 @@ func TestSessionOpenSpliceReparse(t *testing.T) {
 	if !st.Incremental || st.SetsReused == 0 || st.Splices != 1 {
 		t.Errorf("stat after tail edit: %+v", st)
 	}
-	if res, err := s.Tree(nil); err != nil || !res.TreesKnown || res.Trees < 1 {
+	if res, err := s.Run(context.Background(), nil, true, true, nil); err != nil || !res.TreesKnown || res.Trees < 1 {
 		t.Errorf("tree: %v %+v", err, res)
 	}
 	// A reparse on an untouched document is definite about rejection
@@ -125,7 +126,7 @@ func TestSessionConcurrentStress(t *testing.T) {
 				case 1:
 					_, err = s.Reparse(nil)
 				case 2:
-					_, err = s.Tree(nil)
+					_, err = s.Run(context.Background(), nil, true, true, nil)
 				case 3:
 					s.Stat()
 				case 4:

@@ -791,7 +791,7 @@ func (s *Server) parseOne(ctx context.Context, e *registry.Entry, req ParseReque
 	defer cancelParse()
 	start := time.Now()
 	tr := s.tracer.StartParse(e.Name(), e.EngineKind().String(), obs.RequestID(ctx))
-	res, err := e.ParseInputTraced(ctx, req.Input, req.Trees || req.Render, tr)
+	res, err := e.Run(ctx, req.Input, nil, req.Trees || req.Render, tr)
 	if err != nil {
 		s.finishTrace(tr, false, err)
 		return ParseResponse{}, err
@@ -1086,7 +1086,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusUnprocessableEntity, resp)
 	}
 	if req.Delete != "" {
-		n, err := e.DeleteRulesTextTraced(req.Delete, tr)
+		n, err := e.UpdateRules(req.Delete, false, tr)
 		resp.Deleted = n
 		if err != nil {
 			fail(err)
@@ -1094,7 +1094,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if req.Add != "" {
-		n, err := e.AddRulesTextTraced(req.Add, tr)
+		n, err := e.UpdateRules(req.Add, true, tr)
 		resp.Added = n
 		if err != nil {
 			fail(err)

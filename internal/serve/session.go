@@ -27,15 +27,11 @@ type SessionOpenResponse struct {
 
 // SpliceOp is one edit: replace tokens[at : at+remove] with the
 // tokenization of insert.
-type SpliceOp struct {
-	At     int    `json:"at"`
-	Remove int    `json:"remove"`
-	Insert string `json:"insert"`
-}
+type SpliceOp = registry.Splice
 
 // SessionEditRequest is the PATCH /v1/sessions/{id} body: a batch of
-// splices, then (unless reparse:false) a reparse — incremental on
-// engines that retain their chart.
+// splices, applied all or nothing, then (unless reparse:false) a
+// reparse — incremental on engines that retain their chart.
 type SessionEditRequest struct {
 	Splices []SpliceOp `json:"splices"`
 	// Reparse defaults to true; false buffers the edits only.
@@ -114,7 +110,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	defer cancelParse()
 	start := time.Now()
 	tr := s.tracer.StartParse(sess.Grammar(), sess.EngineName(), obs.RequestID(ctx))
-	res, err := sess.ReparseCtx(ctx, tr)
+	res, err := sess.Run(ctx, nil, true, false, tr)
 	if err != nil {
 		s.finishTrace(tr, false, err)
 		s.reg.CloseSession(sess.ID())
@@ -139,27 +135,15 @@ func (s *Server) handleSessionEdit(w http.ResponseWriter, r *http.Request) {
 	defer cancelParse()
 	start := time.Now()
 	tr := s.tracer.StartParse(sess.Grammar(), sess.EngineName(), obs.RequestID(ctx))
-	for i, op := range req.Splices {
-		if err := sess.Splice(op.At, op.Remove, op.Insert, tr); err != nil {
-			s.finishTrace(tr, false, err)
-			s.writeSessionError(w, fmt.Errorf("splice %d: %w", i, err))
-			return
-		}
+	reparse := req.Reparse == nil || *req.Reparse
+	res, err := sess.Run(ctx, req.Splices, reparse, req.Trees || req.Render, tr)
+	if err != nil {
+		s.finishTrace(tr, false, err)
+		s.writeSessionError(w, err)
+		return
 	}
 	out := SessionEditResponse{ID: sess.ID(), Spliced: len(req.Splices)}
-	if req.Reparse == nil || *req.Reparse {
-		var res registry.Result
-		var err error
-		if req.Trees || req.Render {
-			res, err = sess.TreeCtx(ctx, tr)
-		} else {
-			res, err = sess.ReparseCtx(ctx, tr)
-		}
-		if err != nil {
-			s.finishTrace(tr, false, err)
-			s.writeSessionError(w, err)
-			return
-		}
+	if reparse {
 		pr := renderResult(sess.Entry(), res, req.Render, tr, start)
 		out.Result = &pr
 		s.finishTrace(tr, res.Accepted, nil)
@@ -193,7 +177,7 @@ func (s *Server) handleSessionTree(w http.ResponseWriter, r *http.Request) {
 	defer cancelParse()
 	start := time.Now()
 	tr := s.tracer.StartParse(sess.Grammar(), sess.EngineName(), obs.RequestID(ctx))
-	res, err := sess.TreeCtx(ctx, tr)
+	res, err := sess.Run(ctx, nil, true, true, tr)
 	if err != nil {
 		s.finishTrace(tr, false, err)
 		s.writeSessionError(w, err)

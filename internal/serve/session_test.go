@@ -188,6 +188,98 @@ func TestSessionErrors(t *testing.T) {
 	}
 }
 
+// TestSessionEditRejectedAtAdmissionLeavesDocument: a PATCH the
+// entry's admission gate rejects — draining (503) or rate-limited
+// (429) — must not have touched the document, so a client honouring
+// Retry-After does not apply its splices twice.
+func TestSessionEditRejectedAtAdmissionLeavesDocument(t *testing.T) {
+	for _, engineName := range []string{"earley", "lalr"} {
+		t.Run(engineName, func(t *testing.T) {
+			srv := New(nil)
+			reg := srv.Registry()
+			// A bucket that never refills within the test: once the open
+			// and the parses below drain it, every request is throttled.
+			reg.SetDefaultLimits(registry.Limits{RatePerSec: 1e-9, Burst: 8})
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			if resp, body := do(t, "PUT", ts.URL+"/v1/grammars/bool",
+				map[string]any{"source": boolSrc, "engine": engineName}); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("register: %d %v", resp.StatusCode, body)
+			}
+			id, _ := openSession(t, ts, "true or false") // 3 tokens
+			sess, _ := reg.Session(id)
+			edit := map[string]any{
+				"splices": []any{map[string]any{"at": 0, "remove": 0, "insert": "true or"}},
+			}
+			unchanged := func(what string) {
+				t.Helper()
+				if st := sess.Stat(); st.Tokens != 3 || st.Splices != 0 {
+					t.Errorf("%s PATCH changed the document: tokens=%d splices=%d, want 3 and 0",
+						what, st.Tokens, st.Splices)
+				}
+			}
+
+			reg.SetDraining(true)
+			resp, body := do(t, "PATCH", ts.URL+"/v1/sessions/"+id, edit)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("draining PATCH: %d %v, want 503", resp.StatusCode, body)
+			}
+			unchanged("draining")
+			reg.SetDraining(false)
+
+			for i := 0; ; i++ {
+				resp, _ := do(t, "POST", ts.URL+"/v1/grammars/bool/parse", map[string]any{"input": "true"})
+				if resp.StatusCode == http.StatusTooManyRequests {
+					break
+				}
+				if i == 8 {
+					t.Fatal("rate limit never engaged")
+				}
+			}
+			resp, body = do(t, "PATCH", ts.URL+"/v1/sessions/"+id, edit)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("rate-limited PATCH: %d %v, want 429", resp.StatusCode, body)
+			}
+			unchanged("rate-limited")
+		})
+	}
+}
+
+// TestSessionEditBatchIsAllOrNothing: a PATCH batch whose last splice
+// fails — out of range (416) or over the document token budget (413) —
+// leaves the document exactly as it was, earlier splices included.
+func TestSessionEditBatchIsAllOrNothing(t *testing.T) {
+	for _, engineName := range []string{"earley", "lalr"} {
+		t.Run(engineName, func(t *testing.T) {
+			ts, reg := newSessionServer(t, engineName)
+			reg.SetSessionLimits(registry.SessionLimits{MaxDocTokens: 6})
+			id, _ := openSession(t, ts, "true or false") // 3 tokens
+			grow := map[string]any{"at": 0, "remove": 0, "insert": "true or"}
+			for _, tc := range []struct {
+				name   string
+				last   map[string]any
+				status int
+			}{
+				{"out of range", map[string]any{"at": 99, "remove": 0, "insert": "true"}, http.StatusRequestedRangeNotSatisfiable},
+				// 3 + 2 = 5 tokens fit; another 2 would make 7 > 6.
+				{"over budget", grow, http.StatusRequestEntityTooLarge},
+			} {
+				resp, body := do(t, "PATCH", ts.URL+"/v1/sessions/"+id, map[string]any{
+					"splices": []any{grow, tc.last},
+				})
+				if resp.StatusCode != tc.status {
+					t.Fatalf("%s: %d %v, want %d", tc.name, resp.StatusCode, body, tc.status)
+				}
+				sess, _ := reg.Session(id)
+				if st := sess.Stat(); st.Tokens != 3 || st.Splices != 0 {
+					t.Errorf("%s: batch applied partially: tokens=%d splices=%d, want 3 and 0",
+						tc.name, st.Tokens, st.Splices)
+				}
+			}
+		})
+	}
+}
+
 // TestSessionStatShape pins the omit-empty wire shape: fallback
 // (full-reparse) sessions must not serialize the chart-reuse fields,
 // incremental ones must.
