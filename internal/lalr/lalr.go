@@ -3,7 +3,11 @@
 // PG and IPG use LR(0) tables"). Lookahead sets are computed over the
 // LR(0) graph of item sets by the classical spontaneous-generation /
 // propagation algorithm (Aho, Sethi & Ullman, Compilers, alg. 4.63),
-// which is also what Yacc does.
+// which is also what Yacc does. The sets are bitsets indexed by symbol
+// ID, and each kernel slot is closed once, under a dummy lookahead: that
+// one closure yields the slot's propagation edges, its spontaneous
+// lookaheads and the reductions it reaches, so the reduce lookaheads are
+// unions of bitsets rather than a second LR(1) closure.
 //
 // The generated Table implements lr.Table by filtering the LR(0)
 // reductions through the computed lookahead sets, so every engine in
@@ -15,13 +19,14 @@
 // the table retains the propagation network it was generated from, so a
 // rule modification can be Repaired in place: only the states whose
 // closures contained the modified nonterminal are re-expanded, only the
-// lookahead slots whose fixpoint actually moved are re-derived, and the
-// rest of the automaton (including its published state pointers) is kept
+// states whose lookahead fixpoint moved are re-derived, and the rest of
+// the automaton (including its published state pointers) is kept
 // verbatim.
 package lalr
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -40,17 +45,21 @@ const FallbackFraction = 0.5
 // spontaneous/propagation network that lets Repair splice rule updates
 // into the existing automaton instead of regenerating it.
 type Table struct {
-	auto *lr.Automaton
-	// la maps state -> rule key -> lookahead terminals for the reduce.
-	la        map[*lr.State]map[string]grammar.SymbolSet
+	auto      *lr.Automaton
 	conflicts []Conflict
 
-	// Cached analyses of the grammar the table currently reflects; Repair
-	// diffs fresh analyses against them to find lookahead damage.
-	first map[grammar.Symbol]grammar.SymbolSet
-	null  grammar.SymbolSet
+	// Cached analyses of the grammar the table currently reflects, packed
+	// by symbol ID: first holds the FIRST set of each nonterminal (a
+	// terminal's is itself), null the nullable nonterminals. Repair diffs
+	// fresh analyses against them to find lookahead damage. words is the
+	// symset width they were packed at; every set built since fits in it.
+	first []symset
+	null  symset
+	words int
 	// net is the retained propagation network, one entry per state.
 	net map[*lr.State]*stateLA
+	// tmp is working space reused by every closure and derivation.
+	tmp scratch
 }
 
 // stateLA is the per-state slice of the lookahead propagation network.
@@ -58,32 +67,67 @@ type Table struct {
 // identity in the automaton, so slot indices never move.
 type stateLA struct {
 	state *lr.State
-	// edges[i] are the propagation targets of kernel slot i (the dummy-
-	// lookahead closure discovered them); gen are the spontaneous
-	// lookaheads this state's closures generate into successor slots.
-	edges [][]slotRef
-	gen   []contrib
-	// sets[i] is the current lookahead fixpoint of slot i; base[i] is the
-	// scratch buffer propagation fills, then swaps with sets. Keeping both
-	// per slot lets Repair detect exactly which states' lookaheads moved.
-	sets []grammar.SymbolSet
-	base []grammar.SymbolSet
+	// slots[i] is the lookahead slot of kernel item i.
+	slots []slot
+	// gen are the lookaheads the state's slot closures generate
+	// spontaneously into successor slots.
+	gen []contrib
+	// spont holds the spontaneous lookahead sets gen and the slots' reach
+	// point into, spontWords words each.
+	spont      []uint64
+	spontWords int
+	// la[j] is the lookahead set of reducing state.Reductions[j].
+	la []symset
 	// conflicts are this state's parse-table conflicts; the table-wide
 	// list is their concatenation in state-ID order.
 	conflicts []Conflict
 }
 
-// slotRef addresses one lookahead slot: kernel item idx of a state.
-type slotRef struct {
-	st  *stateLA
-	idx int
+// slot is the lookahead slot of one kernel item.
+type slot struct {
+	// The slot's closure under the dummy lookahead gives edges, the slots
+	// its own lookaheads propagate to, and reach, the reductions it
+	// completes.
+	edges []*slot
+	reach []reduceRef
+	// set is the current lookahead fixpoint; base is the buffer
+	// propagation fills, then swaps with set. Keeping both lets Repair
+	// detect exactly which states' lookaheads moved.
+	set, base symset
 }
 
-// contrib is one spontaneously generated lookahead: sym appears in slot
-// dst because of a closure computed in the contributing state.
+// contrib is one spontaneous generation: the lookaheads at offset off of
+// the contributing state's spont appear in slot dst because of a closure
+// computed in that state.
 type contrib struct {
-	dst slotRef
-	sym grammar.Symbol
+	dst *slot
+	off int
+}
+
+// reduceRef is one reduction a kernel slot's closure completes: the
+// lookaheads of Reductions[red] include those at offset off of spont
+// (none when off is negative) and, when flow is set, the slot's own.
+type reduceRef struct {
+	red  int
+	off  int
+	flow bool
+}
+
+// scratch is the working space of closeSlot and derive, kept with the
+// table so repairs reuse it.
+type scratch struct {
+	// la[b] holds the lookaheads of nonterminal b's rules in the current
+	// slot closure; it is valid where stamp[b] == cur.
+	la     []symset
+	stamp  []uint64
+	cur    uint64
+	queued []bool
+	// order lists the closure's nonterminals in discovery order.
+	order []grammar.Symbol
+	work  []grammar.Symbol
+	// suffix, any, multi and shift are derive's and closeSlot's
+	// one-set temporaries.
+	suffix, any, multi, shift symset
 }
 
 // Conflict is a parse-table cell with more than one action, as Yacc would
@@ -106,18 +150,17 @@ func Generate(g *grammar.Grammar) *Table {
 	auto.GenerateAll()
 	t := &Table{
 		auto: auto,
-		la:   make(map[*lr.State]map[string]grammar.SymbolSet),
-		net:  make(map[*lr.State]*stateLA),
+		net:  make(map[*lr.State]*stateLA, auto.Len()),
 	}
-	t.first = g.FirstSets()
-	t.null = g.Nullable()
-	for _, s := range auto.States() {
-		t.buildNetFor(t.netOf(s))
+	t.adopt(pack(g))
+	states := auto.States()
+	t.addStates(states)
+	for _, s := range states {
+		t.buildNetFor(t.net[s])
 	}
 	t.propagate()
-	terminals := g.Symbols().Terminals()
-	for _, s := range auto.States() {
-		t.derive(t.net[s], terminals)
+	for _, s := range states {
+		t.derive(t.net[s])
 	}
 	t.assembleConflicts()
 	return t
@@ -144,9 +187,9 @@ func (t *Table) AppendActions(dst []lr.Action, s *lr.State, sym grammar.Symbol) 
 	if s.Type != lr.Complete {
 		panic(fmt.Sprintf("lalr: Actions on %s state %d", s.Type, s.ID))
 	}
-	if las := t.la[s]; las != nil {
-		for _, r := range s.Reductions {
-			if las[r.Key()].Has(sym) {
+	if sl := t.net[s]; sl != nil {
+		for j, r := range s.Reductions {
+			if sl.la[j].has(sym) {
 				dst = append(dst, lr.Action{Kind: lr.Reduce, Rule: r})
 			}
 		}
@@ -205,11 +248,11 @@ func (st RepairStats) Stale() bool { return st.FellBack && !st.ConflictsChanged 
 // has already been mutated (AddRule or DeleteRule of rule). It re-expands
 // only the affected states — the complete states with a transition on the
 // rule's left-hand side, exactly the set MODIFY invalidates in the lazy
-// generator — sweeps orphaned states, re-runs lookahead propagation on
-// the retained network, and re-derives reduce lookaheads only for states
-// whose fixpoint moved. State identity is preserved: surviving states
-// keep their pointers, so published tables stay valid under the engines'
-// locking discipline.
+// generator — sweeps orphaned states, re-runs lookahead propagation over
+// the whole retained network, and re-derives reduce lookaheads only for
+// states whose network was rebuilt or whose fixpoint moved. State
+// identity is preserved: surviving states keep their pointers, so
+// published tables stay valid under the engines' locking discipline.
 //
 // Repair declines (FellBack=true) when the update touches a START rule,
 // when the damage frontier exceeds FallbackFraction of the automaton, or
@@ -231,11 +274,14 @@ func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 	// (the dot-before-A item creates Transitions[A] even when A had no
 	// rules), and no other state's closure is structurally damaged.
 	var affected []*lr.State
-	for _, s := range t.auto.States() {
+	for s := range t.net {
 		if s.Transitions[a] != nil {
 			affected = append(affected, s)
 		}
 	}
+	// Expanding them in ID order numbers the created states
+	// deterministically.
+	sort.Slice(affected, func(i, j int) bool { return affected[i].ID < affected[j].ID })
 	st := RepairStats{Affected: len(affected)}
 	if n := t.auto.Len(); n > 0 && float64(len(affected)) > FallbackFraction*float64(n) {
 		st.FellBack = true
@@ -266,34 +312,41 @@ func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 	removedSet := make(map[*lr.State]bool, len(removed))
 	for _, s := range removed {
 		removedSet[s] = true
-		delete(t.la, s)
-		delete(t.net, s)
+		// An entry can share its allocation with live ones; clearing it
+		// keeps its edges from holding other garbage alive.
+		if sl := t.net[s]; sl != nil {
+			clear(sl.slots)
+			*sl = stateLA{}
+			delete(t.net, s)
+		}
 	}
 	st.Removed = len(removed)
 
-	// Lookahead damage: a surviving state's LR(1) closure arithmetic
-	// changes only when, for some rule it closes over, the FIRST
-	// computation of a suffix after a nonterminal position moved — those
-	// are exactly the inputs closure1 feeds FirstOfString. Diff each such
-	// suffix under the cached vs fresh analyses; only a suffix over a
-	// nonterminal whose FIRST or nullability moved can differ, so only
-	// rules mentioning one are diffed.
-	newFirst, newNull := g.FirstSets(), g.Nullable()
-	moved := make(map[grammar.Symbol]bool)
-	for _, n := range g.Symbols().Nonterminals() {
-		if t.null.Has(n) != newNull.Has(n) || !equalSets(t.first[n], newFirst[n]) {
-			moved[n] = true
+	// Lookahead damage: a surviving state's slot closures change only
+	// when, for some rule they close over, the FIRST computation of a
+	// suffix after a nonterminal position moved — those are exactly the
+	// FIRST(β) inputs closeSlot reads. Diff each such suffix under the
+	// cached vs fresh analyses; only a suffix over a nonterminal whose
+	// FIRST or nullability moved can differ, so only rules mentioning one
+	// are diffed.
+	first, null, words := pack(g)
+	syms := g.Symbols()
+	moved := make(symset, words)
+	for n := grammar.Symbol(1); int(n) <= syms.Len(); n++ {
+		if syms.Kind(n) == grammar.Nonterminal &&
+			(t.null.has(n) != null.has(n) || !equalSets(firstAt(t.first, n), first[n])) {
+			moved.add(n)
 		}
 	}
 	ruleDamaged := make(map[*grammar.Rule]bool)
-	ntDamaged := make(map[grammar.Symbol]bool)
+	ntDamaged := make(symset, words)
 	for _, r := range g.Rules() {
-		if mentionsAny(r.Rhs, moved) && t.suffixFirstsMoved(r, newFirst, newNull) {
+		if mentionsAny(r.Rhs, moved) && t.suffixFirstsMoved(r, first, null, words) {
 			ruleDamaged[r] = true
-			ntDamaged[r.Lhs] = true
+			ntDamaged.add(r.Lhs)
 		}
 	}
-	t.first, t.null = newFirst, newNull
+	t.adopt(first, null, words)
 
 	damaged := make(map[*lr.State]bool, len(affected)+len(created))
 	for _, s := range affected {
@@ -308,7 +361,7 @@ func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 		}
 	}
 	if len(ruleDamaged) > 0 {
-		for _, s := range t.auto.States() {
+		for s := range t.net {
 			if !damaged[s] && t.laDamaged(s, ruleDamaged, ntDamaged) {
 				damaged[s] = true
 			}
@@ -320,16 +373,13 @@ func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 	for s := range damaged {
 		t.buildNetFor(t.netOf(s))
 	}
-	dirty := t.propagate()
+	for _, sl := range t.propagate() {
+		damaged[sl.state] = true
+	}
 	for s := range damaged {
-		dirty[s] = true
+		t.derive(t.net[s])
 	}
-
-	terminals := g.Symbols().Terminals()
-	for s := range dirty {
-		t.derive(t.net[s], terminals)
-	}
-	st.Rederived = len(dirty)
+	st.Rederived = len(damaged)
 	st.Kept = t.auto.Len() - st.Rederived
 	t.assembleConflicts()
 
@@ -348,33 +398,35 @@ func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 // rule of a nonterminal it closes over (equivalently: it transitions on,
 // since the dot-before-B item both pulls in B's rules and creates the
 // transition), had a suffix FIRST computation move.
-func (t *Table) laDamaged(s *lr.State, ruleDamaged map[*grammar.Rule]bool, ntDamaged map[grammar.Symbol]bool) bool {
+func (t *Table) laDamaged(s *lr.State, ruleDamaged map[*grammar.Rule]bool, ntDamaged symset) bool {
 	for _, it := range s.Kernel {
 		if ruleDamaged[it.Rule] {
 			return true
 		}
 	}
-	g := t.auto.Grammar()
 	for sym := range s.Transitions {
-		if g.Symbols().Kind(sym) == grammar.Nonterminal && ntDamaged[sym] {
+		if ntDamaged.has(sym) {
 			return true
 		}
 	}
 	return false
 }
 
-// suffixFirstsMoved reports whether any FIRST(β) computation closure1
+// suffixFirstsMoved reports whether any FIRST(β) computation closeSlot
 // performs for the rule — the suffix after each nonterminal position —
 // differs between the table's cached analyses and the fresh ones.
-func (t *Table) suffixFirstsMoved(r *grammar.Rule, newFirst map[grammar.Symbol]grammar.SymbolSet, newNull grammar.SymbolSet) bool {
-	g := t.auto.Grammar()
+func (t *Table) suffixFirstsMoved(r *grammar.Rule, first []symset, null symset, words int) bool {
+	syms := t.auto.Grammar().Symbols()
+	oldFs, newFs := make(symset, words), make(symset, words)
 	for i, sym := range r.Rhs {
-		if g.Symbols().Kind(sym) != grammar.Nonterminal {
+		if syms.Kind(sym) != grammar.Nonterminal {
 			continue
 		}
 		suffix := r.Rhs[i+1:]
-		oldFs, oldNullable := g.FirstOfString(suffix, t.first, t.null)
-		newFs, newNullable := g.FirstOfString(suffix, newFirst, newNull)
+		clear(oldFs)
+		clear(newFs)
+		oldNullable := firstOf(syms, oldFs, suffix, t.first, t.null)
+		newNullable := firstOf(syms, newFs, suffix, first, null)
 		if oldNullable != newNullable || !equalSets(oldFs, newFs) {
 			return true
 		}
@@ -382,25 +434,13 @@ func (t *Table) suffixFirstsMoved(r *grammar.Rule, newFirst map[grammar.Symbol]g
 	return false
 }
 
-func mentionsAny(syms []grammar.Symbol, set map[grammar.Symbol]bool) bool {
+func mentionsAny(syms []grammar.Symbol, set symset) bool {
 	for _, s := range syms {
-		if set[s] {
+		if set.has(s) {
 			return true
 		}
 	}
 	return false
-}
-
-func equalSets(a, b grammar.SymbolSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for s := range a {
-		if !b.Has(s) {
-			return false
-		}
-	}
-	return true
 }
 
 func equalStrings(a, b []string) bool {
@@ -415,60 +455,230 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// netOf returns the state's network entry, allocating slot buffers (one
-// per kernel item) on first sight.
-func (t *Table) netOf(s *lr.State) *stateLA {
-	sl, ok := t.net[s]
-	if !ok {
-		n := len(s.Kernel)
-		sl = &stateLA{
-			state: s,
-			edges: make([][]slotRef, n),
-			sets:  make([]grammar.SymbolSet, n),
-			base:  make([]grammar.SymbolSet, n),
+// pack computes the grammar's FIRST sets and nullable nonterminals and
+// packs them into symsets of the width the current symbol table needs.
+func pack(g *grammar.Grammar) (first []symset, null symset, words int) {
+	n := g.Symbols().Len() + 1
+	words = wordsFor(g.Symbols())
+	first = make([]symset, n)
+	backing := make([]uint64, n*words)
+	for sym, set := range g.FirstSets() {
+		f := symset(backing[int(sym)*words : (int(sym)+1)*words : (int(sym)+1)*words])
+		for x := range set {
+			f.add(x)
 		}
-		for i := 0; i < n; i++ {
-			sl.sets[i] = grammar.SymbolSet{}
-			sl.base[i] = grammar.SymbolSet{}
+		first[sym] = f
+	}
+	null = make(symset, words)
+	for x := range g.Nullable() {
+		null.add(x)
+	}
+	return first, null, words
+}
+
+// adopt installs packed analyses as the table's current ones and sizes
+// the scratch space for them.
+func (t *Table) adopt(first []symset, null symset, words int) {
+	t.first, t.null, t.words = first, null, words
+	tmp := &t.tmp
+	if n := len(first); len(tmp.la) != n || len(tmp.suffix) != words {
+		backing := make([]uint64, n*words)
+		tmp.la = make([]symset, n)
+		for b := range tmp.la {
+			tmp.la[b] = backing[b*words : (b+1)*words : (b+1)*words]
+		}
+		tmp.stamp = make([]uint64, n)
+		tmp.queued = make([]bool, n)
+		tmp.suffix = make(symset, words)
+	}
+}
+
+// firstAt is FIRST(n) under packed analyses that may predate n.
+func firstAt(first []symset, n grammar.Symbol) symset {
+	if int(n) < len(first) {
+		return first[n]
+	}
+	return nil
+}
+
+// firstOf adds FIRST(alpha) under the given packed analyses to dst and
+// reports whether alpha is nullable, like grammar.FirstOfString.
+func firstOf(syms *grammar.SymbolTable, dst symset, alpha []grammar.Symbol, first []symset, null symset) bool {
+	for _, s := range alpha {
+		if syms.Kind(s) == grammar.Terminal {
+			dst.add(s)
+			return false
+		}
+		dst.or(firstAt(first, s))
+		if !null.has(s) {
+			return false
+		}
+	}
+	return true
+}
+
+// netOf returns the state's network entry, creating it on first sight.
+func (t *Table) netOf(s *lr.State) *stateLA {
+	if _, ok := t.net[s]; !ok {
+		t.addStates([]*lr.State{s})
+	}
+	return t.net[s]
+}
+
+// addStates creates the network entries of states, with empty slots,
+// in one allocation per kind.
+func (t *Table) addStates(states []*lr.State) {
+	n, w := 0, t.words
+	for _, s := range states {
+		n += len(s.Kernel)
+	}
+	las := make([]stateLA, len(states))
+	slots := make([]slot, n)
+	backing := make([]uint64, 2*n*w)
+	for i, s := range states {
+		sl := &las[i]
+		k := len(s.Kernel)
+		sl.state, sl.slots, slots = s, slots[:k:k], slots[k:]
+		for j := range sl.slots {
+			sl.slots[j].set, sl.slots[j].base = backing[:w:w], backing[w:2*w:2*w]
+			backing = backing[2*w:]
 		}
 		t.net[s] = sl
 	}
-	return sl
 }
 
-// buildNetFor recomputes a state's slice of the propagation network by
-// closing each kernel slot under the dummy lookahead (grammar.NoSymbol):
-// closure items advancing with a real lookahead are spontaneous
-// contributions to the successor slot; those advancing with the dummy are
-// propagation edges from this slot.
+// spontAt is the spontaneous lookahead set at offset off of sl.spont.
+func (sl *stateLA) spontAt(off int) symset {
+	return sl.spont[off : off+sl.spontWords]
+}
+
+// buildNetFor recomputes a state's slice of the propagation network. It
+// closes each kernel slot once under the dummy lookahead
+// (grammar.NoSymbol): a closure item advancing with real lookaheads
+// contributes them spontaneously to the successor slot, one advancing
+// with the dummy is a propagation edge from this slot, and a completed
+// item is a reduction that takes the item's real lookaheads, plus the
+// slot's own when the dummy reaches it.
 func (t *Table) buildNetFor(sl *stateLA) {
 	g := t.auto.Grammar()
 	s := sl.state
 	sl.gen = sl.gen[:0]
+	sl.spont = sl.spont[:0]
+	sl.spontWords = t.words
 	for i, kit := range s.Kernel {
-		sl.edges[i] = sl.edges[i][:0]
-		cl := closure1(g, []laItem{{item: kit, la: grammar.NoSymbol}}, t.first, t.null)
-		for _, cit := range cl {
-			x := cit.item.AfterDot()
-			if x == grammar.NoSymbol {
-				continue
+		p := &sl.slots[i]
+		edges, reach := p.edges[:0], p.reach[:0]
+		// The kernel item itself carries the dummy lookahead only.
+		if !kit.AtEnd() {
+			edges = append(edges, t.slotAfter(s, kit))
+		} else if kit.Rule.Lhs != g.Start() {
+			reach = append(reach, reduceRef{red: reductionIndex(s, kit.Rule), off: -1, flow: true})
+		}
+		t.closeSlot(kit)
+		for _, b := range t.tmp.order {
+			la := t.tmp.la[b]
+			flow := la.has(grammar.NoSymbol)
+			off := -1
+			if la.anyReal() {
+				off = len(sl.spont)
+				sl.spont = append(sl.spont, la...)
+				sl.spont[off] &^= 1 // drop the dummy
 			}
-			succ, ok := s.Transitions[x]
-			if !ok {
-				panic(fmt.Sprintf("lalr: state %d closure reaches %q without a transition", s.ID, g.Symbols().Name(x)))
-			}
-			adv := cit.item.Advance()
-			dst := slotRef{st: t.netOf(succ), idx: succ.Kernel.Index(adv)}
-			if dst.idx < 0 {
-				panic(fmt.Sprintf("lalr: advanced item missing from successor kernel (state %d -> %d)", s.ID, succ.ID))
-			}
-			if cit.la == grammar.NoSymbol {
-				sl.edges[i] = append(sl.edges[i], dst)
-			} else {
-				sl.gen = append(sl.gen, contrib{dst: dst, sym: cit.la})
+			for _, r := range g.RulesFor(b) {
+				if len(r.Rhs) == 0 {
+					reach = append(reach, reduceRef{red: reductionIndex(s, r), off: off, flow: flow})
+					continue
+				}
+				dst := t.slotAfter(s, lr.Item{Rule: r})
+				if off >= 0 {
+					sl.gen = append(sl.gen, contrib{dst: dst, off: off})
+				}
+				if flow {
+					edges = append(edges, dst)
+				}
 			}
 		}
+		p.edges, p.reach = edges, reach
 	}
+}
+
+// closeSlot computes the LR(1) closure of [kit, dummy] into t.tmp, one
+// set per nonterminal: every rule of a closure nonterminal B carries the
+// same lookaheads, the union over the items with the dot before B of
+// FIRST(β), plus the item's own lookaheads when β is nullable. B enters
+// the closure only when that union is non-empty — with FIRST(β) empty
+// and β not nullable, an item pulls in no rules of B.
+func (t *Table) closeSlot(kit lr.Item) {
+	g := t.auto.Grammar()
+	syms := g.Symbols()
+	tmp := &t.tmp
+	tmp.cur++
+	tmp.order = tmp.order[:0]
+	if b := kit.AfterDot(); b != grammar.NoSymbol && syms.Kind(b) == grammar.Nonterminal {
+		clear(tmp.suffix)
+		if firstOf(syms, tmp.suffix, kit.Rule.Rhs[kit.Dot+1:], t.first, t.null) {
+			tmp.suffix.add(grammar.NoSymbol)
+		}
+		tmp.push(b, tmp.suffix)
+	}
+	for len(tmp.work) > 0 {
+		b := tmp.work[len(tmp.work)-1]
+		tmp.work = tmp.work[:len(tmp.work)-1]
+		tmp.queued[b] = false
+		for _, r := range g.RulesFor(b) {
+			if len(r.Rhs) == 0 || syms.Kind(r.Rhs[0]) != grammar.Nonterminal {
+				continue
+			}
+			clear(tmp.suffix)
+			if firstOf(syms, tmp.suffix, r.Rhs[1:], t.first, t.null) {
+				tmp.suffix.or(tmp.la[b])
+			}
+			tmp.push(r.Rhs[0], tmp.suffix)
+		}
+	}
+}
+
+// push adds la to nonterminal b's closure lookaheads, queueing b when
+// they grew.
+func (tmp *scratch) push(b grammar.Symbol, la symset) {
+	if la.empty() {
+		return
+	}
+	if tmp.stamp[b] != tmp.cur {
+		tmp.stamp[b] = tmp.cur
+		clear(tmp.la[b])
+		tmp.order = append(tmp.order, b)
+	}
+	if tmp.la[b].or(la) && !tmp.queued[b] {
+		tmp.queued[b] = true
+		tmp.work = append(tmp.work, b)
+	}
+}
+
+// slotAfter addresses the slot that it, advanced over the symbol after
+// its dot, occupies in the successor of s.
+func (t *Table) slotAfter(s *lr.State, it lr.Item) *slot {
+	x := it.AfterDot()
+	succ, ok := s.Transitions[x]
+	if !ok {
+		panic(fmt.Sprintf("lalr: state %d closure reaches %q without a transition", s.ID, t.Grammar().Symbols().Name(x)))
+	}
+	idx := succ.Kernel.Index(it.Advance())
+	if idx < 0 {
+		panic(fmt.Sprintf("lalr: advanced item missing from successor kernel (state %d -> %d)", s.ID, succ.ID))
+	}
+	return &t.netOf(succ).slots[idx]
+}
+
+// reductionIndex is the position of r among s's reductions. Every item
+// an LR(1) closure completes is in the LR(0) closure too, so r is there.
+func reductionIndex(s *lr.State, r *grammar.Rule) int {
+	for j, x := range s.Reductions {
+		if x == r || x.Equal(r) {
+			return j
+		}
+	}
+	panic(fmt.Sprintf("lalr: state %d closure completes a rule it does not reduce", s.ID))
 }
 
 // propagate re-runs the lookahead fixpoint over the whole retained
@@ -476,106 +686,119 @@ func (t *Table) buildNetFor(sl *stateLA) {
 // for the start state's slots), the propagation edges are iterated to
 // fixpoint, and the states whose final sets moved against the previous
 // fixpoint are returned. Propagation is not monotone under rule deletion,
-// which is why the reset is global; the expensive per-state work (the
-// LR(1) closures) is confined to the damaged and returned states.
-func (t *Table) propagate() map[*lr.State]bool {
+// which is why the reset is global; the per-state work (closures and
+// derivations) is confined to the damaged and returned states.
+func (t *Table) propagate() []*stateLA {
 	for _, sl := range t.net {
-		for i := range sl.base {
-			clear(sl.base[i])
+		for i := range sl.slots {
+			p := &sl.slots[i]
+			p.base = p.base.sized(t.words)
 		}
 	}
 	start := t.net[t.auto.Start()]
-	for i := range start.base {
-		start.base[i][grammar.EOF] = true
+	for i := range start.slots {
+		start.slots[i].base.add(grammar.EOF)
 	}
 	for _, sl := range t.net {
 		for _, c := range sl.gen {
-			c.dst.st.base[c.dst.idx][c.sym] = true
+			c.dst.base.or(sl.spontAt(c.off))
 		}
 	}
 	// Worklist fixpoint: a slot is (re)visited only when its set grew.
-	var work []slotRef
+	var work []*slot
 	for _, sl := range t.net {
-		for i, dsts := range sl.edges {
-			if len(dsts) > 0 && len(sl.base[i]) > 0 {
-				work = append(work, slotRef{st: sl, idx: i})
+		for i := range sl.slots {
+			if p := &sl.slots[i]; len(p.edges) > 0 && !p.base.empty() {
+				work = append(work, p)
 			}
 		}
 	}
 	for len(work) > 0 {
 		src := work[len(work)-1]
 		work = work[:len(work)-1]
-		from := src.st.base[src.idx]
-		for _, d := range src.st.edges[src.idx] {
-			set := d.st.base[d.idx]
-			grew := false
-			for sym := range from {
-				if !set[sym] {
-					set[sym] = true
-					grew = true
-				}
-			}
-			if grew && len(d.st.edges[d.idx]) > 0 {
+		for _, d := range src.edges {
+			if d.base.or(src.base) && len(d.edges) > 0 {
 				work = append(work, d)
 			}
 		}
 	}
 
-	dirty := make(map[*lr.State]bool)
+	var moved []*stateLA
 	for _, sl := range t.net {
-		for i := range sl.base {
-			if !equalSets(sl.base[i], sl.sets[i]) {
-				dirty[sl.state] = true
-				break
-			}
+		changed := false
+		for i := range sl.slots {
+			p := &sl.slots[i]
+			changed = changed || !equalSets(p.base, p.set)
+			p.set, p.base = p.base, p.set
 		}
-		sl.sets, sl.base = sl.base, sl.sets
+		if changed {
+			moved = append(moved, sl)
+		}
 	}
-	return dirty
+	return moved
 }
 
 // derive recomputes one state's reduce lookaheads and conflicts from the
-// current fixpoint: the LR(1) closure of the kernel under its final
-// lookaheads, collecting completed items (this also covers epsilon
-// reductions, whose items never appear in any kernel).
-func (t *Table) derive(sl *stateLA, terminals []grammar.Symbol) {
-	g := t.auto.Grammar()
+// current fixpoint. A reduction takes, from every kernel slot whose
+// closure completes it, the spontaneous lookaheads of that closure and,
+// where the dummy reached it, the slot's own set. A slot whose set is
+// empty contributes nothing: no lookahead reaches its closure items.
+func (t *Table) derive(sl *stateLA) {
 	s := sl.state
-	items := make([]laItem, 0, len(s.Kernel)*2)
-	for i, kit := range s.Kernel {
-		for sym := range sl.sets[i] {
-			items = append(items, laItem{item: kit, la: sym})
-		}
+	w := t.words
+	n := len(s.Reductions)
+	backing := make([]uint64, n*w)
+	sl.la = sl.la[:0]
+	for j := 0; j < n; j++ {
+		sl.la = append(sl.la, backing[j*w:(j+1)*w:(j+1)*w])
 	}
-	las := map[string]grammar.SymbolSet{}
-	for _, cit := range closure1(g, items, t.first, t.null) {
-		if !cit.item.AtEnd() || cit.item.Rule.Lhs == g.Start() {
+	for i := range sl.slots {
+		p := &sl.slots[i]
+		if p.set.empty() {
 			continue
 		}
-		set, ok := las[cit.item.Rule.Key()]
-		if !ok {
-			set = grammar.SymbolSet{}
-			las[cit.item.Rule.Key()] = set
-		}
-		set[cit.la] = true
-	}
-	t.la[s] = las
-
-	sl.conflicts = sl.conflicts[:0]
-	for _, sym := range terminals {
-		var reduces int
-		for _, r := range s.Reductions {
-			if las[r.Key()].Has(sym) {
-				reduces++
+		for _, r := range p.reach {
+			if r.off >= 0 {
+				sl.la[r.red].or(sl.spontAt(r.off))
+			}
+			if r.flow {
+				sl.la[r.red].or(p.set)
 			}
 		}
-		_, shift := s.Transitions[sym]
-		switch {
-		case reduces > 1:
-			sl.conflicts = append(sl.conflicts, Conflict{State: s, Symbol: sym, Kind: "reduce/reduce"})
-		case reduces == 1 && shift:
-			sl.conflicts = append(sl.conflicts, Conflict{State: s, Symbol: sym, Kind: "shift/reduce"})
+	}
+
+	// A conflict is a lookahead two reductions share, or one reduction
+	// shares with a shift. They are reported in terminal-name order.
+	sl.conflicts = sl.conflicts[:0]
+	if n == 0 {
+		return
+	}
+	tmp := &t.tmp
+	tmp.any, tmp.multi, tmp.shift = tmp.any.sized(w), tmp.multi.sized(w), tmp.shift.sized(w)
+	for _, la := range sl.la {
+		for k, x := range la {
+			tmp.multi[k] |= tmp.any[k] & x
+			tmp.any[k] |= x
 		}
+	}
+	for sym := range s.Transitions {
+		tmp.shift.add(sym)
+	}
+	for k := range tmp.any {
+		for c := tmp.multi[k] | tmp.any[k]&tmp.shift[k]; c != 0; c &= c - 1 {
+			sym := grammar.Symbol(k<<6 + bits.TrailingZeros64(c))
+			kind := "shift/reduce"
+			if tmp.multi.has(sym) {
+				kind = "reduce/reduce"
+			}
+			sl.conflicts = append(sl.conflicts, Conflict{State: s, Symbol: sym, Kind: kind})
+		}
+	}
+	if len(sl.conflicts) > 1 {
+		syms := t.Grammar().Symbols()
+		sort.Slice(sl.conflicts, func(a, b int) bool {
+			return syms.Name(sl.conflicts[a].Symbol) < syms.Name(sl.conflicts[b].Symbol)
+		})
 	}
 }
 
@@ -583,11 +806,16 @@ func (t *Table) derive(sl *stateLA, terminals []grammar.Symbol) {
 // per-state lists, in state-ID order (matching what a from-scratch
 // generation reports).
 func (t *Table) assembleConflicts() {
-	t.conflicts = t.conflicts[:0]
-	for _, s := range t.auto.States() {
-		if sl := t.net[s]; sl != nil {
-			t.conflicts = append(t.conflicts, sl.conflicts...)
+	var conflicted []*stateLA
+	for _, sl := range t.net {
+		if len(sl.conflicts) > 0 {
+			conflicted = append(conflicted, sl)
 		}
+	}
+	sort.Slice(conflicted, func(i, j int) bool { return conflicted[i].state.ID < conflicted[j].state.ID })
+	t.conflicts = t.conflicts[:0]
+	for _, sl := range conflicted {
+		t.conflicts = append(t.conflicts, sl.conflicts...)
 	}
 }
 
@@ -601,6 +829,21 @@ func (t *Table) conflictKeys() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// lookaheads is the lookahead set of reducing rule in state s (nil when
+// s does not reduce it).
+func (t *Table) lookaheads(s *lr.State, rule *grammar.Rule) symset {
+	sl := t.net[s]
+	if sl == nil {
+		return nil
+	}
+	for j, r := range s.Reductions {
+		if r == rule || r.Equal(rule) {
+			return sl.la[j]
+		}
+	}
+	return nil
 }
 
 // Signature renders the whole parse table — states, transitions,
@@ -627,20 +870,14 @@ func (t *Table) Signature() string {
 		for _, sym := range syms {
 			fmt.Fprintf(&b, "  %d -> %s\n", sym, s.Transitions[sym].Kernel.Key())
 		}
-		las := t.la[s]
-		rkeys := make([]string, 0, len(s.Reductions))
-		for _, r := range s.Reductions {
-			rkeys = append(rkeys, r.Key())
-		}
-		sort.Strings(rkeys)
-		for _, rk := range rkeys {
-			set := las[rk]
-			la := make([]int, 0, len(set))
-			for sym := range set {
+		rules := append([]*grammar.Rule(nil), s.Reductions...)
+		sort.Slice(rules, func(i, j int) bool { return rules[i].Key() < rules[j].Key() })
+		for _, r := range rules {
+			la := []int{}
+			for _, sym := range t.lookaheads(s, r).symbols() {
 				la = append(la, int(sym))
 			}
-			sort.Ints(la)
-			fmt.Fprintf(&b, "  reduce %s on %v\n", rk, la)
+			fmt.Fprintf(&b, "  reduce %s on %v\n", r.Key(), la)
 		}
 	}
 	b.WriteString("conflicts:\n")
@@ -650,80 +887,12 @@ func (t *Table) Signature() string {
 	return b.String()
 }
 
-// laItem is an LR(1) item: an LR(0) item plus one lookahead terminal. The
-// dummy lookahead used during propagation analysis is grammar.NoSymbol.
-type laItem struct {
-	item lr.Item
-	la   grammar.Symbol
-}
-
-// closure1 computes the LR(1) closure of items: for [A ::= α • B β, a]
-// and rule B ::= γ, add [B ::= • γ, b] for every b in FIRST(βa). Callers
-// use the result as a set, so its order carries no meaning.
-func closure1(g *grammar.Grammar, items []laItem,
-	first map[grammar.Symbol]grammar.SymbolSet, null grammar.SymbolSet) []laItem {
-
-	// Items are keyed by rule value (not pointer, like lr.Item.Key) without
-	// building a string per item.
-	type core struct {
-		rule string
-		dot  int
-	}
-	type key struct {
-		core
-		la grammar.Symbol
-	}
-	seen := make(map[key]bool, 4*len(items))
-	out := make([]laItem, 0, 4*len(items))
-	add := func(it laItem) {
-		k := key{core{it.item.Rule.Key(), it.item.Dot}, it.la}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, it)
-	}
-	for _, it := range items {
-		add(it)
-	}
-	// FIRST(β) depends on the item, not on its lookahead: compute it once
-	// per item core.
-	type betaFirst struct {
-		fs       grammar.SymbolSet
-		nullable bool
-	}
-	firsts := map[core]betaFirst{}
-	for i := 0; i < len(out); i++ {
-		it := out[i]
-		b := it.item.AfterDot()
-		if b == grammar.NoSymbol || g.Symbols().Kind(b) != grammar.Nonterminal {
-			continue
-		}
-		c := core{it.item.Rule.Key(), it.item.Dot}
-		bf, ok := firsts[c]
-		if !ok {
-			bf.fs, bf.nullable = g.FirstOfString(it.item.Rule.Rhs[it.item.Dot+1:], first, null)
-			firsts[c] = bf
-		}
-		for _, r := range g.RulesFor(b) {
-			ni := lr.NewItem(r, 0)
-			for la := range bf.fs {
-				add(laItem{item: ni, la: la})
-			}
-			if bf.nullable {
-				add(laItem{item: ni, la: it.la})
-			}
-		}
-	}
-	return out
-}
-
 // Lookaheads returns the lookahead set for reducing rule in state s,
 // formatted for diagnostics.
 func (t *Table) Lookaheads(s *lr.State, rule *grammar.Rule) []string {
-	set := t.la[s][rule.Key()]
+	set := t.lookaheads(s, rule).symbols()
 	out := make([]string, 0, len(set))
-	for sym := range set {
+	for _, sym := range set {
 		out = append(out, t.Grammar().Symbols().Name(sym))
 	}
 	sort.Strings(out)
