@@ -335,31 +335,21 @@ func main() {
 		}()
 	}
 
-	if *sessionIdle > 0 || *completeIdle > 0 {
+	shortestIdle := *sessionIdle
+	if *completeIdle > 0 && (shortestIdle <= 0 || *completeIdle < shortestIdle) {
+		shortestIdle = *completeIdle
+	}
+	if shortestIdle > 0 {
 		// Janitor: reclaim documents whose editor went away and
 		// completion cursors whose decoder stopped asking.
-		shortest := *sessionIdle
-		if shortest <= 0 || (*completeIdle > 0 && *completeIdle < shortest) {
-			shortest = *completeIdle
-		}
-		tick := shortest / 4
-		if tick < time.Second {
-			tick = time.Second
-		}
-		if tick > time.Minute {
-			tick = time.Minute
-		}
-		janitor := time.NewTicker(tick)
+		janitor := time.NewTicker(min(max(shortestIdle/4, time.Second), time.Minute))
 		go func() {
 			defer janitor.Stop()
 			for {
 				select {
-				case <-janitor.C:
-					if n := reg.EvictIdleSessions(time.Now()); n > 0 {
-						logger.Info("evicted idle sessions", "count", n, "open", reg.SessionCount())
-					}
-					if n := reg.EvictIdleCompletions(time.Now()); n > 0 {
-						logger.Info("evicted idle completion cursors", "count", n, "open", reg.CompletionCount())
+				case now := <-janitor.C:
+					if n, m := reg.EvictIdleSessions(now), reg.EvictIdleCompletions(now); n+m > 0 {
+						logger.Info("evicted idle leases", "sessions", n, "cursors", m)
 					}
 				case <-ctx.Done():
 					return
@@ -444,11 +434,8 @@ func main() {
 				logger.Info("snapshot gc", "removed", removed)
 			}
 		}
-		if n := reg.CloseAllSessions(); n > 0 {
-			logger.Info("closed sessions", "count", n)
-		}
-		if n := reg.CloseAllCompletions(); n > 0 {
-			logger.Info("closed completion cursors", "count", n)
+		if n, m := reg.CloseAllSessions(), reg.CloseAllCompletions(); n+m > 0 {
+			logger.Info("closed leases", "sessions", n, "cursors", m)
 		}
 		logger.Info("drain complete")
 	}

@@ -2,18 +2,11 @@
 // engine completion cursors (engine/complete.go). A CompletionSession
 // is one retained cursor addressed by id — the constrained-decoding
 // client opens it once, then streams feed/accepts/restore batches —
-// under the same regime as document sessions: admission and rate
-// limiting through the owning entry's gate, a registry-wide cursor cap,
-// idle eviction by the serve janitor, and closure when the grammar
-// entry is removed or replaced.
+// and a lease with the same lifecycle as document sessions (lease.go).
 package registry
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipg/internal/engine"
@@ -46,24 +39,15 @@ var ErrPrefixTooLong = errors.New("registry: completion prefix exceeds token lim
 var ErrNoCursor = errors.New("registry: no such completion cursor")
 
 // CompletionSession is one open completion cursor bound to one registry
-// entry. All methods are safe for concurrent use; Apply passes through
-// the owning entry's admission gate, so completion traffic obeys the
-// same rate/concurrency limits as parses.
+// entry, a lease (lease.go). All methods are safe for concurrent use;
+// its requests go through Complete, so completion traffic passes the
+// owning entry's admission gate like parses do.
 type CompletionSession struct {
-	id        string
-	entry     *Entry
-	reg       *Registry
-	created   time.Time
-	engName   string
-	maxTokens int
-
-	lastUsed atomic.Int64 // unix nanoseconds
-
-	mu      sync.Mutex
+	lease
+	engName string
 	cur     engine.Cursor
 	queries uint64
 	feeds   uint64
-	closed  bool
 }
 
 // CompletionStat is the wire-shaped snapshot of one completion cursor.
@@ -83,10 +67,7 @@ type CompletionStat struct {
 // exposition. Counters are monotone: closed cursors' tallies roll into
 // the totals before the cursor is dropped.
 type CompletionTotals struct {
-	Open    int
-	Opened  uint64
-	Evicted uint64
-	Closed  uint64
+	LeaseTotals
 	Queries uint64
 	Feeds   uint64
 }
@@ -95,313 +76,134 @@ type CompletionTotals struct {
 // the previous set wholesale). Safe to call while serving; already-open
 // cursors are not retroactively evicted by a lower MaxCursors.
 func (r *Registry) SetCompletionLimits(l CompletionLimits) {
-	r.completionMu.Lock()
-	defer r.completionMu.Unlock()
-	r.completionLimits = l
+	r.cursors.setLimits(leaseLimits{l.MaxCursors, l.MaxPrefixTokens, l.IdleTimeout})
 }
 
-// CompletionLimits returns the current cursor admission limits.
-func (r *Registry) CompletionLimits() CompletionLimits {
-	r.completionMu.Lock()
-	defer r.completionMu.Unlock()
-	return r.completionLimits
+// CompletionOp is one completion request in any of its three shapes:
+// a one-shot accept-set query, the open of a cursor, or a resume.
+type CompletionOp struct {
+	// Cursor is the cursor to resume; nil starts a cursor at the empty
+	// prefix.
+	Cursor *CompletionSession
+	// Once makes a start a one-shot query that retains nothing; a
+	// start without it is an open, which retains its cursor as a new
+	// lease.
+	Once bool
+	// Restore rewinds a resumed cursor to this checkpoint before the
+	// feed (-1: no restore).
+	Restore int
+	// Input is the prefix or feed, resolved like parse input — source
+	// text for SDF entries, whitespace-separated terminal names
+	// otherwise — inside the request's admission. Tokens, when
+	// non-nil, is an already resolved feed used instead.
+	Input  string
+	Tokens []grammar.Symbol
 }
 
-// OpenCompletion opens a completion cursor on e (an entry of this
-// registry) and feeds it the prefix, resolved like any parse input —
-// scanned source text for SDF entries, whitespace-separated terminal
-// names otherwise. On a non-viable prefix the cursor is not retained
-// and rejPos reports the index of the first rejected token (with
-// engine.ErrRejected); rejPos is -1 otherwise.
-func (r *Registry) OpenCompletion(e *Entry, prefix string, tr *obs.ParseTrace) (cs *CompletionSession, rejPos int, err error) {
-	if err := e.admit(); err != nil {
-		return nil, -1, err
+// feed resolves op's tokens, dropping the end marker.
+func (op *CompletionOp) feed(e *Entry, tr *obs.ParseTrace) ([]grammar.Symbol, error) {
+	if op.Tokens != nil || op.Input == "" {
+		return op.Tokens, nil
 	}
-	defer e.release()
-	defer e.observeCompletion(time.Now())
-
-	r.completionMu.Lock()
-	limits := r.completionLimits
-	if max := limits.MaxCursors; max > 0 && len(r.completions) >= max {
-		r.completionMu.Unlock()
-		return nil, -1, fmt.Errorf("%w (limit %d)", ErrCursorLimit, max)
-	}
-	r.completionMu.Unlock()
-
 	tr.BeginStage(obs.StageTokenize)
-	toks, err := e.InputTokens(prefix)
-	tr.EndStage(obs.StageTokenize)
-	if err != nil {
-		return nil, -1, err
-	}
-	if max := limits.MaxPrefixTokens; max > 0 && len(toks)-1 > max {
-		return nil, -1, fmt.Errorf("%w (%d tokens, limit %d)", ErrPrefixTooLong, len(toks)-1, max)
-	}
-	tr.BeginStage(obs.StageComplete)
-	cur, rejPos, err := engine.OpenCursor(e.eng, toks)
-	tr.EndStage(obs.StageComplete)
-	if err != nil {
-		return nil, rejPos, err
-	}
-	cs = &CompletionSession{
-		id:        fmt.Sprintf("c-%s-%d", e.name, r.completionSeq.Add(1)),
-		entry:     e,
-		reg:       r,
-		created:   time.Now(),
-		engName:   e.eng.Kind().String(),
-		maxTokens: limits.MaxPrefixTokens,
-		cur:       cur,
-	}
-	cs.touch()
-
-	r.completionMu.Lock()
-	// Re-check under the lock: concurrent opens may have raced past the
-	// earlier unlocked-window check.
-	if max := limits.MaxCursors; max > 0 && len(r.completions) >= max {
-		r.completionMu.Unlock()
-		cur.Close()
-		return nil, -1, fmt.Errorf("%w (limit %d)", ErrCursorLimit, max)
-	}
-	if r.completions == nil {
-		r.completions = map[string]*CompletionSession{}
-	}
-	r.completions[cs.id] = cs
-	r.completionsOpened.Add(1)
-	r.completionMu.Unlock()
-	return cs, -1, nil
-}
-
-// CompleteOnce answers a one-shot accept-set query — open, feed the
-// prefix, query, close — without retaining a cursor. It reports how
-// many tokens the prefix held; on a non-viable prefix rejPos reports
-// the first rejected token with engine.ErrRejected (-1 otherwise).
-func (r *Registry) CompleteOnce(e *Entry, prefix string, dst *engine.TermSet, tr *obs.ParseTrace) (tokens, rejPos int, err error) {
-	if err := e.admit(); err != nil {
-		return 0, -1, err
-	}
-	defer e.release()
-	defer e.observeCompletion(time.Now())
-	tr.BeginStage(obs.StageTokenize)
-	toks, err := e.InputTokens(prefix)
-	tr.EndStage(obs.StageTokenize)
-	if err != nil {
-		return 0, -1, err
-	}
-	if max := r.CompletionLimits().MaxPrefixTokens; max > 0 && len(toks)-1 > max {
-		return 0, -1, fmt.Errorf("%w (%d tokens, limit %d)", ErrPrefixTooLong, len(toks)-1, max)
-	}
-	tr.BeginStage(obs.StageComplete)
-	rejPos, err = engine.Accepts(e.eng, toks, dst)
-	tr.EndStage(obs.StageComplete)
-	e.completions.Add(1)
-	return len(toks) - 1, rejPos, err
-}
-
-// Completion returns the open cursor registered under id.
-func (r *Registry) Completion(id string) (*CompletionSession, bool) {
-	r.completionMu.Lock()
-	defer r.completionMu.Unlock()
-	cs, ok := r.completions[id]
-	return cs, ok
-}
-
-// CloseCompletion closes and forgets the cursor registered under id,
-// reporting whether it existed.
-func (r *Registry) CloseCompletion(id string) bool {
-	r.completionMu.Lock()
-	cs, ok := r.completions[id]
-	if ok {
-		delete(r.completions, id)
-		r.completionsClosed.Add(1)
-	}
-	r.completionMu.Unlock()
-	if !ok {
-		return false
-	}
-	cs.close()
-	return true
-}
-
-// EvictIdleCompletions reclaims cursors untouched for longer than the
-// configured IdleTimeout, returning how many were evicted. A zero
-// IdleTimeout disables eviction. The serve janitor calls this
-// periodically; tests call it directly with a synthetic now.
-func (r *Registry) EvictIdleCompletions(now time.Time) int {
-	r.completionMu.Lock()
-	idle := r.completionLimits.IdleTimeout
-	if idle <= 0 {
-		r.completionMu.Unlock()
-		return 0
-	}
-	var victims []*CompletionSession
-	for id, cs := range r.completions {
-		if now.Sub(time.Unix(0, cs.lastUsed.Load())) > idle {
-			delete(r.completions, id)
-			r.completionsEvicted.Add(1)
-			victims = append(victims, cs)
-		}
-	}
-	r.completionMu.Unlock()
-	for _, cs := range victims {
-		cs.close()
-	}
-	return len(victims)
-}
-
-// CompletionCount returns the number of open cursors.
-func (r *Registry) CompletionCount() int {
-	r.completionMu.Lock()
-	defer r.completionMu.Unlock()
-	return len(r.completions)
-}
-
-// CompletionStats snapshots every open cursor, sorted by id.
-func (r *Registry) CompletionStats() []CompletionStat {
-	r.completionMu.Lock()
-	open := make([]*CompletionSession, 0, len(r.completions))
-	for _, cs := range r.completions {
-		open = append(open, cs)
-	}
-	r.completionMu.Unlock()
-	out := make([]CompletionStat, 0, len(open))
-	for _, cs := range open {
-		out = append(out, cs.Stat())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// CompletionTotals aggregates live and closed cursor activity for the
-// /metrics endpoint.
-func (r *Registry) CompletionTotals() CompletionTotals {
-	t := CompletionTotals{
-		Queries: r.closedQueries.Load(),
-		Feeds:   r.closedFeeds.Load(),
-	}
-	// The lifecycle counters move under completionMu together with the
-	// table, so reading them there keeps Opened == Open+Closed+Evicted.
-	r.completionMu.Lock()
-	t.Opened = r.completionsOpened.Load()
-	t.Evicted = r.completionsEvicted.Load()
-	t.Closed = r.completionsClosed.Load()
-	open := make([]*CompletionSession, 0, len(r.completions))
-	for _, cs := range r.completions {
-		open = append(open, cs)
-	}
-	r.completionMu.Unlock()
-	t.Open = len(open)
-	for _, cs := range open {
-		cs.mu.Lock()
-		if !cs.closed {
-			t.Queries += cs.queries
-			t.Feeds += cs.feeds
-		}
-		cs.mu.Unlock()
-	}
-	return t
-}
-
-// CloseAllCompletions closes every open cursor — the drain path's
-// counterpart to CloseAllSessions. It returns how many were closed.
-func (r *Registry) CloseAllCompletions() int {
-	r.completionMu.Lock()
-	victims := make([]*CompletionSession, 0, len(r.completions))
-	for id, cs := range r.completions {
-		delete(r.completions, id)
-		r.completionsClosed.Add(1)
-		victims = append(victims, cs)
-	}
-	r.completionMu.Unlock()
-	for _, cs := range victims {
-		cs.close()
-	}
-	return len(victims)
-}
-
-// closeCompletionsOf closes every cursor bound to entry e — called when
-// the entry is removed or replaced, since cursors hold frontier state
-// of the old engine's table.
-func (r *Registry) closeCompletionsOf(e *Entry) {
-	if e == nil {
-		return
-	}
-	r.completionMu.Lock()
-	var victims []*CompletionSession
-	for id, cs := range r.completions {
-		if cs.entry == e {
-			delete(r.completions, id)
-			r.completionsClosed.Add(1)
-			victims = append(victims, cs)
-		}
-	}
-	r.completionMu.Unlock()
-	for _, cs := range victims {
-		cs.close()
-	}
-}
-
-// observeCompletion records one admitted completion request's
-// end-to-end latency.
-func (e *Entry) observeCompletion(start time.Time) {
-	e.completeLat.observe(time.Since(start))
-}
-
-// close releases the cursor, rolling its counters into the registry's
-// closed totals so metrics stay monotone.
-func (cs *CompletionSession) close() {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return
-	}
-	cs.reg.closedQueries.Add(cs.queries)
-	cs.reg.closedFeeds.Add(cs.feeds)
-	cs.cur.Close()
-	cs.cur = nil
-	cs.closed = true
-}
-
-func (cs *CompletionSession) touch() { cs.lastUsed.Store(time.Now().UnixNano()) }
-
-// ID returns the cursor's registry-wide identifier.
-func (cs *CompletionSession) ID() string { return cs.id }
-
-// Grammar returns the name of the entry the cursor is bound to.
-func (cs *CompletionSession) Grammar() string { return cs.entry.name }
-
-// Entry returns the owning registry entry.
-func (cs *CompletionSession) Entry() *Entry { return cs.entry }
-
-// FeedTokens resolves input against the entry (source text for SDF,
-// terminal names otherwise) into a token batch for Apply, dropping the
-// end-marker terminator.
-func (cs *CompletionSession) FeedTokens(input string) ([]grammar.Symbol, error) {
-	toks, err := cs.entry.InputTokens(input)
+	defer tr.EndStage(obs.StageTokenize)
+	toks, err := e.InputTokens(op.Input)
 	if err != nil {
 		return nil, err
 	}
 	return toks[:len(toks)-1], nil
 }
 
-// Apply executes one batched cursor operation under a single admission
-// pass: an optional restore (restore >= 0), a token feed, then — when
-// dst is non-nil — an accept-set query. On a rejected token rejIdx
-// reports its index in feed (with engine.ErrRejected) and the cursor
-// keeps the tokens accepted before it; rejIdx is -1 otherwise. Errors
-// surface engine.ErrCursorStale once the grammar has moved under the
-// cursor; the session then refuses all further use and should be
-// closed.
+// OpenCompletion opens a completion cursor on e at the end of prefix.
+// It forwards to Complete, without an accept-set query.
+func (r *Registry) OpenCompletion(e *Entry, prefix string, tr *obs.ParseTrace) (cs *CompletionSession, rejPos int, err error) {
+	cs, _, rejPos, err = r.Complete(e, CompletionOp{Input: prefix}, nil, tr)
+	return cs, rejPos, err
+}
+
+// Apply resumes cs with an already resolved feed. It forwards to
+// Complete.
 func (cs *CompletionSession) Apply(restore int, feed []grammar.Symbol, dst *engine.TermSet, tr *obs.ParseTrace) (rejIdx int, err error) {
-	if err := cs.entry.admit(); err != nil {
-		return -1, err
+	_, _, rejIdx, err = cs.reg.Complete(cs.entry, CompletionOp{Cursor: cs, Restore: restore, Tokens: feed}, dst, tr)
+	return rejIdx, err
+}
+
+// Complete is the one completion request path; OpenCompletion and
+// Apply forward to it. A resumed cursor must be one of e's. The request
+// passes the entry's admission gate once, resolves op's text inside
+// that admission, and is one sample in the entry's completion latency
+// histogram, whose count is the entry's completion count. It feeds the
+// tokens into the cursor — after the restore, on a resume — and, when
+// dst is non-nil, fills dst with the accept set. MaxPrefixTokens bounds
+// the cursor position after the feed. An open is inserted, under
+// MaxCursors, only when that first step succeeded; a one-shot query
+// retains nothing. Complete returns the cursor (nil for a one-shot
+// query) and its position. On a rejected token rejIdx is the token's
+// index in the feed, with engine.ErrRejected; a resumed cursor keeps
+// the tokens accepted before it, a started one is dropped. rejIdx is -1
+// otherwise. Errors surface engine.ErrCursorStale once the grammar has
+// moved under a cursor; it then refuses all further use and should be
+// closed.
+func (r *Registry) Complete(e *Entry, op CompletionOp, dst *engine.TermSet, tr *obs.ParseTrace) (cs *CompletionSession, pos, rejIdx int, err error) {
+	if err := e.admit(tr); err != nil {
+		return nil, 0, -1, err
 	}
-	defer cs.entry.release()
-	defer cs.entry.observeCompletion(time.Now())
+	defer e.release()
+	defer e.observeCompletion(time.Now())
+	if op.Cursor == nil {
+		return r.startCursor(e, op, dst, tr)
+	}
+	feed, err := op.feed(e, tr)
+	if err != nil {
+		return nil, 0, -1, err
+	}
+	cs = op.Cursor
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.closed {
-		return -1, ErrNoCursor
+		return nil, 0, -1, ErrNoCursor
 	}
+	rejIdx, err = cs.step(op.Restore, feed, dst, tr)
+	return cs, cs.cur.Pos(), rejIdx, err
+}
+
+// startCursor is Complete without a cursor: a fresh cursor at the empty
+// prefix takes op's feed as its first step.
+func (r *Registry) startCursor(e *Entry, op CompletionOp, dst *engine.TermSet, tr *obs.ParseTrace) (*CompletionSession, int, int, error) {
+	pos, rejIdx := 0, -1
+	start := func(maxTokens int) (*CompletionSession, error) {
+		feed, err := op.feed(e, tr)
+		if err != nil {
+			return nil, err
+		}
+		cur, _, err := engine.OpenCursor(e.eng, nil)
+		if err != nil {
+			return nil, err
+		}
+		cs := &CompletionSession{lease: lease{entry: e, reg: r, maxTokens: maxTokens},
+			engName: e.eng.Kind().String(), cur: cur}
+		if rejIdx, err = cs.step(-1, feed, dst, tr); err != nil {
+			cs.release(false)
+			return nil, err
+		}
+		pos = cur.Pos()
+		return cs, nil
+	}
+	if op.Once {
+		cs, err := start(r.cursors.getLimits().tokens)
+		if err == nil {
+			cs.release(false)
+		}
+		return nil, pos, rejIdx, err
+	}
+	cs, err := r.cursors.open(start)
+	return cs, pos, rejIdx, err
+}
+
+// step is one cursor operation: an optional restore (restore >= 0),
+// the feed, then — when dst is non-nil — an accept-set query. Callers
+// hold cs.mu or own the unpublished cursor.
+func (cs *CompletionSession) step(restore int, feed []grammar.Symbol, dst *engine.TermSet, tr *obs.ParseTrace) (rejIdx int, err error) {
 	tr.BeginStage(obs.StageComplete)
 	defer tr.EndStage(obs.StageComplete)
 	if restore >= 0 {
@@ -409,8 +211,8 @@ func (cs *CompletionSession) Apply(restore int, feed []grammar.Symbol, dst *engi
 			return -1, err
 		}
 	}
-	if max := cs.maxTokens; max > 0 && cs.cur.Pos()+len(feed) > max {
-		return -1, fmt.Errorf("%w (%d tokens, limit %d)", ErrPrefixTooLong, cs.cur.Pos()+len(feed), max)
+	if err := tooLong(ErrPrefixTooLong, cs.cur.Pos()+len(feed), cs.maxTokens); err != nil {
+		return -1, err
 	}
 	for i, t := range feed {
 		if err := cs.cur.Feed(t); err != nil {
@@ -424,29 +226,74 @@ func (cs *CompletionSession) Apply(restore int, feed []grammar.Symbol, dst *engi
 		}
 		cs.queries++
 	}
-	cs.entry.completions.Add(1)
 	cs.touch()
 	return -1, nil
 }
 
-// Pos returns the cursor position (tokens fed so far).
-func (cs *CompletionSession) Pos() int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return 0
+// Completion returns the open cursor registered under id.
+func (r *Registry) Completion(id string) (*CompletionSession, bool) { return r.cursors.get(id) }
+
+// CloseCompletion closes and forgets the cursor registered under id,
+// reporting whether it existed.
+func (r *Registry) CloseCompletion(id string) bool { return r.cursors.close(id) }
+
+// EvictIdleCompletions reclaims cursors untouched for longer than the
+// configured IdleTimeout, returning how many were evicted. A zero
+// IdleTimeout disables eviction. The ipg-serve janitor calls this
+// periodically; tests call it directly with a synthetic now.
+func (r *Registry) EvictIdleCompletions(now time.Time) int { return r.cursors.evictIdle(now) }
+
+// CloseAllCompletions closes every open cursor — the drain path's
+// counterpart to CloseAllSessions. It returns how many were closed.
+func (r *Registry) CloseAllCompletions() int { return r.cursors.closeAll() }
+
+// CompletionStats snapshots every open cursor, sorted by id.
+func (r *Registry) CompletionStats() []CompletionStat {
+	_, open := r.cursors.snapshot()
+	out := make([]CompletionStat, len(open))
+	for i, cs := range open {
+		out[i] = cs.Stat()
 	}
-	return cs.cur.Pos()
+	return out
 }
 
-// Vocab returns the cursor's terminal vocabulary (nil once closed).
-func (cs *CompletionSession) Vocab() *engine.Vocab {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return nil
+// CompletionTotals aggregates live and closed cursor activity for the
+// /metrics endpoint.
+func (r *Registry) CompletionTotals() CompletionTotals {
+	t := CompletionTotals{Queries: r.closedQueries.Load(), Feeds: r.closedFeeds.Load()}
+	var open []*CompletionSession
+	t.LeaseTotals, open = r.cursors.snapshot()
+	for _, cs := range open {
+		cs.mu.Lock()
+		if !cs.closed {
+			t.Queries += cs.queries
+			t.Feeds += cs.feeds
+		}
+		cs.mu.Unlock()
 	}
-	return cs.cur.Vocab()
+	return t
+}
+
+// observeCompletion records one admitted completion request's
+// end-to-end latency.
+func (e *Entry) observeCompletion(start time.Time) {
+	e.completeLat.observe(time.Since(start))
+}
+
+func (cs *CompletionSession) release(counted bool) {
+	if counted {
+		cs.reg.closedQueries.Add(cs.queries)
+		cs.reg.closedFeeds.Add(cs.feeds)
+	}
+	cs.cur.Close()
+}
+
+// FeedTokens resolves input against the entry (source text for SDF,
+// terminal names otherwise) into a token batch for Apply, dropping the
+// end-marker terminator.
+func (cs *CompletionSession) FeedTokens(input string) ([]grammar.Symbol, error) {
+	op := CompletionOp{Input: input}
+	return op.feed(cs.entry, nil)
 }
 
 // Stat snapshots the cursor for the stat and list endpoints.
@@ -457,7 +304,7 @@ func (cs *CompletionSession) Stat() CompletionStat {
 		ID:      cs.id,
 		Grammar: cs.entry.name,
 		Engine:  cs.engName,
-		IdleMs:  time.Since(time.Unix(0, cs.lastUsed.Load())).Milliseconds(),
+		IdleMs:  cs.idleFor(time.Now()).Milliseconds(),
 	}
 	if cs.closed {
 		return out

@@ -115,3 +115,42 @@ func TestCompletionConcurrentStress(t *testing.T) {
 		t.Errorf("no work recorded: %+v", tot)
 	}
 }
+
+// TestCursorResumeAllocFree pins the decode loop's hot step — a warm
+// cursor's restore, feed and accept-set query through Apply — at 0
+// allocs/op on the table backends and auto. Earley's chart cursor
+// allocates per fed token and is not gated.
+func TestCursorResumeAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation makes sync.Pool lossy; allocation counts are meaningless under -race")
+	}
+	for _, kind := range []engine.Kind{engine.KindLALR, engine.KindGLR, engine.KindAuto} {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := New()
+			e, err := r.Register("bool", Spec{Source: boolSrc, Engine: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, _, err := r.OpenCompletion(e, "true or", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed, err := cs.FeedTokens("false and true")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var set engine.TermSet
+			step := func() {
+				if _, err := cs.Apply(2, feed, &set, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				step()
+			}
+			if got := testing.AllocsPerRun(200, step); got != 0 {
+				t.Errorf("warm restore+feed+accepts: %v allocs/op, want 0", got)
+			}
+		})
+	}
+}

@@ -213,10 +213,9 @@ type Entry struct {
 	// table repair, or the full regeneration a declined repair falls
 	// back to — so the locality claim is measurable per entry.
 	repairLat latencyHist
-	// completions counts completion requests answered for this grammar
-	// (cursor operations and one-shot accept-set queries alike);
-	// completeLat observes each of them end to end.
-	completions atomic.Uint64
+	// completeLat observes every admitted completion request (cursor
+	// operations and one-shot accept-set queries alike) end to end; its
+	// count is the entry's completion count.
 	completeLat latencyHist
 	// snapSaves counts snapshots persisted for this entry — the
 	// per-grammar snapshot event counter /metrics exposes.
@@ -381,10 +380,7 @@ func (e *Entry) ParseInput(input string, buildTrees bool) (Result, error) {
 // ctx, a nil trace and labels off this is exactly the zero-alloc warm
 // path — the AllocsPerRun gates pin it.
 func (e *Entry) Run(ctx context.Context, text string, toks []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace) (Result, error) {
-	tr.BeginStage(obs.StageAdmit)
-	err := e.admit()
-	tr.EndStage(obs.StageAdmit)
-	if err != nil {
+	if err := e.admit(tr); err != nil {
 		return Result{}, err
 	}
 	defer e.release()
@@ -392,6 +388,7 @@ func (e *Entry) Run(ctx context.Context, text string, toks []grammar.Symbol, bui
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
 	if toks == nil {
+		var err error
 		tr.BeginStage(obs.StageTokenize)
 		toks, err = e.inputTokensLocked(text)
 		tr.EndStage(obs.StageTokenize)
@@ -419,10 +416,13 @@ func (e *Entry) Latency() LatencySnapshot { return e.lat.snapshot() }
 // (sustained rate), then the concurrency cap. It must bracket the whole
 // request — including the scan phase, which serializes on scanMu and
 // would otherwise queue unboundedly — so callers take it before
-// tokenizing, not just before parsing. Pair every successful admit with
-// a deferred release (a method, not a returned closure: the closure
-// would escape and put one allocation on the zero-alloc warm path).
-func (e *Entry) admit() error {
+// tokenizing, not just before parsing. It is timed as tr's admit stage.
+// Pair every successful admit with a deferred release (a method, not a
+// returned closure: the closure would escape and put one allocation on
+// the zero-alloc warm path).
+func (e *Entry) admit(tr *obs.ParseTrace) error {
+	tr.BeginStage(obs.StageAdmit)
+	defer tr.EndStage(obs.StageAdmit)
 	if err := e.admitResilience(); err != nil {
 		return err
 	}
@@ -813,9 +813,10 @@ type Stats struct {
 	// regenerations alike. Counters.StatesRepaired/RepairFallbacks split
 	// the outcomes.
 	RepairLatency LatencySnapshot
-	// Completions counts completion requests answered (cursor
-	// operations and one-shot accept-set queries); CompleteLatency is
-	// their end-to-end histogram.
+	// Completions counts admitted completion requests (cursor
+	// operations and one-shot accept-set queries), failed ones included;
+	// CompleteLatency is their end-to-end histogram, so Completions ==
+	// CompleteLatency.Count.
 	Completions     uint64
 	CompleteLatency LatencySnapshot
 }
@@ -839,6 +840,7 @@ func (e *Entry) Stats() Stats {
 	if a, ok := e.eng.(*engine.Auto); ok {
 		reprobes = a.Reprobes()
 	}
+	completeLat := e.completeLat.snapshot()
 	return Stats{
 		Name:              e.name,
 		Form:              e.form,
@@ -871,8 +873,8 @@ func (e *Entry) Stats() Stats {
 		Limits:          e.limits,
 		Latency:         e.lat.snapshot(),
 		RepairLatency:   e.repairLat.snapshot(),
-		Completions:     e.completions.Load(),
-		CompleteLatency: e.completeLat.snapshot(),
+		Completions:     completeLat.Count,
+		CompleteLatency: completeLat,
 	}
 }
 
@@ -930,40 +932,26 @@ type Registry struct {
 	snapRetryMax     int
 	snapRetryBackoff time.Duration
 
-	// Document sessions (see session.go). sessionMu guards the table and
-	// limits; closed* accumulate counters from closed sessions so the
-	// metrics totals stay monotone across eviction.
-	sessionMu     sync.Mutex
-	sessions      map[string]*Session
-	sessionLimits SessionLimits
-	sessionSeq    atomic.Uint64
-
-	sessionsOpened     atomic.Uint64
-	sessionsEvicted    atomic.Uint64
-	sessionsClosed     atomic.Uint64
+	// Leases (lease.go): document sessions and completion cursors. The
+	// closed* totals keep the work counters of closed leases, so the
+	// metric totals stay monotone across eviction.
+	sessions           leaseTable[*Session]
+	cursors            leaseTable[*CompletionSession]
 	closedSplices      atomic.Uint64
 	closedReparses     atomic.Uint64
 	closedFullReparses atomic.Uint64
 	closedSetsReused   atomic.Uint64
 	closedSetsRebuilt  atomic.Uint64
-
-	// Completion cursors (see complete.go): the same admission/eviction
-	// regime as document sessions, over checkpointed engine cursors.
-	completionMu     sync.Mutex
-	completions      map[string]*CompletionSession
-	completionLimits CompletionLimits
-	completionSeq    atomic.Uint64
-
-	completionsOpened  atomic.Uint64
-	completionsEvicted atomic.Uint64
-	completionsClosed  atomic.Uint64
 	closedQueries      atomic.Uint64
 	closedFeeds        atomic.Uint64
 }
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{entries: map[string]*Entry{}}
+	r := &Registry{entries: map[string]*Entry{}}
+	r.sessions.idFormat, r.sessions.errFull = "%s-%d", ErrSessionLimit
+	r.cursors.idFormat, r.cursors.errFull = "c-%s-%d", ErrCursorLimit
+	return r
 }
 
 // SetProfileLabels switches runtime/pprof labels (grammar, engine) on
@@ -1019,8 +1007,7 @@ func (r *Registry) Register(name string, spec Spec) (*Entry, error) {
 	// Sessions of a replaced entry retain charts built by the old
 	// engine (and completion cursors retain its table frontier); close
 	// them rather than serve stale parses.
-	r.closeSessionsOf(replaced)
-	r.closeCompletionsOf(replaced)
+	r.closeLeasesOf(replaced)
 	return e, nil
 }
 
@@ -1063,9 +1050,9 @@ func (r *Registry) Get(name string) (*Entry, bool) {
 
 // Remove deletes the entry registered under name, reporting whether it
 // existed. In-flight parses against the removed entry finish normally;
-// its open document sessions are closed. The name is remembered as
-// explicitly unregistered, so the next SnapshotGC pass may reclaim its
-// snapshot file.
+// its open sessions and completion cursors are closed. The name is
+// remembered as explicitly unregistered, so the next SnapshotGC pass
+// may reclaim its snapshot file.
 func (r *Registry) Remove(name string) bool {
 	r.mu.Lock()
 	old, ok := r.entries[name]
@@ -1077,11 +1064,15 @@ func (r *Registry) Remove(name string) bool {
 		r.removed[name] = true
 	}
 	r.mu.Unlock()
-	if ok {
-		r.closeSessionsOf(old)
-		r.closeCompletionsOf(old)
-	}
+	r.closeLeasesOf(old)
 	return ok
+}
+
+// closeLeasesOf closes the sessions and cursors bound to e (none when e
+// is nil).
+func (r *Registry) closeLeasesOf(e *Entry) {
+	r.sessions.closeOf(e)
+	r.cursors.closeOf(e)
 }
 
 // Len returns the number of registered entries.

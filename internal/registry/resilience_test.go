@@ -451,7 +451,7 @@ func TestDrainStress(t *testing.T) {
 		}
 	}
 	r.CloseAllSessions()
-	if n := r.SessionCount(); n != 0 {
+	if n := r.SessionTotals().Open; n != 0 {
 		t.Errorf("%d sessions survived CloseAllSessions", n)
 	}
 	select {

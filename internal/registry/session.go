@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipg/internal/engine"
@@ -38,26 +35,17 @@ var ErrDocTooLarge = errors.New("registry: session document exceeds token limit"
 // (serve: 404).
 var ErrNoSession = errors.New("registry: no such session")
 
-// Session is one open document bound to one registry entry: the
-// editor-style open/splice/reparse lifecycle, retained server-side so
-// clients ship edits instead of whole documents. All methods are safe
-// for concurrent use; edits and reparses (Run, and Splice and Reparse,
-// which forward to it) pass through the owning entry's admission gate
-// and rule-update lock, so sessions obey the same rate/concurrency
-// limits as stateless parses.
+// Session is one open document bound to one registry entry, a lease
+// (lease.go): the editor-style open/splice/reparse lifecycle, retained
+// server-side so clients ship edits instead of whole documents. All
+// methods are safe for concurrent use; edits and reparses (Run, and
+// Splice and Reparse, which forward to it) pass through the owning
+// entry's admission gate and rule-update lock, so sessions obey the
+// same rate/concurrency limits as stateless parses.
 type Session struct {
-	id        string
-	entry     *Entry
-	reg       *Registry
-	created   time.Time
-	maxTokens int
-
-	lastUsed atomic.Int64 // unix nanoseconds
-
-	mu      sync.Mutex
+	lease
 	es      engine.Session
 	splices uint64
-	closed  bool
 }
 
 // SessionStat is the wire-shaped snapshot of one session; zero-valued
@@ -86,10 +74,7 @@ type SessionStat struct {
 // Counters are monotone: closed sessions' tallies roll into the totals
 // before the session is dropped.
 type SessionTotals struct {
-	Open         int
-	Opened       uint64
-	Evicted      uint64
-	Closed       uint64
+	LeaseTotals
 	Splices      uint64
 	Reparses     uint64
 	FullReparses uint64
@@ -101,147 +86,80 @@ type SessionTotals struct {
 // previous set wholesale). Safe to call while serving; already-open
 // sessions are not retroactively evicted by a lower MaxSessions.
 func (r *Registry) SetSessionLimits(l SessionLimits) {
-	r.sessionMu.Lock()
-	defer r.sessionMu.Unlock()
-	r.sessionLimits = l
+	r.sessions.setLimits(leaseLimits{l.MaxSessions, l.MaxDocTokens, l.IdleTimeout})
 }
 
-// SessionLimits returns the current session admission limits.
-func (r *Registry) SessionLimits() SessionLimits {
-	r.sessionMu.Lock()
-	defer r.sessionMu.Unlock()
-	return r.sessionLimits
-}
-
-// OpenSession opens a document session for input on e (an entry of this
-// registry). Input is resolved like ParseInput — scanned source text
-// for SDF entries, whitespace-separated terminal names otherwise. The
-// open passes through the entry's admission gate (tokenizing may hit
-// the scanner) and the registry's MaxSessions/MaxDocTokens caps. The
-// document is not parsed yet; the first reparsing Run is.
+// OpenSession opens a document session for input on e and parses it.
+// It forwards to StartSession, untraced and uncancellable.
 func (r *Registry) OpenSession(e *Entry, input string) (*Session, error) {
-	if err := e.admit(); err != nil {
-		return nil, err
+	s, _, err := r.StartSession(context.Background(), e, input, nil)
+	return s, err
+}
+
+// StartSession is the session open path: one admitted request that
+// tokenizes input (resolved like ParseInput — scanned source text for
+// SDF entries, whitespace-separated terminal names otherwise) against
+// the MaxDocTokens budget, opens the engine session and runs its first
+// reparse, observed in the entry's latency histogram like any other
+// reparse. The session is inserted, under MaxSessions, only when that
+// reparse succeeded; a failed open leaves no session behind and moves
+// no lifecycle counter.
+func (r *Registry) StartSession(ctx context.Context, e *Entry, input string, tr *obs.ParseTrace) (*Session, Result, error) {
+	if err := e.admit(tr); err != nil {
+		return nil, Result{}, err
 	}
 	defer e.release()
-
-	r.sessionMu.Lock()
-	limits := r.sessionLimits
-	if max := limits.MaxSessions; max > 0 && len(r.sessions) >= max {
-		r.sessionMu.Unlock()
-		return nil, fmt.Errorf("%w (limit %d)", ErrSessionLimit, max)
-	}
-	r.sessionMu.Unlock()
-
-	toks, err := e.InputTokens(input)
-	if err != nil {
-		return nil, err
-	}
-	if max := limits.MaxDocTokens; max > 0 && len(toks)-1 > max {
-		return nil, fmt.Errorf("%w (%d tokens, limit %d)", ErrDocTooLarge, len(toks)-1, max)
-	}
-	es, err := engine.OpenSession(e.eng, toks)
-	if err != nil {
-		return nil, err
-	}
-	s := &Session{
-		id:        fmt.Sprintf("%s-%d", e.name, r.sessionSeq.Add(1)),
-		entry:     e,
-		reg:       r,
-		created:   time.Now(),
-		maxTokens: limits.MaxDocTokens,
-		es:        es,
-	}
-	s.touch()
-
-	r.sessionMu.Lock()
-	// Re-check under the lock: concurrent opens may have raced past the
-	// earlier unlocked-window check.
-	if max := limits.MaxSessions; max > 0 && len(r.sessions) >= max {
-		r.sessionMu.Unlock()
-		es.Close()
-		return nil, fmt.Errorf("%w (limit %d)", ErrSessionLimit, max)
-	}
-	if r.sessions == nil {
-		r.sessions = map[string]*Session{}
-	}
-	r.sessions[s.id] = s
-	r.sessionsOpened.Add(1)
-	r.sessionMu.Unlock()
-	return s, nil
+	defer e.observeLatency(time.Now())
+	var res Result
+	s, err := r.sessions.open(func(maxTokens int) (*Session, error) {
+		tr.BeginStage(obs.StageTokenize)
+		toks, err := e.InputTokens(input)
+		tr.EndStage(obs.StageTokenize)
+		if err != nil {
+			return nil, err
+		}
+		if err := tooLong(ErrDocTooLarge, len(toks)-1, maxTokens); err != nil {
+			return nil, err
+		}
+		es, err := engine.OpenSession(e.eng, toks)
+		if err != nil {
+			return nil, err
+		}
+		s := &Session{lease: lease{entry: e, reg: r, maxTokens: maxTokens}, es: es}
+		if res, err = s.run(ctx, nil, true, false, tr); err != nil {
+			s.release(false)
+			return nil, err
+		}
+		return s, nil
+	})
+	return s, res, err
 }
 
 // Session returns the open session registered under id.
-func (r *Registry) Session(id string) (*Session, bool) {
-	r.sessionMu.Lock()
-	defer r.sessionMu.Unlock()
-	s, ok := r.sessions[id]
-	return s, ok
-}
+func (r *Registry) Session(id string) (*Session, bool) { return r.sessions.get(id) }
 
 // CloseSession closes and forgets the session registered under id,
 // reporting whether it existed.
-func (r *Registry) CloseSession(id string) bool {
-	r.sessionMu.Lock()
-	s, ok := r.sessions[id]
-	if ok {
-		delete(r.sessions, id)
-		r.sessionsClosed.Add(1)
-	}
-	r.sessionMu.Unlock()
-	if !ok {
-		return false
-	}
-	s.close()
-	return true
-}
+func (r *Registry) CloseSession(id string) bool { return r.sessions.close(id) }
 
 // EvictIdleSessions reclaims sessions untouched for longer than the
 // configured IdleTimeout, returning how many were evicted. A zero
-// IdleTimeout disables eviction. The serve janitor calls this
+// IdleTimeout disables eviction. The ipg-serve janitor calls this
 // periodically; tests call it directly with a synthetic now.
-func (r *Registry) EvictIdleSessions(now time.Time) int {
-	r.sessionMu.Lock()
-	idle := r.sessionLimits.IdleTimeout
-	if idle <= 0 {
-		r.sessionMu.Unlock()
-		return 0
-	}
-	var victims []*Session
-	for id, s := range r.sessions {
-		if now.Sub(time.Unix(0, s.lastUsed.Load())) > idle {
-			delete(r.sessions, id)
-			r.sessionsEvicted.Add(1)
-			victims = append(victims, s)
-		}
-	}
-	r.sessionMu.Unlock()
-	for _, s := range victims {
-		s.close()
-	}
-	return len(victims)
-}
+func (r *Registry) EvictIdleSessions(now time.Time) int { return r.sessions.evictIdle(now) }
 
-// SessionCount returns the number of open sessions.
-func (r *Registry) SessionCount() int {
-	r.sessionMu.Lock()
-	defer r.sessionMu.Unlock()
-	return len(r.sessions)
-}
+// CloseAllSessions closes every open session — the drain path's final
+// step, so a graceful shutdown releases every retained chart and
+// forest before exit. It returns how many sessions were closed.
+func (r *Registry) CloseAllSessions() int { return r.sessions.closeAll() }
 
 // SessionStats snapshots every open session, sorted by id.
 func (r *Registry) SessionStats() []SessionStat {
-	r.sessionMu.Lock()
-	open := make([]*Session, 0, len(r.sessions))
-	for _, s := range r.sessions {
-		open = append(open, s)
+	_, open := r.sessions.snapshot()
+	out := make([]SessionStat, len(open))
+	for i, s := range open {
+		out[i] = s.Stat()
 	}
-	r.sessionMu.Unlock()
-	out := make([]SessionStat, 0, len(open))
-	for _, s := range open {
-		out = append(out, s.Stat())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -255,18 +173,8 @@ func (r *Registry) SessionTotals() SessionTotals {
 		SetsReused:   r.closedSetsReused.Load(),
 		SetsRebuilt:  r.closedSetsRebuilt.Load(),
 	}
-	// The lifecycle counters move under sessionMu together with the
-	// table, so reading them there keeps Opened == Open+Closed+Evicted.
-	r.sessionMu.Lock()
-	t.Opened = r.sessionsOpened.Load()
-	t.Evicted = r.sessionsEvicted.Load()
-	t.Closed = r.sessionsClosed.Load()
-	open := make([]*Session, 0, len(r.sessions))
-	for _, s := range r.sessions {
-		open = append(open, s)
-	}
-	r.sessionMu.Unlock()
-	t.Open = len(open)
+	var open []*Session
+	t.LeaseTotals, open = r.sessions.snapshot()
 	for _, s := range open {
 		s.mu.Lock()
 		if !s.closed {
@@ -282,75 +190,17 @@ func (r *Registry) SessionTotals() SessionTotals {
 	return t
 }
 
-// CloseAllSessions closes every open session, rolling their counters
-// into the closed totals — the drain path's final step, so a graceful
-// shutdown releases every retained chart and forest before exit. It
-// returns how many sessions were closed.
-func (r *Registry) CloseAllSessions() int {
-	r.sessionMu.Lock()
-	victims := make([]*Session, 0, len(r.sessions))
-	for id, s := range r.sessions {
-		delete(r.sessions, id)
-		r.sessionsClosed.Add(1)
-		victims = append(victims, s)
+func (s *Session) release(counted bool) {
+	if counted {
+		st := s.es.Stats()
+		s.reg.closedSplices.Add(s.splices)
+		s.reg.closedReparses.Add(st.Reparses)
+		s.reg.closedFullReparses.Add(st.FullReparses)
+		s.reg.closedSetsReused.Add(st.SetsReused)
+		s.reg.closedSetsRebuilt.Add(st.SetsRebuilt)
 	}
-	r.sessionMu.Unlock()
-	for _, s := range victims {
-		s.close()
-	}
-	return len(victims)
-}
-
-// closeSessionsOf closes every session bound to entry e — called when
-// the entry is removed or replaced, since retained charts refer to the
-// old engine.
-func (r *Registry) closeSessionsOf(e *Entry) {
-	if e == nil {
-		return
-	}
-	r.sessionMu.Lock()
-	var victims []*Session
-	for id, s := range r.sessions {
-		if s.entry == e {
-			delete(r.sessions, id)
-			r.sessionsClosed.Add(1)
-			victims = append(victims, s)
-		}
-	}
-	r.sessionMu.Unlock()
-	for _, s := range victims {
-		s.close()
-	}
-}
-
-// close releases the session's retained state, rolling its counters
-// into the registry's closed totals so metrics stay monotone.
-func (s *Session) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	st := s.es.Stats()
-	s.reg.closedSplices.Add(s.splices)
-	s.reg.closedReparses.Add(st.Reparses)
-	s.reg.closedFullReparses.Add(st.FullReparses)
-	s.reg.closedSetsReused.Add(st.SetsReused)
-	s.reg.closedSetsRebuilt.Add(st.SetsRebuilt)
 	s.es.Close()
-	s.closed = true
 }
-
-func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
-
-// ID returns the session's registry-wide identifier.
-func (s *Session) ID() string { return s.id }
-
-// Grammar returns the name of the entry the session is bound to.
-func (s *Session) Grammar() string { return s.entry.name }
-
-// Entry returns the owning registry entry (for Describe and stats).
-func (s *Session) Entry() *Entry { return s.entry }
 
 // EngineName reports the concrete backend pinned at open time ("" once
 // closed).
@@ -402,10 +252,7 @@ func (s *Session) Reparse(tr *obs.ParseTrace) (Result, error) {
 // result is empty.
 func (s *Session) Run(ctx context.Context, edits []Splice, reparse, tree bool, tr *obs.ParseTrace) (Result, error) {
 	e := s.entry
-	tr.BeginStage(obs.StageAdmit)
-	err := e.admit()
-	tr.EndStage(obs.StageAdmit)
-	if err != nil {
+	if err := e.admit(tr); err != nil {
 		return Result{}, err
 	}
 	defer e.release()
@@ -417,6 +264,14 @@ func (s *Session) Run(ctx context.Context, edits []Splice, reparse, tree bool, t
 	if s.closed {
 		return Result{}, ErrNoSession
 	}
+	return s.run(ctx, edits, reparse, tree, tr)
+}
+
+// run is Run's body after admission: the open path runs a new
+// session's first reparse through it too. Callers hold s.mu or own the
+// unpublished session.
+func (s *Session) run(ctx context.Context, edits []Splice, reparse, tree bool, tr *obs.ParseTrace) (Result, error) {
+	e := s.entry
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
 	if err := s.applyLocked(edits, tr); err != nil {
@@ -466,8 +321,8 @@ func (s *Session) applyLocked(edits []Splice, tr *obs.ParseTrace) error {
 		}
 		ins := toks[:len(toks)-1] // drop the EOF terminator
 		next := n - ed.Remove + len(ins)
-		if max := s.maxTokens; max > 0 && ed.Remove <= n && next > max {
-			return fmt.Errorf("splice %d: %w (%d tokens, limit %d)", i, ErrDocTooLarge, next, max)
+		if err := tooLong(ErrDocTooLarge, next, s.maxTokens); err != nil && ed.Remove <= n {
+			return fmt.Errorf("splice %d: %w", i, err)
 		}
 		if err := engine.CheckSplice(n, ed.At, ed.Remove, ins); err != nil {
 			return fmt.Errorf("splice %d: %w", i, err)
@@ -492,7 +347,7 @@ func (s *Session) Stat() SessionStat {
 	out := SessionStat{
 		ID:      s.id,
 		Grammar: s.entry.name,
-		IdleMs:  time.Since(time.Unix(0, s.lastUsed.Load())).Milliseconds(),
+		IdleMs:  s.idleFor(time.Now()).Milliseconds(),
 	}
 	if s.closed {
 		return out

@@ -3,7 +3,6 @@ package registry
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -207,9 +206,10 @@ func TestSessionLimitsAreChecked(t *testing.T) {
 	if _, err := r.OpenSession(e, "true"); !errors.Is(err, ErrSessionLimit) {
 		t.Errorf("over MaxSessions: %v", err)
 	}
-	if _, err := r.OpenSession(e, fmt.Sprintf("true%s", " or true or true or true")); !errors.Is(err, ErrSessionLimit) {
-		// Session cap fires first; drop one and probe the token cap.
-		_ = err
+	// At the cap, an over-budget document is refused by the cap, before
+	// it is tokenized; drop one session to probe the token budget.
+	if _, err := r.OpenSession(e, "true or true or true or true or true"); !errors.Is(err, ErrSessionLimit) {
+		t.Errorf("over MaxSessions and MaxDocTokens: %v, want ErrSessionLimit", err)
 	}
 	r.CloseSession(open[0].ID())
 	if _, err := r.OpenSession(e, "true or true or true or true or true"); !errors.Is(err, ErrDocTooLarge) {

@@ -142,64 +142,36 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// completeOp dispatches the three request shapes.
+// completeOp runs the request as one registry.Complete call.
 func (s *Server) completeOp(e *registry.Entry, req *CompleteRequest, tr *obs.ParseTrace) (CompleteResponse, error) {
 	out := CompleteResponse{Grammar: e.Name(), Engine: e.EngineKind().String()}
-	var set engine.TermSet
-
-	if req.Cursor != "" {
+	op := registry.CompletionOp{Once: req.Once, Restore: -1, Input: req.Feed}
+	if req.Prefix != nil {
+		op.Input = *req.Prefix
+	} else {
 		cs, ok := s.reg.Completion(req.Cursor)
 		if !ok || cs.Entry() != e {
 			return out, fmt.Errorf("%w: %q (unknown, closed or evicted)", registry.ErrNoCursor, req.Cursor)
 		}
-		restore := -1
+		op.Cursor = cs
 		if req.Restore != nil {
-			restore = *req.Restore
+			op.Restore = *req.Restore
 		}
-		var feed []grammar.Symbol
-		if req.Feed != "" {
-			toks, err := cs.FeedTokens(req.Feed)
-			if err != nil {
-				return out, err
-			}
-			feed = toks
-		}
-		rejIdx, err := cs.Apply(restore, feed, &set, tr)
-		if err != nil {
-			return out, rejAt(err, rejIdx)
-		}
-		out.Cursor = cs.ID()
-		out.Pos = cs.Pos()
-		out.fillAccepts(&set, req.Candidates)
-		if req.Close {
-			s.reg.CloseCompletion(cs.ID())
-			out.Closed = true
-		}
-		return out, nil
 	}
-
-	if req.Once {
-		tokens, rejPos, err := s.reg.CompleteOnce(e, *req.Prefix, &set, tr)
-		if err != nil {
-			return out, rejAt(err, rejPos)
-		}
-		out.Pos = tokens
-		out.fillAccepts(&set, req.Candidates)
-		return out, nil
-	}
-
-	cs, rejPos, err := s.reg.OpenCompletion(e, *req.Prefix, tr)
+	var set engine.TermSet
+	cs, pos, rejIdx, err := s.reg.Complete(e, op, &set, tr)
 	if err != nil {
-		return out, rejAt(err, rejPos)
+		return out, rejAt(err, rejIdx)
 	}
-	if _, err := cs.Apply(-1, nil, &set, tr); err != nil {
-		s.reg.CloseCompletion(cs.ID())
-		return out, err
+	out.Pos = pos
+	out.fillAccepts(&set, req.Candidates)
+	if cs == nil {
+		return out, nil
 	}
 	out.Cursor = cs.ID()
-	out.Pos = cs.Pos()
-	out.fillAccepts(&set, req.Candidates)
-	out.Vocab = set.Vocab().Names()
+	if op.Cursor == nil {
+		out.Vocab = set.Vocab().Names()
+	}
 	if req.Close {
 		s.reg.CloseCompletion(cs.ID())
 		out.Closed = true

@@ -254,17 +254,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		injected.Sample(float64(sc.Fired), "site", sc.Site, "kind", sc.Kind.String())
 	}
 
-	// Document sessions. Counters include closed sessions' tallies, so
-	// they stay monotone across idle eviction.
+	// Leases. Counters include closed leases' tallies, so they stay
+	// monotone across idle eviction.
 	sess := s.reg.SessionTotals()
-	p.Family("ipg_sessions_open", obs.TypeGauge,
-		"Document sessions currently open.").Sample(float64(sess.Open))
-	p.Family("ipg_sessions_opened_total", obs.TypeCounter,
-		"Document sessions opened.").Sample(float64(sess.Opened))
-	p.Family("ipg_sessions_evicted_total", obs.TypeCounter,
-		"Sessions reclaimed by the idle janitor.").Sample(float64(sess.Evicted))
-	p.Family("ipg_sessions_closed_total", obs.TypeCounter,
-		"Sessions closed explicitly or by entry removal/replacement.").Sample(float64(sess.Closed))
+	leaseFamilies(p, "ipg_sessions", "Document sessions", sess.LeaseTotals)
 	p.Family("ipg_session_splices_total", obs.TypeCounter,
 		"Edits applied to session documents.").Sample(float64(sess.Splices))
 	p.Family("ipg_session_reparses_total", obs.TypeCounter,
@@ -275,18 +268,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Earley item sets reused verbatim across session reparses.").Sample(float64(sess.SetsReused))
 	p.Family("ipg_reparse_sets_rebuilt_total", obs.TypeCounter,
 		"Earley item sets re-expanded by session reparses.").Sample(float64(sess.SetsRebuilt))
-
-	// Completion cursors. Counters include closed cursors' tallies, so
-	// they stay monotone across idle eviction.
 	comp := s.reg.CompletionTotals()
-	p.Family("ipg_completion_cursors_open", obs.TypeGauge,
-		"Completion cursors currently open.").Sample(float64(comp.Open))
-	p.Family("ipg_completion_cursors_opened_total", obs.TypeCounter,
-		"Completion cursors opened.").Sample(float64(comp.Opened))
-	p.Family("ipg_completion_cursors_evicted_total", obs.TypeCounter,
-		"Completion cursors reclaimed by the idle janitor.").Sample(float64(comp.Evicted))
-	p.Family("ipg_completion_cursors_closed_total", obs.TypeCounter,
-		"Completion cursors closed explicitly or by entry removal/replacement.").Sample(float64(comp.Closed))
+	leaseFamilies(p, "ipg_completion_cursors", "Completion cursors", comp.LeaseTotals)
 	p.Family("ipg_completion_queries_total", obs.TypeCounter,
 		"Accept-set queries answered through retained cursors.").Sample(float64(comp.Queries))
 	p.Family("ipg_completion_feeds_total", obs.TypeCounter,
@@ -307,6 +290,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if err := p.Flush(); err != nil {
 		s.log().Warn("metrics exposition failed", "err", err)
 	}
+}
+
+// leaseFamilies emits one lease kind's four lifecycle families:
+// {prefix}_open, _opened_total, _evicted_total and _closed_total.
+func leaseFamilies(p *obs.PromWriter, prefix, what string, t registry.LeaseTotals) {
+	p.Family(prefix+"_open", obs.TypeGauge, what+" currently open.").Sample(float64(t.Open))
+	p.Family(prefix+"_opened_total", obs.TypeCounter, what+" opened.").Sample(float64(t.Opened))
+	p.Family(prefix+"_evicted_total", obs.TypeCounter,
+		what+" reclaimed by the idle janitor.").Sample(float64(t.Evicted))
+	p.Family(prefix+"_closed_total", obs.TypeCounter,
+		what+" closed explicitly, by entry removal/replacement or by a drain.").Sample(float64(t.Closed))
 }
 
 func boolGauge(b bool) float64 {

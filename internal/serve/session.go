@@ -99,21 +99,15 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	sess, err := s.reg.OpenSession(e, req.Input)
-	if err != nil {
-		s.writeSessionError(w, err)
-		return
-	}
-	// Parse the just-opened document so the client learns acceptance
-	// without a second round trip; this also warms the retained chart.
+	// The open parses the document, so the client learns acceptance
+	// without a second round trip.
 	ctx, cancelParse := s.parseCtx(r.Context())
 	defer cancelParse()
 	start := time.Now()
-	tr := s.tracer.StartParse(sess.Grammar(), sess.EngineName(), obs.RequestID(ctx))
-	res, err := sess.Run(ctx, nil, true, false, tr)
+	tr := s.tracer.StartParse(e.Name(), e.EngineKind().String(), obs.RequestID(ctx))
+	sess, res, err := s.reg.StartSession(ctx, e, req.Input, tr)
 	if err != nil {
 		s.finishTrace(tr, false, err)
-		s.reg.CloseSession(sess.ID())
 		s.writeSessionError(w, err)
 		return
 	}

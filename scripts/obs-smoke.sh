@@ -269,4 +269,28 @@ echo "$TRACE" | grep -q '"complete":' || {
 }
 echo "ok: completion metrics + trace stage present"
 
+# The bookkeeping must balance. Every completion request is one latency
+# observation and one completion, and every lease (session or cursor)
+# ever opened is open, closed or evicted.
+value() { # the sample of the first series starting with $1
+  echo "$METRICS" | awk -v p="$1" 'substr($0, 1, length(p)) == p { print $NF; exit }'
+}
+LAT="$(value 'ipg_completion_latency_seconds_count{grammar="calc",')"
+DONE="$(value 'ipg_completions_total{grammar="calc",')"
+[ -n "$LAT" ] && [ "$LAT" = "$DONE" ] || {
+  echo "FAIL: calc completion latency count $LAT != completions $DONE" >&2
+  exit 1
+}
+for kind in ipg_sessions ipg_completion_cursors; do
+  OPEN="$(value "${kind}_open ")"
+  OPENED="$(value "${kind}_opened_total ")"
+  CLOSED="$(value "${kind}_closed_total ")"
+  EVICTED="$(value "${kind}_evicted_total ")"
+  [ "$OPENED" -gt 0 ] && [ "$OPENED" -eq $((OPEN + CLOSED + EVICTED)) ] || {
+    echo "FAIL: $kind opened $OPENED != open $OPEN + closed $CLOSED + evicted $EVICTED" >&2
+    exit 1
+  }
+done
+echo "ok: completion latency count == completions ($DONE); leases opened == open + closed + evicted"
+
 echo "observability smoke passed"
