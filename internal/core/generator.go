@@ -141,7 +141,11 @@ type Generator struct {
 	cacheHits         atomic.Uint64
 	statesExpanded    atomic.Uint64
 	statesInvalidated atomic.Uint64
+	statesScanned     atomic.Uint64
 	parsesServed      atomic.Uint64
+
+	// affected is modifyGraph's scratch list (written under mu only).
+	affected []*lr.State
 
 	// Sweeps counts mark-and-sweep passes (for the GC ablation).
 	Sweeps int
@@ -295,6 +299,17 @@ type Counters struct {
 	// RepairFallbacks counts rule updates a table repair declined (or
 	// disavowed), forcing a full regeneration.
 	RepairFallbacks uint64
+	// RepairScanned, RepairPropagated, RepairRulesDiffed and
+	// RepairReanalysed count the work rule updates visited: states
+	// looked at to find and reclaim the damage, LALR(1) lookahead slots
+	// re-propagated, rules whose FIRST inputs were diffed, and
+	// nonterminals whose FIRST/nullable/FOLLOW sets were recomputed. A
+	// modification should cost what it damages, not what the grammar
+	// holds; the lazy generator reports states scanned only.
+	RepairScanned     uint64
+	RepairPropagated  uint64
+	RepairRulesDiffed uint64
+	RepairReanalysed  uint64
 	// ParsesServed counts BeginParse/EndParse pairs.
 	ParsesServed uint64
 }
@@ -309,6 +324,10 @@ func (c Counters) Plus(d Counters) Counters {
 		StatesInvalidated: c.StatesInvalidated + d.StatesInvalidated,
 		StatesRepaired:    c.StatesRepaired + d.StatesRepaired,
 		RepairFallbacks:   c.RepairFallbacks + d.RepairFallbacks,
+		RepairScanned:     c.RepairScanned + d.RepairScanned,
+		RepairPropagated:  c.RepairPropagated + d.RepairPropagated,
+		RepairRulesDiffed: c.RepairRulesDiffed + d.RepairRulesDiffed,
+		RepairReanalysed:  c.RepairReanalysed + d.RepairReanalysed,
 		ParsesServed:      c.ParsesServed + d.ParsesServed,
 	}
 }
@@ -329,6 +348,7 @@ func (gen *Generator) Counters() Counters {
 		CacheHits:         gen.cacheHits.Load(),
 		StatesExpanded:    gen.statesExpanded.Load(),
 		StatesInvalidated: gen.statesInvalidated.Load(),
+		RepairScanned:     gen.statesScanned.Load(),
 		ParsesServed:      gen.parsesServed.Load(),
 	}
 }

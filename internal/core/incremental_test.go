@@ -411,9 +411,47 @@ func applyRandomModifications(gen *Generator, rng *rand.Rand, n int) {
 	}
 }
 
+// assertIndexConsistent checks the automaton's maintained bookkeeping
+// against a scan: the type counts, and, per nonterminal, the complete
+// states with a transition on it.
+func assertIndexConsistent(t *testing.T, a *lr.Automaton) {
+	t.Helper()
+	var counts [3]int
+	want := map[grammar.Symbol]map[*lr.State]bool{}
+	for _, s := range a.States() {
+		counts[s.Type]++
+		if s.Type != lr.Complete {
+			continue
+		}
+		for sym := range s.Transitions {
+			if a.Grammar().Symbols().Kind(sym) == grammar.Nonterminal {
+				if want[sym] == nil {
+					want[sym] = map[*lr.State]bool{}
+				}
+				want[sym][s] = true
+			}
+		}
+	}
+	if i, c, d := a.TypeCounts(); [3]int{i, c, d} != counts {
+		t.Fatalf("type counts %d/%d/%d, scan %v", i, c, d, counts)
+	}
+	for _, n := range a.Grammar().Symbols().Nonterminals() {
+		got := a.AppendStatesOn(nil, n)
+		if len(got) != len(want[n]) {
+			t.Fatalf("index on %s: %d states, scan %d", a.Grammar().Symbols().Name(n), len(got), len(want[n]))
+		}
+		for _, s := range got {
+			if !want[n][s] {
+				t.Fatalf("index on %s holds state %d, which the scan does not", a.Grammar().Symbols().Name(n), s.ID)
+			}
+		}
+	}
+}
+
 // Property: after any sequence of random modifications, the incrementally
 // maintained graph (fully expanded) is isomorphic to a from-scratch
-// conventional generation for the final grammar.
+// conventional generation for the final grammar, and its type counts and
+// nonterminal index agree with a scan.
 func TestIncrementalEquivalentToScratch(t *testing.T) {
 	for _, policy := range []Policy{PolicyRefCount, PolicyRetainAll, PolicyEagerSweep} {
 		policy := policy
@@ -424,7 +462,9 @@ func TestIncrementalEquivalentToScratch(t *testing.T) {
 				gen := New(g, &Options{Policy: policy})
 				gen.Pregenerate() // specialize fully toward the old grammar
 				applyRandomModifications(gen, rng, 4)
+				assertIndexConsistent(t, gen.Automaton())
 				gen.Pregenerate()
+				assertIndexConsistent(t, gen.Automaton())
 
 				eager := lr.New(g.Clone())
 				eager.GenerateAll()

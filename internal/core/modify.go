@@ -85,13 +85,15 @@ func (gen *Generator) modifyGraph(rule *grammar.Rule) {
 		}
 		gen.auto.ResetStartKernel()
 	} else {
-		for _, s := range gen.auto.States() {
-			if s.Type == lr.Complete {
-				if _, ok := s.Transitions[rule.Lhs]; ok {
-					gen.invalidate(s)
-				}
-			}
+		// The automaton indexes the complete states by the nonterminals
+		// they transition on, so finding them costs as much as there
+		// are of them.
+		gen.affected = gen.auto.AppendStatesOn(gen.affected[:0], rule.Lhs)
+		gen.statesScanned.Add(uint64(len(gen.affected)))
+		for _, s := range gen.affected {
+			gen.invalidate(s)
 		}
+		clear(gen.affected)
 	}
 	if gen.policy == PolicyEagerSweep {
 		gen.markSweepLocked()
@@ -104,25 +106,14 @@ func (gen *Generator) modifyGraph(rule *grammar.Rule) {
 // (reference-counting policies), so the lazy generator re-expands it when
 // the parser needs it again.
 func (gen *Generator) invalidate(s *lr.State) {
-	s.Unpublish()
 	gen.statesInvalidated.Add(1)
-	switch gen.policy {
-	case PolicyRefCount:
-		// Section 6.2: make it dirty — an initial set of items with a
-		// history — so RE-EXPAND can release old references afterwards.
-		s.OldTransitions = s.Transitions
-		s.OldAccept = s.Accept
-		s.Type = lr.Dirty
-	default:
-		// Section 6.1 (PolicyRetainAll): make it initial; transitions
-		// disappear ("by definition, initial sets of items do not have a
-		// transitions field"). PolicyEagerSweep also drops the history:
-		// the subsequent sweep then removes everything these transitions
-		// kept alive — the "too much is thrown away" horn of the
-		// dilemma.
-		s.Type = lr.Initial
-	}
-	s.Transitions = nil
-	s.Reductions = nil
-	s.Accept = false
+	// PolicyRefCount (section 6.2) makes the state dirty — an initial
+	// set of items with a history — so RE-EXPAND can release old
+	// references afterwards. PolicyRetainAll (section 6.1) makes it
+	// initial: transitions disappear ("by definition, initial sets of
+	// items do not have a transitions field"). PolicyEagerSweep also
+	// drops the history: the subsequent sweep then removes everything
+	// these transitions kept alive — the "too much is thrown away" horn
+	// of the dilemma.
+	gen.auto.Invalidate(s, gen.policy == PolicyRefCount)
 }

@@ -76,6 +76,9 @@ type Auto struct {
 	lrTbl     *lalr.Table
 	llTbl     *ll.Table
 	llPending []*grammar.Rule
+	// keptWork accumulates the work counts of the kept tables' repairs,
+	// so an update served by lazy GLR or LL reports all it cost.
+	keptWork core.Counters
 
 	// reprobe marks that rule updates (or a churn-window shift) have
 	// outdated the selection; the next access reselects once for the
@@ -258,7 +261,7 @@ func (a *Auto) Counters() core.Counters {
 	a.current() // settle any pending reselection first
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.cur.Counters().Plus(a.retired)
+	return a.cur.Counters().Plus(a.retired).Plus(a.keptWork)
 }
 
 // TableInfo implements Engine.
@@ -408,7 +411,9 @@ func (a *Auto) repairVerdictLocked(r *grammar.Rule, added bool) {
 	if a.lrTbl == nil {
 		return
 	}
-	if a.lrTbl.Repair(r).Stale() {
+	st := a.lrTbl.Repair(r)
+	a.keptWork = a.keptWork.Plus(repairWork(st))
+	if st.Stale() {
 		a.dropTablesLocked()
 		return
 	}
@@ -416,7 +421,9 @@ func (a *Auto) repairVerdictLocked(r *grammar.Rule, added bool) {
 		if added && len(a.llTbl.Conflicts()) > 0 {
 			a.llPending = append(a.llPending, r)
 		} else {
-			a.llTbl.Repair(append(a.llPending, r)...)
+			lst := a.llTbl.Repair(append(a.llPending, r)...)
+			a.keptWork.RepairRulesDiffed += uint64(lst.RulesDiffed)
+			a.keptWork.RepairReanalysed += uint64(lst.Reanalysed)
 			a.llPending = a.llPending[:0]
 		}
 	}

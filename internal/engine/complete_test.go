@@ -392,6 +392,70 @@ func TestCursorStaleAfterRuleUpdate(t *testing.T) {
 	}
 }
 
+// TestCursorStaleAfterBackendSwitch is the backend-switch case of the
+// staleness contract: a cursor opened on auto's backend refuses with
+// ErrCursorStale once a rule update moves auto to another backend, in
+// both directions, and a fresh cursor opens on the new one.
+func TestCursorStaleAfterBackendSwitch(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		from, to engine.Kind
+		add      bool
+	}{
+		{"lalr to glr", engine.KindLALR, engine.KindGLR, true},
+		{"glr to lalr", engine.KindGLR, engine.KindLALR, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := guardFixture(t, "CalcDet.bnf")
+			mod, err := grammar.Parse(`E ::= E "+" E`, g.Symbols())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ambiguous := mod.Rules()[0]
+			if !c.add {
+				if err := g.AddRule(ambiguous); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e := engine.NewAuto(g, nil)
+			if e.Kind() != c.from {
+				t.Fatalf("auto serves %v, want %v", e.Kind(), c.from)
+			}
+			cur, _, err := engine.OpenCursor(e, fixtures.Tokens(g, "n +"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			if c.add {
+				err = e.AddRule(ambiguous)
+			} else {
+				err = e.DeleteRule(ambiguous)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Kind() != c.to {
+				t.Fatalf("auto serves %v after the update, want %v", e.Kind(), c.to)
+			}
+			var set engine.TermSet
+			if err := cur.Accepts(&set); !errors.Is(err, engine.ErrCursorStale) {
+				t.Fatalf("Accepts after the switch err = %v, want ErrCursorStale", err)
+			}
+			if err := cur.Feed(fixtures.Tokens(g, "n")[0]); !errors.Is(err, engine.ErrCursorStale) {
+				t.Fatalf("Feed after the switch err = %v, want ErrCursorStale", err)
+			}
+			fresh, _, err := engine.OpenCursor(e, fixtures.Tokens(g, "n +"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if err := fresh.Feed(fixtures.Tokens(g, "n")[0]); err != nil {
+				t.Fatalf("fresh cursor Feed(n): %v", err)
+			}
+		})
+	}
+}
+
 func TestOneShotAccepts(t *testing.T) {
 	g := guardFixture(t, "CalcDet.bnf")
 	e, err := engine.New(engine.KindLALR, g, nil)

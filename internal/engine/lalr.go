@@ -43,6 +43,9 @@ type LALR struct {
 	repaired    atomic.Uint64
 	fallbacks   atomic.Uint64
 	updates     atomic.Uint64
+	// work accumulates the repairs' work counts (RepairScanned,
+	// RepairPropagated, RepairRulesDiffed, RepairReanalysed), under mu.
+	work core.Counters
 }
 
 // NewLALR eagerly generates the LALR(1) table for g.
@@ -115,14 +118,28 @@ func (e *LALR) drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace
 }
 
 // Counters implements Engine: parses served, plus table repairs and
-// rebuilds mapped onto the expanded/invalidated/repaired vocabulary.
+// rebuilds mapped onto the expanded/invalidated/repaired vocabulary, and
+// the work the repairs visited.
 func (e *LALR) Counters() core.Counters {
+	e.mu.RLock()
+	c := e.work
+	e.mu.RUnlock()
+	c.ParsesServed = e.parsesServed.Load()
+	c.StatesExpanded = e.expanded.Load()
+	c.StatesInvalidated = e.invalidated.Load()
+	c.StatesRepaired = e.repaired.Load()
+	c.RepairFallbacks = e.fallbacks.Load()
+	return c
+}
+
+// repairWork is the repair's work counts in the shared counter
+// vocabulary.
+func repairWork(st lalr.RepairStats) core.Counters {
 	return core.Counters{
-		ParsesServed:      e.parsesServed.Load(),
-		StatesExpanded:    e.expanded.Load(),
-		StatesInvalidated: e.invalidated.Load(),
-		StatesRepaired:    e.repaired.Load(),
-		RepairFallbacks:   e.fallbacks.Load(),
+		RepairScanned:     uint64(st.Scanned),
+		RepairPropagated:  uint64(st.Propagated),
+		RepairRulesDiffed: uint64(st.RulesDiffed),
+		RepairReanalysed:  uint64(st.Reanalysed),
 	}
 }
 
@@ -167,6 +184,7 @@ func (e *LALR) DeleteRule(r *grammar.Rule) error {
 func (e *LALR) updateLocked(r *grammar.Rule) {
 	e.updates.Add(1)
 	st := e.tbl.Repair(r)
+	e.work = e.work.Plus(repairWork(st))
 	if st.Stale() {
 		e.fallbacks.Add(1)
 		e.regenerateLocked()

@@ -32,6 +32,9 @@ type LL struct {
 	// vocabulary; updates feeds the Reason diagnostic.
 	rowsRepaired atomic.Uint64
 	updates      atomic.Uint64
+	// rulesDiffed and reanalysed accumulate the repairs' work counts.
+	rulesDiffed atomic.Uint64
+	reanalysed  atomic.Uint64
 }
 
 // NewLL generates the LL(1) table for g, failing with the conflict list
@@ -115,7 +118,18 @@ func (e *LL) Counters() core.Counters {
 		StatesExpanded:    rows,
 		StatesInvalidated: rows,
 		StatesRepaired:    rows,
+		RepairRulesDiffed: e.rulesDiffed.Load(),
+		RepairReanalysed:  e.reanalysed.Load(),
 	}
+}
+
+// repair splices already-applied rule updates into the table and
+// counts the rows refilled and the work visited. Callers hold mu.
+func (e *LL) repair(rules ...*grammar.Rule) {
+	st := e.tbl.Repair(rules...)
+	e.rowsRepaired.Add(uint64(st.RowsRepaired))
+	e.rulesDiffed.Add(uint64(st.RulesDiffed))
+	e.reanalysed.Add(uint64(st.Reanalysed))
 }
 
 // TableInfo implements Engine: one "state" per nonterminal row of the
@@ -139,15 +153,13 @@ func (e *LL) AddRule(r *grammar.Rule) error {
 		return fmt.Errorf("engine: ll add rule: %w", err)
 	}
 	e.updates.Add(1)
-	st := e.tbl.Repair(r)
-	e.rowsRepaired.Add(uint64(st.RowsRepaired))
+	e.repair(r)
 	if n := len(e.tbl.Conflicts()); n > 0 {
 		stored, derr := e.g.DeleteRule(r)
 		if derr != nil {
 			return fmt.Errorf("engine: ll rollback after %d conflicts failed: %v", n, derr)
 		}
-		undo := e.tbl.Repair(stored)
-		e.rowsRepaired.Add(uint64(undo.RowsRepaired))
+		e.repair(stored)
 		return fmt.Errorf("engine: rule makes the grammar non-LL(1) (%d conflicts), rolled back: %w", n, ll.ErrNotLL1)
 	}
 	return nil
@@ -163,7 +175,6 @@ func (e *LL) DeleteRule(r *grammar.Rule) error {
 		return fmt.Errorf("engine: ll delete rule: %w", err)
 	}
 	e.updates.Add(1)
-	st := e.tbl.Repair(stored)
-	e.rowsRepaired.Add(uint64(st.RowsRepaired))
+	e.repair(stored)
 	return nil
 }

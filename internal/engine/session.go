@@ -82,18 +82,78 @@ type sessionOpener interface {
 // OpenSession opens a document session over input (a trailing end
 // marker is dropped) on e. Earley-backed engines — including auto
 // entries currently running Earley — get chart-reuse sessions; every
-// other backend gets a full-reparse fallback. Auto sessions pin the
-// backend selected at open time: a later churn-driven reselection does
-// not migrate live sessions.
+// other backend gets a full-reparse fallback. Auto sessions follow the
+// engine's selection (see autoSession).
 func OpenSession(e Engine, input []grammar.Symbol) (Session, error) {
 	if a, ok := e.(*Auto); ok {
-		return OpenSession(a.current(), input)
+		cur := a.current()
+		inner, err := OpenSession(cur, input)
+		if err != nil {
+			return nil, err
+		}
+		return &autoSession{Session: inner, a: a, backend: cur}, nil
 	}
 	if so, ok := e.(sessionOpener); ok {
 		return so.OpenSession(input)
 	}
 	return newFallbackSession(e, input), nil
 }
+
+// autoSession is a session on an auto engine, driven by a session of
+// the backend auto selected. A reselection retires that backend, and no
+// later rule update reaches a retired table, so before every drive the
+// session checks that its backend is still the one auto serves with;
+// when it is not, the session reopens on the current backend from its
+// tokens — one full parse, as a full-reparse session pays on every
+// drive anyway.
+type autoSession struct {
+	Session
+	a       *Auto
+	backend Engine
+	// banked holds the reuse accounting of the sessions replaced by
+	// reopens, so Stats stays monotone.
+	banked SessionStats
+}
+
+func (s *autoSession) Reparse() (Result, error) { return s.drive(nil, false, nil, nil) }
+
+// drive implements Driver: follow the selection, then drive.
+func (s *autoSession) drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
+	if cur := s.a.current(); cur != s.backend {
+		next, err := OpenSession(cur, s.Session.(tokenHolder).document())
+		if err != nil {
+			return Result{}, err
+		}
+		st := s.Session.Stats()
+		s.banked.Reparses += st.Reparses
+		s.banked.FullReparses += st.FullReparses
+		s.banked.SetsReused += st.SetsReused
+		s.banked.SetsRebuilt += st.SetsRebuilt
+		s.Session.Close()
+		s.Session, s.backend = next, cur
+	}
+	return s.Session.drive(input, buildTrees, tr, fl)
+}
+
+func (s *autoSession) Stats() SessionStats {
+	st := s.Session.Stats()
+	st.Reparses += s.banked.Reparses
+	st.FullReparses += s.banked.FullReparses
+	st.SetsReused += s.banked.SetsReused
+	st.SetsRebuilt += s.banked.SetsRebuilt
+	return st
+}
+
+// ResetForest forwards to a backend session that retains a forest.
+func (s *autoSession) ResetForest() {
+	if fr, ok := s.Session.(ForestResetter); ok {
+		fr.ResetForest()
+	}
+}
+
+// tokenHolder is implemented by the backend sessions: their current
+// document, for an auto session's reopen.
+type tokenHolder interface{ document() []grammar.Symbol }
 
 // earleySession is the incremental session: a retained earley.Doc whose
 // chart survives across reparses. The Doc runs in tree mode (it records
@@ -112,9 +172,10 @@ func (e *Earley) OpenSession(input []grammar.Symbol) (Session, error) {
 	return &earleySession{e: e, d: e.p.OpenDoc(input, true)}, nil
 }
 
-func (s *earleySession) Engine() Kind      { return KindEarley }
-func (s *earleySession) Incremental() bool { return true }
-func (s *earleySession) Len() int          { return s.d.Len() }
+func (s *earleySession) Engine() Kind               { return KindEarley }
+func (s *earleySession) document() []grammar.Symbol { return s.d.Tokens() }
+func (s *earleySession) Incremental() bool          { return true }
+func (s *earleySession) Len() int                   { return s.d.Len() }
 
 func (s *earleySession) Splice(at, removed int, insert []grammar.Symbol) error {
 	return s.d.Splice(at, removed, insert)
@@ -188,9 +249,10 @@ func newFallbackSession(e Engine, input []grammar.Symbol) *fallbackSession {
 	return &fallbackSession{e: e, tokens: append([]grammar.Symbol(nil), input...)}
 }
 
-func (s *fallbackSession) Engine() Kind      { return s.e.Kind() }
-func (s *fallbackSession) Incremental() bool { return false }
-func (s *fallbackSession) Len() int          { return len(s.tokens) }
+func (s *fallbackSession) Engine() Kind               { return s.e.Kind() }
+func (s *fallbackSession) document() []grammar.Symbol { return s.tokens }
+func (s *fallbackSession) Incremental() bool          { return false }
+func (s *fallbackSession) Len() int                   { return len(s.tokens) }
 
 func (s *fallbackSession) Splice(at, removed int, insert []grammar.Symbol) error {
 	if err := CheckSplice(len(s.tokens), at, removed, insert); err != nil {

@@ -1,11 +1,12 @@
 package grammar
 
-// This file implements the classical grammar analyses shared by the LALR(1)
-// (Yacc baseline) and LL(1) generators: reachability, productivity,
-// NULLABLE, FIRST and FOLLOW. All are computed to fixpoint over the current
-// rule set; callers re-run them after grammar modification (the analyses
-// themselves are not incremental — only the LR(0) graph of item sets is,
-// which is the point of the paper).
+// This file implements the classical grammar analyses: reachability,
+// productivity, NULLABLE, FIRST and FOLLOW. The functions below compute
+// them from scratch, to fixpoint over the current rule set, as maps;
+// they are the reference the incremental Analysis (incremental.go) is
+// tested against, and what one-off callers use. The table generators
+// read the Analysis instead, which the grammar keeps up to date across
+// rule modifications at a cost bounded by what the modification moved.
 
 // SymbolSet is a set of symbols.
 type SymbolSet map[Symbol]bool
@@ -155,12 +156,7 @@ func (g *Grammar) FirstOfString(alpha []Symbol, first map[Symbol]SymbolSet, null
 // appear immediately after it in a sentential form. FOLLOW(START)
 // contains EOF.
 func (g *Grammar) FollowSets() map[Symbol]SymbolSet {
-	return g.FollowSetsOf(g.FirstSets(), g.Nullable())
-}
-
-// FollowSetsOf is FollowSets over the FIRST and nullable sets of g's
-// current rules, for callers that have already computed them.
-func (g *Grammar) FollowSetsOf(first map[Symbol]SymbolSet, null SymbolSet) map[Symbol]SymbolSet {
+	first, null := g.FirstSets(), g.Nullable()
 	follow := map[Symbol]SymbolSet{}
 	for _, n := range g.syms.Nonterminals() {
 		follow[n] = SymbolSet{}

@@ -3,6 +3,7 @@ package grammar
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,10 +25,16 @@ type Grammar struct {
 	syms  *SymbolTable
 	start Symbol // the START nonterminal, interned eagerly
 
-	rules   []*Rule          // insertion order, live rules only
-	byKey   map[string]*Rule // value identity -> rule
-	byLhs   map[Symbol][]*Rule
+	rules []*Rule          // insertion order, live rules only
+	byKey map[string]*Rule // value identity -> rule
+	byLhs map[Symbol][]*Rule
+	// uses[n] lists the rules whose right-hand side mentions
+	// nonterminal n, in insertion order: the reverse-dependency index
+	// the incremental analyses walk.
+	uses    [][]*Rule
 	version uint64
+	// ana is the incremental analysis, nil until first asked for.
+	ana *Analysis
 }
 
 // New returns an empty grammar over the given symbol table (a fresh table
@@ -73,6 +80,20 @@ func (g *Grammar) Rules() []*Rule { return g.rules }
 // order. The returned slice is shared; callers must not modify it.
 func (g *Grammar) RulesFor(lhs Symbol) []*Rule { return g.byLhs[lhs] }
 
+// RulesUsing returns the rules whose right-hand side mentions
+// nonterminal n, in insertion order. The returned slice is shared;
+// callers must not modify it.
+func (g *Grammar) RulesUsing(n Symbol) []*Rule {
+	if int(n) < len(g.uses) {
+		return g.uses[n]
+	}
+	return nil
+}
+
+// LhsCount returns the number of nonterminals that have at least one
+// rule.
+func (g *Grammar) LhsCount() int { return len(g.byLhs) }
+
 // Has reports whether an identical rule (same Lhs, same Rhs) is present.
 func (g *Grammar) Has(r *Rule) bool {
 	_, ok := g.byKey[r.Key()]
@@ -106,7 +127,16 @@ func (g *Grammar) AddRule(r *Rule) error {
 	g.rules = append(g.rules, r)
 	g.byKey[r.Key()] = r
 	g.byLhs[r.Lhs] = append(g.byLhs[r.Lhs], r)
+	g.forUses(r, func(n Symbol) {
+		for int(n) >= len(g.uses) {
+			g.uses = append(g.uses, nil)
+		}
+		g.uses[n] = append(g.uses[n], r)
+	})
 	g.version++
+	if g.ana != nil {
+		g.ana.record(r, true)
+	}
 	return nil
 }
 
@@ -124,8 +154,22 @@ func (g *Grammar) DeleteRule(r *Rule) (*Rule, error) {
 	} else {
 		delete(g.byLhs, stored.Lhs)
 	}
+	g.forUses(stored, func(n Symbol) { g.uses[n] = removeRule(g.uses[n], stored) })
 	g.version++
+	if g.ana != nil {
+		g.ana.record(stored, false)
+	}
 	return stored, nil
+}
+
+// forUses calls fn once for each distinct nonterminal in r's
+// right-hand side.
+func (g *Grammar) forUses(r *Rule, fn func(Symbol)) {
+	for i, s := range r.Rhs {
+		if g.syms.Kind(s) == Nonterminal && !slices.Contains(r.Rhs[:i], s) {
+			fn(s)
+		}
+	}
 }
 
 func removeRule(rs []*Rule, r *Rule) []*Rule {
@@ -184,6 +228,10 @@ func (g *Grammar) Clone() *Grammar {
 	}
 	for lhs, rs := range g.byLhs {
 		c.byLhs[lhs] = append([]*Rule(nil), rs...)
+	}
+	c.uses = make([][]*Rule, len(g.uses))
+	for n, rs := range g.uses {
+		c.uses[n] = append([]*Rule(nil), rs...)
 	}
 	return c
 }

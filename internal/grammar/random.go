@@ -178,3 +178,35 @@ func (g *Grammar) RandomSentence(rng *rand.Rand, maxDepth int) ([]Symbol, bool) 
 	}
 	return out, true
 }
+
+// Replicate returns k disjoint copies of g's rules over a fresh symbol
+// table: copy 0 keeps g's nonterminal names, copy i renames every
+// nonterminal but START to "X~i", and every copy's START rules join one
+// START. Terminals are shared. It builds the fixed-damage grammars of
+// the scaling measurements: an edit inside one copy damages the same
+// states at every k, while the grammar grows k-fold.
+func Replicate(g *Grammar, k int) *Grammar {
+	out := New(nil)
+	rename := func(s Symbol, i int) Symbol {
+		name := g.syms.Name(s)
+		if g.syms.Kind(s) == Terminal || s == g.start {
+			return out.syms.MustIntern(name, g.syms.Kind(s))
+		}
+		if i > 0 {
+			name = fmt.Sprintf("%s~%d", name, i)
+		}
+		return out.syms.MustIntern(name, Nonterminal)
+	}
+	for i := 0; i < k; i++ {
+		for _, r := range g.rules {
+			rhs := make([]Symbol, len(r.Rhs))
+			for j, s := range r.Rhs {
+				rhs[j] = rename(s, i)
+			}
+			if nr := NewRule(rename(r.Lhs, i), rhs...); !out.Has(nr) {
+				mustAdd(out, nr)
+			}
+		}
+	}
+	return out
+}

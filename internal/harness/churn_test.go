@@ -1,95 +1,36 @@
 package harness
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 )
 
-// churnReport mirrors the slice of the committed ipg-bench envelope the
-// table-repair gate needs.
-type churnReport struct {
-	Churn []ChurnResult `json:"churn"`
-}
-
-// TestChurnRepairGate pins the PR's acceptance criterion in the
-// committed artifact: a single-rule update on SDF.sdf (the paper's own
-// definition, the Fig 7.1 bootstrap fixture) must repair the LALR(1)
-// table at least 5× faster than regenerating it, without the repair
-// declining, and a warm repair must heap-allocate at most a quarter of
-// what a regeneration does. The artifact is regenerated by CI
-// (ipg-bench -engines -json), so a repair regression shows up as a
-// stale-vs-live mismatch in review and as a failure here when the new
-// artifact is committed.
+// TestChurnRepairGate pins the table-repair acceptance criterion on the
+// code under test: it runs the churn workload live and requires that a
+// single-rule update on SDF.sdf (the paper's own definition, the Fig 7.1
+// bootstrap fixture) repairs the LALR(1) table at least 5× faster than
+// regenerating it, and that a warm repair heap-allocates at most a
+// quarter of what a regeneration does. RunChurn keeps the minimum over
+// repeated timings of both, and checks the repaired table against a
+// from-scratch generation itself. It also checks what holds on every
+// row and machine: no fresh-terminal probe declines, and the rederived
+// and kept states partition the post-splice automaton. The timing bar
+// is skipped under the race detector, which skews it.
 func TestChurnRepairGate(t *testing.T) {
-	buf, err := os.ReadFile("../../BENCH_pr8.json")
-	if err != nil {
-		t.Skipf("no committed artifact: %v", err)
-	}
-	var report churnReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatalf("BENCH_pr8.json: %v", err)
-	}
-	if len(report.Churn) == 0 {
-		t.Fatal("BENCH_pr8.json has no churn workload (regenerate with ipg-bench -engines)")
-	}
-
-	// The gate row: the fastest repaired single-rule update on SDF.sdf.
-	// Fresh-terminal probes never move the conflict set, so no SDF.sdf
-	// probe may decline.
-	var gate *ChurnResult
-	for i := range report.Churn {
-		r := &report.Churn[i]
-		if r.Fixture != "SDF.sdf" {
-			continue
-		}
-		if r.FellBack {
-			t.Errorf("SDF.sdf %s: fresh-terminal probe fell back to regeneration", r.Nonterminal)
-			continue
-		}
-		if gate == nil || r.Speedup > gate.Speedup {
-			gate = r
-		}
-	}
-	if gate == nil {
-		t.Fatal("no repaired SDF.sdf row in BENCH_pr8.json")
-	}
-	if gate.Speedup < 5 {
-		t.Errorf("single-rule update on SDF.sdf (%s): %.1fx speedup, want >= 5x (repair %dns, regen %dns)",
-			gate.Nonterminal, gate.Speedup, gate.RepairNS, gate.RegenNS)
-	}
-	// The locality invariant: a repair allocates only for the damaged
-	// slice of the automaton, not the whole table.
-	if gate.RepairAllocs*4 > gate.RegenAllocs {
-		t.Errorf("warm repair allocates %d/op vs %d/op for regen, want <= 1/4",
-			gate.RepairAllocs, gate.RegenAllocs)
-	}
-}
-
-// TestChurnWorkloadLive is the lenient live counterpart: it runs the
-// churn workload once and checks the invariants that hold on any
-// machine — no fresh-terminal probe declines, repaired+kept covers the
-// surviving automaton, and (without the race detector skewing timing)
-// a better-than-break-even repair on the best SDF.sdf probe. Table
-// parity against a from-scratch generation is asserted inside RunChurn
-// itself.
-func TestChurnWorkloadLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn workload regenerates large tables; skipped in -short")
 	}
-	results, err := RunChurn("../../testdata", 2)
+	results, err := RunChurn("../../testdata", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) == 0 {
 		t.Fatal("churn workload produced no rows")
 	}
-	var best *ChurnResult
+	var gate *ChurnResult
 	for i := range results {
 		r := &results[i]
 		if r.FellBack {
-			t.Errorf("%s %s: fresh-terminal probe fell back to regeneration",
-				r.Fixture, r.Nonterminal)
+			t.Errorf("%s %s: fresh-terminal probe fell back to regeneration", r.Fixture, r.Nonterminal)
 			continue
 		}
 		// Lookahead re-derivation accounting is deterministic: the dirty
@@ -98,17 +39,23 @@ func TestChurnWorkloadLive(t *testing.T) {
 			t.Errorf("%s %s: rederived+kept = %d states, want states+1 = %d",
 				r.Fixture, r.Nonterminal, got, r.States+1)
 		}
-		if r.Fixture == "SDF.sdf" && (best == nil || r.Speedup > best.Speedup) {
-			best = r
+		if r.Fixture == "SDF.sdf" && (gate == nil || r.Speedup > gate.Speedup) {
+			gate = r
 		}
 	}
-	if best == nil {
+	if gate == nil {
 		t.Fatal("no repaired SDF.sdf row")
 	}
-	// Machine-independent sanity only — the 5x bar is pinned against the
-	// committed artifact above. 1.5x leaves headroom for noisy CI boxes.
-	if !raceEnabled && best.Speedup < 1.5 {
-		t.Errorf("best single-rule update on SDF.sdf (%s): %.1fx live speedup, want >= 1.5x",
-			best.Nonterminal, best.Speedup)
+	t.Logf("best SDF.sdf repair (%s): %dns vs regen %dns (%.1fx), %d vs %d allocs/op",
+		gate.Nonterminal, gate.RepairNS, gate.RegenNS, gate.Speedup, gate.RepairAllocs, gate.RegenAllocs)
+	if !raceEnabled && gate.Speedup < 5 {
+		t.Errorf("single-rule update on SDF.sdf (%s): %.1fx speedup, want >= 5x (repair %dns, regen %dns)",
+			gate.Nonterminal, gate.Speedup, gate.RepairNS, gate.RegenNS)
+	}
+	// The locality invariant: a repair allocates only for the damaged
+	// slice of the automaton, not the whole table.
+	if gate.RepairAllocs*4 > gate.RegenAllocs {
+		t.Errorf("warm repair allocates %d/op vs %d/op for regen, want <= 1/4",
+			gate.RepairAllocs, gate.RegenAllocs)
 	}
 }

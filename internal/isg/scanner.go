@@ -22,8 +22,9 @@ type Stats struct {
 	DFAStates int
 	// DFATransitions is the number of (state, rune) transitions computed.
 	DFATransitions int
-	// Invalidations counts lexical-syntax modifications that discarded
-	// the materialized DFA.
+	// Invalidations counts lexical-syntax modifications that invalidated
+	// materialized DFA states: all of them, or only the start state when
+	// AddRule appends a fresh literal.
 	Invalidations int
 }
 
@@ -72,11 +73,28 @@ func (s *Scanner) rebuild() error {
 // Rules returns the current lexical rules.
 func (s *Scanner) Rules() []Rule { return s.rules }
 
-// AddRule adds a lexical rule and invalidates the materialized DFA; the
-// scanner regenerates the needed parts lazily on the next scan. The NFA
-// is rebuilt eagerly (it is linear in the rule set and cheap — the
-// expensive artifact is the DFA, which stays lazy).
+// AddRule adds a lexical rule. A rule of a new sort whose pattern
+// references no other sort — a keyword or punctuation literal, the
+// common case of a grammar update teaching the scanner a new terminal —
+// is compiled as one more NFA fragment off the start state, and only the
+// DFA's start state is invalidated: the other materialized DFA states
+// are subsets of NFA states the new fragment cannot reach, so their
+// transitions stay valid, and the states the new fragment joins are
+// materialized lazily on the next scan. Any other rule changes what
+// existing references resolve to, so the NFA is rebuilt from the whole
+// rule set and the DFA discarded. A rule that fails to compile leaves
+// the scanner unchanged.
 func (s *Scanner) AddRule(r Rule) error {
+	if !r.Private && !hasRef(r.Pattern) && !s.HasSort(r.Sort) {
+		if err := appendRule(s.nfa, len(s.rules), r); err != nil {
+			return err
+		}
+		s.rules = append(s.rules, r)
+		delete(s.dfa, subsetKey(s.start.states))
+		s.start = s.intern(epsClosure([]*nfaState{s.nfa.start}))
+		s.Stats.Invalidations++
+		return nil
+	}
 	s.rules = append(s.rules, r)
 	if err := s.rebuild(); err != nil {
 		s.rules = s.rules[:len(s.rules)-1]
@@ -88,6 +106,16 @@ func (s *Scanner) AddRule(r Rule) error {
 	}
 	s.Stats.Invalidations++
 	return nil
+}
+
+// HasSort reports whether a rule of the given sort exists.
+func (s *Scanner) HasSort(sort string) bool {
+	for _, r := range s.rules {
+		if r.Sort == sort {
+			return true
+		}
+	}
+	return false
 }
 
 // RemoveSort deletes all rules of the given sort and invalidates the DFA.

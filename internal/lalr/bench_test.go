@@ -1,6 +1,7 @@
 package lalr
 
 import (
+	"fmt"
 	"testing"
 
 	"ipg/internal/grammar"
@@ -23,31 +24,35 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkRepair measures the table half of a registry rule update on
-// SDF.sdf: one op adds LEX-ELEM ::= "kw0" and deletes it again, repairing
-// the table after each mutation.
+// k copies of SDF.sdf's nonterminals under one START (k = 1 is SDF.sdf
+// itself): one op adds LEX-ELEM ::= "kw0" to copy 0 and deletes it
+// again, repairing the table after each mutation. The damage is the
+// same at every k, so the op should cost the same too.
 func BenchmarkRepair(b *testing.B) {
-	g := loadTestdata(b, "SDF.sdf")
-	tmp, err := grammar.Parse(`LEX-ELEM ::= "kw0"`, g.Symbols())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rule := tmp.Rules()[0]
-	tbl := Generate(g)
-	repair := func(r *grammar.Rule) {
-		if st := tbl.Repair(r); st.Stale() {
-			b.Fatalf("repair left the table stale: %s", st.Reason)
-		}
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if err := g.AddRule(rule); err != nil {
-			b.Fatal(err)
-		}
-		repair(rule)
-		stored, err := g.DeleteRule(rule)
-		if err != nil {
-			b.Fatal(err)
-		}
-		repair(stored)
+	base := loadTestdata(b, "SDF.sdf")
+	for _, k := range []int{1, 16} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			g := grammar.Replicate(base, k)
+			lex, _ := g.Symbols().Lookup("LEX-ELEM")
+			rule := grammar.NewRule(lex, g.Symbols().MustIntern("kw0", grammar.Terminal))
+			tbl := Generate(g)
+			repair := func(r *grammar.Rule) {
+				if st := tbl.Repair(r); st.Stale() {
+					b.Fatalf("repair left the table stale: %s", st.Reason)
+				}
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := g.AddRule(rule); err != nil {
+					b.Fatal(err)
+				}
+				repair(rule)
+				stored, err := g.DeleteRule(rule)
+				if err != nil {
+					b.Fatal(err)
+				}
+				repair(stored)
+			}
+		})
 	}
 }

@@ -27,6 +27,7 @@ package lalr
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,6 +41,16 @@ import (
 // declines and the caller regenerates from scratch.
 const FallbackFraction = 0.5
 
+// symset is a set of symbols indexed by symbol ID. Bit 0
+// (grammar.NoSymbol) is the dummy lookahead of the propagation analysis;
+// it never stands for an input symbol.
+type symset = grammar.Bitset
+
+// anyReal reports whether s holds a symbol other than the dummy lookahead.
+func anyReal(s symset) bool {
+	return len(s) > 0 && (s[0]&^1 != 0 || !s[1:].Empty())
+}
+
 // Table is an LALR(1) parse table: the LR(0) graph of item sets, a
 // lookahead set per (state, reducible rule), and the cached
 // spontaneous/propagation network that lets Repair splice rule updates
@@ -48,16 +59,17 @@ type Table struct {
 	auto      *lr.Automaton
 	conflicts []Conflict
 
-	// Cached analyses of the grammar the table currently reflects, packed
-	// by symbol ID: first holds the FIRST set of each nonterminal (a
-	// terminal's is itself), null the nullable nonterminals. Repair diffs
-	// fresh analyses against them to find lookahead damage. words is the
-	// symset width they were packed at; every set built since fits in it.
-	first []symset
-	null  symset
-	words int
+	// ana is the grammar's FIRST/nullable analysis and version the
+	// grammar version the network was built at: Repair asks the analysis
+	// which nonterminals moved since. words is the symset width of the
+	// current symbol table; sets built before it grew are narrower.
+	ana     *grammar.Analysis
+	version uint64
+	words   int
 	// net is the retained propagation network, one entry per state.
 	net map[*lr.State]*stateLA
+	// epoch stamps the slots and entries one repair visits.
+	epoch uint64
 	// tmp is working space reused by every closure and derivation.
 	tmp scratch
 }
@@ -81,19 +93,29 @@ type stateLA struct {
 	// conflicts are this state's parse-table conflicts; the table-wide
 	// list is their concatenation in state-ID order.
 	conflicts []Conflict
+	// built is set once the entry's network has been built.
+	built bool
+	mark  uint64
 }
 
 // slot is the lookahead slot of one kernel item.
 type slot struct {
+	sl *stateLA
 	// The slot's closure under the dummy lookahead gives edges, the slots
 	// its own lookaheads propagate to, and reach, the reductions it
 	// completes.
 	edges []*slot
 	reach []reduceRef
+	// in and gens are the reverse of the network: the slots whose edges
+	// lead here, and the spontaneous contributions made here. They bound
+	// a repair's re-propagation by the cone it damaged.
+	in   []*slot
+	gens []spontRef
 	// set is the current lookahead fixpoint; base is the buffer
 	// propagation fills, then swaps with set. Keeping both lets Repair
 	// detect exactly which states' lookaheads moved.
 	set, base symset
+	mark      uint64
 }
 
 // contrib is one spontaneous generation: the lookaheads at offset off of
@@ -101,6 +123,12 @@ type slot struct {
 // computed in that state.
 type contrib struct {
 	dst *slot
+	off int
+}
+
+// spontRef is a contrib seen from its destination slot.
+type spontRef struct {
+	src *stateLA
 	off int
 }
 
@@ -113,8 +141,8 @@ type reduceRef struct {
 	flow bool
 }
 
-// scratch is the working space of closeSlot and derive, kept with the
-// table so repairs reuse it.
+// scratch is the working space of closeSlot, derive and Repair, kept
+// with the table so repairs reuse it.
 type scratch struct {
 	// la[b] holds the lookaheads of nonterminal b's rules in the current
 	// slot closure; it is valid where stamp[b] == cur.
@@ -128,6 +156,16 @@ type scratch struct {
 	// suffix, any, multi and shift are derive's and closeSlot's
 	// one-set temporaries.
 	suffix, any, multi, shift symset
+	conflicts                 []Conflict
+	// oldEdges and oldGen hold a rebuilt entry's previous network;
+	// byDst, dsts and unions group its contributions by destination.
+	oldEdges []edgeRef
+	oldGen   []contrib
+	byDst    map[*slot]int
+	dsts     []*slot
+	unions   []symset
+	// seeds, cone and queue are the re-propagation's slot lists.
+	seeds, cone, queue []*slot
 }
 
 // Conflict is a parse-table cell with more than one action, as Yacc would
@@ -151,18 +189,26 @@ func Generate(g *grammar.Grammar) *Table {
 	t := &Table{
 		auto: auto,
 		net:  make(map[*lr.State]*stateLA, auto.Len()),
+		ana:  g.Analysis(),
+		tmp:  scratch{byDst: map[*slot]int{}},
 	}
-	t.adopt(pack(g))
+	t.version = t.ana.Version()
+	t.fit()
 	states := auto.States()
 	t.addStates(states)
+	var seeds []*slot
 	for _, s := range states {
-		t.buildNetFor(t.net[s])
+		sl := t.net[s]
+		t.buildNetFor(sl)
+		for i := range sl.slots {
+			seeds = append(seeds, &sl.slots[i])
+		}
 	}
-	t.propagate()
+	t.linkAll(states)
+	t.repropagate(seeds, 0)
 	for _, s := range states {
 		t.derive(t.net[s])
 	}
-	t.assembleConflicts()
 	return t
 }
 
@@ -189,7 +235,7 @@ func (t *Table) AppendActions(dst []lr.Action, s *lr.State, sym grammar.Symbol) 
 	}
 	if sl := t.net[s]; sl != nil {
 		for j, r := range s.Reductions {
-			if sl.la[j].has(sym) {
+			if sl.la[j].Has(sym) {
 				dst = append(dst, lr.Action{Kind: lr.Reduce, Rule: r})
 			}
 		}
@@ -214,13 +260,14 @@ func (t *Table) Conflicts() []Conflict { return t.conflicts }
 
 // RepairStats reports what one Repair did, in the units of the paper's
 // section 7 measurements: how much of the table the damage touched and
-// how much was kept verbatim.
+// how much was kept verbatim, and how much work finding and repairing
+// the damage visited.
 type RepairStats struct {
 	// Affected counts the states whose closures contained the modified
 	// nonterminal's rules — the states MODIFY invalidates (section 6.1).
 	Affected int
 	// Created/Removed count states added by re-expansion and orphans
-	// reclaimed by the reachability sweep.
+	// reclaimed by reference counting.
 	Created int
 	Removed int
 	// Rederived counts states whose reduce lookaheads were recomputed;
@@ -237,6 +284,18 @@ type RepairStats struct {
 	// policy only; a FellBack without ConflictsChanged leaves the table
 	// stale.
 	ConflictsChanged bool
+	// The work the repair visited, which bounds its cost by the damage:
+	// Scanned counts the states looked at to find and reclaim it (the
+	// affected set, the states a moved FIRST set reaches, the subgraph
+	// the orphan cycle check walks); Propagated the lookahead slots
+	// re-propagated (the cone downstream of the rebuilt slots);
+	// RulesDiffed the rules whose suffix FIRST sets were checked; and
+	// Reanalysed the nonterminals whose FIRST/nullable sets the grammar's
+	// analysis recomputed for this update.
+	Scanned     int
+	Propagated  int
+	RulesDiffed int
+	Reanalysed  int
 }
 
 // Stale reports whether the repair left the table out of date with the
@@ -245,13 +304,25 @@ type RepairStats struct {
 func (st RepairStats) Stale() bool { return st.FellBack && !st.ConflictsChanged }
 
 // Repair splices a single rule update into the table after the grammar
-// has already been mutated (AddRule or DeleteRule of rule). It re-expands
-// only the affected states — the complete states with a transition on the
-// rule's left-hand side, exactly the set MODIFY invalidates in the lazy
-// generator — sweeps orphaned states, re-runs lookahead propagation over
-// the whole retained network, and re-derives reduce lookaheads only for
-// states whose network was rebuilt or whose fixpoint moved. State
-// identity is preserved: surviving states keep their pointers, so
+// has already been mutated (AddRule or DeleteRule of rule). Every step
+// costs what the update damaged, not what the grammar holds:
+//
+//   - the affected states — the complete states with a transition on the
+//     rule's left-hand side, exactly the set MODIFY invalidates in the
+//     lazy generator — come from the automaton's index and are
+//     re-expanded in place;
+//   - the successors they no longer reference are released, and orphans
+//     are reclaimed by reference count, with a cycle check over the
+//     subgraph the released states reach;
+//   - the grammar's analysis reports which FIRST sets moved, and only the
+//     states whose closures read a moved suffix are rebuilt;
+//   - lookaheads are re-propagated over the cone downstream of the
+//     rebuilt slots only, seeded from its boundary;
+//   - reduce lookaheads and conflicts are re-derived for the rebuilt
+//     states and those whose fixpoint moved, and the conflict set is
+//     diffed over those states alone.
+//
+// State identity is preserved: surviving states keep their pointers, so
 // published tables stay valid under the engines' locking discipline.
 //
 // Repair declines (FellBack=true) when the update touches a START rule,
@@ -267,254 +338,220 @@ func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 		return RepairStats{FellBack: true, Reason: "start rule modified"}
 	}
 
-	before := t.conflictKeys()
-
 	// The affected set (section 6.1): every complete state whose closure
 	// contained a rule of the modified nonterminal has a transition on it
 	// (the dot-before-A item creates Transitions[A] even when A had no
 	// rules), and no other state's closure is structurally damaged.
-	var affected []*lr.State
-	for s := range t.net {
-		if s.Transitions[a] != nil {
-			affected = append(affected, s)
-		}
-	}
 	// Expanding them in ID order numbers the created states
 	// deterministically.
+	affected := t.auto.AppendStatesOn(nil, a)
 	sort.Slice(affected, func(i, j int) bool { return affected[i].ID < affected[j].ID })
-	st := RepairStats{Affected: len(affected)}
+	st := RepairStats{Affected: len(affected), Scanned: len(affected)}
 	if n := t.auto.Len(); n > 0 && float64(len(affected)) > FallbackFraction*float64(n) {
 		st.FellBack = true
 		st.Reason = fmt.Sprintf("damage frontier %d/%d states exceeds %.0f%%",
 			len(affected), n, FallbackFraction*100)
 		return st
 	}
+	t.fit()
+	t.epoch++
+	mark := t.epoch
 
 	// Structural splice: re-expand the affected states in place (their
 	// kernels — their identity — are untouched; only transitions and
 	// reductions change), then expand any newly created states to
-	// completion, exactly like GENERATE-PARSER would.
-	created := make([]*lr.State, 0, 8)
+	// completion, exactly like GENERATE-PARSER would. A successor an
+	// affected state no longer reaches on the same symbol loses a
+	// reference.
+	var created, released []*lr.State
 	for _, s := range affected {
 		s.Unpublish()
+		old := s.Transitions
 		created = append(created, t.auto.Expand(s)...)
+		for sym, succ := range old {
+			if s.Transitions[sym] == succ {
+				succ.RefCount-- // Expand counted the kept reference again
+			} else {
+				released = append(released, succ)
+			}
+		}
 	}
 	for i := 0; i < len(created); i++ {
 		if created[i].Type != lr.Complete {
 			created = append(created, t.auto.Expand(created[i])...)
 		}
 	}
-
-	// Orphan chains (dot>=1 states of a deleted rule, and states only the
-	// old closures referenced) are reclaimed by reachability, which also
-	// rebuilds the survivors' reference counts.
-	removed := t.auto.SweepUnreachable()
-	removedSet := make(map[*lr.State]bool, len(removed))
+	removed, visited := t.auto.Release(released)
+	st.Scanned += visited
+	st.Removed = len(removed)
+	gone := make(map[*lr.State]bool, len(removed))
+	seeds := t.tmp.seeds[:0]
 	for _, s := range removed {
-		removedSet[s] = true
+		gone[s] = true
+		sl := t.net[s]
+		if sl == nil {
+			continue
+		}
+		// Its destinations lose an input, so they seed the cone.
+		seeds = appendTargets(seeds, sl)
+		t.unlink(sl)
+		if len(sl.conflicts) > 0 {
+			st.ConflictsChanged = true
+			t.spliceConflicts(s, len(sl.conflicts), nil)
+		}
 		// An entry can share its allocation with live ones; clearing it
 		// keeps its edges from holding other garbage alive.
-		if sl := t.net[s]; sl != nil {
-			clear(sl.slots)
-			*sl = stateLA{}
-			delete(t.net, s)
-		}
+		clear(sl.slots)
+		*sl = stateLA{}
+		delete(t.net, s)
 	}
-	st.Removed = len(removed)
 
-	// Lookahead damage: a surviving state's slot closures change only
-	// when, for some rule they close over, the FIRST computation of a
-	// suffix after a nonterminal position moved — those are exactly the
-	// FIRST(β) inputs closeSlot reads. Diff each such suffix under the
-	// cached vs fresh analyses; only a suffix over a nonterminal whose
-	// FIRST or nullability moved can differ, so only rules mentioning one
-	// are diffed.
-	first, null, words := pack(g)
-	syms := g.Symbols()
-	moved := make(symset, words)
-	for n := grammar.Symbol(1); int(n) <= syms.Len(); n++ {
-		if syms.Kind(n) == grammar.Nonterminal &&
-			(t.null.has(n) != null.has(n) || !equalSets(firstAt(t.first, n), first[n])) {
-			moved.add(n)
+	// The states to rebuild: the re-expanded and created ones, and those
+	// whose slot closures read a FIRST(β) that moved.
+	var damaged []*stateLA
+	damage := func(s *lr.State) {
+		if sl := t.netOf(s); sl.mark != mark {
+			sl.mark = mark
+			damaged = append(damaged, sl)
 		}
 	}
-	ruleDamaged := make(map[*grammar.Rule]bool)
-	ntDamaged := make(symset, words)
-	for _, r := range g.Rules() {
-		if mentionsAny(r.Rhs, moved) && t.suffixFirstsMoved(r, first, null, words) {
-			ruleDamaged[r] = true
-			ntDamaged.add(r.Lhs)
-		}
-	}
-	t.adopt(first, null, words)
-
-	damaged := make(map[*lr.State]bool, len(affected)+len(created))
 	for _, s := range affected {
-		if !removedSet[s] {
-			damaged[s] = true
+		if !gone[s] {
+			damage(s)
 		}
 	}
 	for _, s := range created {
-		if !removedSet[s] {
-			damaged[s] = true
+		if !gone[s] {
+			damage(s)
 			st.Created++
 		}
 	}
-	if len(ruleDamaged) > 0 {
-		for s := range t.net {
-			if !damaged[s] && t.laDamaged(s, ruleDamaged, ntDamaged) {
-				damaged[s] = true
-			}
-		}
-	}
+	work := t.ana.Work()
+	ana := g.Analysis()
+	st.Reanalysed = ana.Work() - work
+	t.lookaheadDamage(ana, damage, &st)
+	t.version = ana.Version()
 
-	// Rebuild the network only where damaged, then re-run propagation
-	// globally (it is not monotone under deletion) on the retained edges.
-	for s := range damaged {
-		t.buildNetFor(t.netOf(s))
+	// Rebuild the damaged states' network, then re-propagate the cone
+	// downstream of the slots whose inputs changed.
+	for _, sl := range damaged {
+		seeds = t.rebuild(sl, seeds)
 	}
-	for _, sl := range t.propagate() {
-		damaged[sl.state] = true
-	}
-	for s := range damaged {
-		t.derive(t.net[s])
+	moved, cone := t.repropagate(seeds, mark)
+	clear(seeds)
+	t.tmp.seeds = seeds[:0]
+	st.Propagated = cone
+	damaged = append(damaged, moved...)
+	for _, sl := range damaged {
+		if t.derive(sl) {
+			st.ConflictsChanged = true
+		}
 	}
 	st.Rederived = len(damaged)
 	st.Kept = t.auto.Len() - st.Rederived
-	t.assembleConflicts()
 
 	// A moved conflict set changes engine viability, so the caller hears
 	// of it; the table itself is already consistent.
-	if after := t.conflictKeys(); !equalStrings(before, after) {
+	if st.ConflictsChanged {
 		st.FellBack = true
-		st.ConflictsChanged = true
 		st.Reason = "conflict set changed"
 	}
 	return st
 }
 
-// laDamaged reports whether a surviving, structurally untouched state's
-// lookahead closure must be recomputed: one of its kernel rules, or a
-// rule of a nonterminal it closes over (equivalently: it transitions on,
-// since the dot-before-B item both pulls in B's rules and creates the
-// transition), had a suffix FIRST computation move.
-func (t *Table) laDamaged(s *lr.State, ruleDamaged map[*grammar.Rule]bool, ntDamaged symset) bool {
-	for _, it := range s.Kernel {
-		if ruleDamaged[it.Rule] {
-			return true
+// lookaheadDamage marks, through damage, the surviving states whose slot
+// closures compute a FIRST(β) that moved since the table's version: a
+// rule whose suffix after a nonterminal position can read a
+// nonterminal whose FIRST or nullability moved is damaged, and so are
+// the states whose closures hold it — those with a transition on its
+// left-hand side (its dot-0 item) and those its items reach along its
+// right-hand side (its kernel items). Only the rules that mention a
+// moved nonterminal are checked; st counts them and the states looked
+// at.
+func (t *Table) lookaheadDamage(ana *grammar.Analysis, damage func(*lr.State), st *RepairStats) {
+	g := t.auto.Grammar()
+	moved := ana.FirstMovedSince(t.version, nil)
+	if len(moved) == 0 {
+		return
+	}
+	isMoved := make(map[grammar.Symbol]bool, len(moved))
+	for _, n := range moved {
+		isMoved[n] = true
+	}
+	var roots []*lr.State
+	seen := map[*grammar.Rule]bool{}
+	for _, y := range moved {
+		for _, r := range g.RulesUsing(y) {
+			if seen[r] {
+				continue
+			}
+			seen[r] = true
+			st.RulesDiffed++
+			if !t.suffixMoved(ana, r, isMoved) {
+				continue
+			}
+			if r.Lhs == g.Start() {
+				roots = append(roots[:0], t.auto.Start())
+			} else {
+				roots = t.auto.AppendStatesOn(roots[:0], r.Lhs)
+			}
+			for _, s := range roots {
+				damage(s)
+				st.Scanned++
+				for _, x := range r.Rhs[:len(r.Rhs)-1] {
+					if s = s.Transitions[x]; s == nil {
+						break
+					}
+					damage(s)
+					st.Scanned++
+				}
+			}
 		}
 	}
-	for sym := range s.Transitions {
-		if ntDamaged.has(sym) {
-			return true
-		}
-	}
-	return false
 }
 
-// suffixFirstsMoved reports whether any FIRST(β) computation closeSlot
-// performs for the rule — the suffix after each nonterminal position —
-// differs between the table's cached analyses and the fresh ones.
-func (t *Table) suffixFirstsMoved(r *grammar.Rule, first []symset, null symset, words int) bool {
+// suffixMoved reports whether a FIRST(β) computation closeSlot performs
+// for r — the suffix after a nonterminal position — can read a moved
+// nonterminal: one occurs in the suffix before its first symbol that is
+// non-nullable now (a nonterminal whose nullability moved is itself
+// moved, so the stretch is the same under the old analysis).
+func (t *Table) suffixMoved(ana *grammar.Analysis, r *grammar.Rule, moved map[grammar.Symbol]bool) bool {
 	syms := t.auto.Grammar().Symbols()
-	oldFs, newFs := make(symset, words), make(symset, words)
-	for i, sym := range r.Rhs {
-		if syms.Kind(sym) != grammar.Nonterminal {
+	for i, x := range r.Rhs {
+		if syms.Kind(x) != grammar.Nonterminal {
 			continue
 		}
-		suffix := r.Rhs[i+1:]
-		clear(oldFs)
-		clear(newFs)
-		oldNullable := firstOf(syms, oldFs, suffix, t.first, t.null)
-		newNullable := firstOf(syms, newFs, suffix, first, null)
-		if oldNullable != newNullable || !equalSets(oldFs, newFs) {
-			return true
+		for _, s := range r.Rhs[i+1:] {
+			if moved[s] {
+				return true
+			}
+			if syms.Kind(s) == grammar.Terminal || !ana.Nullable(s) {
+				break
+			}
 		}
 	}
 	return false
 }
 
-func mentionsAny(syms []grammar.Symbol, set symset) bool {
-	for _, s := range syms {
-		if set.has(s) {
-			return true
-		}
-	}
-	return false
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// pack computes the grammar's FIRST sets and nullable nonterminals and
-// packs them into symsets of the width the current symbol table needs.
-func pack(g *grammar.Grammar) (first []symset, null symset, words int) {
-	n := g.Symbols().Len() + 1
-	words = wordsFor(g.Symbols())
-	first = make([]symset, n)
-	backing := make([]uint64, n*words)
-	for sym, set := range g.FirstSets() {
-		f := symset(backing[int(sym)*words : (int(sym)+1)*words : (int(sym)+1)*words])
-		for x := range set {
-			f.add(x)
-		}
-		first[sym] = f
-	}
-	null = make(symset, words)
-	for x := range g.Nullable() {
-		null.add(x)
-	}
-	return first, null, words
-}
-
-// adopt installs packed analyses as the table's current ones and sizes
-// the scratch space for them.
-func (t *Table) adopt(first []symset, null symset, words int) {
-	t.first, t.null, t.words = first, null, words
+// fit sizes the table's width and scratch for the current symbol table.
+func (t *Table) fit() {
+	syms := t.auto.Grammar().Symbols()
+	t.words = grammar.BitsetWords(syms)
+	n := syms.Len() + 1
 	tmp := &t.tmp
-	if n := len(first); len(tmp.la) != n || len(tmp.suffix) != words {
-		backing := make([]uint64, n*words)
-		tmp.la = make([]symset, n)
-		for b := range tmp.la {
-			tmp.la[b] = backing[b*words : (b+1)*words : (b+1)*words]
-		}
-		tmp.stamp = make([]uint64, n)
-		tmp.queued = make([]bool, n)
-		tmp.suffix = make(symset, words)
+	if len(tmp.la) >= n && len(tmp.suffix) == t.words {
+		return
 	}
-}
-
-// firstAt is FIRST(n) under packed analyses that may predate n.
-func firstAt(first []symset, n grammar.Symbol) symset {
-	if int(n) < len(first) {
-		return first[n]
+	n = max(n, 2*len(tmp.la))
+	w := t.words
+	backing := make([]uint64, n*w)
+	tmp.la = make([]symset, n)
+	for b := range tmp.la {
+		tmp.la[b] = backing[b*w : (b+1)*w : (b+1)*w]
 	}
-	return nil
-}
-
-// firstOf adds FIRST(alpha) under the given packed analyses to dst and
-// reports whether alpha is nullable, like grammar.FirstOfString.
-func firstOf(syms *grammar.SymbolTable, dst symset, alpha []grammar.Symbol, first []symset, null symset) bool {
-	for _, s := range alpha {
-		if syms.Kind(s) == grammar.Terminal {
-			dst.add(s)
-			return false
-		}
-		dst.or(firstAt(first, s))
-		if !null.has(s) {
-			return false
-		}
-	}
-	return true
+	tmp.stamp = make([]uint64, n)
+	tmp.queued = make([]bool, n)
+	tmp.suffix = make(symset, w)
 }
 
 // netOf returns the state's network entry, creating it on first sight.
@@ -540,6 +577,7 @@ func (t *Table) addStates(states []*lr.State) {
 		k := len(s.Kernel)
 		sl.state, sl.slots, slots = s, slots[:k:k], slots[k:]
 		for j := range sl.slots {
+			sl.slots[j].sl = sl
 			sl.slots[j].set, sl.slots[j].base = backing[:w:w], backing[w:2*w:2*w]
 			backing = backing[2*w:]
 		}
@@ -552,16 +590,226 @@ func (sl *stateLA) spontAt(off int) symset {
 	return sl.spont[off : off+sl.spontWords]
 }
 
+// rebuild recomputes sl's network and appends to seeds the slots whose
+// propagation inputs it changed: the destinations of edges it gained or
+// lost, and those whose spontaneous lookaheads from sl moved. The
+// network's other equations are unchanged, so only those slots and
+// what they reach need re-propagating. A new entry's own slots are
+// seeds too: they have no fixpoint yet.
+func (t *Table) rebuild(sl *stateLA, seeds []*slot) []*slot {
+	tmp := &t.tmp
+	fresh := !sl.built
+	oldEdges := tmp.oldEdges[:0]
+	for i := range sl.slots {
+		for _, d := range sl.slots[i].edges {
+			oldEdges = append(oldEdges, edgeRef{from: i, to: d})
+		}
+	}
+	oldGen := append(tmp.oldGen[:0], sl.gen...)
+	oldSpont, oldWords := sl.spont, sl.spontWords
+	t.unlink(sl)   // the diff below finds the destinations that matter
+	sl.spont = nil // the old contributions still read the old slab
+	t.buildNetFor(sl)
+	t.link(sl)
+	if fresh {
+		for i := range sl.slots {
+			seeds = append(seeds, &sl.slots[i])
+		}
+	}
+
+	// Edges gained or lost, slot by slot: mark one list's targets, check
+	// the other's.
+	k := 0
+	for i := range sl.slots {
+		start := k
+		for k < len(oldEdges) && oldEdges[k].from == i {
+			k++
+		}
+		old, cur := oldEdges[start:k], sl.slots[i].edges
+		t.epoch++
+		for _, e := range old {
+			e.to.mark = t.epoch
+		}
+		for _, d := range cur {
+			if d.mark != t.epoch {
+				seeds = append(seeds, d)
+			}
+		}
+		t.epoch++
+		for _, d := range cur {
+			d.mark = t.epoch
+		}
+		for _, e := range old {
+			if e.to.mark != t.epoch {
+				seeds = append(seeds, e.to)
+			}
+		}
+	}
+
+	// Spontaneous lookaheads, per destination: the union sl contributed
+	// before and after.
+	w := t.words
+	byDst := tmp.byDst
+	dsts := tmp.dsts[:0]
+	union := func(dst *slot, which int, bits symset) {
+		i, ok := byDst[dst]
+		if !ok {
+			i = len(dsts)
+			byDst[dst] = i
+			dsts = append(dsts, dst)
+			if len(tmp.unions) < 2*len(dsts) {
+				tmp.unions = append(tmp.unions, nil, nil)
+			}
+			tmp.unions[2*i] = tmp.unions[2*i].Sized(w)
+			tmp.unions[2*i+1] = tmp.unions[2*i+1].Sized(w)
+		}
+		tmp.unions[2*i+which].Or(bits)
+	}
+	for _, c := range oldGen {
+		union(c.dst, 0, oldSpont[c.off:c.off+oldWords])
+	}
+	for _, c := range sl.gen {
+		union(c.dst, 1, sl.spontAt(c.off))
+	}
+	for i, dst := range dsts {
+		if !tmp.unions[2*i].Equal(tmp.unions[2*i+1]) {
+			seeds = append(seeds, dst)
+		}
+	}
+	clear(byDst)
+	clear(dsts)
+	clear(oldEdges)
+	clear(oldGen)
+	tmp.oldEdges, tmp.oldGen, tmp.dsts = oldEdges[:0], oldGen[:0], dsts[:0]
+	return seeds
+}
+
+// edgeRef is a propagation edge from kernel slot from of one entry.
+type edgeRef struct {
+	from int
+	to   *slot
+}
+
+// unlink withdraws sl's propagation edges and spontaneous contributions
+// from their destinations' reverse lists.
+func (t *Table) unlink(sl *stateLA) {
+	for i := range sl.slots {
+		p := &sl.slots[i]
+		for _, d := range p.edges {
+			d.in = removeSlot(d.in, p)
+		}
+	}
+	for _, c := range sl.gen {
+		c.dst.gens = removeSpont(c.dst.gens, sl)
+	}
+}
+
+// appendTargets appends the destinations of sl's edges and spontaneous
+// contributions to seeds.
+func appendTargets(seeds []*slot, sl *stateLA) []*slot {
+	for i := range sl.slots {
+		seeds = append(seeds, sl.slots[i].edges...)
+	}
+	for _, c := range sl.gen {
+		seeds = append(seeds, c.dst)
+	}
+	return seeds
+}
+
+func removeSlot(list []*slot, p *slot) []*slot {
+	for i := 0; i < len(list); {
+		if list[i] == p {
+			list[i] = list[len(list)-1]
+			list[len(list)-1] = nil
+			list = list[:len(list)-1]
+			continue
+		}
+		i++
+	}
+	return list
+}
+
+func removeSpont(list []spontRef, src *stateLA) []spontRef {
+	for i := 0; i < len(list); {
+		if list[i].src == src {
+			list[i] = list[len(list)-1]
+			list[len(list)-1] = spontRef{}
+			list = list[:len(list)-1]
+			continue
+		}
+		i++
+	}
+	return list
+}
+
+// link enters sl's propagation edges and spontaneous contributions in
+// their destinations' reverse lists.
+func (t *Table) link(sl *stateLA) {
+	for i := range sl.slots {
+		p := &sl.slots[i]
+		for _, d := range p.edges {
+			d.in = append(d.in, p)
+		}
+	}
+	for _, c := range sl.gen {
+		c.dst.gens = append(c.dst.gens, spontRef{src: sl, off: c.off})
+	}
+}
+
+// linkAll is link for a whole generated network: it sizes every
+// reverse list first (counting in the slots' marks, which are zero on
+// fresh slots and zero again after), so the lists share two
+// allocations.
+func (t *Table) linkAll(states []*lr.State) {
+	var edges, gens int
+	for _, s := range states {
+		sl := t.net[s]
+		for i := range sl.slots {
+			for _, d := range sl.slots[i].edges {
+				d.mark++
+				edges++
+			}
+		}
+		gens += len(sl.gen)
+	}
+	in := make([]*slot, edges)
+	for _, s := range states {
+		for i := range t.net[s].slots {
+			p := &t.net[s].slots[i]
+			p.in, in = in[:0:p.mark], in[p.mark:]
+			p.mark = 0
+		}
+	}
+	for _, s := range states {
+		for _, c := range t.net[s].gen {
+			c.dst.mark++
+		}
+	}
+	refs := make([]spontRef, gens)
+	for _, s := range states {
+		for i := range t.net[s].slots {
+			p := &t.net[s].slots[i]
+			p.gens, refs = refs[:0:p.mark], refs[p.mark:]
+			p.mark = 0
+		}
+	}
+	for _, s := range states {
+		t.link(t.net[s])
+	}
+}
+
 // buildNetFor recomputes a state's slice of the propagation network. It
 // closes each kernel slot once under the dummy lookahead
 // (grammar.NoSymbol): a closure item advancing with real lookaheads
 // contributes them spontaneously to the successor slot, one advancing
 // with the dummy is a propagation edge from this slot, and a completed
 // item is a reduction that takes the item's real lookaheads, plus the
-// slot's own when the dummy reaches it.
+// slot's own when the dummy reaches it. The state's old edges must
+// already be unlinked; link enters the new ones in the reverse lists.
 func (t *Table) buildNetFor(sl *stateLA) {
 	g := t.auto.Grammar()
 	s := sl.state
+	sl.built = true
 	sl.gen = sl.gen[:0]
 	sl.spont = sl.spont[:0]
 	sl.spontWords = t.words
@@ -577,9 +825,9 @@ func (t *Table) buildNetFor(sl *stateLA) {
 		t.closeSlot(kit)
 		for _, b := range t.tmp.order {
 			la := t.tmp.la[b]
-			flow := la.has(grammar.NoSymbol)
+			flow := la.Has(grammar.NoSymbol)
 			off := -1
-			if la.anyReal() {
+			if anyReal(la) {
 				off = len(sl.spont)
 				sl.spont = append(sl.spont, la...)
 				sl.spont[off] &^= 1 // drop the dummy
@@ -616,8 +864,8 @@ func (t *Table) closeSlot(kit lr.Item) {
 	tmp.order = tmp.order[:0]
 	if b := kit.AfterDot(); b != grammar.NoSymbol && syms.Kind(b) == grammar.Nonterminal {
 		clear(tmp.suffix)
-		if firstOf(syms, tmp.suffix, kit.Rule.Rhs[kit.Dot+1:], t.first, t.null) {
-			tmp.suffix.add(grammar.NoSymbol)
+		if t.ana.FirstOf(tmp.suffix, kit.Rule.Rhs[kit.Dot+1:]) {
+			tmp.suffix.Add(grammar.NoSymbol)
 		}
 		tmp.push(b, tmp.suffix)
 	}
@@ -630,8 +878,8 @@ func (t *Table) closeSlot(kit lr.Item) {
 				continue
 			}
 			clear(tmp.suffix)
-			if firstOf(syms, tmp.suffix, r.Rhs[1:], t.first, t.null) {
-				tmp.suffix.or(tmp.la[b])
+			if t.ana.FirstOf(tmp.suffix, r.Rhs[1:]) {
+				tmp.suffix.Or(tmp.la[b])
 			}
 			tmp.push(r.Rhs[0], tmp.suffix)
 		}
@@ -641,7 +889,7 @@ func (t *Table) closeSlot(kit lr.Item) {
 // push adds la to nonterminal b's closure lookaheads, queueing b when
 // they grew.
 func (tmp *scratch) push(b grammar.Symbol, la symset) {
-	if la.empty() {
+	if la.Empty() {
 		return
 	}
 	if tmp.stamp[b] != tmp.cur {
@@ -649,7 +897,7 @@ func (tmp *scratch) push(b grammar.Symbol, la symset) {
 		clear(tmp.la[b])
 		tmp.order = append(tmp.order, b)
 	}
-	if tmp.la[b].or(la) && !tmp.queued[b] {
+	if tmp.la[b].Or(la) && !tmp.queued[b] {
 		tmp.queued[b] = true
 		tmp.work = append(tmp.work, b)
 	}
@@ -681,69 +929,87 @@ func reductionIndex(s *lr.State, r *grammar.Rule) int {
 	panic(fmt.Sprintf("lalr: state %d closure completes a rule it does not reduce", s.ID))
 }
 
-// propagate re-runs the lookahead fixpoint over the whole retained
-// network: every slot is reset to its spontaneous lookaheads (plus EOF
-// for the start state's slots), the propagation edges are iterated to
-// fixpoint, and the states whose final sets moved against the previous
-// fixpoint are returned. Propagation is not monotone under rule deletion,
-// which is why the reset is global; the per-state work (closures and
-// derivations) is confined to the damaged and returned states.
-func (t *Table) propagate() []*stateLA {
-	for _, sl := range t.net {
-		for i := range sl.slots {
-			p := &sl.slots[i]
-			p.base = p.base.sized(t.words)
+// repropagate re-runs the lookahead fixpoint over the cone downstream of
+// seeds: every slot the seeds' propagation edges reach is reset to its
+// spontaneous lookaheads (plus EOF for the start state's slots) and the
+// sets flowing in from slots outside the cone, which keep their
+// fixpoint, and the edges inside the cone are iterated to fixpoint.
+// Outside the cone no input moved — the cone is closed under edges, and
+// every slot that lost or gained an input is a seed — so its fixpoint
+// stands. Propagation is not monotone under rule deletion, which is why
+// the cone is reset rather than grown. It returns the entries whose
+// slots' final sets moved, except those already marked with skip, and
+// the cone's size.
+func (t *Table) repropagate(seeds []*slot, skip uint64) ([]*stateLA, int) {
+	t.epoch++
+	mark := t.epoch
+	tmp := &t.tmp
+	cone := tmp.cone[:0]
+	for _, p := range seeds {
+		if p.sl != nil && p.mark != mark {
+			p.mark = mark
+			cone = append(cone, p)
 		}
 	}
-	start := t.net[t.auto.Start()]
-	for i := range start.slots {
-		start.slots[i].base.add(grammar.EOF)
-	}
-	for _, sl := range t.net {
-		for _, c := range sl.gen {
-			c.dst.base.or(sl.spontAt(c.off))
-		}
-	}
-	// Worklist fixpoint: a slot is (re)visited only when its set grew.
-	var work []*slot
-	for _, sl := range t.net {
-		for i := range sl.slots {
-			if p := &sl.slots[i]; len(p.edges) > 0 && !p.base.empty() {
-				work = append(work, p)
+	for i := 0; i < len(cone); i++ {
+		for _, d := range cone[i].edges {
+			if d.mark != mark {
+				d.mark = mark
+				cone = append(cone, d)
 			}
 		}
 	}
+	start := t.net[t.auto.Start()]
+	work := tmp.queue[:0]
+	for _, p := range cone {
+		p.base = p.base.Sized(t.words)
+		if p.sl == start {
+			p.base.Add(grammar.EOF)
+		}
+		for _, c := range p.gens {
+			p.base.Or(c.src.spontAt(c.off))
+		}
+		for _, q := range p.in {
+			if q.mark != mark {
+				p.base.Or(q.set)
+			}
+		}
+		if len(p.edges) > 0 && !p.base.Empty() {
+			work = append(work, p)
+		}
+	}
+	// Worklist fixpoint: a slot is (re)visited only when its set grew.
 	for len(work) > 0 {
 		src := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, d := range src.edges {
-			if d.base.or(src.base) && len(d.edges) > 0 {
+			if d.base.Or(src.base) && len(d.edges) > 0 {
 				work = append(work, d)
 			}
 		}
 	}
 
 	var moved []*stateLA
-	for _, sl := range t.net {
-		changed := false
-		for i := range sl.slots {
-			p := &sl.slots[i]
-			changed = changed || !equalSets(p.base, p.set)
-			p.set, p.base = p.base, p.set
+	t.epoch++
+	for _, p := range cone {
+		if !p.base.Equal(p.set) && p.sl.mark != skip && p.sl.mark != t.epoch {
+			p.sl.mark = t.epoch
+			moved = append(moved, p.sl)
 		}
-		if changed {
-			moved = append(moved, sl)
-		}
+		p.set, p.base = p.base, p.set
 	}
-	return moved
+	clear(cone)
+	tmp.cone, tmp.queue = cone[:0], work[:0]
+	return moved, len(cone)
 }
 
 // derive recomputes one state's reduce lookaheads and conflicts from the
-// current fixpoint. A reduction takes, from every kernel slot whose
-// closure completes it, the spontaneous lookaheads of that closure and,
-// where the dummy reached it, the slot's own set. A slot whose set is
-// empty contributes nothing: no lookahead reaches its closure items.
-func (t *Table) derive(sl *stateLA) {
+// current fixpoint, and reports whether its conflicts changed. A
+// reduction takes, from every kernel slot whose closure completes it,
+// the spontaneous lookaheads of that closure and, where the dummy
+// reached it, the slot's own set. A slot whose set is empty contributes
+// nothing: no lookahead reaches its closure items.
+func (t *Table) derive(sl *stateLA) bool {
 	s := sl.state
 	w := t.words
 	n := len(s.Reductions)
@@ -754,74 +1020,71 @@ func (t *Table) derive(sl *stateLA) {
 	}
 	for i := range sl.slots {
 		p := &sl.slots[i]
-		if p.set.empty() {
+		if p.set.Empty() {
 			continue
 		}
 		for _, r := range p.reach {
 			if r.off >= 0 {
-				sl.la[r.red].or(sl.spontAt(r.off))
+				sl.la[r.red].Or(sl.spontAt(r.off))
 			}
 			if r.flow {
-				sl.la[r.red].or(p.set)
+				sl.la[r.red].Or(p.set)
 			}
 		}
 	}
 
 	// A conflict is a lookahead two reductions share, or one reduction
 	// shares with a shift. They are reported in terminal-name order.
-	sl.conflicts = sl.conflicts[:0]
-	if n == 0 {
-		return
-	}
 	tmp := &t.tmp
-	tmp.any, tmp.multi, tmp.shift = tmp.any.sized(w), tmp.multi.sized(w), tmp.shift.sized(w)
-	for _, la := range sl.la {
-		for k, x := range la {
-			tmp.multi[k] |= tmp.any[k] & x
-			tmp.any[k] |= x
-		}
-	}
-	for sym := range s.Transitions {
-		tmp.shift.add(sym)
-	}
-	for k := range tmp.any {
-		for c := tmp.multi[k] | tmp.any[k]&tmp.shift[k]; c != 0; c &= c - 1 {
-			sym := grammar.Symbol(k<<6 + bits.TrailingZeros64(c))
-			kind := "shift/reduce"
-			if tmp.multi.has(sym) {
-				kind = "reduce/reduce"
+	cs := tmp.conflicts[:0]
+	if n > 0 {
+		tmp.any, tmp.multi, tmp.shift = tmp.any.Sized(w), tmp.multi.Sized(w), tmp.shift.Sized(w)
+		for _, la := range sl.la {
+			for k, x := range la {
+				tmp.multi[k] |= tmp.any[k] & x
+				tmp.any[k] |= x
 			}
-			sl.conflicts = append(sl.conflicts, Conflict{State: s, Symbol: sym, Kind: kind})
+		}
+		for sym := range s.Transitions {
+			tmp.shift.Add(sym)
+		}
+		for k := range tmp.any {
+			for c := tmp.multi[k] | tmp.any[k]&tmp.shift[k]; c != 0; c &= c - 1 {
+				sym := grammar.Symbol(k<<6 + bits.TrailingZeros64(c))
+				kind := "shift/reduce"
+				if tmp.multi.Has(sym) {
+					kind = "reduce/reduce"
+				}
+				cs = append(cs, Conflict{State: s, Symbol: sym, Kind: kind})
+			}
+		}
+		if len(cs) > 1 {
+			syms := t.Grammar().Symbols()
+			sort.Slice(cs, func(a, b int) bool {
+				return syms.Name(cs[a].Symbol) < syms.Name(cs[b].Symbol)
+			})
 		}
 	}
-	if len(sl.conflicts) > 1 {
-		syms := t.Grammar().Symbols()
-		sort.Slice(sl.conflicts, func(a, b int) bool {
-			return syms.Name(sl.conflicts[a].Symbol) < syms.Name(sl.conflicts[b].Symbol)
-		})
+	tmp.conflicts = cs[:0]
+	if slices.Equal(cs, sl.conflicts) {
+		return false
 	}
+	t.spliceConflicts(s, len(sl.conflicts), cs)
+	sl.conflicts = append(sl.conflicts[:0], cs...)
+	return true
 }
 
-// assembleConflicts rebuilds the table-wide conflict list from the
-// per-state lists, in state-ID order (matching what a from-scratch
-// generation reports).
-func (t *Table) assembleConflicts() {
-	var conflicted []*stateLA
-	for _, sl := range t.net {
-		if len(sl.conflicts) > 0 {
-			conflicted = append(conflicted, sl)
-		}
-	}
-	sort.Slice(conflicted, func(i, j int) bool { return conflicted[i].state.ID < conflicted[j].state.ID })
-	t.conflicts = t.conflicts[:0]
-	for _, sl := range conflicted {
-		t.conflicts = append(t.conflicts, sl.conflicts...)
-	}
+// spliceConflicts replaces state s's n conflicts in the table-wide
+// list, which is kept in state-ID order (matching what a from-scratch
+// generation reports), with cs.
+func (t *Table) spliceConflicts(s *lr.State, n int, cs []Conflict) {
+	lo := sort.Search(len(t.conflicts), func(i int) bool { return t.conflicts[i].State.ID >= s.ID })
+	t.conflicts = slices.Replace(t.conflicts, lo, lo+n, cs...)
 }
 
 // conflictKeys renders the conflict set in a state-identity-independent
 // canonical form (kernel key, symbol, kind), sorted — the comparison unit
-// of Repair's conflict-change policy and of Signature.
+// of Signature.
 func (t *Table) conflictKeys() []string {
 	out := make([]string, 0, len(t.conflicts))
 	for _, c := range t.conflicts {
@@ -874,7 +1137,7 @@ func (t *Table) Signature() string {
 		sort.Slice(rules, func(i, j int) bool { return rules[i].Key() < rules[j].Key() })
 		for _, r := range rules {
 			la := []int{}
-			for _, sym := range t.lookaheads(s, r).symbols() {
+			for _, sym := range t.lookaheads(s, r).Symbols() {
 				la = append(la, int(sym))
 			}
 			fmt.Fprintf(&b, "  reduce %s on %v\n", r.Key(), la)
@@ -890,7 +1153,7 @@ func (t *Table) Signature() string {
 // Lookaheads returns the lookahead set for reducing rule in state s,
 // formatted for diagnostics.
 func (t *Table) Lookaheads(s *lr.State, rule *grammar.Rule) []string {
-	set := t.lookaheads(s, rule).symbols()
+	set := t.lookaheads(s, rule).Symbols()
 	out := make([]string, 0, len(set))
 	for _, sym := range set {
 		out = append(out, t.Grammar().Symbols().Name(sym))

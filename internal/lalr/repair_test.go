@@ -7,6 +7,7 @@ import (
 	"ipg/internal/fixtures"
 	"ipg/internal/glr"
 	"ipg/internal/grammar"
+	"ipg/internal/lr"
 )
 
 // repairOrRegen applies one already-performed grammar mutation to tbl,
@@ -23,9 +24,36 @@ func repairOrRegen(t *testing.T, tbl *Table, g *grammar.Grammar, r *grammar.Rule
 // from-scratch generation of the same grammar.
 func expectParity(t *testing.T, tbl *Table, g *grammar.Grammar, step string) {
 	t.Helper()
+	expectExactRefCounts(t, tbl, step)
 	fresh := Generate(g)
 	if got, want := tbl.Signature(), fresh.Signature(); got != want {
 		t.Fatalf("%s: repaired table diverges from regeneration\n--- repaired ---\n%s\n--- regenerated ---\n%s", step, got, want)
+	}
+}
+
+// expectExactRefCounts asserts the invariant reference-count
+// reclamation keeps: every state is reachable from the start state, and
+// its count is exactly its number of incoming transitions (plus the
+// start state's permanent reference).
+func expectExactRefCounts(t *testing.T, tbl *Table, step string) {
+	t.Helper()
+	a := tbl.Automaton()
+	in := map[*lr.State]int{a.Start(): 1}
+	for _, s := range a.States() {
+		for _, succ := range s.Transitions {
+			in[succ]++
+		}
+	}
+	for _, s := range a.States() {
+		if s != a.Start() && in[s] == 0 {
+			t.Fatalf("%s: state %d (%s) is unreachable garbage", step, s.ID, s.Kernel.Key())
+		}
+		if s.RefCount != in[s] {
+			t.Fatalf("%s: state %d (%s) has RefCount %d, want %d", step, s.ID, s.Kernel.Key(), s.RefCount, in[s])
+		}
+	}
+	if len(tbl.net) != a.Len() {
+		t.Fatalf("%s: %d network entries for %d states", step, len(tbl.net), a.Len())
 	}
 }
 

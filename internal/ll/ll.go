@@ -9,6 +9,7 @@ package ll
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,9 +27,9 @@ type Conflict struct {
 	Rules []*grammar.Rule
 }
 
-// Table is an LL(1) parse table M[A, a] -> rule. It retains the FIRST/
-// NULLABLE/FOLLOW analyses it was generated from, so a rule update can be
-// Repaired by rebuilding only the rows whose prediction inputs moved.
+// Table is an LL(1) parse table M[A, a] -> rule. It remembers the
+// grammar version its rows reflect, so a rule update can be Repaired by
+// rebuilding only the rows whose prediction inputs moved since.
 type Table struct {
 	g         *grammar.Grammar
 	m         map[grammar.Symbol]map[grammar.Symbol]*grammar.Rule
@@ -36,10 +37,11 @@ type Table struct {
 	// rowConflicts holds each nonterminal's conflicts; the table-wide
 	// list is their concatenation in symbol order.
 	rowConflicts map[grammar.Symbol][]Conflict
-	// Cached analyses the current rows were filled from.
-	first  map[grammar.Symbol]grammar.SymbolSet
-	null   grammar.SymbolSet
-	follow map[grammar.Symbol]grammar.SymbolSet
+	// ana is the grammar's FIRST/nullable/FOLLOW analysis and version
+	// the grammar version the rows were filled at.
+	ana     *grammar.Analysis
+	version uint64
+	tmp     grammar.Bitset
 }
 
 // Generate builds the LL(1) table for g from FIRST and FOLLOW.
@@ -48,26 +50,27 @@ func Generate(g *grammar.Grammar) *Table {
 		g:            g,
 		m:            map[grammar.Symbol]map[grammar.Symbol]*grammar.Rule{},
 		rowConflicts: map[grammar.Symbol][]Conflict{},
+		ana:          g.Analysis(),
 	}
-	t.first = g.FirstSets()
-	t.null = g.Nullable()
-	t.follow = g.FollowSetsOf(t.first, t.null)
+	t.version = t.ana.Version()
 	for _, a := range g.Symbols().Nonterminals() {
 		if len(g.RulesFor(a)) > 0 {
 			t.fillRow(a)
+			t.spliceRow(a, 0)
 		}
 	}
-	t.assembleConflicts()
 	return t
 }
 
 // fillRow rebuilds the prediction row of one nonterminal — cells and
-// conflicts — from the cached analyses. Rules are processed in grammar
-// insertion order, so a repaired row is identical to a regenerated one.
+// conflicts — from the grammar's analysis. Rules are processed in
+// grammar insertion order, so a repaired row is identical to a
+// regenerated one.
 func (t *Table) fillRow(a grammar.Symbol) {
 	delete(t.m, a)
 	delete(t.rowConflicts, a)
-	set := func(la grammar.Symbol, r *grammar.Rule) {
+	var r *grammar.Rule
+	set := func(la grammar.Symbol) {
 		row, ok := t.m[a]
 		if !ok {
 			row = map[grammar.Symbol]*grammar.Rule{}
@@ -81,104 +84,132 @@ func (t *Table) fillRow(a grammar.Symbol) {
 		}
 		row[la] = r
 	}
-	for _, r := range t.g.RulesFor(a) {
-		fs, nullableRHS := t.g.FirstOfString(r.Rhs, t.first, t.null)
-		for la := range fs {
-			set(la, r)
-		}
+	for _, r = range t.g.RulesFor(a) {
+		t.tmp = t.tmp.Sized(grammar.BitsetWords(t.g.Symbols()))
+		nullableRHS := t.ana.FirstOf(t.tmp, r.Rhs)
+		t.tmp.ForEach(set)
 		if nullableRHS {
-			for la := range t.follow[a] {
-				set(la, r)
-			}
+			t.ana.Follow(a).ForEach(set)
 		}
-	}
-}
-
-// assembleConflicts rebuilds the table-wide conflict list from the
-// per-row lists, in (nonterminal, lookahead) order.
-func (t *Table) assembleConflicts() {
-	t.conflicts = t.conflicts[:0]
-	rows := make([]grammar.Symbol, 0, len(t.rowConflicts))
-	for a := range t.rowConflicts {
-		rows = append(rows, a)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	for _, a := range rows {
-		cs := append([]Conflict(nil), t.rowConflicts[a]...)
-		sort.Slice(cs, func(i, j int) bool { return cs[i].Lookahead < cs[j].Lookahead })
-		t.conflicts = append(t.conflicts, cs...)
 	}
 }
 
 // RepairStats reports what one Repair did: how many prediction rows were
-// rebuilt vs kept verbatim, and whether the conflict set moved.
+// rebuilt vs kept verbatim, whether the conflict set moved, and the work
+// the repair visited — rules whose FIRST-of-RHS inputs were checked,
+// and nonterminals whose FIRST/nullable/FOLLOW sets the grammar's
+// analysis recomputed for it.
 type RepairStats struct {
 	RowsRepaired     int
 	RowsKept         int
 	ConflictsChanged bool
+	RulesDiffed      int
+	Reanalysed       int
 }
 
 // Repair splices rule updates into the table after the grammar has
-// already been mutated (AddRule or DeleteRule of each rule): the
-// analyses are recomputed (they are global fixpoints, cheap next to row
-// filling), and only the rows whose prediction inputs moved — the
-// modified nonterminals themselves, rows with a FIRST-of-RHS change, and
-// nullable rows whose FOLLOW changed — are refilled. A right-hand side's
-// FIRST can only move through a nonterminal whose FIRST or nullability
-// moved, so only rules mentioning one are diffed. The result is
-// cell-identical to a from-scratch Generate; unlike the LALR repair
-// there is no structural state to splice, so Repair never declines.
+// already been mutated (AddRule or DeleteRule of each rule). The
+// grammar's analysis is delta-repaired from the modified left-hand
+// sides, and only the rows whose prediction inputs moved are refilled:
+// the modified nonterminals themselves, rows with a rule whose
+// right-hand-side FIRST can have moved (a nonterminal whose FIRST or
+// nullability moved sits in its nullable prefix, or just after it), and
+// nullable rows whose FOLLOW moved. The rules checked are those that
+// mention a moved nonterminal, found through the grammar's
+// reverse-dependency index, so the repair costs what the update moved.
+// The result is cell-identical to a from-scratch Generate; unlike the
+// LALR repair there is no structural state to splice, so Repair never
+// declines.
 func (t *Table) Repair(rules ...*grammar.Rule) RepairStats {
 	g := t.g
-	newFirst, newNull := g.FirstSets(), g.Nullable()
-	newFollow := g.FollowSetsOf(newFirst, newNull)
+	var st RepairStats
+	work := t.ana.Work()
+	a := g.Analysis()
+	st.Reanalysed = a.Work() - work
 
-	nts := g.Symbols().Nonterminals()
-	moved := map[grammar.Symbol]bool{}
-	followMoved := map[grammar.Symbol]bool{}
-	for _, a := range nts {
-		if t.null.Has(a) != newNull.Has(a) || !equalSets(t.first[a], newFirst[a]) {
-			moved[a] = true
-		}
-		if !equalSets(t.follow[a], newFollow[a]) {
-			followMoved[a] = true
-		}
-	}
 	damaged := map[grammar.Symbol]bool{}
 	for _, r := range rules {
 		damaged[r.Lhs] = true
 	}
-	for _, r := range g.Rules() {
-		if damaged[r.Lhs] || !followMoved[r.Lhs] && !mentionsAny(r.Rhs, moved) {
+	moved := a.FirstMovedSince(t.version, nil)
+	isMoved := make(map[grammar.Symbol]bool, len(moved))
+	for _, n := range moved {
+		isMoved[n] = true
+	}
+	for _, y := range moved {
+		for _, r := range g.RulesUsing(y) {
+			st.RulesDiffed++
+			if !damaged[r.Lhs] && t.windowMoved(r, isMoved) {
+				damaged[r.Lhs] = true
+			}
+		}
+	}
+	for _, x := range a.FollowMovedSince(t.version, nil) {
+		if damaged[x] {
 			continue
 		}
-		oldFs, oldNullable := g.FirstOfString(r.Rhs, t.first, t.null)
-		newFs, newNullable := g.FirstOfString(r.Rhs, newFirst, newNull)
-		if oldNullable != newNullable || !equalSets(oldFs, newFs) || newNullable && followMoved[r.Lhs] {
-			damaged[r.Lhs] = true
+		for _, r := range g.RulesFor(x) {
+			st.RulesDiffed++
+			if t.nullable(r.Rhs) {
+				damaged[x] = true
+				break
+			}
 		}
 	}
-	t.first, t.null, t.follow = newFirst, newNull, newFollow
+	t.version = a.Version()
 
-	rows := 0
-	for _, a := range nts {
-		if len(g.RulesFor(a)) > 0 {
-			rows++
-		}
-	}
 	// Only refilled rows can change their conflicts.
-	st := RepairStats{RowsRepaired: len(damaged), RowsKept: max(rows-len(damaged), 0)}
-	for a := range damaged {
-		before := t.rowConflicts[a]
-		t.fillRow(a)
-		if !sameConflicts(before, t.rowConflicts[a]) {
+	st.RowsRepaired = len(damaged)
+	st.RowsKept = max(g.LhsCount()-len(damaged), 0)
+	for n := range damaged {
+		before := t.rowConflicts[n]
+		t.fillRow(n)
+		if !sameConflicts(before, t.rowConflicts[n]) {
 			st.ConflictsChanged = true
+			t.spliceRow(n, len(before))
 		}
-	}
-	if st.ConflictsChanged {
-		t.assembleConflicts()
 	}
 	return st
+}
+
+// spliceRow replaces row n's previous count conflicts in the table-wide
+// list, kept in (nonterminal, lookahead) order, with its current ones.
+func (t *Table) spliceRow(n grammar.Symbol, count int) {
+	if count == 0 && len(t.rowConflicts[n]) == 0 {
+		return
+	}
+	cs := append([]Conflict(nil), t.rowConflicts[n]...)
+	sort.Slice(cs, func(i, j int) bool { return cs[i].Lookahead < cs[j].Lookahead })
+	lo := sort.Search(len(t.conflicts), func(i int) bool { return t.conflicts[i].Nonterminal >= n })
+	t.conflicts = slices.Replace(t.conflicts, lo, lo+count, cs...)
+}
+
+// windowMoved reports whether FIRST of r's right-hand side can have
+// moved: a moved nonterminal occurs before the first symbol that is
+// non-nullable now (a nonterminal whose nullability moved is itself
+// moved, so the prefix is the same under the old analysis).
+func (t *Table) windowMoved(r *grammar.Rule, moved map[grammar.Symbol]bool) bool {
+	syms := t.g.Symbols()
+	for _, s := range r.Rhs {
+		if moved[s] {
+			return true
+		}
+		if syms.Kind(s) == grammar.Terminal || !t.ana.Nullable(s) {
+			return false
+		}
+	}
+	return false
+}
+
+// nullable reports whether alpha derives the empty string.
+func (t *Table) nullable(alpha []grammar.Symbol) bool {
+	syms := t.g.Symbols()
+	for _, s := range alpha {
+		if syms.Kind(s) == grammar.Terminal || !t.ana.Nullable(s) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameConflicts reports whether two conflict lists of one row hold the
@@ -213,15 +244,6 @@ func sameRules(a, b []*grammar.Rule) bool {
 		}
 	}
 	return true
-}
-
-func mentionsAny(syms []grammar.Symbol, set map[grammar.Symbol]bool) bool {
-	for _, s := range syms {
-		if set[s] {
-			return true
-		}
-	}
-	return false
 }
 
 // conflictKeys renders the conflict set canonically for comparison.
@@ -264,18 +286,6 @@ func (t *Table) Signature() string {
 		b.WriteString("  " + k + "\n")
 	}
 	return b.String()
-}
-
-func equalSets(a, b grammar.SymbolSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for s := range a {
-		if !b.Has(s) {
-			return false
-		}
-	}
-	return true
 }
 
 // Conflicts returns the LL(1) conflicts; the grammar is LL(1) iff empty.

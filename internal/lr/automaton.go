@@ -60,6 +60,12 @@ type Automaton struct {
 	states map[string]*State // canonical kernel key -> state
 	start  *State
 	nextID int
+	// onSym[n] lists the complete states with a transition on
+	// nonterminal n: the states a modification of n's rules damages
+	// (section 6.1). Expand, Invalidate and Remove keep it current.
+	onSym [][]*State
+	// types counts the states by type.
+	types [3]int
 
 	// Stats accumulates generator work counters.
 	Stats Stats
@@ -124,6 +130,7 @@ func (a *Automaton) Intern(k Kernel) *State {
 	s := &State{ID: a.nextID, Kernel: k, Type: Initial}
 	a.nextID++
 	a.states[key] = s
+	a.types[Initial]++
 	a.Stats.StatesCreated++
 	return s
 }
@@ -135,8 +142,78 @@ func (a *Automaton) Remove(s *State) {
 	key := s.Kernel.Key()
 	if a.states[key] == s {
 		delete(a.states, key)
+		a.types[s.Type]--
+		if s.Type == Complete {
+			a.unindex(s)
+		}
 		a.Stats.StatesRemoved++
 	}
+}
+
+// AppendStatesOn appends to dst the complete states with a transition
+// on nonterminal n — the states whose closures held n's rules — in no
+// particular order, and returns the extended slice. It reads the
+// index, so it costs what it returns.
+func (a *Automaton) AppendStatesOn(dst []*State, n grammar.Symbol) []*State {
+	if int(n) < len(a.onSym) {
+		dst = append(dst, a.onSym[n]...)
+	}
+	return dst
+}
+
+// index records a complete state's transition on sym, when sym is a
+// nonterminal.
+func (a *Automaton) index(s *State, sym grammar.Symbol) {
+	if a.g.Symbols().Kind(sym) != grammar.Nonterminal {
+		return
+	}
+	for int(sym) >= len(a.onSym) {
+		a.onSym = append(a.onSym, nil)
+	}
+	a.onSym[sym] = append(a.onSym[sym], s)
+}
+
+// unindex drops a complete state from the index before its
+// transitions change or it leaves the graph.
+func (a *Automaton) unindex(s *State) {
+	syms := a.g.Symbols()
+	for sym := range s.Transitions {
+		if syms.Kind(sym) != grammar.Nonterminal {
+			continue
+		}
+		list := a.onSym[sym]
+		for i, x := range list {
+			if x == s {
+				last := len(list) - 1
+				list[i] = list[last]
+				list[last] = nil
+				a.onSym[sym] = list[:last]
+				break
+			}
+		}
+	}
+}
+
+// Invalidate makes a complete state initial, or dirty when
+// keepHistory is set (section 6.2: a dirty state keeps its transitions
+// as history, so RE-EXPAND can release the references its re-expansion
+// no longer makes). The state is unpublished first; callers exclude
+// concurrent readers.
+func (a *Automaton) Invalidate(s *State, keepHistory bool) {
+	s.Unpublish()
+	a.unindex(s)
+	a.types[Complete]--
+	if keepHistory {
+		s.OldTransitions = s.Transitions
+		s.OldAccept = s.Accept
+		s.Type = Dirty
+	} else {
+		s.Type = Initial
+	}
+	a.types[s.Type]++
+	s.Transitions = nil
+	s.Reductions = nil
+	s.Accept = false
 }
 
 // ResetStartKernel recomputes the start state's kernel after a START-rule
@@ -147,8 +224,16 @@ func (a *Automaton) ResetStartKernel() {
 	a.start.Kernel = StartKernel(a.g)
 	// A distinct state with the new kernel may already exist (e.g. the
 	// modification re-added rules of an earlier grammar). The start state
-	// wins the key; the other state becomes unreachable garbage.
-	a.states[a.start.Kernel.Key()] = a.start
+	// wins the key; the other state becomes unreachable garbage, out of
+	// the counts and the index.
+	key := a.start.Kernel.Key()
+	if other, ok := a.states[key]; ok && other != a.start {
+		a.types[other.Type]--
+		if other.Type == Complete {
+			a.unindex(other)
+		}
+	}
+	a.states[key] = a.start
 }
 
 // Expand transforms an initial (or dirty) set of items into a complete one
@@ -163,6 +248,11 @@ func (a *Automaton) Expand(s *State) []*State {
 	a.Stats.ClosureItems += len(cl)
 	a.Stats.Expansions++
 
+	if s.Type == Complete {
+		a.unindex(s)
+	}
+	a.types[s.Type]--
+	a.types[Complete]++
 	s.Transitions = make(map[grammar.Symbol]*State)
 	s.Reductions = nil
 	s.Accept = false
@@ -199,6 +289,7 @@ func (a *Automaton) Expand(s *State) []*State {
 		}
 		s.Transitions[sym] = succ
 		succ.RefCount++
+		a.index(s, sym)
 	}
 	s.Type = Complete
 	s.Publish()
@@ -339,18 +430,105 @@ func (a *Automaton) SweepUnreachable() []*State {
 	return removed
 }
 
+// Release drops the references that re-expanded states no longer hold
+// — released lists, once per lost transition, the old successors a
+// re-expansion replaced — and removes the states that became garbage,
+// returning them with the number of states the check visited. Garbage
+// is found by trial deletion (Bacon & Rajan's synchronous cycle
+// collection) over the subgraph reachable from the released states
+// only: within it, a state keeps its place when references from
+// outside the subgraph remain (the start state's permanent reference
+// counts as one), as does everything it reaches; the rest — counts that
+// reached zero, and cycles of states that only reference each other —
+// is removed, and the survivors' counts lose the removed states'
+// references. The repair paths of the eager tables use it instead of a
+// global sweep, so reclamation costs what the damage reached.
+func (a *Automaton) Release(released []*State) (removed []*State, visited int) {
+	if len(released) == 0 {
+		return nil, 0
+	}
+	succs := func(s *State, fn func(*State)) {
+		for _, t := range s.Transitions {
+			fn(t)
+		}
+		for _, t := range s.OldTransitions {
+			fn(t)
+		}
+	}
+	// The subgraph and, per state, its references from outside it.
+	outside := make(map[*State]int, len(released))
+	var sub []*State
+	visit := func(t *State) {
+		if _, ok := outside[t]; !ok {
+			outside[t] = t.RefCount
+			sub = append(sub, t)
+		}
+	}
+	for _, t := range released {
+		t.RefCount--
+	}
+	for _, t := range released {
+		visit(t)
+	}
+	for i := 0; i < len(sub); i++ {
+		succs(sub[i], visit)
+	}
+	for _, s := range sub {
+		succs(s, func(t *State) { outside[t]-- })
+	}
+	// Whatever an outside reference keeps, and everything it reaches,
+	// stays.
+	live := make(map[*State]bool, len(sub))
+	var work []*State
+	for _, s := range sub {
+		if outside[s] > 0 && a.states[s.Kernel.Key()] == s {
+			live[s] = true
+			work = append(work, s)
+		}
+	}
+	for len(work) > 0 {
+		s := work[len(work)-1]
+		work = work[:len(work)-1]
+		succs(s, func(t *State) {
+			if !live[t] {
+				live[t] = true
+				work = append(work, t)
+			}
+		})
+	}
+	for _, s := range sub {
+		if !live[s] {
+			removed = append(removed, s)
+		}
+	}
+	for _, s := range removed {
+		a.Remove(s)
+		succs(s, func(t *State) {
+			if live[t] {
+				t.RefCount--
+			}
+		})
+	}
+	return removed, len(sub)
+}
+
 // TypeCounts returns how many states are initial, complete and dirty —
 // the lazy-coverage measurement of section 5.2 reads these.
 func (a *Automaton) TypeCounts() (initial, complete, dirty int) {
+	return a.types[Initial], a.types[Complete], a.types[Dirty]
+}
+
+// reindex rebuilds the type counts and the nonterminal index from the
+// states, after a load.
+func (a *Automaton) reindex() {
+	a.types = [3]int{}
+	a.onSym = nil
 	for _, s := range a.states {
-		switch s.Type {
-		case Initial:
-			initial++
-		case Complete:
-			complete++
-		case Dirty:
-			dirty++
+		a.types[s.Type]++
+		if s.Type == Complete {
+			for sym := range s.Transitions {
+				a.index(s, sym)
+			}
 		}
 	}
-	return
 }

@@ -365,3 +365,60 @@ func TestResetStartKernel(t *testing.T) {
 		t.Error("start state not re-keyed")
 	}
 }
+
+// TestReleaseReclaimsOrphanCycles re-expands the one state that reaches
+// a self-looping chain after the rule leading into it is deleted:
+// Release must reclaim the chain, cycle included, keep exact counts on
+// the survivors, and drop the reclaimed states from the index.
+func TestReleaseReclaimsOrphanCycles(t *testing.T) {
+	g := grammar.MustParse(`
+START ::= S
+S ::= "x" | "a" L
+L ::= "b" L | "c"
+`)
+	a := New(g)
+	a.GenerateAll()
+	syms := g.Symbols()
+	s := syms.MustIntern("S", grammar.Nonterminal)
+	l := syms.MustIntern("L", grammar.Nonterminal)
+	if n := len(a.AppendStatesOn(nil, l)); n != 2 {
+		t.Fatalf("%d states transition on L, want 2 (after a, after b)", n)
+	}
+	if _, err := g.DeleteRule(grammar.NewRule(s, syms.MustIntern("a", grammar.Terminal), l)); err != nil {
+		t.Fatal(err)
+	}
+	var released []*State
+	for _, st := range a.AppendStatesOn(nil, s) {
+		old := st.Transitions
+		a.Expand(st)
+		for sym, succ := range old {
+			if st.Transitions[sym] == succ {
+				succ.RefCount--
+			} else {
+				released = append(released, succ)
+			}
+		}
+	}
+	before := a.Len()
+	removed, visited := a.Release(released)
+	if len(removed) == 0 || a.Len() != before-len(removed) || visited < len(removed) {
+		t.Fatalf("removed %d of %d states, visited %d", len(removed), before, visited)
+	}
+	in := map[*State]int{a.Start(): 1}
+	for _, st := range a.States() {
+		for _, succ := range st.Transitions {
+			in[succ]++
+		}
+	}
+	for _, st := range a.States() {
+		if st.RefCount != in[st] || in[st] == 0 {
+			t.Fatalf("state %d: RefCount %d, %d incoming", st.ID, st.RefCount, in[st])
+		}
+	}
+	if n := len(a.AppendStatesOn(nil, l)); n != 0 {
+		t.Fatalf("%d reclaimed states left in the index", n)
+	}
+	if got := len(a.SweepUnreachable()); got != 0 {
+		t.Fatalf("a global sweep still finds %d orphans", got)
+	}
+}

@@ -348,6 +348,7 @@ func Load(g *grammar.Grammar, r io.Reader) (*Automaton, error) {
 	}
 	a.start = start
 	start.RefCount++
+	a.reindex()
 	if statsSeen {
 		a.Stats = stats
 	}

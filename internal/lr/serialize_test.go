@@ -88,18 +88,6 @@ func TestSerializeQuotedNames(t *testing.T) {
 	}
 }
 
-// dirtyOne mimics the incremental generator's invalidate (refcount
-// policy): the state keeps its transitions as history.
-func dirtyOne(s *State) {
-	s.Unpublish()
-	s.OldTransitions = s.Transitions
-	s.OldAccept = s.Accept
-	s.Type = Dirty
-	s.Transitions = nil
-	s.Reductions = nil
-	s.Accept = false
-}
-
 func TestSerializeDirtyHistory(t *testing.T) {
 	g := fixtures.Booleans()
 	a := New(g)
@@ -114,7 +102,7 @@ func TestSerializeDirtyHistory(t *testing.T) {
 	if victim == nil {
 		t.Fatal("no state with transitions")
 	}
-	dirtyOne(victim)
+	a.Invalidate(victim, true)
 	loaded := roundTrip(t, a, g)
 	lv, ok := loaded.Lookup(victim.Kernel)
 	if !ok {

@@ -107,9 +107,19 @@ type Span struct {
 	// RepairedStates and RepairFallbacks describe table repairs absorbed
 	// during the span (rule-update requests): how many states the
 	// in-place splices touched, and how many updates declined repair and
-	// regenerated instead. Zero for plain parses.
-	RepairedStates  int
-	RepairFallbacks int
+	// regenerated instead. The RepairScanned, RepairPropagated,
+	// RepairRulesDiffed and RepairReanalysed counts are the work the
+	// repairs visited: states looked at to find and reclaim the damage,
+	// LALR(1) lookahead slots re-propagated, rules whose FIRST inputs
+	// were diffed, and nonterminals whose FIRST/nullable/FOLLOW sets were
+	// recomputed — what shows a repair costing the damage, not the
+	// grammar. Zero for plain parses.
+	RepairedStates    int
+	RepairFallbacks   int
+	RepairScanned     int
+	RepairPropagated  int
+	RepairRulesDiffed int
+	RepairReanalysed  int
 	// Canceled is the cancellation reason when the parse was aborted
 	// mid-drive ("" for completed parses); Panicked marks a parse whose
 	// engine panicked and was quarantined into a structured error.
@@ -152,15 +162,27 @@ func (t *ParseTrace) EndStage(s Stage) {
 	t.starts[s] = time.Time{}
 }
 
-// AddRepair accumulates one table repair's outcome into the span: the
-// states the in-place splice touched and whether the repair declined
-// and fell back to regeneration. No-op on a nil trace.
-func (t *ParseTrace) AddRepair(states, fallbacks int) {
+// Repair is one rule update's table-repair outcome, in the units of
+// the Span fields of the same names: states the in-place splice
+// touched, updates that fell back to regeneration, and the work the
+// repairs visited.
+type Repair struct {
+	States, Fallbacks                            int
+	Scanned, Propagated, RulesDiffed, Reanalysed int
+}
+
+// AddRepair accumulates one table repair's outcome into the span. No-op
+// on a nil trace.
+func (t *ParseTrace) AddRepair(r Repair) {
 	if t == nil {
 		return
 	}
-	t.span.RepairedStates += states
-	t.span.RepairFallbacks += fallbacks
+	t.span.RepairedStates += r.States
+	t.span.RepairFallbacks += r.Fallbacks
+	t.span.RepairScanned += r.Scanned
+	t.span.RepairPropagated += r.Propagated
+	t.span.RepairRulesDiffed += r.RulesDiffed
+	t.span.RepairReanalysed += r.Reanalysed
 }
 
 // MarkCanceled records that the parse was aborted mid-drive with the

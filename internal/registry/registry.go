@@ -721,8 +721,8 @@ func (e *Entry) UpdateRules(text string, add bool, tr *obs.ParseTrace) (n int, e
 
 // applyUpdate runs one engine rule update under the repair trace stage,
 // observes its latency in the entry's repair histogram, and accumulates
-// the repair outcome (states touched, fallbacks) into the trace from
-// the engine's counter deltas.
+// the repair outcome (states touched, fallbacks, work visited) into the
+// trace from the engine's counter deltas.
 func (e *Entry) applyUpdate(tr *obs.ParseTrace, r *grammar.Rule, fn func(*grammar.Rule) error) error {
 	tr.BeginStage(obs.StageRepair)
 	before := e.eng.Counters()
@@ -731,8 +731,14 @@ func (e *Entry) applyUpdate(tr *obs.ParseTrace, r *grammar.Rule, fn func(*gramma
 	e.repairLat.observe(time.Since(start))
 	tr.EndStage(obs.StageRepair)
 	after := e.eng.Counters()
-	tr.AddRepair(int(after.StatesRepaired-before.StatesRepaired),
-		int(after.RepairFallbacks-before.RepairFallbacks))
+	tr.AddRepair(obs.Repair{
+		States:      int(after.StatesRepaired - before.StatesRepaired),
+		Fallbacks:   int(after.RepairFallbacks - before.RepairFallbacks),
+		Scanned:     int(after.RepairScanned - before.RepairScanned),
+		Propagated:  int(after.RepairPropagated - before.RepairPropagated),
+		RulesDiffed: int(after.RepairRulesDiffed - before.RepairRulesDiffed),
+		Reanalysed:  int(after.RepairReanalysed - before.RepairReanalysed),
+	})
 	return err
 }
 
@@ -741,22 +747,17 @@ func (e *Entry) applyUpdate(tr *obs.ParseTrace, r *grammar.Rule, fn func(*gramma
 func (e *Entry) extendScanner(r *grammar.Rule) error {
 	e.scanMu.Lock()
 	defer e.scanMu.Unlock()
-	known := map[string]bool{}
-	for _, lex := range e.scanner.Rules() {
-		known[lex.Sort] = true
-	}
 	for _, sym := range r.Rhs {
 		if e.g.Symbols().Kind(sym) != grammar.Terminal {
 			continue
 		}
 		name := e.g.Symbols().Name(sym)
-		if known[name] {
+		if e.scanner.HasSort(name) {
 			continue
 		}
 		if err := e.scanner.AddRule(isg.Rule{Sort: name, Pattern: isg.Lit(name)}); err != nil {
 			return err
 		}
-		known[name] = true
 	}
 	return nil
 }

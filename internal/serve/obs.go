@@ -327,9 +327,14 @@ type SpanInfo struct {
 	Accepted bool             `json:"accepted"`
 	Error    string           `json:"error,omitempty"`
 	// RepairedStates/RepairFallbacks describe table repairs absorbed by
-	// the span (rule-update requests); omitted for plain parses.
-	RepairedStates  int `json:"repaired_states,omitempty"`
-	RepairFallbacks int `json:"repair_fallbacks,omitempty"`
+	// the span (rule-update requests), and the repair_* counts the work
+	// they visited (obs.Span); omitted for plain parses.
+	RepairedStates    int `json:"repaired_states,omitempty"`
+	RepairFallbacks   int `json:"repair_fallbacks,omitempty"`
+	RepairScanned     int `json:"repair_scanned,omitempty"`
+	RepairPropagated  int `json:"repair_propagated,omitempty"`
+	RepairRulesDiffed int `json:"repair_rules_diffed,omitempty"`
+	RepairReanalysed  int `json:"repair_reanalysed,omitempty"`
 	// Canceled names the cancellation reason when the parse was aborted
 	// mid-drive; Panicked marks parses recovered from an engine panic.
 	Canceled string `json:"canceled,omitempty"`
@@ -370,8 +375,12 @@ func spanInfoOf(sp obs.Span) SpanInfo {
 		Sampled:   sp.Sampled,
 		Slow:      sp.Slow,
 
-		RepairedStates:  sp.RepairedStates,
-		RepairFallbacks: sp.RepairFallbacks,
+		RepairedStates:    sp.RepairedStates,
+		RepairFallbacks:   sp.RepairFallbacks,
+		RepairScanned:     sp.RepairScanned,
+		RepairPropagated:  sp.RepairPropagated,
+		RepairRulesDiffed: sp.RepairRulesDiffed,
+		RepairReanalysed:  sp.RepairReanalysed,
 	}
 	for st, d := range sp.Stages {
 		if d > 0 {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,42 @@ func TestTraceEndpoint(t *testing.T) {
 	if rec := doReq(t, s, "GET", "/v1/grammars/nosuch/trace", ""); rec.Code != 404 {
 		t.Errorf("trace for unknown grammar: %d", rec.Code)
 	}
+}
+
+// TestRuleUpdateSpanCarriesRepairWork pins that a traced rule update
+// explains its cost from its span: the states the repair touched and
+// the work it visited, per layer count, rendered by /v1/trace.
+func TestRuleUpdateSpanCarriesRepairWork(t *testing.T) {
+	s := New(nil)
+	s.SetTracer(obs.NewTracer(obs.TracerConfig{SampleEvery: 1}))
+	if rec := doReq(t, s, "PUT", "/v1/grammars/calc", `{"source":`+strconv.Quote(calcDetSrc)+`,"engine":"lalr"}`); rec.Code != 201 {
+		t.Fatalf("register: %d %s", rec.Code, rec.Body)
+	}
+	req := httptest.NewRequest("POST", "/v1/grammars/calc/rules", strings.NewReader(`{"add":"F ::= \"id\""}`))
+	req.Header.Set("X-Request-Id", "rules-1")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != 200 {
+		t.Fatalf("rules: %d %s", rec.Code, rec.Body)
+	}
+	var out TraceResponse
+	if err := json.Unmarshal(doReq(t, s, "GET", "/v1/trace", "").Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range out.Spans {
+		if sp.RequestID != "rules-1" {
+			continue
+		}
+		if _, ok := sp.Stages["repair"]; !ok {
+			t.Errorf("rule-update span has no repair stage: %+v", sp)
+		}
+		if sp.RepairedStates == 0 || sp.RepairScanned == 0 || sp.RepairPropagated == 0 ||
+			sp.RepairRulesDiffed == 0 || sp.RepairReanalysed == 0 {
+			t.Errorf("rule-update span misses repair work: %+v", sp)
+		}
+		return
+	}
+	t.Fatalf("no span for the rule update: %+v", out.Spans)
 }
 
 // TestTraceDisabledByDefault pins that a server without SetTracer

@@ -247,7 +247,22 @@ echo "$TRACE" | grep -q '"repaired_states":' || {
   echo "FAIL: rule-update span carries no repaired-state count" >&2
   exit 1
 }
-echo "ok: table repair metrics + trace stage present"
+# Both halves of the round trip must carry the work their repairs
+# visited: states scanned, rules diffed and nonterminals re-analysed,
+# and for the addition lookahead slots propagated (the deletion only
+# drops a reduce state, so no lookahead input moves; zero counts are
+# omitted from the span).
+for check in "smoke-rules repair_propagated" "smoke-rules-del"; do
+  set -- $check
+  SPAN="$(echo "$TRACE" | sed 's/{"id":/\n&/g' | grep "\"request_id\":\"$1\"")"
+  for count in repair_scanned repair_rules_diffed repair_reanalysed ${2:-}; do
+    echo "$SPAN" | grep -q "\"$count\":[1-9]" || {
+      echo "FAIL: rule-update span $1 carries no $count" >&2
+      exit 1
+    }
+  done
+done
+echo "ok: table repair metrics + trace stage + repair work present"
 
 # The completion requests above must have produced per-grammar
 # completion series and a traced span carrying the complete stage.
