@@ -1,34 +1,41 @@
 package harness
 
 import (
+	"sync"
 	"testing"
 )
 
-// TestChurnRepairGate pins the table-repair acceptance criterion on the
-// code under test: it runs the churn workload live and requires that a
-// single-rule update on SDF.sdf (the paper's own definition, the Fig 7.1
-// bootstrap fixture) repairs the LALR(1) table at least 5× faster than
-// regenerating it, and that a warm repair heap-allocates at most a
-// quarter of what a regeneration does. RunChurn keeps the minimum over
-// repeated timings of both, and checks the repaired table against a
-// from-scratch generation itself. It also checks what holds on every
-// row and machine: no fresh-terminal probe declines, and the rederived
-// and kept states partition the post-splice automaton. The timing bar
-// is skipped under the race detector, which skews it.
-func TestChurnRepairGate(t *testing.T) {
+// churnRun holds the one live churn run both churn tests read, so the
+// package pays for regenerating the large tables once.
+var churnRun struct {
+	once sync.Once
+	rows []ChurnResult
+	err  error
+}
+
+// liveChurn runs the churn workload live (repeat 5, minima over the
+// repeats) on first use and checks what holds on every row and machine:
+// no fresh-terminal probe declines, and the rederived and kept states
+// partition the post-splice automaton. Table parity against a
+// from-scratch generation is asserted inside RunChurn itself. It returns
+// the fastest repaired SDF.sdf row.
+func liveChurn(t *testing.T) *ChurnResult {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("churn workload regenerates large tables; skipped in -short")
 	}
-	results, err := RunChurn("../../testdata", 5)
-	if err != nil {
-		t.Fatal(err)
+	churnRun.once.Do(func() {
+		churnRun.rows, churnRun.err = RunChurn("../../testdata", 5)
+	})
+	if churnRun.err != nil {
+		t.Fatal(churnRun.err)
 	}
-	if len(results) == 0 {
+	if len(churnRun.rows) == 0 {
 		t.Fatal("churn workload produced no rows")
 	}
-	var gate *ChurnResult
-	for i := range results {
-		r := &results[i]
+	var best *ChurnResult
+	for i := range churnRun.rows {
+		r := &churnRun.rows[i]
 		if r.FellBack {
 			t.Errorf("%s %s: fresh-terminal probe fell back to regeneration", r.Fixture, r.Nonterminal)
 			continue
@@ -39,13 +46,38 @@ func TestChurnRepairGate(t *testing.T) {
 			t.Errorf("%s %s: rederived+kept = %d states, want states+1 = %d",
 				r.Fixture, r.Nonterminal, got, r.States+1)
 		}
-		if r.Fixture == "SDF.sdf" && (gate == nil || r.Speedup > gate.Speedup) {
-			gate = r
+		if r.Fixture == "SDF.sdf" && (best == nil || r.Speedup > best.Speedup) {
+			best = r
 		}
 	}
-	if gate == nil {
+	if best == nil {
 		t.Fatal("no repaired SDF.sdf row")
 	}
+	return best
+}
+
+// TestChurnWorkloadLive is the lenient live check: the row invariants
+// of liveChurn and, without the race detector skewing timing, a
+// better-than-break-even repair on the best SDF.sdf probe.
+func TestChurnWorkloadLive(t *testing.T) {
+	best := liveChurn(t)
+	// Machine-independent sanity only — the 5x bar is TestChurnRepairGate's.
+	// 1.5x leaves headroom for noisy CI boxes.
+	if !raceEnabled && best.Speedup < 1.5 {
+		t.Errorf("best single-rule update on SDF.sdf (%s): %.1fx live speedup, want >= 1.5x",
+			best.Nonterminal, best.Speedup)
+	}
+}
+
+// TestChurnRepairGate pins the table-repair acceptance criterion on the
+// code under test: on the live churn run, and besides liveChurn's row
+// invariants, a single-rule update on SDF.sdf (the paper's own
+// definition, the Fig 7.1 bootstrap fixture) must repair the LALR(1)
+// table at least 5× faster than regenerating it, and a warm repair must
+// heap-allocate at most a quarter of what a regeneration does. The
+// timing bar is skipped under the race detector, which skews it.
+func TestChurnRepairGate(t *testing.T) {
+	gate := liveChurn(t)
 	t.Logf("best SDF.sdf repair (%s): %dns vs regen %dns (%.1fx), %d vs %d allocs/op",
 		gate.Nonterminal, gate.RepairNS, gate.RegenNS, gate.Speedup, gate.RepairAllocs, gate.RegenAllocs)
 	if !raceEnabled && gate.Speedup < 5 {
