@@ -27,6 +27,7 @@ import (
 	"ipg/internal/glr"
 	"ipg/internal/grammar"
 	"ipg/internal/harness"
+	"ipg/internal/isg"
 	"ipg/internal/lalr"
 	"ipg/internal/ll"
 	"ipg/internal/lr"
@@ -550,7 +551,10 @@ func BenchmarkAblationPerSymbol(b *testing.B) {
 
 // BenchmarkISG measures the companion scanner generator: lazy DFA
 // construction is spread over scanning, and a lexical modification
-// invalidates only the DFA (the NFA rebuild is linear).
+// invalidates only the DFA (the NFA rebuild is linear). The asf-cold and
+// asf-warm rows scan ASF.sdf with the scanner generated from SDF.sdf's
+// lexical syntax — the tokenize stage of the service's SDF parses —
+// from a fresh DFA and from a warm one.
 func BenchmarkISG(b *testing.B) {
 	src := strings.Repeat("module foo begin -- c\n end foo\n", 50)
 	b.Run("first-scan", func(b *testing.B) {
@@ -577,6 +581,53 @@ func BenchmarkISG(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sc.Scan(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	def, err := os.ReadFile("testdata/SDF.sdf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	asf, err := os.ReadFile("testdata/ASF.sdf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sdfScanner := func(b *testing.B) *isg.Scanner {
+		d, err := sdf.ParseDefinition(string(def))
+		if err != nil {
+			b.Fatal(err)
+		}
+		conv, err := sdf.Convert(d, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc, err := conv.Scanner()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sc
+	}
+	b.Run("asf-cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sc := sdfScanner(b)
+			b.StartTimer()
+			if _, err := sc.Scan(string(asf)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("asf-warm", func(b *testing.B) {
+		sc := sdfScanner(b)
+		text := string(asf)
+		if _, err := sc.Scan(text); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sc.Scan(text); err != nil {
 				b.Fatal(err)
 			}
 		}

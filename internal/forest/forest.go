@@ -183,16 +183,22 @@ func (f *Forest) Leaf(sym grammar.Symbol, pos int) *Node {
 }
 
 // ruleHash mixes the rule's value identity and the child node IDs into
-// the interning hash (FNV-1a).
+// the interning hash (FNV-1a). The identity is the rule's ID: a forest
+// applies the rules of one grammar, which interned them. Only a rule no
+// grammar holds hashes its key.
 func ruleHash(r *grammar.Rule, children []*Node) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	key := r.Key()
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * prime64
+	if id := r.ID(); id != 0 {
+		h = (h ^ uint64(id)) * prime64
+	} else {
+		key := r.Key()
+		for i := 0; i < len(key); i++ {
+			h = (h ^ uint64(key[i])) * prime64
+		}
 	}
 	for _, c := range children {
 		id := uint64(c.id)
@@ -203,13 +209,13 @@ func ruleHash(r *grammar.Rule, children []*Node) uint64 {
 }
 
 // ruleEq reports whether interned rule node n is exactly the application
-// of r to children. Rules compare by value identity (Key), children by
-// node identity — the same equivalence the old string key encoded.
+// of r to children. Rules compare by value identity (their IDs, see
+// grammar.Rule.Equal), children by node identity.
 func ruleEq(n *Node, r *grammar.Rule, children []*Node) bool {
 	if len(n.children) != len(children) {
 		return false
 	}
-	if n.rule != r && n.rule.Key() != r.Key() {
+	if n.rule != r && !n.rule.Equal(r) {
 		return false
 	}
 	for i, c := range children {
@@ -327,44 +333,60 @@ var ErrCyclic = errors.New("forest: cyclic forest (grammar not finitely ambiguou
 // at n represents, saturating at math.MaxInt64. It returns ErrCyclic for
 // cyclic forests.
 func TreeCount(n *Node) (int64, error) {
-	memo := map[int]int64{}
-	onPath := map[int]bool{}
-	var count func(n *Node) (int64, error)
-	count = func(n *Node) (int64, error) {
-		if c, ok := memo[n.id]; ok {
-			return c, nil
-		}
-		if onPath[n.id] {
-			return 0, ErrCyclic
-		}
-		onPath[n.id] = true
-		defer delete(onPath, n.id)
-		var c int64
-		switch n.kind {
-		case Leaf:
-			c = 1
-		case RuleNode:
-			c = 1
-			for _, ch := range n.children {
-				cc, err := count(ch)
-				if err != nil {
-					return 0, err
-				}
-				c = satMul(c, cc)
-			}
-		case Amb:
-			for _, a := range n.alts {
-				ca, err := count(a)
-				if err != nil {
-					return 0, err
-				}
-				c = satAdd(c, ca)
-			}
-		}
-		memo[n.id] = c
-		return c, nil
+	c := treeCounter{memo: make([]treeCount, n.id+1)}
+	return c.count(n)
+}
+
+// treeCounter memoises TreeCount per node ID.
+type treeCounter struct {
+	memo []treeCount
+}
+
+// treeCount is one node's memo entry: its count once done, and whether
+// it is on the current path, which makes a revisit a cycle.
+type treeCount struct {
+	n            int64
+	done, onPath bool
+}
+
+func (t *treeCounter) count(n *Node) (int64, error) {
+	if n.id >= len(t.memo) {
+		t.memo = append(t.memo, make([]treeCount, n.id+1-len(t.memo))...)
+		t.memo = t.memo[:cap(t.memo)]
 	}
-	return count(n)
+	m := &t.memo[n.id]
+	switch {
+	case m.done:
+		return m.n, nil
+	case m.onPath:
+		return 0, ErrCyclic
+	}
+	m.onPath = true
+	var c int64
+	switch n.kind {
+	case Leaf:
+		c = 1
+	case RuleNode:
+		c = 1
+		for _, ch := range n.children {
+			cc, err := t.count(ch)
+			if err != nil {
+				return 0, err
+			}
+			c = satMul(c, cc)
+		}
+	case Amb:
+		for _, a := range n.alts {
+			ca, err := t.count(a)
+			if err != nil {
+				return 0, err
+			}
+			c = satAdd(c, ca)
+		}
+	}
+	// The recursion may have grown the memo.
+	t.memo[n.id] = treeCount{n: c, done: true}
+	return c, nil
 }
 
 func satMul(a, b int64) int64 {

@@ -116,7 +116,9 @@ var ErrUnknownRule = errors.New("grammar: no such rule")
 
 // AddRule adds r to the grammar. It is an error if an identical rule is
 // already present, if the left-hand side is not a nonterminal of this
-// grammar's table, or if START occurs in the right-hand side.
+// grammar's table, or if START occurs in the right-hand side. Here r
+// gets its ID (Rule.ID) in the grammar's symbol table; the grammar
+// stores a copy of a rule that a grammar over another table holds.
 func (g *Grammar) AddRule(r *Rule) error {
 	if err := g.checkRule(r); err != nil {
 		return err
@@ -124,6 +126,7 @@ func (g *Grammar) AddRule(r *Rule) error {
 	if g.Has(r) {
 		return fmt.Errorf("%w: %s", ErrDuplicateRule, r.String(g.syms))
 	}
+	r = g.syms.internRule(r)
 	g.rules = append(g.rules, r)
 	g.byKey[r.Key()] = r
 	g.byLhs[r.Lhs] = append(g.byLhs[r.Lhs], r)

@@ -243,3 +243,55 @@ A ::= "x" A
 		t.Errorf("epsilon rule formats as %q", got)
 	}
 }
+
+// TestRuleIDs checks rule identity: equal rules of one symbol table get
+// one ID when they enter a grammar, a deleted rule's ID comes back with
+// an equal rule, and a rule another table interned is copied, its ID
+// left alone.
+func TestRuleIDs(t *testing.T) {
+	g := boolGrammar(t)
+	syms := g.Symbols()
+	b, _ := syms.Lookup("B")
+	tr, _ := syms.Lookup("true")
+	stored, _ := g.Lookup(NewRule(b, tr))
+	id := stored.ID()
+	if id == 0 {
+		t.Fatal("a grammar's rule has no ID")
+	}
+	fresh := NewRule(b, tr)
+	if fresh.ID() != 0 || syms.RuleID(fresh) != id || !fresh.Equal(stored) || !stored.Equal(fresh) {
+		t.Errorf("fresh equal rule: ID %d, RuleID %d (want 0, %d), Equal %v/%v",
+			fresh.ID(), syms.RuleID(fresh), id, fresh.Equal(stored), stored.Equal(fresh))
+	}
+	seen := map[uint32]bool{}
+	for _, r := range g.Rules() {
+		if seen[r.ID()] {
+			t.Errorf("two rules share ID %d", r.ID())
+		}
+		seen[r.ID()] = true
+	}
+	if _, err := g.DeleteRule(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddRule(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID() != id {
+		t.Errorf("re-added rule got ID %d, want %d", fresh.ID(), id)
+	}
+
+	other := New(nil)
+	ob := other.Symbols().MustIntern("B", Nonterminal)
+	other.Symbols().MustIntern("true", Terminal)
+	if ob != b {
+		t.Fatalf("test needs equal symbol numbering, got B = %d and %d", ob, b)
+	}
+	if err := other.AddRule(fresh); err != nil {
+		t.Fatal(err)
+	}
+	copied, _ := other.Lookup(fresh)
+	if copied == fresh || copied.ID() == 0 || fresh.ID() != id {
+		t.Errorf("rule added over another table: stored %p (added %p), IDs %d and %d (want %d)",
+			copied, fresh, copied.ID(), fresh.ID(), id)
+	}
+}

@@ -18,6 +18,11 @@ type Rule struct {
 
 	// key is the canonical value identity, computed once at creation.
 	key string
+	// id is the rule's integer identity in syms, the symbol table of the
+	// first grammar it entered; 0 until then. Grammar.AddRule sets both,
+	// once, before the rule is shared.
+	id   uint32
+	syms *SymbolTable
 }
 
 // NewRule creates a rule. The Rhs slice is copied, so callers may reuse
@@ -48,6 +53,12 @@ func ruleKey(lhs Symbol, rhs []Symbol) string {
 // same Lhs and Rhs have equal keys.
 func (r *Rule) Key() string { return r.key }
 
+// ID returns the rule's integer identity, interned per symbol table when
+// the rule enters a grammar: rules of one table have equal IDs exactly
+// when they are equal, and a deleted rule keeps its ID, so an equal rule
+// added later gets it back. It is 0 for a rule no grammar holds yet.
+func (r *Rule) ID() uint32 { return r.id }
+
 // Len returns the length of the right-hand side.
 func (r *Rule) Len() int { return len(r.Rhs) }
 
@@ -55,6 +66,9 @@ func (r *Rule) Len() int { return len(r.Rhs) }
 func (r *Rule) Equal(o *Rule) bool {
 	if r == nil || o == nil {
 		return r == o
+	}
+	if r.syms != nil && r.syms == o.syms {
+		return r.id == o.id
 	}
 	return r.key == o.key
 }

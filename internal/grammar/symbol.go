@@ -59,6 +59,9 @@ type SymbolTable struct {
 	names  []string
 	kinds  []Kind
 	byName map[string]Symbol
+	// ruleIDs interns rule values (Rule.Key) to rule IDs, from 1. An
+	// entry outlives its rule's deletion from every grammar.
+	ruleIDs map[string]uint32
 }
 
 // NewSymbolTable returns a table with the end-marker "$" pre-interned as
@@ -66,9 +69,10 @@ type SymbolTable struct {
 func NewSymbolTable() *SymbolTable {
 	t := &SymbolTable{
 		// Index 0 is reserved for NoSymbol.
-		names:  []string{"", "$"},
-		kinds:  []Kind{Terminal, Terminal},
-		byName: map[string]Symbol{"$": EOF},
+		names:   []string{"", "$"},
+		kinds:   []Kind{Terminal, Terminal},
+		byName:  map[string]Symbol{"$": EOF},
+		ruleIDs: map[string]uint32{},
 	}
 	return t
 }
@@ -92,6 +96,35 @@ func (t *SymbolTable) Intern(name string, kind Kind) (Symbol, error) {
 	t.kinds = append(t.kinds, kind)
 	t.byName[name] = s
 	return s, nil
+}
+
+// RuleID returns r's integer identity in t: the ID t gave r, or an
+// equal rule, when it entered a grammar over t; 0 when no grammar over
+// t ever held a rule equal to r. It only reads the table.
+func (t *SymbolTable) RuleID(r *Rule) uint32 {
+	if r.syms == t {
+		return r.id
+	}
+	return t.ruleIDs[r.key]
+}
+
+// internRule gives r its ID in t, as the rule enters a grammar over t.
+// A rule another table interned is copied first: its ID belongs to
+// that table's grammars.
+func (t *SymbolTable) internRule(r *Rule) *Rule {
+	if r.syms == t {
+		return r
+	}
+	if r.syms != nil {
+		r = &Rule{Lhs: r.Lhs, Rhs: r.Rhs, key: r.key}
+	}
+	id, ok := t.ruleIDs[r.key]
+	if !ok {
+		id = uint32(len(t.ruleIDs) + 1)
+		t.ruleIDs[r.key] = id
+	}
+	r.id, r.syms = id, t
+	return r
 }
 
 // MustIntern is Intern that panics on error. Intended for tests and for

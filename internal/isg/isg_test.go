@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func identRules(t *testing.T) []Rule {
@@ -381,6 +382,86 @@ func matchPattern(p *Pattern, byName map[string]*Pattern, input []rune, pos int)
 	return out
 }
 
+// refScan tokenizes src like Scan, by greedy repeated application of
+// matchPattern: the longest match wins, ties go to the earliest rule,
+// and private rules match only through references. src is decoded as
+// Scan decodes it, an invalid byte being one utf8.RuneError.
+func refScan(rules []Rule, src string) ([]Token, *ScanError) {
+	byName := map[string]*Pattern{}
+	for _, r := range rules {
+		if prev, ok := byName[r.Sort]; ok {
+			byName[r.Sort] = Alt(prev, r.Pattern)
+		} else {
+			byName[r.Sort] = r.Pattern
+		}
+	}
+	var runes []rune
+	var offs []int // offs[i] is the byte offset of runes[i]
+	for i := 0; i < len(src); {
+		r, size := utf8.DecodeRuneInString(src[i:])
+		runes, offs = append(runes, r), append(offs, i)
+		i += size
+	}
+	offs = append(offs, len(src))
+	var toks []Token
+	line, col := 1, 1
+	for pos := 0; pos < len(runes); {
+		best, bestRule := pos, -1
+		for ri, r := range rules {
+			if r.Private {
+				continue
+			}
+			for e := range matchPattern(r.Pattern, byName, runes, pos) {
+				if e > best {
+					best, bestRule = e, ri
+				}
+			}
+		}
+		if bestRule < 0 {
+			return toks, &ScanError{Offset: offs[pos], Line: line, Col: col}
+		}
+		if r := rules[bestRule]; !r.Layout {
+			toks = append(toks, Token{Sort: r.Sort, Text: src[offs[pos]:offs[best]], Offset: offs[pos], Line: line, Col: col})
+		}
+		for _, r := range runes[pos:best] {
+			if r == '\n' {
+				line, col = line+1, 1
+			} else {
+				col++
+			}
+		}
+		pos = best
+	}
+	return toks, nil
+}
+
+// checkScan compares Scan on src with refScan: every token field, and
+// the error position.
+func checkScan(t *testing.T, sc *Scanner, rules []Rule, src string) {
+	t.Helper()
+	want, wantErr := refScan(rules, src)
+	got, err := sc.Scan(src)
+	var gotErr *ScanError
+	if err != nil && !errors.As(err, &gotErr) {
+		t.Fatalf("input %q: %v is not a ScanError", src, err)
+	}
+	switch {
+	case (wantErr == nil) != (gotErr == nil):
+		t.Fatalf("input %q: reference error %v, scanner error %v", src, wantErr, err)
+	case wantErr != nil && (wantErr.Offset != gotErr.Offset || wantErr.Line != gotErr.Line || wantErr.Col != gotErr.Col):
+		t.Fatalf("input %q: reference error at %d (%d:%d), scanner at %d (%d:%d)", src,
+			wantErr.Offset, wantErr.Line, wantErr.Col, gotErr.Offset, gotErr.Line, gotErr.Col)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("input %q: reference %d tokens %#v, scanner %d %#v", src, len(want), want, len(got), got)
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("input %q token %d: reference %#v, scanner %#v", src, i, want[i], got[i])
+		}
+	}
+}
+
 // Property: the lazy DFA scanner tokenizes exactly like greedy repeated
 // application of the reference interpreter.
 func TestScannerMatchesReference(t *testing.T) {
@@ -396,40 +477,6 @@ func TestScannerMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]*Pattern{}
-	for _, r := range rules {
-		byName[r.Sort] = r.Pattern
-	}
-
-	refScan := func(input string) ([]Token, bool) {
-		runes := []rune(input)
-		var toks []Token
-		pos := 0
-		for pos < len(runes) {
-			best, bestRule := -1, -1
-			for ri, r := range rules {
-				for e := range matchPattern(r.Pattern, byName, runes, pos) {
-					if e > best || (e == best && ri < bestRule) {
-						// longest match; ties to the earliest rule
-						if e > best {
-							best, bestRule = e, ri
-						} else if ri < bestRule {
-							bestRule = ri
-						}
-					}
-				}
-			}
-			if best <= pos {
-				return toks, false
-			}
-			if !rules[bestRule].Layout {
-				toks = append(toks, Token{Sort: rules[bestRule].Sort, Text: string(runes[pos:best])})
-			}
-			pos = best
-		}
-		return toks, true
-	}
-
 	alphabet := []rune("ab01. ")
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -438,29 +485,78 @@ func TestScannerMatchesReference(t *testing.T) {
 		for i := 0; i < n; i++ {
 			b.WriteRune(alphabet[rng.Intn(len(alphabet))])
 		}
-		input := b.String()
-
-		want, wantOK := refScan(input)
-		got, err := sc.Scan(input)
-		gotOK := err == nil
-		if wantOK != gotOK {
-			t.Fatalf("input %q: ref ok=%v scanner ok=%v (%v)", input, wantOK, gotOK, err)
-		}
-		if !wantOK {
-			return true
-		}
-		if len(want) != len(got) {
-			t.Fatalf("input %q: ref %d tokens, scanner %d", input, len(want), len(got))
-		}
-		for i := range want {
-			if want[i].Sort != got[i].Sort || want[i].Text != got[i].Text {
-				t.Fatalf("input %q token %d: ref %s%q scanner %s%q",
-					input, i, want[i].Sort, want[i].Text, got[i].Sort, got[i].Text)
-			}
-		}
+		checkScan(t, sc, rules, b.String())
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1)), MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestScanInvalidUTF8 scans across an invalid byte: token texts are the
+// input's bytes at their offsets, the invalid byte's included, and an
+// error after it reports its byte offset.
+func TestScanInvalidUTF8(t *testing.T) {
+	letter, _ := ParseClass("[a-z]")
+	rules := []Rule{
+		{Sort: "ID", Pattern: Plus(Class(letter))},
+		{Sort: "BAD", Pattern: Class(ClassOf(utf8.RuneError))},
+		{Sort: "WS", Pattern: Lit(" "), Layout: true},
+	}
+	sc, err := NewScanner(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := "ab \xff cd !"
+	toks, err := sc.Scan(src)
+	var serr *ScanError
+	if !errors.As(err, &serr) || serr.Offset != 8 || serr.Col != 9 {
+		t.Errorf("error %v, want one at offset 8, column 9", err)
+	}
+	want := []struct {
+		text   string
+		offset int
+	}{{"ab", 0}, {"\xff", 3}, {"cd", 5}}
+	if len(toks) != len(want) {
+		t.Fatalf("tokens %+v", toks)
+	}
+	for i, tk := range toks {
+		if tk.Text != want[i].text || tk.Offset != want[i].offset || tk.Text != src[tk.Offset:tk.Offset+len(tk.Text)] {
+			t.Errorf("token %d: %q at %d, want %q at %d", i, tk.Text, tk.Offset, want[i].text, want[i].offset)
+		}
+	}
+}
+
+// FuzzScan checks the DFA scanner against refScan on arbitrary bytes,
+// over keywords, classes, a multi-byte class (which holds
+// utf8.RuneError, so invalid bytes scan), a reference to a private rule,
+// and layout across lines. One scanner serves every input, so its DFA
+// grows warm as the fuzzer runs.
+func FuzzScan(f *testing.F) {
+	for _, seed := range []string{"ab01. ", "ab \xff cd", "λx αβ\n01.1 ab!", "\xffω\n\n b"} {
+		f.Add(seed)
+	}
+	ab, _ := ParseClass("[ab]")
+	digit, _ := ParseClass("[01]")
+	space, _ := ParseClass("[ \n]")
+	greek := NewCharClass(RuneRange{'α', 'ω'}, RuneRange{utf8.RuneError, utf8.RuneError})
+	rules := []Rule{
+		{Sort: "KW", Pattern: Lit("ab")},
+		{Sort: "LAMBDA", Pattern: Lit("λx")},
+		{Sort: "ID", Pattern: Plus(Class(ab))},
+		{Sort: "NUM", Pattern: Seq(Ref("DIGITS"), Opt(Seq(Lit("."), Ref("DIGITS"))))},
+		{Sort: "GREEK", Pattern: Plus(Class(greek))},
+		{Sort: "WS", Pattern: Plus(Class(space)), Layout: true},
+		{Sort: "DIGITS", Pattern: Plus(Class(digit)), Private: true},
+	}
+	sc, err := NewScanner(rules)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 64 {
+			t.Skip("the reference interpreter is slow on long inputs")
+		}
+		checkScan(t, sc, rules, src)
+	})
 }

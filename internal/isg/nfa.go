@@ -1,9 +1,6 @@
 package isg
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // nfaState is one Thompson NFA state. Transitions are either epsilon
 // (eps) or labeled with a character class.
@@ -198,47 +195,4 @@ func hasRef(p *Pattern) bool {
 		}
 	}
 	return false
-}
-
-// epsClosure expands a state set over epsilon edges; the result is sorted
-// by id and deduplicated.
-func epsClosure(states []*nfaState) []*nfaState {
-	seen := map[int]bool{}
-	var out []*nfaState
-	var stack []*nfaState
-	push := func(s *nfaState) {
-		if !seen[s.id] {
-			seen[s.id] = true
-			out = append(out, s)
-			stack = append(stack, s)
-		}
-	}
-	for _, s := range states {
-		push(s)
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range s.eps {
-			push(e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// move returns the eps-closed successor set of states on rune r.
-func move(states []*nfaState, r rune) []*nfaState {
-	var next []*nfaState
-	for _, s := range states {
-		for _, e := range s.edges {
-			if e.class.Contains(r) {
-				next = append(next, e.to)
-			}
-		}
-	}
-	if len(next) == 0 {
-		return nil
-	}
-	return epsClosure(next)
 }

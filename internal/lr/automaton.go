@@ -2,6 +2,8 @@ package lr
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 
 	"ipg/internal/grammar"
@@ -48,16 +50,21 @@ type Stats struct {
 }
 
 // Automaton is the graph of item sets for a grammar, together with the
-// bookkeeping table Itemsets (here a map from canonical kernel keys to
-// states). It provides the mechanisms — state creation, CLOSURE, EXPAND —
-// shared by every generation strategy; the strategies themselves are:
+// bookkeeping table Itemsets. A state's identity there is its kernel's
+// item ids, sorted (see itemID): the table hashes them and compares
+// them exactly. It provides the mechanisms — state creation, CLOSURE,
+// EXPAND — shared by every generation strategy; the strategies
+// themselves are:
 //
 //   - conventional (PG, section 4): GenerateAll, then use as a Table;
 //   - lazy / incremental (IPG, sections 5–6): internal/core drives the
 //     same automaton, expanding by need and invalidating on modification.
 type Automaton struct {
-	g      *grammar.Grammar
-	states map[string]*State // canonical kernel key -> state
+	g *grammar.Grammar
+	// states maps a kernel hash to the states with that hash, chained
+	// through State.hnext; n counts them.
+	states map[uint64]*State
+	n      int
 	start  *State
 	nextID int
 	// onSym[n] lists the complete states with a transition on
@@ -66,9 +73,144 @@ type Automaton struct {
 	onSym [][]*State
 	// types counts the states by type.
 	types [3]int
+	// tmp is Expand's working space, reused by every expansion.
+	tmp expandScratch
 
 	// Stats accumulates generator work counters.
 	Stats Stats
+}
+
+// expandScratch holds the buffers one expansion fills: the closure, the
+// closure items advanced past each symbol (moved[sym], in
+// first-appearance order of sym), and a successor kernel's item ids.
+type expandScratch struct {
+	closer
+	moved [][]Item
+	order []grammar.Symbol
+	ids   []uint64
+}
+
+// itemID packs an item's identity: its rule's ID (grammar.Rule.ID) in
+// the high 32 bits, its dot in the low 32. It is 0 when the symbol table
+// never interned the rule.
+func itemID(syms *grammar.SymbolTable, it Item) uint64 {
+	id := syms.RuleID(it.Rule)
+	if id == 0 {
+		return 0
+	}
+	return uint64(id)<<32 | uint64(it.Dot)
+}
+
+// kernelIDs appends the item ids of items to dst, sorted and
+// deduplicated: the kernel's identity. It reports false when the symbol
+// table never interned one of the rules, so no state can hold it.
+func (a *Automaton) kernelIDs(dst []uint64, items []Item) ([]uint64, bool) {
+	syms := a.g.Symbols()
+	for _, it := range items {
+		id := itemID(syms, it)
+		if id == 0 {
+			return dst, false
+		}
+		dst = append(dst, id)
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst), true
+}
+
+// mustKernelIDs is kernelIDs for a kernel that must have an identity:
+// one built from the grammar's rules.
+func (a *Automaton) mustKernelIDs(dst []uint64, items []Item) []uint64 {
+	ids, ok := a.kernelIDs(dst, items)
+	if !ok {
+		panic(fmt.Sprintf("lr: kernel item of a rule no grammar over this symbol table holds:\n%s",
+			Kernel(items).String(a.g.Symbols())))
+	}
+	return ids
+}
+
+// hashIDs hashes a kernel's item ids for the state table.
+func hashIDs(ids []uint64) uint64 {
+	h := uint64(len(ids))
+	for _, x := range ids {
+		h = (h ^ x) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+// find returns the state whose kernel has the item ids ids, hashed to
+// h, or nil.
+func (a *Automaton) find(ids []uint64, h uint64) *State {
+	for s := a.states[h]; s != nil; s = s.hnext {
+		if slices.Equal(s.ids, ids) {
+			return s
+		}
+	}
+	return nil
+}
+
+// insert enters s, whose ids and hash are set, in the state table.
+func (a *Automaton) insert(s *State) {
+	s.hnext = a.states[s.hash]
+	a.states[s.hash] = s
+	a.n++
+}
+
+// unlink takes s out of the state table, reporting whether it was in.
+func (a *Automaton) unlink(s *State) bool {
+	head := a.states[s.hash]
+	switch {
+	case head == s && s.hnext == nil:
+		delete(a.states, s.hash)
+	case head == s:
+		a.states[s.hash] = s.hnext
+	default:
+		p := head
+		for p != nil && p.hnext != s {
+			p = p.hnext
+		}
+		if p == nil {
+			return false
+		}
+		p.hnext = s.hnext
+	}
+	s.hnext = nil
+	a.n--
+	return true
+}
+
+// member reports whether s is in the state table.
+func (a *Automaton) member(s *State) bool {
+	for x := a.states[s.hash]; x != nil; x = x.hnext {
+		if x == s {
+			return true
+		}
+	}
+	return false
+}
+
+// all iterates the states in no particular order.
+func (a *Automaton) all() iter.Seq[*State] {
+	return func(yield func(*State) bool) {
+		for _, s := range a.states {
+			for ; s != nil; s = s.hnext {
+				if !yield(s) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// add creates an initial state with kernel k, whose item ids (copied)
+// are ids, hashed to h.
+func (a *Automaton) add(k Kernel, ids []uint64, h uint64) *State {
+	s := &State{ID: a.nextID, Kernel: k, Type: Initial, ids: slices.Clone(ids), hash: h}
+	a.nextID++
+	a.insert(s)
+	a.types[Initial]++
+	a.Stats.StatesCreated++
+	return s
 }
 
 // New builds the first part of the graph of item sets: only the start
@@ -77,7 +219,7 @@ type Automaton struct {
 func New(g *grammar.Grammar) *Automaton {
 	a := &Automaton{
 		g:      g,
-		states: make(map[string]*State),
+		states: make(map[uint64]*State),
 	}
 	a.start = a.Intern(StartKernel(g))
 	a.start.RefCount++ // permanent root reference
@@ -101,47 +243,45 @@ func (a *Automaton) Grammar() *grammar.Grammar { return a.g }
 func (a *Automaton) Start() *State { return a.start }
 
 // Len returns the number of states currently in the graph.
-func (a *Automaton) Len() int { return len(a.states) }
+func (a *Automaton) Len() int { return a.n }
 
 // States returns all states sorted by ID. The slice is fresh; the states
 // are shared.
 func (a *Automaton) States() []*State {
-	out := make([]*State, 0, len(a.states))
-	for _, s := range a.states {
-		out = append(out, s)
-	}
+	out := slices.AppendSeq(make([]*State, 0, a.n), a.all())
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Lookup returns the state with the given kernel, if present.
 func (a *Automaton) Lookup(k Kernel) (*State, bool) {
-	s, ok := a.states[k.Key()]
-	return s, ok
+	var buf [16]uint64
+	ids, ok := a.kernelIDs(buf[:0], k)
+	if !ok {
+		return nil, false
+	}
+	s := a.find(ids, hashIDs(ids))
+	return s, s != nil
 }
 
 // Intern returns the state with kernel k, creating it as an initial state
-// if necessary.
+// if necessary. Every rule of k must be one a grammar over the
+// automaton's symbol table holds or held.
 func (a *Automaton) Intern(k Kernel) *State {
-	key := k.Key()
-	if s, ok := a.states[key]; ok {
+	ids := a.mustKernelIDs(a.tmp.ids[:0], k)
+	a.tmp.ids = ids
+	h := hashIDs(ids)
+	if s := a.find(ids, h); s != nil {
 		return s
 	}
-	s := &State{ID: a.nextID, Kernel: k, Type: Initial}
-	a.nextID++
-	a.states[key] = s
-	a.types[Initial]++
-	a.Stats.StatesCreated++
-	return s
+	return a.add(k, ids, h)
 }
 
 // Remove deletes s from the bookkeeping table. Used by the incremental
 // generator's garbage collector; the caller is responsible for reference
 // counts.
 func (a *Automaton) Remove(s *State) {
-	key := s.Kernel.Key()
-	if a.states[key] == s {
-		delete(a.states, key)
+	if a.unlink(s) {
 		a.types[s.Type]--
 		if s.Type == Complete {
 			a.unindex(s)
@@ -220,20 +360,24 @@ func (a *Automaton) Invalidate(s *State, keepHistory bool) {
 // modification (MODIFY's A = START case) and re-keys the bookkeeping
 // table. The start state object keeps its identity.
 func (a *Automaton) ResetStartKernel() {
-	delete(a.states, a.start.Kernel.Key())
-	a.start.Kernel = StartKernel(a.g)
+	a.unlink(a.start)
+	k := StartKernel(a.g)
+	ids := a.mustKernelIDs(a.tmp.ids[:0], k)
+	a.tmp.ids = ids
+	h := hashIDs(ids)
 	// A distinct state with the new kernel may already exist (e.g. the
 	// modification re-added rules of an earlier grammar). The start state
-	// wins the key; the other state becomes unreachable garbage, out of
-	// the counts and the index.
-	key := a.start.Kernel.Key()
-	if other, ok := a.states[key]; ok && other != a.start {
+	// wins the identity; the other state becomes unreachable garbage,
+	// out of the table, the counts and the index.
+	if other := a.find(ids, h); other != nil {
+		a.unlink(other)
 		a.types[other.Type]--
 		if other.Type == Complete {
 			a.unindex(other)
 		}
 	}
-	a.states[key] = a.start
+	a.start.Kernel, a.start.ids, a.start.hash = k, slices.Clone(ids), h
+	a.insert(a.start)
 }
 
 // Expand transforms an initial (or dirty) set of items into a complete one
@@ -244,7 +388,8 @@ func (a *Automaton) ResetStartKernel() {
 // re-expanding a dirty state release the old references afterwards
 // (RE-EXPAND, section 6.2).
 func (a *Automaton) Expand(s *State) []*State {
-	cl := Closure(a.g, s.Kernel)
+	tmp := &a.tmp
+	cl := tmp.closure(a.g, s.Kernel)
 	a.Stats.ClosureItems += len(cl)
 	a.Stats.Expansions++
 
@@ -253,14 +398,15 @@ func (a *Automaton) Expand(s *State) []*State {
 	}
 	a.types[s.Type]--
 	a.types[Complete]++
-	s.Transitions = make(map[grammar.Symbol]*State)
 	s.Reductions = nil
 	s.Accept = false
 
 	// Partition the closure by the symbol after the dot, preserving
 	// first-appearance order for deterministic state numbering.
-	var order []grammar.Symbol
-	moved := make(map[grammar.Symbol][]Item)
+	if n := a.g.Symbols().Len() + 1; len(tmp.moved) < n {
+		tmp.moved = append(tmp.moved, make([][]Item, 2*n-len(tmp.moved))...)
+	}
+	order := tmp.order[:0]
 	for _, it := range cl {
 		sym := it.AfterDot()
 		if sym == grammar.NoSymbol {
@@ -272,25 +418,30 @@ func (a *Automaton) Expand(s *State) []*State {
 			}
 			continue
 		}
-		if _, ok := moved[sym]; !ok {
+		if len(tmp.moved[sym]) == 0 {
 			order = append(order, sym)
 		}
-		moved[sym] = append(moved[sym], it.Advance())
+		tmp.moved[sym] = append(tmp.moved[sym], Item{Rule: it.Rule, Dot: it.Dot + 1})
 	}
 
+	s.Transitions = make(map[grammar.Symbol]*State, len(order))
 	var created []*State
 	for _, sym := range order {
-		kernel := NewKernel(moved[sym])
-		key := kernel.Key()
-		succ, existed := a.states[key]
-		if !existed {
-			succ = a.Intern(kernel)
+		items := tmp.moved[sym]
+		ids := a.mustKernelIDs(tmp.ids[:0], items)
+		tmp.ids = ids
+		h := hashIDs(ids)
+		succ := a.find(ids, h)
+		if succ == nil {
+			succ = a.add(NewKernel(items), ids, h)
 			created = append(created, succ)
 		}
 		s.Transitions[sym] = succ
 		succ.RefCount++
 		a.index(s, sym)
+		tmp.moved[sym] = items[:0]
 	}
+	tmp.order = order[:0]
 	s.Type = Complete
 	s.Publish()
 	return created
@@ -405,7 +556,7 @@ func (a *Automaton) SweepUnreachable() []*State {
 	}
 
 	var removed []*State
-	for _, s := range a.states {
+	for s := range a.all() {
 		if !reachable[s] {
 			removed = append(removed, s)
 		}
@@ -481,7 +632,7 @@ func (a *Automaton) Release(released []*State) (removed []*State, visited int) {
 	live := make(map[*State]bool, len(sub))
 	var work []*State
 	for _, s := range sub {
-		if outside[s] > 0 && a.states[s.Kernel.Key()] == s {
+		if outside[s] > 0 && a.member(s) {
 			live[s] = true
 			work = append(work, s)
 		}
@@ -523,7 +674,7 @@ func (a *Automaton) TypeCounts() (initial, complete, dirty int) {
 func (a *Automaton) reindex() {
 	a.types = [3]int{}
 	a.onSym = nil
-	for _, s := range a.states {
+	for s := range a.all() {
 		a.types[s.Type]++
 		if s.Type == Complete {
 			for sym := range s.Transitions {

@@ -12,7 +12,9 @@
 package lr
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -21,7 +23,9 @@ import (
 
 // Item is a dotted rule A ::= α • β: a rule plus a cursor position
 // 0 ≤ Dot ≤ len(Rhs). Items are compared by rule value (not pointer), so
-// kernels survive delete/re-add cycles of equal rules.
+// kernels survive delete/re-add cycles of equal rules. Within an
+// Automaton an item's identity is the integer packing its rule's ID and
+// its dot (see itemID).
 type Item struct {
 	Rule *grammar.Rule
 	Dot  int
@@ -56,9 +60,8 @@ func (it Item) Advance() Item {
 	return Item{Rule: it.Rule, Dot: it.Dot + 1}
 }
 
-// Key is the item's value identity: rule value key plus dot. The LALR
-// lookahead machinery keys its closure bookkeeping on it, so it is
-// exported (and cheaper than String, which resolves symbol names).
+// Key renders the item's value identity: rule value key plus dot. It is
+// the unit of Kernel.Key, and its order is the canonical kernel order.
 func (it Item) Key() string {
 	return it.Rule.Key() + "@" + strconv.Itoa(it.Dot)
 }
@@ -87,21 +90,29 @@ type Kernel []Item
 
 // NewKernel canonicalizes items into a Kernel.
 func NewKernel(items []Item) Kernel {
-	k := make(Kernel, len(items))
-	copy(k, items)
-	sort.Slice(k, func(i, j int) bool { return k[i].Key() < k[j].Key() })
-	// Deduplicate (equal value keys).
-	out := k[:0]
-	prev := ""
-	for _, it := range k {
-		ik := it.Key()
-		if ik == prev {
-			continue
-		}
-		out = append(out, it)
-		prev = ik
+	k := slices.Clone(items)
+	slices.SortFunc(k, compareItems)
+	return slices.CompactFunc(k, func(a, b Item) bool { return compareItems(a, b) == 0 })
+}
+
+// compareItems orders items as their Key renderings compare, without
+// building them: the canonical kernel order.
+func compareItems(a, b Item) int {
+	ka, kb := a.Rule.Key(), b.Rule.Key()
+	if ka == kb {
+		var da, db [20]byte
+		return bytes.Compare(strconv.AppendInt(da[:0], int64(a.Dot), 10), strconv.AppendInt(db[:0], int64(b.Dot), 10))
 	}
-	return out
+	n := min(len(ka), len(kb))
+	if c := strings.Compare(ka[:n], kb[:n]); c != 0 {
+		return c
+	}
+	// One rule key is a proper prefix of the other, and the shorter
+	// rendering continues with the '@' before its dot.
+	if len(ka) < len(kb) {
+		return cmp.Compare('@', kb[n])
+	}
+	return cmp.Compare(ka[n], '@')
 }
 
 // Key returns the canonical identity of the kernel, usable as a map key.
@@ -128,7 +139,7 @@ func (k Kernel) Contains(it Item) bool {
 // state's whole lifetime.
 func (k Kernel) Index(it Item) int {
 	for i, x := range k {
-		if x.Dot == it.Dot && x.Rule.Equal(it.Rule) {
+		if x.Dot == it.Dot && (x.Rule == it.Rule || x.Rule.Equal(it.Rule)) {
 			return i
 		}
 	}
@@ -153,28 +164,55 @@ func (k Kernel) String(t *grammar.SymbolTable) string {
 // preserves first-appearance order: kernel items first (in the order
 // given), then closure items in discovery order, which makes EXPAND's
 // transition ordering — and therefore state numbering — deterministic.
-func Closure(g *grammar.Grammar, kernel []Item) []Item {
-	closure := make([]Item, 0, len(kernel)*2)
-	seen := make(map[string]bool, len(kernel)*2)
-	add := func(it Item) {
-		k := it.Key()
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		closure = append(closure, it)
+func Closure(g *grammar.Grammar, kernel Kernel) []Item {
+	var c closer
+	return slices.Clip(c.closure(g, kernel))
+}
+
+// closer is CLOSURE's working space; an Automaton keeps one for all
+// its expansions.
+type closer struct {
+	items []Item
+	// seen[b] == stamp marks nonterminal b's rules as in the closure.
+	seen  []uint32
+	stamp uint32
+}
+
+// closure computes CLOSURE(kernel) into c.items, valid until the next
+// call. Closure items have their dot at 0, so they are deduplicated by
+// nonterminal: the first item with the dot before B adds all of B's
+// rules, and later ones add nothing.
+func (c *closer) closure(g *grammar.Grammar, kernel Kernel) []Item {
+	syms := g.Symbols()
+	if n := syms.Len() + 1; len(c.seen) < n {
+		c.seen = make([]uint32, 2*n)
+		c.stamp = 0
 	}
+	c.stamp++
+	if c.stamp == 0 {
+		clear(c.seen)
+		c.stamp = 1
+	}
+	items := append(c.items[:0], kernel...)
+	// A kernel item with its dot at 0 is the start kernel's, whose START
+	// no right-hand side mentions; any other must not be added twice.
+	dot0 := false
 	for _, it := range kernel {
-		add(it)
+		dot0 = dot0 || (it.Dot == 0 && it.Rule.Lhs != g.Start())
 	}
-	for i := 0; i < len(closure); i++ {
-		b := closure[i].AfterDot()
-		if b == grammar.NoSymbol || g.Symbols().Kind(b) != grammar.Nonterminal {
+	for i := 0; i < len(items); i++ {
+		b := items[i].AfterDot()
+		if b == grammar.NoSymbol || c.seen[b] == c.stamp || syms.Kind(b) != grammar.Nonterminal {
 			continue
 		}
+		c.seen[b] = c.stamp
 		for _, r := range g.RulesFor(b) {
-			add(Item{Rule: r, Dot: 0})
+			if dot0 && kernel.Index(Item{Rule: r}) >= 0 {
+				continue
+			}
+			items = append(items, Item{Rule: r})
 		}
 	}
-	return closure
+	c.items = items
+	return items
 }

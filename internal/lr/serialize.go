@@ -132,7 +132,7 @@ func Load(g *grammar.Grammar, r io.Reader) (*Automaton, error) {
 		return nil, fmt.Errorf("lr: not an ipg table (missing %q header)", tableMagic)
 	}
 
-	a := &Automaton{g: g, states: make(map[string]*State)}
+	a := &Automaton{g: g, states: make(map[uint64]*State)}
 	byID := map[int]*State{}
 	type pendingTrans struct {
 		from *State
@@ -316,11 +316,13 @@ func Load(g *grammar.Grammar, r io.Reader) (*Automaton, error) {
 	flushKernel()
 
 	for _, s := range byID {
-		key := s.Kernel.Key()
-		if other, dup := a.states[key]; dup {
+		// lookupRule resolved every kernel rule in g, so each has an ID.
+		s.ids = a.mustKernelIDs(nil, s.Kernel)
+		s.hash = hashIDs(s.ids)
+		if other := a.find(s.ids, s.hash); other != nil {
 			return nil, fmt.Errorf("lr: states %d and %d share a kernel", other.ID, s.ID)
 		}
-		a.states[key] = s
+		a.insert(s)
 		switch {
 		case s.Type == Complete && (v1 || published[s]):
 			// v1 implied publication from completeness; v2 records the

@@ -54,6 +54,13 @@ type State struct {
 	// Type is initial, complete, or dirty.
 	Type StateType
 
+	// ids is the kernel's identity in the automaton: its item ids,
+	// sorted; hash hashes them, and hnext chains the states of the
+	// automaton's table that share the hash.
+	ids   []uint64
+	hash  uint64
+	hnext *State
+
 	// Transitions maps a symbol to the successor state: shift actions for
 	// terminals, GOTO transitions for nonterminals. Valid only when Type
 	// is Complete (for Dirty states the last valid value is kept in

@@ -121,7 +121,8 @@ func TokenizeWith(sc *isg.Scanner, src string, syms *grammar.SymbolTable) ([]gra
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]grammar.Symbol, 0, len(toks))
+	// One spare slot for the end marker parsers append.
+	out := make([]grammar.Symbol, 0, len(toks)+1)
 	for _, tk := range toks {
 		s, ok := syms.Lookup(tk.Sort)
 		if !ok {
