@@ -10,27 +10,23 @@
 // cold (lazy warm-up), steady-state recognition and tree-building
 // passes, allocations and bytes per steady pass, and per-sentence
 // latency percentiles (p50/p95/p99). -json writes the machine-readable
-// results (the perf-trajectory artifact CI uploads, e.g. BENCH_pr5.json,
-// which the allocation-regression gate in internal/engine compares
-// against).
+// results (the engine report CI uploads as bench-engines.json; no test
+// reads it, the gates measure live).
 //
 // Usage:
 //
 //	ipg-bench [-testdata dir] [-repeat n]
-//	ipg-bench -engines [-json BENCH_pr5.json]
+//	ipg-bench -engines [-json bench-engines.json]
 //	ipg-bench -edits | -churn
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"ipg/internal/harness"
@@ -45,12 +41,10 @@ func main() {
 	churn := flag.Bool("churn", false, "run the churn workload (in-place LALR table repair vs regeneration) instead of Fig 7.1")
 	complete := flag.Bool("complete", false, "run the completion workload (accept-set queries and cursor feed/restore per backend) instead of Fig 7.1")
 	jsonPath := flag.String("json", "", "also write machine-readable results to this file (-engines mode)")
-	baseline := flag.String("baseline", "", "embed a prior -json report under \"baseline\" for before/after comparison (-engines mode)")
-	goBench := flag.String("gobench", "", "embed parsed `go test -bench -benchmem` output under \"go_bench\" (-engines mode)")
 	flag.Parse()
 
 	if *engines {
-		runEngines(*dir, *repeat, *jsonPath, *baseline, *goBench)
+		runEngines(*dir, *repeat, *jsonPath)
 		return
 	}
 	if *edits {
@@ -85,8 +79,7 @@ func main() {
 	}
 
 	fmt.Println("Fig 7.1 — construct / parse1 / parse2 / modify / parse1' / parse2'")
-	fmt.Println("(wall clock; the paper's Yacc additionally spent ~9.6s generating and")
-	fmt.Println(" compiling C per change, reported separately in EXPERIMENTS.md)")
+	fmt.Println("(wall clock; excludes the C compile the paper's Yacc paid per change)")
 	fmt.Println()
 
 	for _, input := range inputs {
@@ -117,74 +110,19 @@ type engineReport struct {
 	Results []harness.EngineResult `json:"results"`
 	// Edits is the incremental-reparse edit workload: splice cost vs
 	// edit position and width over the SDF fixtures (see
-	// harness.RunEdits). The ≥5× reparse gate in internal/harness reads
-	// the committed artifact's ASF.sdf single-token rows.
+	// harness.RunEdits).
 	Edits []harness.EditResult `json:"edits,omitempty"`
 	// Churn is the grammar-churn workload: in-place LALR(1) table repair
 	// vs full regeneration per single-rule update over the SDF fixtures
-	// (see harness.RunChurn). The ≥5× repair gate in internal/harness
-	// reads the committed artifact's SDF.sdf rows.
+	// (see harness.RunChurn).
 	Churn []harness.ChurnResult `json:"churn,omitempty"`
 	// Complete is the completion workload: warm accept-set query and
 	// cursor feed/restore cost per backend and prefix depth (see
-	// harness.RunComplete). The 0-allocs/op completion gate in
-	// internal/harness reads the committed artifact's LALR and LL rows.
+	// harness.RunComplete).
 	Complete []harness.CompleteResult `json:"complete,omitempty"`
-	// GoBench carries parsed `go test -bench -benchmem` rows (-gobench),
-	// so the repo-level benchmarks (BenchmarkConcurrentParse,
-	// BenchmarkEngines) ride in the same perf-trajectory artifact.
-	GoBench []goBenchRow `json:"go_bench,omitempty"`
-	// Baseline embeds the previous report (-baseline) for direct
-	// before/after reading.
-	Baseline json.RawMessage `json:"baseline,omitempty"`
 }
 
-// goBenchRow is one parsed benchmark line.
-type goBenchRow struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
-}
-
-// parseGoBench reads `go test -bench -benchmem` output: lines of the
-// form "BenchmarkX/sub-8  1234  5678 ns/op  91 B/op  2 allocs/op ...".
-func parseGoBench(path string) ([]goBenchRow, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rows []goBenchRow
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		row := goBenchRow{Name: fields[0]}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				row.NsPerOp = v
-			case "B/op":
-				row.BytesPerOp = int64(v)
-			case "allocs/op":
-				row.AllocsPerOp = int64(v)
-			}
-		}
-		if row.NsPerOp > 0 {
-			rows = append(rows, row)
-		}
-	}
-	return rows, sc.Err()
-}
-
-func runEngines(dir string, repeat int, jsonPath, baselinePath, goBenchPath string) {
+func runEngines(dir string, repeat int, jsonPath string) {
 	workloads, err := harness.EngineWorkloads(dir)
 	if err != nil {
 		log.Fatal(err)
@@ -257,20 +195,6 @@ func runEngines(dir string, repeat int, jsonPath, baselinePath, goBenchPath stri
 		Bench: "engines", Go: runtime.Version(), Arch: runtime.GOARCH,
 		Repeat: repeat, Results: results, Edits: editResults, Churn: churnResults,
 		Complete: completeResults,
-	}
-	if goBenchPath != "" {
-		rows, err := parseGoBench(goBenchPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report.GoBench = rows
-	}
-	if baselinePath != "" {
-		prior, err := os.ReadFile(baselinePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report.Baseline = json.RawMessage(prior)
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -129,7 +129,6 @@ func TestFig21Matrix(t *testing.T) {
 		t.Errorf("modular: composed IPG grammar rejected x+x: %v %v", ok, err)
 	}
 
-	// Record the derived matrix for EXPERIMENTS.md.
 	var sb strings.Builder
 	sb.WriteString("algorithm  powerful\n")
 	for _, name := range []string{"LALR", "LL", "Earley", "Cigale", "OBJ", "Tomita", "IPG"} {

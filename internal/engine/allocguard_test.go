@@ -1,13 +1,12 @@
-// The allocation-regression gate: CI fails when a steady-state pass of
-// any engine workload allocates more than twice what the committed
-// BENCH_pr7.json baseline records. ns/op regressions are machine-
-// dependent and belong to human review of the uploaded bench artifact;
-// allocs/op is deterministic enough to gate on.
+// The allocation gates: CI fails when a steady-state pass of any
+// engine workload, run live on the code under test, allocates more than
+// twice the reference table's allocs/op (reference_test.go). ns/op
+// regressions are machine-dependent and belong to human review of the
+// uploaded engine report; allocs/op is deterministic enough to gate on.
 package engine_test
 
 import (
-	"encoding/json"
-	"os"
+	"sync"
 	"testing"
 
 	"ipg/internal/engine"
@@ -16,77 +15,65 @@ import (
 	"ipg/internal/harness"
 )
 
-// benchBaseline mirrors the committed report envelope (only the fields
-// the gate needs). Baseline recursively embeds the previous PR's report
-// (ipg-bench -baseline), so before/after comparisons need no second
-// file.
-type benchBaseline struct {
-	Results  []harness.EngineResult `json:"results"`
-	Baseline *benchBaseline         `json:"baseline,omitempty"`
+// engineRun holds the one live RunEngines run both allocation gates
+// read, so the package pays for the workload passes once.
+var engineRun struct {
+	once sync.Once
+	rows []harness.EngineResult
+	err  error
 }
 
-func loadReport(t *testing.T, path string) benchBaseline {
+// liveEngines runs every engine workload live (repeat 2, minima over
+// the repeats) on first use.
+func liveEngines(t *testing.T) []harness.EngineResult {
 	t.Helper()
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Skipf("no committed baseline: %v", err)
-	}
-	var base benchBaseline
-	if err := json.Unmarshal(buf, &base); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	return base
-}
-
-func TestAllocRegressionGuard(t *testing.T) {
 	if testing.Short() {
-		t.Skip("allocation guard runs full workload passes; skipped in -short")
+		t.Skip("allocation gates run full workload passes; skipped in -short")
 	}
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool lossy; allocation counts are meaningless under -race")
 	}
-	base := loadReport(t, "../../BENCH_pr7.json")
-	baseline := map[[2]string]int64{}
-	earleyRows := 0
-	for _, r := range base.Results {
-		if r.Error == "" {
-			baseline[[2]string{r.Workload, r.Engine}] = r.AllocsPerOp
-			if r.Engine == "earley" {
-				earleyRows++
-			}
+	engineRun.once.Do(func() {
+		workloads, err := harness.EngineWorkloads("../../testdata")
+		if err != nil {
+			engineRun.err = err
+			return
 		}
+		engineRun.rows = harness.RunEngines(workloads, 2)
+	})
+	if engineRun.err != nil {
+		t.Fatal(engineRun.err)
 	}
-	if len(baseline) == 0 {
-		t.Fatal("BENCH_pr7.json holds no usable baselines")
-	}
-	// The chart overhaul put Earley under the same allocs/op discipline
-	// as the LR engines; the gate must cover its budget on every
-	// workload, not just the table-driven backends'.
-	if earleyRows < 4 {
-		t.Fatalf("BENCH_pr7.json covers only %d earley workloads, want all 4", earleyRows)
-	}
+	return engineRun.rows
+}
 
-	workloads, err := harness.EngineWorkloads("../../testdata")
-	if err != nil {
-		t.Fatal(err)
+// TestAllocRegressionGuard holds every live (workload, engine) row to
+// at most 2× its reference allocs/op plus a small absolute buffer for
+// background-GC noise in the Mallocs delta. The reference table and the
+// run must cover the same rows, so a new backend or workload cannot
+// slip past the guard.
+func TestAllocRegressionGuard(t *testing.T) {
+	live := map[[2]string]harness.EngineResult{}
+	for _, r := range liveEngines(t) {
+		live[[2]string{r.Workload, r.Engine}] = r
 	}
-	live := harness.RunEngines(workloads, 2)
-	checked := 0
-	for _, r := range live {
-		want, ok := baseline[[2]string{r.Workload, r.Engine}]
-		if !ok || r.Error != "" {
-			continue
-		}
-		checked++
-		// >2× the committed allocs/op plus a small absolute buffer for
-		// background-GC noise in the Mallocs delta.
-		if limit := 2*want + 8; r.AllocsPerOp > limit {
-			t.Errorf("%s/%s: %d allocs per steady pass, committed baseline %d (limit %d) — hot-path allocation regression",
-				r.Workload, r.Engine, r.AllocsPerOp, want, limit)
+	for key, want := range referenceAllocs {
+		r, ok := live[key]
+		switch {
+		case !ok:
+			t.Errorf("%s/%s: reference row not produced by the live run", key[0], key[1])
+		case r.Error != "":
+			t.Errorf("%s/%s: %s", key[0], key[1], r.Error)
+		case r.AllocsPerOp > 2*want+8:
+			t.Errorf("%s/%s: %d allocs per steady pass, reference %d (limit %d) — hot-path allocation regression",
+				key[0], key[1], r.AllocsPerOp, want, 2*want+8)
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no (workload, engine) pair matched the committed baseline")
+	for key, r := range live {
+		if _, ok := referenceAllocs[key]; !ok && r.Error == "" {
+			t.Errorf("%s/%s: %d allocs per steady pass and no reference value — add the row to referenceAllocs",
+				key[0], key[1], r.AllocsPerOp)
+		}
 	}
 }
 
@@ -135,39 +122,27 @@ func TestSessionReparseAllocFree(t *testing.T) {
 	}
 }
 
-// TestEarleyAllocDropVersusPR4 pins this PR's acceptance criterion in
-// the committed artifact itself: the pooled chart must cut Earley's
+// TestEarleyAllocDropVersusPR4 pins the chart overhaul's acceptance
+// criterion on the code under test: the pooled chart must cut Earley's
 // steady-state allocs/op at least 10× against the pre-overhaul
-// recognizer on the SDF workload (and every other workload), as
-// recorded in BENCH_pr5.json with the PR 4 report embedded as its
-// baseline.
+// recognizer (preChartEarleyAllocs) on every one of its workloads.
 func TestEarleyAllocDropVersusPR4(t *testing.T) {
-	base := loadReport(t, "../../BENCH_pr5.json")
-	if base.Baseline == nil {
-		t.Fatal("BENCH_pr5.json embeds no PR 4 baseline (regenerate with ipg-bench -baseline BENCH_pr4.json)")
-	}
-	old := map[string]int64{}
-	for _, r := range base.Baseline.Results {
-		if r.Engine == "earley" && r.Error == "" {
-			old[r.Workload] = r.AllocsPerOp
+	live := map[string]harness.EngineResult{}
+	for _, r := range liveEngines(t) {
+		if r.Engine == "earley" {
+			live[r.Workload] = r
 		}
 	}
-	checked := 0
-	for _, r := range base.Results {
-		if r.Engine != "earley" || r.Error != "" {
-			continue
-		}
-		before, ok := old[r.Workload]
-		if !ok {
-			continue
-		}
-		checked++
-		if r.AllocsPerOp*10 > before {
+	for w, before := range preChartEarleyAllocs {
+		r, ok := live[w]
+		switch {
+		case !ok:
+			t.Errorf("%s/earley: pre-overhaul workload not produced by the live run", w)
+		case r.Error != "":
+			t.Errorf("%s/earley: %s", w, r.Error)
+		case r.AllocsPerOp*10 > before:
 			t.Errorf("%s/earley: %d allocs/op vs %d pre-overhaul — less than the required 10x drop",
-				r.Workload, r.AllocsPerOp, before)
+				w, r.AllocsPerOp, before)
 		}
-	}
-	if checked == 0 {
-		t.Fatal("no earley workload present in both PR 5 results and the embedded PR 4 baseline")
 	}
 }

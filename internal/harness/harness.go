@@ -63,9 +63,9 @@ type System string
 
 // The three systems of Fig 7.1.
 const (
-	// Yacc is the LALR(1) baseline. The paper's Yacc additionally spent
-	// 8.3s compiling and linking C code per change; that constant is
-	// reported in EXPERIMENTS.md, not simulated here.
+	// Yacc is the LALR(1) baseline. The paper's Yacc additionally
+	// compiled and linked C code per change; that cost is not simulated
+	// here.
 	Yacc System = "Yacc"
 	// PG is the conventional LR(0) generator of section 4.
 	PG System = "PG"

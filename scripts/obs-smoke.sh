@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Observability smoke test: boot ipg-serve against a real grammar,
 # probe /healthz and /readyz, serve a traced parse, then verify the
-# /metrics exposition carries every required family and /v1/trace
+# /metrics exposition declares exactly the listed families and /v1/trace
 # returns the parse's lifecycle span. Run from the repository root;
 # exits non-zero on the first missing piece.
 set -eu
@@ -124,73 +124,87 @@ curl -fsS -X POST "$BASE/v1/grammars/calc/complete" \
 }
 echo "ok: completion cursor open/accepts/feed/close ($CID)"
 
-# The exposition must carry every required family.
+# The exposition must declare exactly the families listed here: one
+# added or dropped without updating the list fails the smoke.
 METRICS="$(curl -fsS "$BASE/metrics")"
-for fam in \
-  ipg_uptime_seconds \
-  ipg_grammars \
-  ipg_http_requests_total \
-  ipg_parse_requests_total \
-  ipg_http_rejected_total \
-  ipg_parses_served_total \
-  ipg_states_expanded_total \
-  ipg_states_invalidated_total \
-  ipg_action_calls_total \
-  ipg_rule_updates_total \
-  ipg_table_states_repaired_total \
-  ipg_table_repair_fallbacks_total \
-  ipg_table_repair_seconds \
-  ipg_engine_reprobes_total \
-  ipg_admission_rejected_total \
-  ipg_inflight_parses \
-  ipg_table_states \
-  ipg_parse_latency_seconds \
-  ipg_grammar_snapshot_saves_total \
-  ipg_snapshot_saves_total \
-  ipg_snapshot_restores_total \
-  ipg_snapshot_rejected_total \
-  ipg_snapshot_errors_total \
-  ipg_trace_enabled \
-  ipg_trace_started_total \
-  ipg_trace_sampled_total \
-  ipg_trace_slow_total \
-  ipg_sessions_open \
-  ipg_sessions_opened_total \
-  ipg_sessions_evicted_total \
-  ipg_sessions_closed_total \
-  ipg_session_splices_total \
-  ipg_session_reparses_total \
-  ipg_session_full_reparses_total \
-  ipg_reparse_sets_reused_total \
-  ipg_reparse_sets_rebuilt_total \
-  ipg_parses_canceled_total \
-  ipg_parse_panics_total \
-  ipg_breaker_state \
-  ipg_breaker_trips_total \
-  ipg_breaker_rejected_total \
-  ipg_draining \
-  ipg_drain_rejected_total \
-  ipg_mem_budget_bytes \
-  ipg_mem_usage_bytes \
-  ipg_mem_rejected_total \
-  ipg_shed_active \
-  ipg_shed_total \
-  ipg_snapshot_retries_total \
-  ipg_fault_injections_total \
-  ipg_completions_total \
-  ipg_completion_latency_seconds \
-  ipg_completion_cursors_open \
-  ipg_completion_cursors_opened_total \
-  ipg_completion_cursors_evicted_total \
-  ipg_completion_cursors_closed_total \
-  ipg_completion_queries_total \
-  ipg_completion_feeds_total; do
-  echo "$METRICS" | grep -q "^# TYPE $fam " || {
-    echo "FAIL: /metrics missing family $fam" >&2
-    exit 1
-  }
+FAMILIES="
+ipg_uptime_seconds
+ipg_grammars
+ipg_grammars_registered_total
+ipg_http_requests_total
+ipg_parse_requests_total
+ipg_http_rejected_total
+ipg_parses_served_total
+ipg_batch_sentences_total
+ipg_states_expanded_total
+ipg_states_invalidated_total
+ipg_action_calls_total
+ipg_rule_updates_total
+ipg_table_states_repaired_total
+ipg_table_repair_fallbacks_total
+ipg_table_repair_seconds
+ipg_engine_reprobes_total
+ipg_admission_rejected_total
+ipg_inflight_parses
+ipg_table_states
+ipg_parse_latency_seconds
+ipg_grammar_snapshot_saves_total
+ipg_grammar_restored_from_snapshot
+ipg_snapshot_saves_total
+ipg_snapshot_enabled
+ipg_snapshot_restores_total
+ipg_snapshot_rejected_total
+ipg_snapshot_errors_total
+ipg_trace_enabled
+ipg_trace_started_total
+ipg_trace_sampled_total
+ipg_trace_slow_total
+ipg_sessions_open
+ipg_sessions_opened_total
+ipg_sessions_evicted_total
+ipg_sessions_closed_total
+ipg_session_splices_total
+ipg_session_reparses_total
+ipg_session_full_reparses_total
+ipg_reparse_sets_reused_total
+ipg_reparse_sets_rebuilt_total
+ipg_parses_canceled_total
+ipg_parse_panics_total
+ipg_breaker_state
+ipg_breaker_trips_total
+ipg_breaker_rejected_total
+ipg_draining
+ipg_drain_rejected_total
+ipg_mem_budget_bytes
+ipg_mem_usage_bytes
+ipg_mem_rejected_total
+ipg_shed_active
+ipg_shed_total
+ipg_snapshot_retries_total
+ipg_fault_injections_total
+ipg_completions_total
+ipg_completion_latency_seconds
+ipg_completion_cursors_open
+ipg_completion_cursors_opened_total
+ipg_completion_cursors_evicted_total
+ipg_completion_cursors_closed_total
+ipg_completion_queries_total
+ipg_completion_feeds_total
+"
+SCRAPED="$(echo "$METRICS" | sed -n 's/^# TYPE \([^ ]*\) .*/\1/p' | sort -u)"
+MISSING=""
+for fam in $FAMILIES; do
+  echo "$SCRAPED" | grep -qx "$fam" || MISSING="$MISSING $fam"
 done
-echo "ok: all required /metrics families present"
+UNLISTED=""
+for fam in $SCRAPED; do
+  echo "$FAMILIES" | grep -qx "$fam" || UNLISTED="$UNLISTED $fam"
+done
+[ -z "$MISSING$UNLISTED" ] || {
+  echo "FAIL: /metrics families missing:${MISSING:- none}; unlisted:${UNLISTED:- none}" >&2
+  exit 1
+}
+echo "ok: /metrics declares exactly the $(echo "$SCRAPED" | wc -l | tr -d ' ') listed families"
 
 # Per-grammar series must be labeled with grammar and engine.
 echo "$METRICS" | grep -q 'ipg_parses_served_total{grammar="calc",engine="' || {
