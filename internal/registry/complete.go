@@ -64,8 +64,8 @@ type CompletionStat struct {
 }
 
 // CompletionTotals aggregates completion-cursor activity for metrics
-// exposition. Counters are monotone: closed cursors' tallies roll into
-// the totals before the cursor is dropped.
+// exposition. Counters are monotone: work is counted as it happens
+// (leaseWork), so a closed cursor's work stays counted.
 type CompletionTotals struct {
 	LeaseTotals
 	Queries uint64
@@ -163,7 +163,10 @@ func (r *Registry) Complete(e *Entry, op CompletionOp, dst *engine.TermSet, tr *
 	if cs.closed {
 		return nil, 0, -1, ErrNoCursor
 	}
+	feeds, queries := cs.feeds, cs.queries
 	rejIdx, err = cs.step(op.Restore, feed, dst, tr)
+	r.work.feeds.Add(cs.feeds - feeds)
+	r.work.queries.Add(cs.queries - queries)
 	return cs, cs.cur.Pos(), rejIdx, err
 }
 
@@ -171,6 +174,7 @@ func (r *Registry) Complete(e *Entry, op CompletionOp, dst *engine.TermSet, tr *
 // prefix takes op's feed as its first step.
 func (r *Registry) startCursor(e *Entry, op CompletionOp, dst *engine.TermSet, tr *obs.ParseTrace) (*CompletionSession, int, int, error) {
 	pos, rejIdx := 0, -1
+	var feeds, queries uint64
 	start := func(maxTokens int) (*CompletionSession, error) {
 		feed, err := op.feed(e, tr)
 		if err != nil {
@@ -183,20 +187,24 @@ func (r *Registry) startCursor(e *Entry, op CompletionOp, dst *engine.TermSet, t
 		cs := &CompletionSession{lease: lease{entry: e, reg: r, maxTokens: maxTokens},
 			engName: e.eng.Kind().String(), cur: cur}
 		if rejIdx, err = cs.step(-1, feed, dst, tr); err != nil {
-			cs.release(false)
+			cs.release()
 			return nil, err
 		}
-		pos = cur.Pos()
+		pos, feeds, queries = cur.Pos(), cs.feeds, cs.queries
 		return cs, nil
 	}
 	if op.Once {
 		cs, err := start(r.cursors.getLimits().tokens)
 		if err == nil {
-			cs.release(false)
+			cs.release()
 		}
 		return nil, pos, rejIdx, err
 	}
 	cs, err := r.cursors.open(start)
+	if err == nil {
+		r.work.feeds.Add(feeds)
+		r.work.queries.Add(queries)
+	}
 	return cs, pos, rejIdx, err
 }
 
@@ -249,7 +257,7 @@ func (r *Registry) CloseAllCompletions() int { return r.cursors.closeAll() }
 
 // CompletionStats snapshots every open cursor, sorted by id.
 func (r *Registry) CompletionStats() []CompletionStat {
-	_, open := r.cursors.snapshot()
+	open := r.cursors.list()
 	out := make([]CompletionStat, len(open))
 	for i, cs := range open {
 		out[i] = cs.Stat()
@@ -257,21 +265,14 @@ func (r *Registry) CompletionStats() []CompletionStat {
 	return out
 }
 
-// CompletionTotals aggregates live and closed cursor activity for the
-// /metrics endpoint.
+// CompletionTotals aggregates open and closed cursor activity for the
+// /metrics endpoint. It waits on no cursor's request.
 func (r *Registry) CompletionTotals() CompletionTotals {
-	t := CompletionTotals{Queries: r.closedQueries.Load(), Feeds: r.closedFeeds.Load()}
-	var open []*CompletionSession
-	t.LeaseTotals, open = r.cursors.snapshot()
-	for _, cs := range open {
-		cs.mu.Lock()
-		if !cs.closed {
-			t.Queries += cs.queries
-			t.Feeds += cs.feeds
-		}
-		cs.mu.Unlock()
+	return CompletionTotals{
+		LeaseTotals: r.cursors.totals(),
+		Queries:     r.work.queries.Load(),
+		Feeds:       r.work.feeds.Load(),
 	}
-	return t
 }
 
 // observeCompletion records one admitted completion request's
@@ -280,13 +281,7 @@ func (e *Entry) observeCompletion(start time.Time) {
 	e.completeLat.observe(time.Since(start))
 }
 
-func (cs *CompletionSession) release(counted bool) {
-	if counted {
-		cs.reg.closedQueries.Add(cs.queries)
-		cs.reg.closedFeeds.Add(cs.feeds)
-	}
-	cs.cur.Close()
-}
+func (cs *CompletionSession) release() { cs.cur.Close() }
 
 // FeedTokens resolves input against the entry (source text for SDF,
 // terminal names otherwise) into a token batch for Apply, dropping the

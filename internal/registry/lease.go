@@ -74,12 +74,9 @@ func (l *lease) Entry() *Entry { return l.entry }
 // leased is a lease kind: a pointer to a struct embedding lease.
 type leased interface {
 	base() *lease
-	// release closes the engine object. With counted it first rolls
-	// the work counters into the registry's closed totals, which keeps
-	// the metric totals monotone; a lease that was never inserted
-	// releases uncounted. It runs once per lease, under its mu or
-	// before the lease is published.
-	release(counted bool)
+	// release closes the engine object. It runs once per lease, under
+	// its mu or before the lease is published.
+	release()
 }
 
 // closeLease releases x's engine object unless that already happened.
@@ -89,8 +86,17 @@ func closeLease[T leased](x T) {
 	defer l.mu.Unlock()
 	if !l.closed {
 		l.closed = true
-		x.release(true)
+		x.release()
 	}
+}
+
+// leaseWork counts the work of all leases where it happens, so reading
+// it waits on no lease's request and a lease's work outlives the lease.
+// An open counts its first operation once the lease is inserted: a
+// failed open or a one-shot query adds nothing.
+type leaseWork struct {
+	splices, reparses, fullReparses, setsReused, setsRebuilt atomic.Uint64
+	queries, feeds                                           atomic.Uint64
 }
 
 // tooLong reports n tokens over a lease's token budget max (0 means
@@ -159,7 +165,7 @@ func (t *leaseTable[T]) open(start func(maxTokens int) (T, error)) (T, error) {
 	t.mu.Lock()
 	if err := t.fullLocked(limits.max); err != nil {
 		t.mu.Unlock()
-		x.release(false)
+		x.release()
 		return none, err
 	}
 	t.seq++
@@ -241,16 +247,20 @@ func (t *leaseTable[T]) closeOf(e *Entry) int {
 	return t.sweep(false, func(l *lease) bool { return l.entry == e })
 }
 
-// snapshot returns the lifecycle totals and the open leases, sorted by
-// id, read under one lock.
-func (t *leaseTable[T]) snapshot() (LeaseTotals, []T) {
+func (t *leaseTable[T]) totals() LeaseTotals {
 	t.mu.Lock()
-	tot := LeaseTotals{Open: len(t.m), Opened: t.opened, Evicted: t.evicted, Closed: t.closed}
+	defer t.mu.Unlock()
+	return LeaseTotals{Open: len(t.m), Opened: t.opened, Evicted: t.evicted, Closed: t.closed}
+}
+
+// list returns the open leases, sorted by id.
+func (t *leaseTable[T]) list() []T {
+	t.mu.Lock()
 	open := make([]T, 0, len(t.m))
 	for _, x := range t.m {
 		open = append(open, x)
 	}
 	t.mu.Unlock()
 	sort.Slice(open, func(i, j int) bool { return open[i].base().id < open[j].base().id })
-	return tot, open
+	return open
 }

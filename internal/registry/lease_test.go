@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ipg/internal/engine"
 )
 
 // leaseKind drives one lease kind through the registry's API.
@@ -175,4 +177,143 @@ func TestLeaseLifecycle(t *testing.T) {
 			check("closed all", LeaseTotals{Opened: max + 4, Closed: max + 3, Evicted: 1})
 		})
 	}
+}
+
+// TestLeaseTotalsDoNotWaitOnRequests holds one session's and one
+// cursor's mu, as an in-flight request does for its whole run; a
+// metrics scrape must still read both totals.
+func TestLeaseTotalsDoNotWaitOnRequests(t *testing.T) {
+	r := New()
+	e, err := r.Register("bool", Spec{Source: boolSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := r.OpenSession(e, "true or false")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, _, err := r.OpenCompletion(e, "true or", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	cs.mu.Lock()
+	defer s.mu.Unlock()
+	defer cs.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.SessionTotals()
+		r.CompletionTotals()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("lease totals waited on a lease's in-flight request")
+	}
+}
+
+// TestLeaseWorkTotalsExact drives sessions and cursors, a one-shot query
+// and an open that fails, then closes one lease of each kind and evicts
+// the other: each work total must equal the per-lease Stat counters
+// summed before, with nothing from the one-shot query or the failed
+// open.
+func TestLeaseWorkTotalsExact(t *testing.T) {
+	r := New()
+	r.SetSessionLimits(SessionLimits{IdleTimeout: time.Minute})
+	r.SetCompletionLimits(CompletionLimits{IdleTimeout: time.Minute})
+	earley, err := r.Register("bool", Spec{Source: boolSrc, Engine: engine.KindEarley})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lalr, err := r.Register("calc", Spec{Source: calcDetSrc, Engine: engine.KindLALR})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Sessions: an incremental Earley one and a full-reparse LALR one,
+	// each growing its document at the front.
+	for i, doc := range []struct {
+		e             *Entry
+		input, insert string
+	}{{earley, "true or false", "true and"}, {lalr, "n + n", "n *"}} {
+		s, err := r.OpenSession(doc.e, doc.input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j <= i+1; j++ {
+			if err := s.Splice(0, 0, doc.insert, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Reparse(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Cursors: restores, feeds and queries, then a rejected feed.
+	var set engine.TermSet
+	for _, cur := range []struct {
+		e            *Entry
+		prefix, feed string
+	}{{earley, "true or", "false and true"}, {lalr, "n +", "n * n"}} {
+		cs, _, err := r.OpenCompletion(cur.e, cur.prefix, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks, err := cs.FeedTokens(cur.feed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := cs.Apply(2, toks, &set, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cs.Apply(-1, toks, &set, nil); !errors.Is(err, engine.ErrRejected) {
+			t.Fatalf("feed after a complete sentence: %v, want ErrRejected", err)
+		}
+	}
+	// A one-shot query and an open rejected after two feeds retain
+	// nothing and count nothing.
+	if _, _, _, err := r.Complete(lalr, CompletionOp{Once: true, Input: "n + n"}, &set, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.OpenCompletion(lalr, "n + + n", nil); !errors.Is(err, engine.ErrRejected) {
+		t.Fatalf("rejected prefix open: %v", err)
+	}
+
+	var want SessionTotals
+	for _, st := range r.SessionStats() {
+		want.Splices += st.Splices
+		want.Reparses += st.Reparses
+		want.FullReparses += st.FullReparses
+		want.SetsReused += st.SetsReused
+		want.SetsRebuilt += st.SetsRebuilt
+	}
+	var wantC CompletionTotals
+	for _, st := range r.CompletionStats() {
+		wantC.Queries += st.Queries
+		wantC.Feeds += st.Feeds
+	}
+	if want.FullReparses == 0 || want.SetsReused == 0 || wantC.Feeds == 0 || wantC.Queries == 0 {
+		t.Fatalf("the mix did not exercise every counter: %+v %+v", want, wantC)
+	}
+	check := func(step string) {
+		t.Helper()
+		got, gotC := r.SessionTotals(), r.CompletionTotals()
+		want.LeaseTotals, wantC.LeaseTotals = got.LeaseTotals, gotC.LeaseTotals
+		if got != want {
+			t.Errorf("%s: session totals %+v, want %+v", step, got, want)
+		}
+		if gotC != wantC {
+			t.Errorf("%s: completion totals %+v, want %+v", step, gotC, wantC)
+		}
+	}
+	check("open")
+	r.CloseSession(r.SessionStats()[0].ID)
+	r.CloseCompletion(r.CompletionStats()[0].ID)
+	if n := r.EvictIdleSessions(time.Now().Add(time.Hour)) + r.EvictIdleCompletions(time.Now().Add(time.Hour)); n != 2 {
+		t.Fatalf("evicted %d leases, want 2", n)
+	}
+	check("after close and eviction")
 }

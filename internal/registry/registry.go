@@ -795,7 +795,8 @@ type Stats struct {
 	// Restored reports the entry resumed its table from a snapshot.
 	Restored bool
 	// Inflight is the number of parses currently in the entry;
-	// AdmissionRejected counts parses refused by admission control.
+	// AdmissionRejected counts the requests of every kind refused by
+	// admission control or the forest-size limit.
 	Inflight          int64
 	AdmissionRejected uint64
 	// Canceled counts parses aborted mid-drive, indexed by
@@ -933,18 +934,11 @@ type Registry struct {
 	snapRetryMax     int
 	snapRetryBackoff time.Duration
 
-	// Leases (lease.go): document sessions and completion cursors. The
-	// closed* totals keep the work counters of closed leases, so the
-	// metric totals stay monotone across eviction.
-	sessions           leaseTable[*Session]
-	cursors            leaseTable[*CompletionSession]
-	closedSplices      atomic.Uint64
-	closedReparses     atomic.Uint64
-	closedFullReparses atomic.Uint64
-	closedSetsReused   atomic.Uint64
-	closedSetsRebuilt  atomic.Uint64
-	closedQueries      atomic.Uint64
-	closedFeeds        atomic.Uint64
+	// Leases (lease.go): document sessions and completion cursors, and
+	// the work they did.
+	sessions leaseTable[*Session]
+	cursors  leaseTable[*CompletionSession]
+	work     leaseWork
 }
 
 // New returns an empty registry.

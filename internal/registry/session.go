@@ -71,8 +71,8 @@ type SessionStat struct {
 }
 
 // SessionTotals aggregates session activity for metrics exposition.
-// Counters are monotone: closed sessions' tallies roll into the totals
-// before the session is dropped.
+// Counters are monotone: work is counted as it happens (leaseWork), so
+// a closed session's work stays counted.
 type SessionTotals struct {
 	LeaseTotals
 	Splices      uint64
@@ -111,6 +111,7 @@ func (r *Registry) StartSession(ctx context.Context, e *Entry, input string, tr 
 	defer e.release()
 	defer e.observeLatency(time.Now())
 	var res Result
+	var first engine.SessionStats
 	s, err := r.sessions.open(func(maxTokens int) (*Session, error) {
 		tr.BeginStage(obs.StageTokenize)
 		toks, err := e.InputTokens(input)
@@ -127,11 +128,15 @@ func (r *Registry) StartSession(ctx context.Context, e *Entry, input string, tr 
 		}
 		s := &Session{lease: lease{entry: e, reg: r, maxTokens: maxTokens}, es: es}
 		if res, err = s.run(ctx, nil, true, false, tr); err != nil {
-			s.release(false)
+			s.release()
 			return nil, err
 		}
+		first = s.es.Stats()
 		return s, nil
 	})
+	if err == nil {
+		r.work.countReuse(engine.SessionStats{}, first)
+	}
 	return s, res, err
 }
 
@@ -155,7 +160,7 @@ func (r *Registry) CloseAllSessions() int { return r.sessions.closeAll() }
 
 // SessionStats snapshots every open session, sorted by id.
 func (r *Registry) SessionStats() []SessionStat {
-	_, open := r.sessions.snapshot()
+	open := r.sessions.list()
 	out := make([]SessionStat, len(open))
 	for i, s := range open {
 		out[i] = s.Stat()
@@ -163,44 +168,30 @@ func (r *Registry) SessionStats() []SessionStat {
 	return out
 }
 
-// SessionTotals aggregates live and closed session activity for the
-// /metrics endpoint.
+// SessionTotals aggregates open and closed session activity for the
+// /metrics endpoint. It waits on no session's request.
 func (r *Registry) SessionTotals() SessionTotals {
-	t := SessionTotals{
-		Splices:      r.closedSplices.Load(),
-		Reparses:     r.closedReparses.Load(),
-		FullReparses: r.closedFullReparses.Load(),
-		SetsReused:   r.closedSetsReused.Load(),
-		SetsRebuilt:  r.closedSetsRebuilt.Load(),
+	w := &r.work
+	return SessionTotals{
+		LeaseTotals:  r.sessions.totals(),
+		Splices:      w.splices.Load(),
+		Reparses:     w.reparses.Load(),
+		FullReparses: w.fullReparses.Load(),
+		SetsReused:   w.setsReused.Load(),
+		SetsRebuilt:  w.setsRebuilt.Load(),
 	}
-	var open []*Session
-	t.LeaseTotals, open = r.sessions.snapshot()
-	for _, s := range open {
-		s.mu.Lock()
-		if !s.closed {
-			st := s.es.Stats()
-			t.Splices += s.splices
-			t.Reparses += st.Reparses
-			t.FullReparses += st.FullReparses
-			t.SetsReused += st.SetsReused
-			t.SetsRebuilt += st.SetsRebuilt
-		}
-		s.mu.Unlock()
-	}
-	return t
 }
 
-func (s *Session) release(counted bool) {
-	if counted {
-		st := s.es.Stats()
-		s.reg.closedSplices.Add(s.splices)
-		s.reg.closedReparses.Add(st.Reparses)
-		s.reg.closedFullReparses.Add(st.FullReparses)
-		s.reg.closedSetsReused.Add(st.SetsReused)
-		s.reg.closedSetsRebuilt.Add(st.SetsRebuilt)
-	}
-	s.es.Close()
+// countReuse counts the reuse work an engine session did between two
+// of its stats snapshots.
+func (w *leaseWork) countReuse(from, to engine.SessionStats) {
+	w.reparses.Add(to.Reparses - from.Reparses)
+	w.fullReparses.Add(to.FullReparses - from.FullReparses)
+	w.setsReused.Add(to.SetsReused - from.SetsReused)
+	w.setsRebuilt.Add(to.SetsRebuilt - from.SetsRebuilt)
 }
+
+func (s *Session) release() { s.es.Close() }
 
 // EngineName reports the concrete backend pinned at open time ("" once
 // closed).
@@ -264,7 +255,10 @@ func (s *Session) Run(ctx context.Context, edits []Splice, reparse, tree bool, t
 	if s.closed {
 		return Result{}, ErrNoSession
 	}
-	return s.run(ctx, edits, reparse, tree, tr)
+	before := s.es.Stats()
+	res, err := s.run(ctx, edits, reparse, tree, tr)
+	s.reg.work.countReuse(before, s.es.Stats())
+	return res, err
 }
 
 // run is Run's body after admission: the open path runs a new
@@ -335,6 +329,7 @@ func (s *Session) applyLocked(edits []Splice, tr *obs.ParseTrace) error {
 			return fmt.Errorf("splice %d: %w", i, err)
 		}
 		s.splices++
+		s.reg.work.splices.Add(1)
 	}
 	s.touch()
 	return nil

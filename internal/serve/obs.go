@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 
 // This file is the serve layer's observability surface: the /readyz
 // probe, the hand-rolled Prometheus /metrics exposition and the
-// /v1/trace span endpoints. All families are gathered on each scrape
-// from counters the registry and engines already keep — the exposition
+// /v1/trace span endpoints. Every family is sampled on each scrape from
+// counters the registry and engines already keep — the exposition
 // holds no state of its own.
 
 // ---- readiness ----
@@ -35,272 +36,268 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 // ---- /metrics ----
 
-// latencyBoundsSeconds are the upper bounds of the registry's
-// power-of-two latency buckets, in seconds; the last registry bucket is
-// the overflow and maps to +Inf.
-var latencyBoundsSeconds = func() []float64 {
-	bounds := make([]float64, registry.LatencyBuckets-1)
-	for i := range bounds {
-		bounds[i] = float64(registry.LatencyBucketBound(i)) / 1e6
-	}
-	return bounds
-}()
+// family is the one declaration of a /metrics family: the exposition
+// walks the families table, and the docs table in docs/API.md (pinned
+// by TestMetricsDocs) and scripts/obs-smoke.sh derive from it.
+type family struct {
+	name   string
+	typ    obs.MetricType
+	labels []string // of every series; a histogram's _bucket series add le
+	help   string
+	sample func(f *obs.Family, sc *scrape)
+}
+
+// scrape holds what more than one family reads, gathered once per
+// exposition.
+type scrape struct {
+	s      *Server
+	stats  []registry.Stats
+	snap   registry.SnapshotStats
+	res    registry.ResilienceStats
+	sess   registry.SessionTotals
+	comp   registry.CompletionTotals
+	traces obs.TracerStats
+}
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	sc := &scrape{s: s, snap: s.reg.SnapshotStats(), res: s.reg.Resilience(),
+		sess: s.reg.SessionTotals(), comp: s.reg.CompletionTotals(), traces: s.tracer.Stats()}
+	for _, e := range s.reg.Entries() {
+		sc.stats = append(sc.stats, e.Stats())
+	}
 	p := obs.NewPromWriter(w)
-
-	// Service-wide families.
-	p.Family("ipg_uptime_seconds", obs.TypeGauge,
-		"Seconds since the server started.").
-		Sample(time.Since(s.start).Seconds())
-	p.Family("ipg_grammars", obs.TypeGauge,
-		"Registered grammars currently being served.").
-		Sample(float64(s.reg.Len()))
-	p.Family("ipg_grammars_registered_total", obs.TypeCounter,
-		"Successful grammar registrations, including replacements.").
-		Sample(float64(s.reg.Registered()))
-	p.Family("ipg_http_requests_total", obs.TypeCounter,
-		"HTTP requests received.").
-		Sample(float64(s.requests.Load()))
-	p.Family("ipg_parse_requests_total", obs.TypeCounter,
-		"Single-sentence parse requests.").
-		Sample(float64(s.parses.Load()))
-	p.Family("ipg_batch_sentences_total", obs.TypeCounter,
-		"Sentences submitted through batch requests.").
-		Sample(float64(s.batchSentences.Load()))
-	p.Family("ipg_http_rejected_total", obs.TypeCounter,
-		"Requests refused with 429 by admission control (concurrency, forest size or rate limits).").
-		Sample(float64(s.rejected429.Load()))
-
-	// Per-grammar families, labeled by grammar and the concrete engine
-	// serving it. Every entry appears in every family, including at 0,
-	// so dashboards see series from the first scrape.
-	entries := s.reg.Entries()
-	stats := make([]registry.Stats, 0, len(entries))
-	for _, e := range entries {
-		stats = append(stats, e.Stats())
+	for _, f := range families {
+		f.sample(p.Family(f.name, f.typ, f.help), sc)
 	}
-	perGrammar := func(name string, typ obs.MetricType, help string, value func(registry.Stats) float64) {
-		f := p.Family(name, typ, help)
-		for _, st := range stats {
-			f.Sample(value(st), "grammar", st.Name, "engine", st.Engine.String())
-		}
-	}
-	perGrammar("ipg_parses_served_total", obs.TypeCounter,
-		"Parses served per grammar.",
-		func(st registry.Stats) float64 { return float64(st.Counters.ParsesServed) })
-	perGrammar("ipg_states_expanded_total", obs.TypeCounter,
-		"Lazy table states expanded by need (the paper's incremental generation).",
-		func(st registry.Stats) float64 { return float64(st.Counters.StatesExpanded) })
-	perGrammar("ipg_states_invalidated_total", obs.TypeCounter,
-		"Table states invalidated by grammar modifications.",
-		func(st registry.Stats) float64 { return float64(st.Counters.StatesInvalidated) })
-	perGrammar("ipg_action_calls_total", obs.TypeCounter,
-		"ACTION consultations (Earley items for the table-free backend).",
-		func(st registry.Stats) float64 { return float64(st.Counters.ActionCalls) })
-	perGrammar("ipg_rule_updates_total", obs.TypeCounter,
-		"Incremental rule additions and deletions applied.",
-		func(st registry.Stats) float64 { return float64(st.RuleUpdates) })
-	perGrammar("ipg_table_states_repaired_total", obs.TypeCounter,
-		"Table states spliced in place by incremental repair on rule updates.",
-		func(st registry.Stats) float64 { return float64(st.Counters.StatesRepaired) })
-	perGrammar("ipg_table_repair_fallbacks_total", obs.TypeCounter,
-		"Rule updates whose table repair declined and regenerated from scratch.",
-		func(st registry.Stats) float64 { return float64(st.Counters.RepairFallbacks) })
-	perGrammar("ipg_engine_reprobes_total", obs.TypeCounter,
-		"Full table probes the auto engine ran to reselect its backend (verdicts re-read from repaired tables do not count).",
-		func(st registry.Stats) float64 { return float64(st.EngineReprobes) })
-	perGrammar("ipg_admission_rejected_total", obs.TypeCounter,
-		"Parses refused by the entry's admission control.",
-		func(st registry.Stats) float64 { return float64(st.AdmissionRejected) })
-	perGrammar("ipg_inflight_parses", obs.TypeGauge,
-		"Parses currently inside the entry.",
-		func(st registry.Stats) float64 { return float64(st.Inflight) })
-	perGrammar("ipg_grammar_snapshot_saves_total", obs.TypeCounter,
-		"Table snapshots persisted for the grammar.",
-		func(st registry.Stats) float64 { return float64(st.SnapshotSaves) })
-	perGrammar("ipg_grammar_restored_from_snapshot", obs.TypeGauge,
-		"1 when the entry resumed its table from a snapshot at registration.",
-		func(st registry.Stats) float64 {
-			if st.Restored {
-				return 1
-			}
-			return 0
-		})
-	perGrammar("ipg_parse_panics_total", obs.TypeCounter,
-		"Engine panics recovered into structured errors.",
-		func(st registry.Stats) float64 { return float64(st.Panics) })
-	perGrammar("ipg_breaker_trips_total", obs.TypeCounter,
-		"Circuit-breaker transitions into the open state.",
-		func(st registry.Stats) float64 { return float64(st.Breaker.Trips) })
-	perGrammar("ipg_breaker_rejected_total", obs.TypeCounter,
-		"Requests refused while the grammar's circuit breaker was open.",
-		func(st registry.Stats) float64 { return float64(st.Breaker.Rejected) })
-
-	// Breaker state as a one-hot gauge over the three states, so
-	// dashboards can plot transitions without mapping enum values.
-	brkState := p.Family("ipg_breaker_state", obs.TypeGauge,
-		"1 for the grammar's current circuit-breaker state (closed, open, half_open).")
-	for _, st := range stats {
-		for _, state := range []string{"closed", "open", "half_open"} {
-			v := 0.0
-			if st.Breaker.State == state {
-				v = 1
-			}
-			brkState.Sample(v, "grammar", st.Name, "engine", st.Engine.String(), "state", state)
-		}
-	}
-
-	// Cancellations by reason. Reason 0 ("none") is skipped: it never
-	// counts a completed abort.
-	canceled := p.Family("ipg_parses_canceled_total", obs.TypeCounter,
-		"Parses aborted mid-drive, by cancellation reason.")
-	for _, st := range stats {
-		for reason := 1; reason < int(cancel.NumReasons); reason++ {
-			canceled.Sample(float64(st.Canceled[reason]),
-				"grammar", st.Name, "engine", st.Engine.String(),
-				"reason", cancel.Reason(reason).String())
-		}
-	}
-
-	states := p.Family("ipg_table_states", obs.TypeGauge,
-		"Parse-table states by class (complete, initial, dirty).")
-	for _, st := range stats {
-		labels := func(class string) []string {
-			return []string{"grammar", st.Name, "engine", st.Engine.String(), "class", class}
-		}
-		states.Sample(float64(st.Complete), labels("complete")...)
-		states.Sample(float64(st.Initial), labels("initial")...)
-		states.Sample(float64(st.Dirty), labels("dirty")...)
-	}
-
-	lat := p.Family("ipg_parse_latency_seconds", obs.TypeHistogram,
-		"Request latency per grammar (power-of-two buckets).")
-	for _, st := range stats {
-		h := st.Latency
-		lat.Histogram(latencyBoundsSeconds, h.Buckets[:len(latencyBoundsSeconds)],
-			h.Buckets[registry.LatencyBuckets-1], float64(h.SumUS)/1e6, h.Count,
-			"grammar", st.Name, "engine", st.Engine.String())
-	}
-
-	repairLat := p.Family("ipg_table_repair_seconds", obs.TypeHistogram,
-		"Rule-update latency per grammar: incremental table repairs and fallback regenerations (power-of-two buckets).")
-	for _, st := range stats {
-		h := st.RepairLatency
-		repairLat.Histogram(latencyBoundsSeconds, h.Buckets[:len(latencyBoundsSeconds)],
-			h.Buckets[registry.LatencyBuckets-1], float64(h.SumUS)/1e6, h.Count,
-			"grammar", st.Name, "engine", st.Engine.String())
-	}
-
-	perGrammar("ipg_completions_total", obs.TypeCounter,
-		"Completion requests answered (accept-set queries and cursor operations).",
-		func(st registry.Stats) float64 { return float64(st.Completions) })
-	completeLat := p.Family("ipg_completion_latency_seconds", obs.TypeHistogram,
-		"Completion request latency per grammar (power-of-two buckets).")
-	for _, st := range stats {
-		h := st.CompleteLatency
-		completeLat.Histogram(latencyBoundsSeconds, h.Buckets[:len(latencyBoundsSeconds)],
-			h.Buckets[registry.LatencyBuckets-1], float64(h.SumUS)/1e6, h.Count,
-			"grammar", st.Name, "engine", st.Engine.String())
-	}
-
-	// Snapshot subsystem — emitted even when disabled, so scrapers can
-	// rely on the families existing.
-	snap := s.reg.SnapshotStats()
-	p.Family("ipg_snapshot_enabled", obs.TypeGauge,
-		"1 when a snapshot store is configured.").
-		Sample(boolGauge(snap.Enabled))
-	p.Family("ipg_snapshot_saves_total", obs.TypeCounter,
-		"Table snapshots written.").Sample(float64(snap.Saves))
-	p.Family("ipg_snapshot_restores_total", obs.TypeCounter,
-		"Warm table restores at registration.").Sample(float64(snap.Restores))
-	p.Family("ipg_snapshot_rejected_total", obs.TypeCounter,
-		"Snapshots rejected as stale (grammar hash mismatch).").Sample(float64(snap.Rejected))
-	p.Family("ipg_snapshot_errors_total", obs.TypeCounter,
-		"Snapshot read/write failures.").Sample(float64(snap.Errors))
-	p.Family("ipg_snapshot_retries_total", obs.TypeCounter,
-		"Snapshot save attempts re-tried after a write error.").Sample(float64(snap.Retries))
-
-	// Resilience subsystem: drain, memory budget, load shedder. Emitted
-	// even at rest so alert rules can rely on the families existing.
-	res := s.reg.Resilience()
-	p.Family("ipg_draining", obs.TypeGauge,
-		"1 while the service is draining (refusing new work before shutdown).").
-		Sample(boolGauge(res.Draining))
-	p.Family("ipg_drain_rejected_total", obs.TypeCounter,
-		"Requests refused because the service was draining.").
-		Sample(float64(res.DrainRejected))
-	p.Family("ipg_mem_budget_bytes", obs.TypeGauge,
-		"Configured retained-memory budget (0 = unlimited).").
-		Sample(float64(res.MemBudgetBytes))
-	p.Family("ipg_mem_usage_bytes", obs.TypeGauge,
-		"Estimated retained memory at the last refresh (tables and session charts).").
-		Sample(float64(res.MemUsageBytes))
-	p.Family("ipg_mem_rejected_total", obs.TypeCounter,
-		"Requests refused because the memory budget was exhausted.").
-		Sample(float64(res.MemRejected))
-	p.Family("ipg_shed_active", obs.TypeGauge,
-		"1 while the adaptive load shedder is dropping a fraction of requests.").
-		Sample(boolGauge(res.ShedActive))
-	p.Family("ipg_shed_total", obs.TypeCounter,
-		"Requests dropped by the adaptive load shedder.").
-		Sample(float64(res.Shed))
-
-	// Fault injection: one series per armed site (none in production).
-	injected := p.Family("ipg_fault_injections_total", obs.TypeCounter,
-		"Faults fired by the chaos-testing injection harness, per armed site.")
-	for _, sc := range faultinject.Stats() {
-		injected.Sample(float64(sc.Fired), "site", sc.Site, "kind", sc.Kind.String())
-	}
-
-	// Leases. Counters include closed leases' tallies, so they stay
-	// monotone across idle eviction.
-	sess := s.reg.SessionTotals()
-	leaseFamilies(p, "ipg_sessions", "Document sessions", sess.LeaseTotals)
-	p.Family("ipg_session_splices_total", obs.TypeCounter,
-		"Edits applied to session documents.").Sample(float64(sess.Splices))
-	p.Family("ipg_session_reparses_total", obs.TypeCounter,
-		"Session reparses that did chart work (incremental or full).").Sample(float64(sess.Reparses))
-	p.Family("ipg_session_full_reparses_total", obs.TypeCounter,
-		"Session reparses that could not reuse retained state.").Sample(float64(sess.FullReparses))
-	p.Family("ipg_reparse_sets_reused_total", obs.TypeCounter,
-		"Earley item sets reused verbatim across session reparses.").Sample(float64(sess.SetsReused))
-	p.Family("ipg_reparse_sets_rebuilt_total", obs.TypeCounter,
-		"Earley item sets re-expanded by session reparses.").Sample(float64(sess.SetsRebuilt))
-	comp := s.reg.CompletionTotals()
-	leaseFamilies(p, "ipg_completion_cursors", "Completion cursors", comp.LeaseTotals)
-	p.Family("ipg_completion_queries_total", obs.TypeCounter,
-		"Accept-set queries answered through retained cursors.").Sample(float64(comp.Queries))
-	p.Family("ipg_completion_feeds_total", obs.TypeCounter,
-		"Tokens fed into retained completion cursors.").Sample(float64(comp.Feeds))
-
-	// Trace subsystem.
-	ts := s.tracer.Stats()
-	p.Family("ipg_trace_enabled", obs.TypeGauge,
-		"1 when parse-lifecycle tracing (sampling or slow capture) is on.").
-		Sample(boolGauge(s.tracer.Enabled()))
-	p.Family("ipg_trace_started_total", obs.TypeCounter,
-		"Parses considered by the tracer while enabled.").Sample(float64(ts.Started))
-	p.Family("ipg_trace_sampled_total", obs.TypeCounter,
-		"Spans retained by the 1-in-N sampler.").Sample(float64(ts.Captured))
-	p.Family("ipg_trace_slow_total", obs.TypeCounter,
-		"Spans retained for crossing the slow-parse threshold.").Sample(float64(ts.Slow))
-
 	if err := p.Flush(); err != nil {
 		s.log().Warn("metrics exposition failed", "err", err)
 	}
 }
 
-// leaseFamilies emits one lease kind's four lifecycle families:
+// families is every /metrics family, in exposition order.
+var families = slices.Concat([]family{
+	service("ipg_uptime_seconds", obs.TypeGauge, "Seconds since the server started.",
+		func(sc *scrape) float64 { return time.Since(sc.s.start).Seconds() }),
+	service("ipg_grammars", obs.TypeGauge, "Registered grammars currently being served.",
+		func(sc *scrape) float64 { return float64(sc.s.reg.Len()) }),
+	service("ipg_grammars_registered_total", obs.TypeCounter,
+		"Successful grammar registrations, including replacements.",
+		func(sc *scrape) float64 { return float64(sc.s.reg.Registered()) }),
+	service("ipg_http_requests_total", obs.TypeCounter, "HTTP requests received.",
+		func(sc *scrape) float64 { return float64(sc.s.requests.Load()) }),
+	service("ipg_parse_requests_total", obs.TypeCounter, "Single-sentence parse requests.",
+		func(sc *scrape) float64 { return float64(sc.s.parses.Load()) }),
+	service("ipg_batch_sentences_total", obs.TypeCounter, "Sentences submitted through batch requests.",
+		func(sc *scrape) float64 { return float64(sc.s.batchSentences.Load()) }),
+	service("ipg_http_rejected_total", obs.TypeCounter,
+		"Requests, and batch items, refused with 429: by a grammar's rate, concurrency, forest-size, "+
+			"memory-budget or load-shedder limit, or by the session or completion-cursor cap.",
+		func(sc *scrape) float64 { return float64(sc.s.rejected429.Load()) }),
+
+	perGrammar("ipg_parses_served_total", obs.TypeCounter, "Parses served per grammar.",
+		func(st registry.Stats) float64 { return float64(st.Counters.ParsesServed) }),
+	perGrammar("ipg_states_expanded_total", obs.TypeCounter,
+		"Lazy table states expanded by need (the paper's incremental generation).",
+		func(st registry.Stats) float64 { return float64(st.Counters.StatesExpanded) }),
+	perGrammar("ipg_states_invalidated_total", obs.TypeCounter, "Table states invalidated by grammar modifications.",
+		func(st registry.Stats) float64 { return float64(st.Counters.StatesInvalidated) }),
+	perGrammar("ipg_action_calls_total", obs.TypeCounter,
+		"ACTION consultations (Earley items for the table-free backend).",
+		func(st registry.Stats) float64 { return float64(st.Counters.ActionCalls) }),
+	perGrammar("ipg_rule_updates_total", obs.TypeCounter, "Incremental rule additions and deletions applied.",
+		func(st registry.Stats) float64 { return float64(st.RuleUpdates) }),
+	perGrammar("ipg_table_states_repaired_total", obs.TypeCounter,
+		"Table states spliced in place by incremental repair on rule updates.",
+		func(st registry.Stats) float64 { return float64(st.Counters.StatesRepaired) }),
+	perGrammar("ipg_table_repair_fallbacks_total", obs.TypeCounter,
+		"Rule updates whose table repair declined and regenerated from scratch.",
+		func(st registry.Stats) float64 { return float64(st.Counters.RepairFallbacks) }),
+	perGrammar("ipg_engine_reprobes_total", obs.TypeCounter,
+		"Full table probes the auto engine ran to reselect its backend (verdicts re-read from repaired tables do not count).",
+		func(st registry.Stats) float64 { return float64(st.EngineReprobes) }),
+	perGrammar("ipg_admission_rejected_total", obs.TypeCounter,
+		"Requests refused by the grammar's admission gate (drain, circuit breaker, memory budget, load shedder, "+
+			"rate or concurrency limit) or its forest-size limit: parses, batch items, session opens and edits, "+
+			"and completion requests.",
+		func(st registry.Stats) float64 { return float64(st.AdmissionRejected) }),
+	perGrammar("ipg_inflight_parses", obs.TypeGauge, "Parses currently inside the entry.",
+		func(st registry.Stats) float64 { return float64(st.Inflight) }),
+	perGrammar("ipg_grammar_snapshot_saves_total", obs.TypeCounter, "Table snapshots persisted for the grammar.",
+		func(st registry.Stats) float64 { return float64(st.SnapshotSaves) }),
+	perGrammar("ipg_grammar_restored_from_snapshot", obs.TypeGauge,
+		"1 when the entry resumed its table from a snapshot at registration.",
+		func(st registry.Stats) float64 { return boolGauge(st.Restored) }),
+	perGrammar("ipg_parse_panics_total", obs.TypeCounter, "Engine panics recovered into structured errors.",
+		func(st registry.Stats) float64 { return float64(st.Panics) }),
+	perGrammar("ipg_breaker_trips_total", obs.TypeCounter, "Circuit-breaker transitions into the open state.",
+		func(st registry.Stats) float64 { return float64(st.Breaker.Trips) }),
+	perGrammar("ipg_breaker_rejected_total", obs.TypeCounter,
+		"Requests refused while the grammar's circuit breaker was open.",
+		func(st registry.Stats) float64 { return float64(st.Breaker.Rejected) }),
+	// A one-hot gauge over the three states, so dashboards plot
+	// transitions without mapping enum values.
+	{"ipg_breaker_state", obs.TypeGauge, []string{"grammar", "engine", "state"},
+		"1 for the grammar's current circuit-breaker state (closed, open, half_open).",
+		func(f *obs.Family, sc *scrape) {
+			for _, st := range sc.stats {
+				for _, state := range []string{"closed", "open", "half_open"} {
+					f.Sample(boolGauge(st.Breaker.State == state),
+						"grammar", st.Name, "engine", st.Engine.String(), "state", state)
+				}
+			}
+		}},
+	{"ipg_parses_canceled_total", obs.TypeCounter, []string{"grammar", "engine", "reason"},
+		"Parses aborted mid-drive, by cancellation reason.",
+		func(f *obs.Family, sc *scrape) {
+			for _, st := range sc.stats {
+				for r := cancel.Reason(1); r < cancel.NumReasons; r++ { // reason 0 (none) counts no abort
+					f.Sample(float64(st.Canceled[r]), "grammar", st.Name, "engine", st.Engine.String(), "reason", r.String())
+				}
+			}
+		}},
+	{"ipg_table_states", obs.TypeGauge, []string{"grammar", "engine", "class"},
+		"Parse-table states by class (complete, initial, dirty).",
+		func(f *obs.Family, sc *scrape) {
+			for _, st := range sc.stats {
+				for i, n := range [...]int{st.Complete, st.Initial, st.Dirty} {
+					f.Sample(float64(n), "grammar", st.Name, "engine", st.Engine.String(),
+						"class", [...]string{"complete", "initial", "dirty"}[i])
+				}
+			}
+		}},
+	latency("ipg_parse_latency_seconds", "Request latency per grammar (power-of-two buckets).",
+		func(st registry.Stats) registry.LatencySnapshot { return st.Latency }),
+	latency("ipg_table_repair_seconds",
+		"Rule-update latency per grammar: incremental table repairs and fallback regenerations (power-of-two buckets).",
+		func(st registry.Stats) registry.LatencySnapshot { return st.RepairLatency }),
+	perGrammar("ipg_completions_total", obs.TypeCounter,
+		"Completion requests answered (accept-set queries and cursor operations).",
+		func(st registry.Stats) float64 { return float64(st.Completions) }),
+	latency("ipg_completion_latency_seconds", "Completion request latency per grammar (power-of-two buckets).",
+		func(st registry.Stats) registry.LatencySnapshot { return st.CompleteLatency }),
+
+	// The snapshot and resilience families exist even when the
+	// subsystem is off, so alert rules can rely on them.
+	service("ipg_snapshot_enabled", obs.TypeGauge, "1 when a snapshot store is configured.",
+		func(sc *scrape) float64 { return boolGauge(sc.snap.Enabled) }),
+	service("ipg_snapshot_saves_total", obs.TypeCounter, "Table snapshots written.",
+		func(sc *scrape) float64 { return float64(sc.snap.Saves) }),
+	service("ipg_snapshot_restores_total", obs.TypeCounter, "Warm table restores at registration.",
+		func(sc *scrape) float64 { return float64(sc.snap.Restores) }),
+	service("ipg_snapshot_rejected_total", obs.TypeCounter, "Snapshots rejected as stale (grammar hash mismatch).",
+		func(sc *scrape) float64 { return float64(sc.snap.Rejected) }),
+	service("ipg_snapshot_errors_total", obs.TypeCounter, "Snapshot read/write failures.",
+		func(sc *scrape) float64 { return float64(sc.snap.Errors) }),
+	service("ipg_snapshot_retries_total", obs.TypeCounter, "Snapshot save attempts re-tried after a write error.",
+		func(sc *scrape) float64 { return float64(sc.snap.Retries) }),
+	service("ipg_draining", obs.TypeGauge, "1 while the service is draining (refusing new work before shutdown).",
+		func(sc *scrape) float64 { return boolGauge(sc.res.Draining) }),
+	service("ipg_drain_rejected_total", obs.TypeCounter, "Requests refused because the service was draining.",
+		func(sc *scrape) float64 { return float64(sc.res.DrainRejected) }),
+	service("ipg_mem_budget_bytes", obs.TypeGauge, "Configured retained-memory budget (0 = unlimited).",
+		func(sc *scrape) float64 { return float64(sc.res.MemBudgetBytes) }),
+	service("ipg_mem_usage_bytes", obs.TypeGauge,
+		"Estimated retained memory at the last refresh (tables and session charts).",
+		func(sc *scrape) float64 { return float64(sc.res.MemUsageBytes) }),
+	service("ipg_mem_rejected_total", obs.TypeCounter, "Requests refused because the memory budget was exhausted.",
+		func(sc *scrape) float64 { return float64(sc.res.MemRejected) }),
+	service("ipg_shed_active", obs.TypeGauge, "1 while the adaptive load shedder is dropping a fraction of requests.",
+		func(sc *scrape) float64 { return boolGauge(sc.res.ShedActive) }),
+	service("ipg_shed_total", obs.TypeCounter, "Requests dropped by the adaptive load shedder.",
+		func(sc *scrape) float64 { return float64(sc.res.Shed) }),
+	{"ipg_fault_injections_total", obs.TypeCounter, []string{"site", "kind"},
+		"Faults fired by the chaos-testing injection harness, per armed site.",
+		func(f *obs.Family, _ *scrape) {
+			for _, c := range faultinject.Stats() { // none armed in production
+				f.Sample(float64(c.Fired), "site", c.Site, "kind", c.Kind.String())
+			}
+		}},
+},
+	leaseFamilies("ipg_sessions", "Document sessions",
+		func(sc *scrape) registry.LeaseTotals { return sc.sess.LeaseTotals }),
+	[]family{
+		service("ipg_session_splices_total", obs.TypeCounter, "Edits applied to session documents.",
+			func(sc *scrape) float64 { return float64(sc.sess.Splices) }),
+		service("ipg_session_reparses_total", obs.TypeCounter,
+			"Session reparses that did chart work (incremental or full).",
+			func(sc *scrape) float64 { return float64(sc.sess.Reparses) }),
+		service("ipg_session_full_reparses_total", obs.TypeCounter,
+			"Session reparses that could not reuse retained state.",
+			func(sc *scrape) float64 { return float64(sc.sess.FullReparses) }),
+		service("ipg_reparse_sets_reused_total", obs.TypeCounter,
+			"Earley item sets reused verbatim across session reparses.",
+			func(sc *scrape) float64 { return float64(sc.sess.SetsReused) }),
+		service("ipg_reparse_sets_rebuilt_total", obs.TypeCounter,
+			"Earley item sets re-expanded by session reparses.",
+			func(sc *scrape) float64 { return float64(sc.sess.SetsRebuilt) }),
+	},
+	leaseFamilies("ipg_completion_cursors", "Completion cursors",
+		func(sc *scrape) registry.LeaseTotals { return sc.comp.LeaseTotals }),
+	[]family{
+		service("ipg_completion_queries_total", obs.TypeCounter,
+			"Accept-set queries answered through retained cursors.",
+			func(sc *scrape) float64 { return float64(sc.comp.Queries) }),
+		service("ipg_completion_feeds_total", obs.TypeCounter, "Tokens fed into retained completion cursors.",
+			func(sc *scrape) float64 { return float64(sc.comp.Feeds) }),
+		service("ipg_trace_enabled", obs.TypeGauge,
+			"1 when parse-lifecycle tracing (sampling or slow capture) is on.",
+			func(sc *scrape) float64 { return boolGauge(sc.s.tracer.Enabled()) }),
+		service("ipg_trace_started_total", obs.TypeCounter, "Parses considered by the tracer while enabled.",
+			func(sc *scrape) float64 { return float64(sc.traces.Started) }),
+		service("ipg_trace_sampled_total", obs.TypeCounter, "Spans retained by the 1-in-N sampler.",
+			func(sc *scrape) float64 { return float64(sc.traces.Captured) }),
+		service("ipg_trace_slow_total", obs.TypeCounter, "Spans retained for crossing the slow-parse threshold.",
+			func(sc *scrape) float64 { return float64(sc.traces.Slow) }),
+	})
+
+// service declares a family of one unlabeled series.
+func service(name string, typ obs.MetricType, help string, value func(*scrape) float64) family {
+	return family{name, typ, nil, help, func(f *obs.Family, sc *scrape) { f.Sample(value(sc)) }}
+}
+
+// perGrammar declares a family of one series per grammar, labeled by
+// grammar and the concrete engine serving it. Every entry appears,
+// including at 0, so dashboards see series from the first scrape.
+func perGrammar(name string, typ obs.MetricType, help string, value func(registry.Stats) float64) family {
+	return family{name, typ, []string{"grammar", "engine"}, help, func(f *obs.Family, sc *scrape) {
+		for _, st := range sc.stats {
+			f.Sample(value(st), "grammar", st.Name, "engine", st.Engine.String())
+		}
+	}}
+}
+
+// latency declares a per-grammar histogram over one of the entry's
+// power-of-two latency histograms, whose last bucket, the overflow,
+// maps to +Inf.
+func latency(name, help string, hist func(registry.Stats) registry.LatencySnapshot) family {
+	bounds := make([]float64, registry.LatencyBuckets-1) // in seconds
+	for i := range bounds {
+		bounds[i] = float64(registry.LatencyBucketBound(i)) / 1e6
+	}
+	return family{name, obs.TypeHistogram, []string{"grammar", "engine"}, help, func(f *obs.Family, sc *scrape) {
+		for _, st := range sc.stats {
+			h := hist(st)
+			f.Histogram(bounds, h.Buckets[:len(bounds)], h.Buckets[len(bounds)], float64(h.SumUS)/1e6, h.Count,
+				"grammar", st.Name, "engine", st.Engine.String())
+		}
+	}}
+}
+
+// leaseFamilies declares one lease kind's four lifecycle families:
 // {prefix}_open, _opened_total, _evicted_total and _closed_total.
-func leaseFamilies(p *obs.PromWriter, prefix, what string, t registry.LeaseTotals) {
-	p.Family(prefix+"_open", obs.TypeGauge, what+" currently open.").Sample(float64(t.Open))
-	p.Family(prefix+"_opened_total", obs.TypeCounter, what+" opened.").Sample(float64(t.Opened))
-	p.Family(prefix+"_evicted_total", obs.TypeCounter,
-		what+" reclaimed by the idle janitor.").Sample(float64(t.Evicted))
-	p.Family(prefix+"_closed_total", obs.TypeCounter,
-		what+" closed explicitly, by entry removal/replacement or by a drain.").Sample(float64(t.Closed))
+func leaseFamilies(prefix, what string, totals func(*scrape) registry.LeaseTotals) []family {
+	return []family{
+		service(prefix+"_open", obs.TypeGauge, what+" currently open.",
+			func(sc *scrape) float64 { return float64(totals(sc).Open) }),
+		service(prefix+"_opened_total", obs.TypeCounter, what+" opened.",
+			func(sc *scrape) float64 { return float64(totals(sc).Opened) }),
+		service(prefix+"_evicted_total", obs.TypeCounter, what+" reclaimed by the idle janitor.",
+			func(sc *scrape) float64 { return float64(totals(sc).Evicted) }),
+		service(prefix+"_closed_total", obs.TypeCounter,
+			what+" closed explicitly, by entry removal/replacement or by a drain.",
+			func(sc *scrape) float64 { return float64(totals(sc).Closed) }),
+	}
 }
 
 func boolGauge(b bool) float64 {

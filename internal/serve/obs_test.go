@@ -2,12 +2,18 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"ipg/internal/faultinject"
 	"ipg/internal/obs"
 	"ipg/internal/registry"
 	"ipg/internal/snapshot"
@@ -42,12 +48,16 @@ func TestReadyz(t *testing.T) {
 }
 
 // TestMetricsExposition boots a server, serves traffic, and checks the
-// /metrics exposition: required families present, per-grammar series
-// labeled with grammar and engine, histogram series cumulative and
-// well-formed.
+// /metrics exposition against the families table: the scraped families
+// are exactly the declared ones, each with its declared type, every
+// sample carries its family's declared label names (plus le on
+// histogram buckets), and the histogram series are cumulative.
 func TestMetricsExposition(t *testing.T) {
 	s := New(nil)
 	s.SetTracer(obs.NewTracer(obs.TracerConfig{SampleEvery: 1}))
+	// An armed site that never fires gives the fault family a series.
+	faultinject.Set("test.unfired", faultinject.Fault{Kind: faultinject.Error})
+	defer faultinject.Reset()
 	if rec := doReq(t, s, "PUT", "/v1/grammars/bools", obsBoolSrc); rec.Code != 201 {
 		t.Fatalf("register: %d %s", rec.Code, rec.Body)
 	}
@@ -66,21 +76,56 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	body := rec.Body.String()
 
-	// Every required family must be declared with HELP and TYPE.
-	for _, fam := range []string{
-		"ipg_uptime_seconds", "ipg_grammars", "ipg_http_requests_total",
-		"ipg_parse_requests_total", "ipg_http_rejected_total",
-		"ipg_parses_served_total", "ipg_states_expanded_total",
-		"ipg_states_invalidated_total", "ipg_rule_updates_total",
-		"ipg_engine_reprobes_total", "ipg_admission_rejected_total",
-		"ipg_inflight_parses", "ipg_table_states",
-		"ipg_parse_latency_seconds", "ipg_grammar_snapshot_saves_total",
-		"ipg_snapshot_saves_total", "ipg_snapshot_restores_total",
-		"ipg_snapshot_rejected_total", "ipg_snapshot_errors_total",
-		"ipg_trace_enabled", "ipg_trace_started_total", "ipg_trace_sampled_total",
-	} {
-		if !strings.Contains(body, "# TYPE "+fam+" ") {
-			t.Errorf("family %s missing", fam)
+	declared := map[string]family{}
+	for _, f := range families {
+		if _, dup := declared[f.name]; dup {
+			t.Errorf("family %s declared twice", f.name)
+		}
+		declared[f.name] = f
+	}
+	scraped := map[string]string{} // family name -> scraped type
+	samples := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			scraped[name] = typ
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, labels := parseSample(t, line)
+		f, ok := declared[name]
+		want := f.labels
+		if base, suffix, cut := cutHistogramSuffix(name); !ok && cut && declared[base].typ == obs.TypeHistogram {
+			f, ok = declared[base], true
+			want = f.labels
+			if suffix == "_bucket" {
+				want = append(slices.Clip(want), "le")
+			}
+		}
+		if !ok {
+			t.Errorf("sample of an undeclared family: %s", line)
+			continue
+		}
+		samples[f.name]++
+		if !slices.Equal(labels, want) {
+			t.Errorf("%s: labels %v, want %v", line, labels, want)
+		}
+	}
+	for name, f := range declared {
+		switch typ, ok := scraped[name]; {
+		case !ok:
+			t.Errorf("declared family %s not exposed", name)
+		case typ != string(f.typ):
+			t.Errorf("family %s exposed as %s, declared %s", name, typ, f.typ)
+		case samples[name] == 0:
+			t.Errorf("family %s has no series", name)
+		}
+	}
+	for name := range scraped {
+		if _, ok := declared[name]; !ok {
+			t.Errorf("exposed family %s is not declared", name)
 		}
 	}
 
@@ -99,6 +144,115 @@ func TestMetricsExposition(t *testing.T) {
 	// The histogram's +Inf bucket must equal its count (cumulative).
 	if !strings.Contains(body, `ipg_parse_latency_seconds_bucket{grammar="bools",engine="glr",le="+Inf"} 3`) {
 		t.Error("latency histogram +Inf bucket != count")
+	}
+}
+
+// parseSample splits an exposition sample line into its series name and
+// label names.
+func parseSample(t *testing.T, line string) (name string, labels []string) {
+	t.Helper()
+	end := strings.IndexAny(line, "{ ")
+	if end < 0 {
+		t.Fatalf("malformed sample %q", line)
+	}
+	name, rest := line[:end], line[end:]
+	for strings.HasPrefix(rest, "{") || strings.HasPrefix(rest, ",") {
+		label, value, ok := strings.Cut(rest[1:], `="`)
+		if !ok {
+			t.Fatalf("malformed labels in %q", line)
+		}
+		labels = append(labels, label)
+		for i := 0; ; i++ { // skip the escaped value to its closing quote
+			if i == len(value) {
+				t.Fatalf("unterminated label value in %q", line)
+			}
+			if value[i] == '\\' {
+				i++
+			} else if value[i] == '"' {
+				rest = value[i+1:]
+				break
+			}
+		}
+	}
+	return name, labels
+}
+
+// cutHistogramSuffix splits a histogram series name into its family
+// name and its _bucket, _sum or _count suffix.
+func cutHistogramSuffix(name string) (base, suffix string, ok bool) {
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok {
+			return base, suffix, true
+		}
+	}
+	return "", "", false
+}
+
+// metricsTable renders the families table as the markdown table of
+// docs/API.md's Metrics section.
+func metricsTable() string {
+	var b strings.Builder
+	b.WriteString("| family | type | labels | help |\n| --- | --- | --- | --- |\n")
+	for _, f := range families {
+		labels := make([]string, len(f.labels))
+		for i, l := range f.labels {
+			labels[i] = "`" + l + "`"
+		}
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", f.name, f.typ, strings.Join(labels, ", "), f.help)
+	}
+	return b.String()
+}
+
+// TestMetricsDocs pins docs/API.md's Metrics table to the families
+// table, and checks that every ipg_ name the docs and scripts mention
+// is a declared family, a histogram's series or a family-name prefix
+// (ipg_snapshot_*, {ipg_sessions,…}), so a rename fails here instead of
+// leaving stale prose.
+func TestMetricsDocs(t *testing.T) {
+	api, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(api), "\n## Metrics\n")
+	if !ok {
+		t.Fatal("docs/API.md has no Metrics section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var table strings.Builder
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "|") {
+			table.WriteString(line + "\n")
+		}
+	}
+	if want := metricsTable(); table.String() != want {
+		t.Errorf("docs/API.md's Metrics table differs from the families table; replace it with:\n\n%s", want)
+	}
+
+	known := func(name string) bool {
+		for _, f := range families {
+			if strings.HasPrefix(f.name, name) {
+				return true
+			}
+			if base, _, ok := cutHistogramSuffix(name); ok && base == f.name && f.typ == obs.TypeHistogram {
+				return true
+			}
+		}
+		return false
+	}
+	files, err := filepath.Glob("../../scripts/*.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range append(files, "../../README.md", "../../docs/API.md") {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range regexp.MustCompile(`ipg_[a-z0-9_]*`).FindAllString(string(text), -1) {
+			if !known(name) {
+				t.Errorf("%s names %s, which no declared family matches", filepath.Base(file), name)
+			}
+		}
 	}
 }
 

@@ -410,7 +410,7 @@ type ServiceStats struct {
 	Requests       uint64 `json:"http_requests_total"`
 	Parses         uint64 `json:"parse_requests_total"`
 	BatchSentences uint64 `json:"batch_sentences_total"`
-	// Rejected429 counts admission-control rejections served as 429.
+	// Rejected429 counts requests and batch items refused with 429.
 	Rejected429 uint64 `json:"admission_rejected_total"`
 	Uptime      string `json:"uptime"`
 	// Engines counts entries by the concrete backend serving them, and
