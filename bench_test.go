@@ -198,6 +198,63 @@ func BenchmarkSec52Coverage(b *testing.B) {
 	}
 }
 
+// TestLazyGenerationPaidOnce pins, on exact counters that host noise
+// cannot move, the paper's claim that lazy generation is paid once, with
+// §5.2's coverage and the cost of the Fig 7.1 modification. Per Fig 7.1
+// input (exp, Exam, SDF and ASF.sdf), glr.Recognize on a fresh lazy
+// generator of the SDF grammar:
+//   - the cold parse expands 51 / 56 / 65 / 61 states, and the second
+//     parse expands none;
+//   - exactly those states are complete, of the full table's 113;
+//   - the Fig 7.1 modification invalidates 3 states, the next parse
+//     re-expands exactly those 3, and the parse after that none.
+func TestLazyGenerationPaidOnce(t *testing.T) {
+	g := sdf.MustBootstrapGrammar()
+	inputs, err := harness.LoadInputs("testdata", g.Symbols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := core.New(sdf.MustBootstrapGrammar(), nil)
+	full.Pregenerate()
+	if n := full.Coverage().Complete; n != 113 {
+		t.Fatalf("the full SDF table has %d states, want 113", n)
+	}
+	cold := map[string]uint64{"exp.sdf": 51, "Exam.sdf": 56, "SDF.sdf": 65, "ASF.sdf": 61}
+	for _, in := range inputs {
+		gen := core.New(sdf.MustBootstrapGrammar(), nil)
+		expanded := gen.Counters().StatesExpanded
+		parse := func(phase string, want uint64) {
+			t.Helper()
+			if ok, err := glr.Recognize(gen, in.Tokens, glr.GSS); err != nil || !ok {
+				t.Fatalf("%s %s parse: ok=%v err=%v", in.Name, phase, ok, err)
+			}
+			c := gen.Counters()
+			if got := c.StatesExpanded - expanded; got != want {
+				t.Errorf("%s: the %s parse expanded %d states, want %d", in.Name, phase, got, want)
+			}
+			expanded = c.StatesExpanded
+		}
+		parse("cold", cold[in.Name])
+		parse("second", 0)
+		if got := gen.Coverage().Complete; uint64(got) != cold[in.Name] {
+			t.Errorf("%s: %d of %d states complete after parsing, want %d", in.Name, got, full.Coverage().Complete, cold[in.Name])
+		}
+		rule, err := sdf.ModificationRule(gen.Grammar())
+		if err != nil {
+			t.Fatal(err)
+		}
+		invalidated := gen.Counters().StatesInvalidated
+		if err := gen.AddRule(rule); err != nil {
+			t.Fatal(err)
+		}
+		if got := gen.Counters().StatesInvalidated - invalidated; got != 3 {
+			t.Errorf("%s: the modification invalidated %d states, want 3", in.Name, got)
+		}
+		parse("post-modification", 3)
+		parse("warm post-modification", 0)
+	}
+}
+
 // fig21Language builds token streams for the language x (+ x)* used by
 // the "fast" comparison: every baseline can express it in its natural
 // grammar class.

@@ -20,9 +20,10 @@
 //     packed forests and applies rule updates for free.
 //   - KindAuto — probes the grammar and picks the cheapest adequate
 //     backend (conflict-free ⇒ LALR(1); LL(1)-able ⇒ LL; else lazy
-//     GLR), recording why. Under heavy rule churn — when the
-//     update-rate/parse-rate ratio crosses a threshold — it prefers
-//     Earley, whose modification cost is zero.
+//     GLR), recording why. Rule updates move the verdict when they move
+//     the grammar across the determinism boundary; the conflicted
+//     tables that decide it are repaired by need, once per verdict
+//     read, not once per update.
 //
 // All engines share the glr.Result shape, so the registry and serve
 // layers are engine-agnostic; capabilities the backends do not share
@@ -155,7 +156,7 @@ func CapsOf(k Kind) Caps {
 	case KindEarley:
 		return Caps{Trees: true, Ambiguity: true, Incremental: true, Reparse: true, Complete: true}
 	case KindAuto:
-		return Caps{Trees: true, Ambiguity: true, Incremental: true, Lazy: true, Snapshot: true, Reparse: true, Complete: true}
+		return Caps{Trees: true, Ambiguity: true, Incremental: true, Lazy: true, Snapshot: true, Complete: true}
 	default:
 		return Caps{}
 	}

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -142,7 +145,10 @@ func TestConcurrentLALRParseAndModify(t *testing.T) {
 
 // loadSDFGrammar compiles testdata/SDF.sdf the way the registry does
 // for an SDF entry.
-func loadSDFGrammar(t testing.TB) *grammar.Grammar {
+func loadSDFGrammar(t testing.TB) *grammar.Grammar { return convertSDF(t).Grammar }
+
+// convertSDF parses and converts testdata/SDF.sdf.
+func convertSDF(t testing.TB) *sdf.Converted {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "SDF.sdf"))
 	if err != nil {
@@ -156,15 +162,18 @@ func loadSDFGrammar(t testing.TB) *grammar.Grammar {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return conv.Grammar
+	return conv
 }
 
 // TestAutoVerdictParity is the property behind the incremental auto
 // verdict: over random add/delete sequences, after every update the auto
 // engine selects what a probe of a fresh copy of the grammar selects,
-// and while lazy GLR serves, the LALR(1) table auto keeps and repairs is
-// action-identical to a from-scratch generation (the LL(1) table too,
-// once no deferred additions are pending).
+// and while lazy GLR serves, the LALR(1) and LL(1) tables auto keeps and
+// repairs are action-identical to from-scratch generations, and its
+// reason quotes the fresh probe's conflict count. A batched pass reads
+// the verdict only after each batch of 1–8 updates, add→delete and
+// delete→re-add pairs of one rule included, so each settle repairs the
+// kept tables once with the batch's net diff.
 func TestAutoVerdictParity(t *testing.T) {
 	grammars := []struct {
 		name string
@@ -175,7 +184,9 @@ func TestAutoVerdictParity(t *testing.T) {
 		{"SDF.sdf", loadSDFGrammar},
 	}
 	for _, c := range grammars {
-		for seed := int64(0); seed < 4; seed++ {
+		// Seeds 0-3 read the verdict after every update, 4-7 after each batch.
+		for seed := int64(0); seed < 8; seed++ {
+			batched := seed >= 4
 			g := c.load(t)
 			a := NewAuto(g, nil)
 			rng := rand.New(rand.NewSource(seed))
@@ -191,65 +202,114 @@ func TestAutoVerdictParity(t *testing.T) {
 					pool = append(pool, s)
 				}
 			}
+			newRule := func() *grammar.Rule {
+				rhs := make([]grammar.Symbol, rng.Intn(4))
+				for i := range rhs {
+					rhs[i] = pool[rng.Intn(len(pool))]
+				}
+				if r := grammar.NewRule(nts[rng.Intn(len(nts))], rhs...); !g.Has(r) {
+					return r
+				}
+				return nil
+			}
+			liveRule := func() *grammar.Rule {
+				var candidates []*grammar.Rule
+				for _, r := range g.Rules() {
+					if r.Lhs != g.Start() {
+						candidates = append(candidates, r)
+					}
+				}
+				if len(candidates) == 0 {
+					return nil
+				}
+				return candidates[rng.Intn(len(candidates))]
+			}
 			for step := 0; step < 10; step++ {
-				if rng.Intn(2) == 0 {
-					rhs := make([]grammar.Symbol, rng.Intn(4))
-					for i := range rhs {
-						rhs[i] = pool[rng.Intn(len(pool))]
-					}
-					r := grammar.NewRule(nts[rng.Intn(len(nts))], rhs...)
-					if g.Has(r) {
-						continue
-					}
-					if err := a.AddRule(r); err != nil {
-						t.Fatalf("%s seed %d step %d: add: %v", c.name, seed, step, err)
-					}
-				} else {
-					var candidates []*grammar.Rule
-					for _, r := range g.Rules() {
-						if r.Lhs != g.Start() {
-							candidates = append(candidates, r)
+				label := fmt.Sprintf("%s batched=%v seed %d step %d", c.name, batched, seed, step)
+				n, kinds := 1, 2
+				if batched {
+					n, kinds = 1+rng.Intn(8), 4
+				}
+				for i := 0; i < n; i++ {
+					var err error
+					switch rng.Intn(kinds) {
+					case 0:
+						if r := newRule(); r != nil {
+							err = a.AddRule(r)
+						}
+					case 1:
+						if r := liveRule(); r != nil {
+							err = a.DeleteRule(r)
+						}
+					case 2: // add→delete: cancels in the log
+						if r := newRule(); r != nil {
+							if err = a.AddRule(r); err == nil {
+								err = a.DeleteRule(r)
+							}
+						}
+					case 3: // delete→re-add: moves the rule last among its LHS's
+						if r := liveRule(); r != nil {
+							if err = a.DeleteRule(r); err == nil {
+								err = a.AddRule(grammar.NewRule(r.Lhs, r.Rhs...))
+							}
 						}
 					}
-					if len(candidates) == 0 {
-						continue
-					}
-					if err := a.DeleteRule(candidates[rng.Intn(len(candidates))]); err != nil {
-						t.Fatalf("%s seed %d step %d: delete: %v", c.name, seed, step, err)
+					if err != nil {
+						t.Fatalf("%s: update %d: %v", label, i, err)
 					}
 				}
-				// Parse traffic keeps the churn heuristic out of the way.
-				for i := 0; i < 3; i++ {
-					a.noteParse()
-				}
-				got := a.Kind()
-				want, reason := Probe(g.Clone())
-				if got != want {
-					t.Fatalf("%s seed %d step %d: auto selects %v, a fresh probe %v (%s)", c.name, seed, step, got, want, reason)
-				}
-				if got != KindGLR {
-					continue
-				}
-				a.mu.RLock()
-				lrTbl, llTbl, pending := a.lrTbl, a.llTbl, len(a.llPending)
-				a.mu.RUnlock()
-				if lrTbl == nil {
-					t.Fatalf("%s seed %d step %d: lazy GLR serves without the probe tables", c.name, seed, step)
-				}
-				if got, want := lrTbl.Signature(), lalr.Generate(g).Signature(); got != want {
-					t.Fatalf("%s seed %d step %d: retained LALR table diverges\n--- retained ---\n%s\n--- regenerated ---\n%s",
-						c.name, seed, step, got, want)
-				}
-				if pending == 0 {
-					if got, want := llTbl.Signature(), ll.Generate(g).Signature(); got != want {
-						t.Fatalf("%s seed %d step %d: retained LL table diverges\n--- retained ---\n%s\n--- regenerated ---\n%s",
-							c.name, seed, step, got, want)
-					}
-				}
+				checkAutoParity(t, a, g, label)
 			}
 		}
 	}
 }
+
+// checkAutoParity reads a's verdict, settling its pending updates, and
+// checks it against a fresh probe of g; while lazy GLR serves, the kept
+// tables must equal regenerated ones and the reason must quote the
+// fresh probe's conflict count.
+func checkAutoParity(t *testing.T, a *Auto, g *grammar.Grammar, label string) {
+	t.Helper()
+	got := a.Kind()
+	want, reason := Probe(g.Clone())
+	if got != want {
+		t.Fatalf("%s: auto selects %v, a fresh probe %v (%s)", label, got, want, reason)
+	}
+	if got != KindGLR {
+		return
+	}
+	if have, want := conflictCount(t, a.Reason()), conflictCount(t, reason); have != want {
+		t.Fatalf("%s: reason quotes %d LALR(1) conflicts, a fresh probe %d (%q)", label, have, want, a.Reason())
+	}
+	a.mu.RLock()
+	lrTbl, llTbl, pending := a.lrTbl, a.llTbl, len(a.pending)
+	a.mu.RUnlock()
+	if lrTbl == nil || llTbl == nil || pending != 0 {
+		t.Fatalf("%s: lazy GLR serves with kept tables %v/%v and %d updates pending", label, lrTbl != nil, llTbl != nil, pending)
+	}
+	if got, want := lrTbl.Signature(), lalr.Generate(g).Signature(); got != want {
+		t.Fatalf("%s: retained LALR table diverges\n--- retained ---\n%s\n--- regenerated ---\n%s", label, got, want)
+	}
+	if got, want := llTbl.Signature(), ll.Generate(g).Signature(); got != want {
+		t.Fatalf("%s: retained LL table diverges\n--- retained ---\n%s\n--- regenerated ---\n%s", label, got, want)
+	}
+}
+
+// conflictCount reads the LALR(1) conflict count an auto reason quotes.
+func conflictCount(t *testing.T, reason string) int {
+	t.Helper()
+	m := conflictsRE.FindStringSubmatch(reason)
+	if m == nil {
+		t.Fatalf("reason %q quotes no LALR(1) conflict count", reason)
+	}
+	n, err := strconv.Atoi(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+var conflictsRE = regexp.MustCompile(`(\d+) LALR\(1\) conflicts`)
 
 type errorf string
 
@@ -268,8 +328,13 @@ type tableRepairCtx struct {
 // every mutation. The repaired tables must be action-identical to
 // from-scratch generations of the same grammar (canonical signatures
 // cover actions, gotos, lookaheads and conflicts), and the repaired
-// LALR table must produce the same parse forests. CI runs this for 60s
-// alongside FuzzSessionSplice and uploads crashers.
+// LALR table must produce the same parse forests. A second pass decodes
+// the same bytes as batches of 1–8 mutations, add→delete and
+// delete→re-add pairs of one rule included; each batch is folded by
+// auto's rule (logUpdate) and repaired with one Repair of the net diff
+// per table, or re-stamped when the diff is empty, as auto's settle
+// does. CI runs this for 60s alongside FuzzSessionSplice and uploads
+// crashers.
 func FuzzTableRepair(f *testing.F) {
 	calcSrc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "CalcDet.bnf"))
 	if err != nil {
@@ -284,26 +349,20 @@ func FuzzTableRepair(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{2, 1, 2, 0, 1, 3, 2, 1, 7, 5})
 	f.Add([]byte{1, 0, 3, 9, 8, 7, 0, 2, 0, 4, 4, 4, 4, 4})
+	// Batches: a delete→re-add of the first live rule, a net-empty
+	// add→delete, and a mix of both with a plain add.
+	f.Add([]byte{0, 3, 0, 0})
+	f.Add([]byte{0, 2, 3, 1})
+	f.Add([]byte{3, 2, 1, 2, 3, 0, 0, 0, 4, 5, 7, 1, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range ctxs {
+			fuzzBatchedRepair(t, c, data)
+
 			g := grammar.MustParse(c.src)
 			ltab := lalr.Generate(g)
 			ptab := ll.Generate(g)
-
-			var nts []grammar.Symbol
-			pool := []grammar.Symbol{}
-			for _, n := range g.Symbols().Nonterminals() {
-				if n != g.Start() {
-					nts = append(nts, n)
-					pool = append(pool, n)
-				}
-			}
-			for _, s := range g.Symbols().Terminals() {
-				if s != grammar.EOF {
-					pool = append(pool, s)
-				}
-			}
+			m := newFuzzMutator(g)
 
 			ops := data
 			for step := 0; len(ops) >= 3 && step < 8; step++ {
@@ -311,13 +370,8 @@ func FuzzTableRepair(f *testing.F) {
 				ops = ops[3:]
 				var r *grammar.Rule
 				if op%2 == 0 || g.Len() <= 1 {
-					lhs := nts[a%len(nts)]
-					rhs := make([]grammar.Symbol, b%4)
-					for k := range rhs {
-						rhs[k] = pool[(b+k*5)%len(pool)]
-					}
-					cand := grammar.NewRule(lhs, rhs...)
-					if g.Has(cand) {
+					cand := m.candidate(a, b)
+					if cand == nil {
 						continue
 					}
 					if err := g.AddRule(cand); err != nil {
@@ -325,16 +379,11 @@ func FuzzTableRepair(f *testing.F) {
 					}
 					r = cand
 				} else {
-					var candidates []*grammar.Rule
-					for _, cr := range g.Rules() {
-						if cr.Lhs != g.Start() {
-							candidates = append(candidates, cr)
-						}
-					}
-					if len(candidates) == 0 {
+					victim := m.live(a)
+					if victim == nil {
 						continue
 					}
-					stored, err := g.DeleteRule(candidates[a%len(candidates)])
+					stored, err := g.DeleteRule(victim)
 					if err != nil {
 						t.Fatalf("%s step %d: delete: %v", c.name, step, err)
 					}
@@ -402,4 +451,125 @@ func FuzzTableRepair(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzMutator derives rule updates of one grammar from fuzz bytes.
+type fuzzMutator struct {
+	g         *grammar.Grammar
+	nts, pool []grammar.Symbol
+}
+
+func newFuzzMutator(g *grammar.Grammar) *fuzzMutator {
+	m := &fuzzMutator{g: g}
+	for _, n := range g.Symbols().Nonterminals() {
+		if n != g.Start() {
+			m.nts = append(m.nts, n)
+			m.pool = append(m.pool, n)
+		}
+	}
+	for _, s := range g.Symbols().Terminals() {
+		if s != grammar.EOF {
+			m.pool = append(m.pool, s)
+		}
+	}
+	return m
+}
+
+// candidate is the rule bytes a and b name, or nil when g has it.
+func (m *fuzzMutator) candidate(a, b int) *grammar.Rule {
+	rhs := make([]grammar.Symbol, b%4)
+	for k := range rhs {
+		rhs[k] = m.pool[(b+k*5)%len(m.pool)]
+	}
+	if r := grammar.NewRule(m.nts[a%len(m.nts)], rhs...); !m.g.Has(r) {
+		return r
+	}
+	return nil
+}
+
+// live is the non-START rule byte a names, or nil when there is none.
+func (m *fuzzMutator) live(a int) *grammar.Rule {
+	var candidates []*grammar.Rule
+	for _, r := range m.g.Rules() {
+		if r.Lhs != m.g.Start() {
+			candidates = append(candidates, r)
+		}
+	}
+	if len(candidates) == 0 {
+		return nil
+	}
+	return candidates[a%len(candidates)]
+}
+
+// fuzzBatchedRepair is FuzzTableRepair's batched pass: data decodes to
+// batches, a size byte (1 + b%8 mutations) then 3 bytes a mutation,
+// whose first byte picks an add, a delete, an add→delete of one new
+// rule or a delete→re-add of one live rule. Each batch is applied to
+// the grammar, logged through logUpdate, and repaired once per table.
+func fuzzBatchedRepair(t *testing.T, c tableRepairCtx, data []byte) {
+	g := grammar.MustParse(c.src)
+	ltab := lalr.Generate(g)
+	ptab := ll.Generate(g)
+	m := newFuzzMutator(g)
+	add := func(r *grammar.Rule) *grammar.Rule {
+		if err := g.AddRule(r); err != nil {
+			t.Fatalf("%s: add: %v", c.name, err)
+		}
+		return r
+	}
+	del := func(r *grammar.Rule) *grammar.Rule {
+		stored, err := g.DeleteRule(r)
+		if err != nil {
+			t.Fatalf("%s: delete: %v", c.name, err)
+		}
+		return stored
+	}
+	ops := data
+	for batch := 0; len(ops) >= 4 && batch < 4; batch++ {
+		size := 1 + int(ops[0])%8
+		ops = ops[1:]
+		var log []*grammar.Rule
+		for i := 0; i < size && len(ops) >= 3; i++ {
+			op, a, b := int(ops[0]), int(ops[1]), int(ops[2])
+			ops = ops[3:]
+			switch op % 4 {
+			case 0:
+				if r := m.candidate(a, b); r != nil {
+					log = logUpdate(log, add(r), true)
+				}
+			case 1:
+				if r := m.live(a); r != nil {
+					log = logUpdate(log, del(r), false)
+				}
+			case 2:
+				if r := m.candidate(a, b); r != nil {
+					log = logUpdate(log, add(r), true)
+					log = logUpdate(log, del(r), false)
+				}
+			case 3:
+				if r := m.live(a); r != nil {
+					stored := del(r)
+					log = logUpdate(log, stored, false)
+					log = logUpdate(log, add(grammar.NewRule(stored.Lhs, stored.Rhs...)), true)
+				}
+			}
+		}
+		if len(log) == 0 {
+			ltab.Restamp()
+			ptab.Restamp()
+		} else {
+			if st := ltab.Repair(log...); st.Stale() {
+				ltab = lalr.Generate(g)
+			}
+			ptab.Repair(log...)
+		}
+		if got, want := ltab.Signature(), lalr.Generate(g).Signature(); got != want {
+			t.Fatalf("%s batch %d: repaired LALR table diverges\n--- repaired ---\n%s\n--- regenerated ---\n%s",
+				c.name, batch, got, want)
+		}
+		if got, want := ptab.Signature(), ll.Generate(g).Signature(); got != want {
+			t.Fatalf("%s batch %d: repaired LL table diverges\n--- repaired ---\n%s\n--- regenerated ---\n%s",
+				c.name, batch, got, want)
+		}
+	}
 }

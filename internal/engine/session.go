@@ -80,10 +80,10 @@ type sessionOpener interface {
 }
 
 // OpenSession opens a document session over input (a trailing end
-// marker is dropped) on e. Earley-backed engines — including auto
-// entries currently running Earley — get chart-reuse sessions; every
-// other backend gets a full-reparse fallback. Auto sessions follow the
-// engine's selection (see autoSession).
+// marker is dropped) on e. Earley engines get chart-reuse sessions;
+// every other backend, and so every auto engine, gets a full-reparse
+// fallback. Auto sessions follow the engine's selection (see
+// autoSession).
 func OpenSession(e Engine, input []grammar.Symbol) (Session, error) {
 	if a, ok := e.(*Auto); ok {
 		cur := a.current()
@@ -142,13 +142,6 @@ func (s *autoSession) Stats() SessionStats {
 	st.SetsReused += s.banked.SetsReused
 	st.SetsRebuilt += s.banked.SetsRebuilt
 	return st
-}
-
-// ResetForest forwards to a backend session that retains a forest.
-func (s *autoSession) ResetForest() {
-	if fr, ok := s.Session.(ForestResetter); ok {
-		fr.ResetForest()
-	}
 }
 
 // tokenHolder is implemented by the backend sessions: their current

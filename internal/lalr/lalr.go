@@ -263,7 +263,7 @@ func (t *Table) Conflicts() []Conflict { return t.conflicts }
 // how much was kept verbatim, and how much work finding and repairing
 // the damage visited.
 type RepairStats struct {
-	// Affected counts the states whose closures contained the modified
+	// Affected counts the states whose closures contained a modified
 	// nonterminal's rules — the states MODIFY invalidates (section 6.1).
 	Affected int
 	// Created/Removed count states added by re-expansion and orphans
@@ -303,14 +303,14 @@ type RepairStats struct {
 // a regeneration can serve the updated grammar.
 func (st RepairStats) Stale() bool { return st.FellBack && !st.ConflictsChanged }
 
-// Repair splices a single rule update into the table after the grammar
-// has already been mutated (AddRule or DeleteRule of rule). Every step
-// costs what the update damaged, not what the grammar holds:
+// Repair splices rule updates into the table after the grammar has
+// already been mutated (AddRule or DeleteRule of each rule). Every step
+// costs what the updates damaged, not what the grammar holds:
 //
-//   - the affected states — the complete states with a transition on the
-//     rule's left-hand side, exactly the set MODIFY invalidates in the
-//     lazy generator — come from the automaton's index and are
-//     re-expanded in place;
+//   - the affected states — the complete states with a transition on a
+//     modified rule's left-hand side, exactly the set MODIFY invalidates
+//     in the lazy generator — come from the automaton's index and are
+//     re-expanded in place, once each however many updates name them;
 //   - the successors they no longer reference are released, and orphans
 //     are reclaimed by reference count, with a cycle check over the
 //     subgraph the released states reach;
@@ -325,27 +325,32 @@ func (st RepairStats) Stale() bool { return st.FellBack && !st.ConflictsChanged 
 // State identity is preserved: surviving states keep their pointers, so
 // published tables stay valid under the engines' locking discipline.
 //
-// Repair declines (FellBack=true) when the update touches a START rule,
+// Repair declines (FellBack=true) when an update touches a START rule,
 // when the damage frontier exceeds FallbackFraction of the automaton, or
 // when the splice changed the conflict set. In the first two cases the
 // table is untouched and stale (RepairStats.Stale); in the last it is
 // fully repaired and correct, and ConflictsChanged says so, so a caller
 // that reads the new conflict set can keep it.
-func (t *Table) Repair(rule *grammar.Rule) RepairStats {
+func (t *Table) Repair(rules ...*grammar.Rule) RepairStats {
 	g := t.auto.Grammar()
-	a := rule.Lhs
-	if a == g.Start() {
-		return RepairStats{FellBack: true, Reason: "start rule modified"}
+	for _, r := range rules {
+		if r.Lhs == g.Start() {
+			return RepairStats{FellBack: true, Reason: "start rule modified"}
+		}
 	}
 
 	// The affected set (section 6.1): every complete state whose closure
-	// contained a rule of the modified nonterminal has a transition on it
+	// contained a rule of a modified nonterminal has a transition on it
 	// (the dot-before-A item creates Transitions[A] even when A had no
-	// rules), and no other state's closure is structurally damaged.
-	// Expanding them in ID order numbers the created states
-	// deterministically.
-	affected := t.auto.AppendStatesOn(nil, a)
+	// rules), and no other state's closure is structurally damaged: a
+	// closure first differs at a nonterminal it already held. Expanding
+	// them in ID order numbers the created states deterministically.
+	var affected []*lr.State
+	for _, r := range rules {
+		affected = t.auto.AppendStatesOn(affected, r.Lhs)
+	}
 	sort.Slice(affected, func(i, j int) bool { return affected[i].ID < affected[j].ID })
+	affected = slices.Compact(affected)
 	st := RepairStats{Affected: len(affected), Scanned: len(affected)}
 	if n := t.auto.Len(); n > 0 && float64(len(affected)) > FallbackFraction*float64(n) {
 		st.FellBack = true
@@ -458,6 +463,13 @@ func (t *Table) Repair(rule *grammar.Rule) RepairStats {
 	}
 	return st
 }
+
+// Restamp records that the grammar, though its version moved, again
+// holds exactly the rules the table reflects, in the same order: the
+// updates since cancelled out. The next Repair then measures damage
+// from the current version instead of re-deriving what moved and moved
+// back.
+func (t *Table) Restamp() { t.version = t.auto.Grammar().Version() }
 
 // lookaheadDamage marks, through damage, the surviving states whose slot
 // closures compute a FIRST(β) that moved since the table's version: a

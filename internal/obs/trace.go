@@ -29,7 +29,8 @@ const (
 	StageTokenize Stage = iota
 	// StageAdmit is admission control: rate limiting + concurrency gate.
 	StageAdmit
-	// StageSelect is engine selection — auto entries may re-probe here.
+	// StageSelect is engine selection — auto entries settle pending rule
+	// updates here, repairing their kept tables or re-probing.
 	StageSelect
 	// StageTable is table/chart work: the LR drive or Earley chart pass,
 	// including lazy state expansion on the GLR path.

@@ -11,11 +11,13 @@ import (
 // ambiguousRule makes calcDetSrc ambiguous, moving auto to lazy GLR.
 const ambiguousRule = `E ::= E "+" E`
 
-// autoSwitchCases drive an auto entry across a backend switch while a
-// session is open on the backend selected before it: LALR(1) to lazy
+// autoSwitchCases drive an auto entry through rule updates while a
+// session is open on the backend selected before them: LALR(1) to lazy
 // GLR when a rule adds conflicts, lazy GLR to LALR(1) when its deletion
-// removes them, and lazy GLR to Earley under heavy rule churn. The last
-// update adds F ::= "m" in every case, so the entry accepts "n + m".
+// removes them, and lazy GLR staying put under heavy rule churn, where
+// 13 updates fold into the one settle the next verdict read runs. The
+// last update adds F ::= "m" in every case, so the entry accepts
+// "n + m".
 var autoSwitchCases = []struct {
 	name     string
 	src      string
@@ -30,13 +32,18 @@ var autoSwitchCases = []struct {
 			t.Fatalf("delete %s: n=%d err=%v", ambiguousRule, n, err)
 		}
 	}},
-	{"glr to earley under churn", calcDetSrc + ambiguousRule + "\n", engine.KindGLR, engine.KindEarley, func(t *testing.T, e *Entry) {
+	{"glr stays glr under churn", calcDetSrc + ambiguousRule + "\n", engine.KindGLR, engine.KindGLR, func(t *testing.T, e *Entry) {
+		before := e.Counters().RepairPropagated
 		for i := 0; i < 6; i++ {
 			rule := fmt.Sprintf(`T ::= "kw%d"`, i)
 			mustAddRules(t, e, rule)
 			if n, err := e.DeleteRulesText(rule); err != nil || n != 1 {
 				t.Fatalf("delete %s: n=%d err=%v", rule, n, err)
 			}
+		}
+		// Only the kept LALR(1) table propagates lookaheads under GLR.
+		if after := e.Counters().RepairPropagated; after != before {
+			t.Fatalf("the updates repaired the kept tables (%d lookahead slots propagated), want them pending", after-before)
 		}
 	}},
 }
@@ -108,10 +115,11 @@ func TestAutoSessionFollowsBackendSwitch(t *testing.T) {
 }
 
 // TestAutoSessionConcurrentSwitches runs session edits and reparses,
-// stateless parses and a writer that moves the entry between LALR(1)
-// and lazy GLR all at once (run it under -race): every reparse must
-// succeed on whichever backend serves at the time, and no engine panic
-// may reach the breaker.
+// stateless parses, stats reads and a writer that moves the entry
+// between LALR(1) and lazy GLR, with rule churn while lazy GLR serves,
+// all at once (run it under -race): every reparse must succeed on
+// whichever backend serves at the time, and no engine panic may reach
+// the breaker.
 func TestAutoSessionConcurrentSwitches(t *testing.T) {
 	r := New()
 	e, err := r.Register("calc", Spec{Source: calcDetSrc, Engine: engine.KindAuto})
@@ -142,6 +150,7 @@ func TestAutoSessionConcurrentSwitches(t *testing.T) {
 					done <- err
 					return
 				}
+				_ = e.Stats()
 			}
 			done <- nil
 		}()
@@ -149,6 +158,15 @@ func TestAutoSessionConcurrentSwitches(t *testing.T) {
 	go func() {
 		for i := 0; i < rounds/2; i++ {
 			if _, err := e.AddRulesText(ambiguousRule); err != nil {
+				done <- err
+				return
+			}
+			kw := fmt.Sprintf(`T ::= "kw%d"`, i)
+			if _, err := e.AddRulesText(kw); err != nil {
+				done <- err
+				return
+			}
+			if _, err := e.DeleteRulesText(kw); err != nil {
 				done <- err
 				return
 			}

@@ -11,11 +11,11 @@ import (
 // BenchmarkAutoRuleUpdate measures a rule update on an auto entry that
 // lazy GLR serves: SDF.sdf, the service benchmark's churn grammar. One
 // op adds and then deletes a fresh-keyword rule through the registry,
-// the way POST /v1/grammars/{name}/rules does. Three untimed parses
-// follow each pair so that parses outnumber updates and the churn
-// heuristic keeps the entry on GLR. probes/op counts the full table
-// probes auto ran; it is 0 when every verdict is re-read from the
-// repaired tables.
+// the way POST /v1/grammars/{name}/rules does. The updates only log the
+// rule for auto's kept tables; three untimed parses follow each pair,
+// and the first settles the verdict, folding the pair to nothing.
+// probes/op counts the full table probes auto ran; it is 0 when every
+// verdict is re-read from the kept tables.
 func BenchmarkAutoRuleUpdate(b *testing.B) {
 	e := registerTestdata(b, New(), "sdf", "SDF.sdf", engine.KindAuto)
 	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "exp.sdf"))

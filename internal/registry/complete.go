@@ -180,12 +180,15 @@ func (r *Registry) startCursor(e *Entry, op CompletionOp, dst *engine.TermSet, t
 		if err != nil {
 			return nil, err
 		}
+		e.updateMu.RLock()
 		cur, _, err := engine.OpenCursor(e.eng, nil)
+		kind := e.eng.Kind()
+		e.updateMu.RUnlock()
 		if err != nil {
 			return nil, err
 		}
 		cs := &CompletionSession{lease: lease{entry: e, reg: r, maxTokens: maxTokens},
-			engName: e.eng.Kind().String(), cur: cur}
+			engName: kind.String(), cur: cur}
 		if rejIdx, err = cs.step(-1, feed, dst, tr); err != nil {
 			cs.release()
 			return nil, err

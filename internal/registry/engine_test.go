@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"ipg/internal/engine"
 	"ipg/internal/grammar"
+	"ipg/internal/obs"
 	"ipg/internal/snapshot"
 )
 
@@ -115,10 +117,9 @@ func registerTestdata(tb testing.TB, r *Registry, name, file string, kind engine
 
 // TestAutoGLRUpdatesRepairProbe pins the incremental auto verdict on the
 // service path. SDF.sdf has LALR(1) conflicts, so auto serves it with
-// lazy GLR; fresh-keyword rule updates are spliced into the probe tables
-// auto keeps, and the verdict is re-read from them without a single
-// table probe. The parses between updates keep the churn heuristic on
-// GLR.
+// lazy GLR; the parses between fresh-keyword rule updates settle them,
+// splicing each into the probe tables auto keeps, and the verdict is
+// re-read from those tables without a single table probe.
 func TestAutoGLRUpdatesRepairProbe(t *testing.T) {
 	e := registerTestdata(t, New(), "sdf", "SDF.sdf", engine.KindAuto)
 	if e.EngineKind() != engine.KindGLR {
@@ -154,6 +155,46 @@ func TestAutoGLRUpdatesRepairProbe(t *testing.T) {
 	}
 	if got := e.Stats().EngineReprobes; got != 0 {
 		t.Errorf("24 verdict-stable updates ran %d table probes, want 0", got)
+	}
+}
+
+// TestAutoSettleRunsInSelectStage pins where an auto entry's kept-table
+// work lands. A traced rule update on SDF.sdf, which lazy GLR serves,
+// carries only the lazy generator's splice: no lookahead propagation,
+// rule diffing or re-analysis, which under GLR only the kept tables do.
+// The next traced parse settles the update in its select stage, and the
+// entry's counters then include the kept tables' repair.
+func TestAutoSettleRunsInSelectStage(t *testing.T) {
+	e := registerTestdata(t, New(), "sdf", "SDF.sdf", engine.KindAuto)
+	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "exp.sdf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
+	before := e.Counters()
+	tr := tracer.StartParse(e.Name(), engine.ServingKind(e.Engine()).String(), "")
+	if n, err := e.UpdateRules(`LEX-ELEM ::= "kw0"`, true, tr); err != nil || n != 1 {
+		t.Fatalf("add: n=%d err=%v", n, err)
+	}
+	sp, _, _ := tr.FinishSpan(true, nil)
+	if sp.RepairPropagated != 0 || sp.RepairRulesDiffed != 0 || sp.RepairReanalysed != 0 {
+		t.Fatalf("the rules span carries kept-table work: propagated %d, rules diffed %d, re-analysed %d",
+			sp.RepairPropagated, sp.RepairRulesDiffed, sp.RepairReanalysed)
+	}
+	if mid := e.Counters(); mid.RepairPropagated != before.RepairPropagated {
+		t.Fatalf("the update repaired the kept tables: %+v, was %+v", mid, before)
+	}
+	tr = tracer.StartParse(e.Name(), engine.ServingKind(e.Engine()).String(), "")
+	res, err := e.Run(context.Background(), string(doc), nil, false, tr)
+	if err != nil || !res.Accepted {
+		t.Fatalf("parse exp.sdf: err=%v accepted=%v", err, res.Accepted)
+	}
+	sp, _, _ = tr.FinishSpan(true, nil)
+	if after := e.Counters(); after.RepairPropagated == before.RepairPropagated {
+		t.Fatal("the parse did not settle the update into the kept tables")
+	}
+	if sp.Stages[obs.StageSelect] <= 0 || sp.Engine != "glr" {
+		t.Fatalf("parse span: select stage %v, engine %q; want a select stage on glr", sp.Stages[obs.StageSelect], sp.Engine)
 	}
 }
 

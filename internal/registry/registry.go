@@ -202,8 +202,7 @@ type Entry struct {
 	inflight atomic.Int64
 	rejected atomic.Uint64
 	// ruleUpdates counts applied rule additions and deletions — the
-	// numerator of the update-rate/parse-rate ratio the auto engine's
-	// churn heuristic watches.
+	// numerator of the entry's update-rate/parse-rate ratio.
 	ruleUpdates atomic.Uint64
 	// lat is the entry's request-latency histogram: every admitted
 	// parse request (including the scan phase of text parses) is
@@ -244,8 +243,10 @@ type Entry struct {
 	// cannot see: rule-text updates intern new symbols into the shared
 	// SymbolTable and consult the grammar before taking the generator's
 	// write lock, so parses/stats (readers) and updates (writers) must
-	// exclude each other here too. Lock order: updateMu, then scanMu,
-	// then the generator's locks.
+	// exclude each other here too. An auto engine's verdict reads settle
+	// its pending rule updates into its kept tables, which reads the
+	// symbol table, so they hold the read lock as well. Lock order:
+	// updateMu, then scanMu, then the generator's locks.
 	updateMu sync.RWMutex
 
 	// scanMu serializes use of the ISG scanner, whose lazy DFA expansion
@@ -323,8 +324,12 @@ func (e *Entry) Grammar() *grammar.Grammar { return e.g }
 func (e *Entry) Engine() engine.Engine { return e.eng }
 
 // EngineKind reports the concrete backend serving the entry (an auto
-// entry reports what the probe selected).
-func (e *Entry) EngineKind() engine.Kind { return e.eng.Kind() }
+// entry reports its verdict, settling pending rule updates first).
+func (e *Entry) EngineKind() engine.Kind {
+	e.updateMu.RLock()
+	defer e.updateMu.RUnlock()
+	return e.eng.Kind()
+}
 
 // RequestedEngine reports the kind the registration asked for —
 // engine.KindAuto stays auto here even after selection.
@@ -333,7 +338,11 @@ func (e *Entry) RequestedEngine() engine.Kind { return e.requested }
 // Generator exposes the entry's shared incremental generator when the
 // engine is lazy-GLR-backed, nil otherwise (use Engine for the
 // backend-independent surface).
-func (e *Entry) Generator() *core.Generator { return engine.GeneratorOf(e.eng) }
+func (e *Entry) Generator() *core.Generator {
+	e.updateMu.RLock()
+	defer e.updateMu.RUnlock()
+	return engine.GeneratorOf(e.eng)
+}
 
 // Counters samples the engine's work counters.
 func (e *Entry) Counters() core.Counters { return e.eng.Counters() }
@@ -475,7 +484,7 @@ func (e *Entry) drive(ctx context.Context, d engine.Driver, input []grammar.Symb
 		// runs under (grammar, engine) pprof labels so profiles of a
 		// multi-tenant service split by tenant. Gated because labeling
 		// allocates; the zero-alloc gates run with it off.
-		obs.WithProfileLabels(ctx, e.name, e.eng.Kind().String(), func() {
+		obs.WithProfileLabels(ctx, e.name, engine.ServingKind(e.eng).String(), func() {
 			res, err = engine.ParseGuarded(d, input, buildTrees, tr, fl)
 		})
 	} else {
@@ -779,8 +788,8 @@ type Stats struct {
 	// Caps is the serving backend's capability row.
 	Caps engine.Caps
 	// RuleUpdates counts applied rule additions/deletions; together
-	// with Counters.ParsesServed it is the update-rate/parse-rate ratio
-	// the auto engine's churn heuristic watches (UpdateParseRatio).
+	// with Counters.ParsesServed it is the entry's update-rate/parse-rate
+	// ratio (UpdateParseRatio).
 	RuleUpdates uint64
 	// EngineReprobes counts the full table probes the auto engine ran
 	// to reselect (engine.Auto.Reprobes; 0 for explicitly selected
@@ -824,8 +833,7 @@ type Stats struct {
 }
 
 // UpdateParseRatio is the entry's lifetime rule updates per served
-// parse — the observable twin of the (windowed) ratio the auto
-// engine's churn heuristic decides on.
+// parse: how much of its traffic edits the grammar.
 func (s Stats) UpdateParseRatio() float64 {
 	if s.Counters.ParsesServed == 0 {
 		return float64(s.RuleUpdates)

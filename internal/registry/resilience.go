@@ -258,7 +258,9 @@ const (
 func (r *Registry) RefreshMemoryUsage() int64 {
 	var total int64
 	for _, e := range r.Entries() {
+		e.updateMu.RLock()
 		info := e.eng.TableInfo()
+		e.updateMu.RUnlock()
 		total += int64(info.States) * stateEstimateBytes
 	}
 	for _, st := range r.SessionStats() {

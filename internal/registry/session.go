@@ -122,7 +122,9 @@ func (r *Registry) StartSession(ctx context.Context, e *Entry, input string, tr 
 		if err := tooLong(ErrDocTooLarge, len(toks)-1, maxTokens); err != nil {
 			return nil, err
 		}
+		e.updateMu.RLock()
 		es, err := engine.OpenSession(e.eng, toks)
+		e.updateMu.RUnlock()
 		if err != nil {
 			return nil, err
 		}

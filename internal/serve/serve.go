@@ -602,8 +602,7 @@ type EntryInfo struct {
 	// matrix of internal/engine, per entry).
 	EngineCaps EngineCaps `json:"engine_caps"`
 	// RuleUpdates counts applied rule additions/deletions;
-	// UpdateParseRatio relates them to parses served — the signal that
-	// moves an auto entry onto (and off) the table-free Earley backend.
+	// UpdateParseRatio relates them to parses served.
 	RuleUpdates      uint64  `json:"rule_updates_total"`
 	UpdateParseRatio float64 `json:"update_parse_ratio"`
 	// EngineReprobes counts the full table probes the auto engine ran
@@ -790,7 +789,7 @@ func (s *Server) parseOne(ctx context.Context, e *registry.Entry, req ParseReque
 	ctx, cancelParse := s.parseCtx(ctx)
 	defer cancelParse()
 	start := time.Now()
-	tr := s.tracer.StartParse(e.Name(), e.EngineKind().String(), obs.RequestID(ctx))
+	tr := s.tracer.StartParse(e.Name(), engine.ServingKind(e.Engine()).String(), obs.RequestID(ctx))
 	res, err := e.Run(ctx, req.Input, nil, req.Trees || req.Render, tr)
 	if err != nil {
 		s.finishTrace(tr, false, err)
@@ -1074,8 +1073,10 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp RulesResponse
 	// Rule updates join the parse-lifecycle trace: repairs show up as
-	// the repair stage with their state counts on the span.
-	tr := s.tracer.StartParse(e.Name(), e.EngineKind().String(), obs.RequestID(r.Context()))
+	// the repair stage with their state counts on the span. An auto
+	// entry's kept tables are repaired by the next verdict read, not
+	// here, so the span is labelled without settling.
+	tr := s.tracer.StartParse(e.Name(), engine.ServingKind(e.Engine()).String(), obs.RequestID(r.Context()))
 	var updateErr error
 	defer func() { tr.Finish(updateErr == nil, updateErr) }()
 	fail := func(err error) {
