@@ -218,6 +218,10 @@ func (a *Auto) Counters() core.Counters {
 // TableInfo implements Engine.
 func (a *Auto) TableInfo() TableInfo { return a.current().TableInfo() }
 
+// OpenCursor implements Engine on the selected backend. A reselection
+// moves the grammar, so it leaves the cursor stale.
+func (a *Auto) OpenCursor() (Cursor, error) { return a.current().OpenCursor() }
+
 // AddRule implements Engine: the rule is applied through the selected
 // backend. LALR repairs its own table and reads the verdict from it; a
 // new conflict schedules a full probe. LL repairs its own table too,

@@ -6,19 +6,19 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ipg/internal/cancel"
+	"ipg/internal/faultinject"
 	"ipg/internal/grammar"
+	"ipg/internal/obs"
 )
 
 // This file is the completion capability: the constrained-decoding view
-// of a parser. After any viable prefix, a Completer answers "which
-// terminals may come next" — one accept-set query per generated token
-// is the workload, so the warm path on the table-driven backends is
-// allocation-free and a cursor advances in O(1) amortized. The paper's
-// lazy/incremental tables make the answer cheap by construction: the
-// parser is always ready at the frontier.
-
-// ErrNoComplete reports that a backend has no completion capability.
-var ErrNoComplete = errors.New("engine: backend does not support completion")
+// of a parser. After any viable prefix, a Cursor (Engine.OpenCursor)
+// answers "which terminals may come next" — one accept-set query per
+// generated token is the workload, so the warm path on the
+// table-driven backends is allocation-free and a cursor advances in
+// O(1) amortized. The paper's lazy/incremental tables make the answer
+// cheap by construction: the parser is always ready at the frontier.
 
 // ErrCursorStale reports that the grammar moved under an open cursor
 // (a rule update, repair or regeneration); the cursor refuses every
@@ -32,6 +32,10 @@ var ErrRejected = errors.New("engine: token not acceptable at cursor position")
 
 // ErrBadCheckpoint reports a Restore target outside [0, Pos()].
 var ErrBadCheckpoint = errors.New("engine: restore checkpoint out of range")
+
+// ErrPrefixTooLong reports a CursorStep whose feed would move the cursor
+// past its MaxPos; nothing was fed.
+var ErrPrefixTooLong = errors.New("engine: completion prefix exceeds token limit")
 
 // Vocab is the stable terminal vocabulary of one grammar version: every
 // terminal (EOF — "$" — included) sorted by name. TermSet bit indices
@@ -208,70 +212,94 @@ type Cursor interface {
 	Close()
 }
 
-// Completer is the optional completion capability; all concrete
-// backends implement it. Use CompleterOf to query an engine (it also
-// resolves auto engines to their selected backend).
-type Completer interface {
-	// OpenCursor opens a cursor at the empty prefix.
-	OpenCursor() (Cursor, error)
+// CursorStep is one completion-cursor operation as a Driver, so that
+// ParseGuarded runs it under the guard every parse gets: cancellation,
+// panic quarantine and the dispatch fault site. Its drive opens a
+// cursor on Engine when Cursor is nil, rewinds to Restore when that is
+// not negative, feeds its input with a cancellation and drive.token
+// checkpoint before each token, and then, when Accepts is non-nil,
+// fills Accepts with the accept set. The step is one complete stage of
+// the trace; buildTrees is ignored.
+//
+// A rejected token stops the feed with ErrRejected, and Result.ErrorPos
+// is its index in the input (-1 otherwise). The tokens fed before a
+// rejection or a cancellation stay fed; Fed counts them.
+type CursorStep struct {
+	// Engine opens the cursor when Cursor is nil. The drive stores the
+	// opened cursor in Cursor, and the caller owns it from then on,
+	// also when the step fails.
+	Engine Engine
+	Cursor Cursor
+	// Restore is the checkpoint to rewind to before the feed (-1: none).
+	Restore int
+	// MaxPos bounds the position after the restore and the feed (0:
+	// unbounded). A feed that would pass it feeds nothing and fails
+	// with ErrPrefixTooLong.
+	MaxPos int
+	// Accepts, when non-nil, receives the accept set after the feed.
+	Accepts *TermSet
+	// Fed is the number of tokens the last drive fed.
+	Fed int
 }
 
-// CompleterOf returns e's completion capability, or nil when the engine
-// (or, for auto, its selected backend) has none.
-func CompleterOf(e Engine) Completer {
-	if a, ok := e.(*Auto); ok {
-		e = a.current()
+// drive implements Driver.
+func (s *CursorStep) drive(feed []grammar.Symbol, _ bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
+	tr.BeginStage(obs.StageComplete)
+	defer tr.EndStage(obs.StageComplete)
+	s.Fed = 0
+	res := Result{ErrorPos: -1}
+	if s.Cursor == nil {
+		c, err := s.Engine.OpenCursor()
+		if err != nil {
+			return res, err
+		}
+		s.Cursor = c
 	}
-	if c, ok := e.(Completer); ok {
-		return c
+	c := s.Cursor
+	if s.Restore >= 0 {
+		if err := c.Restore(s.Restore); err != nil {
+			return res, err
+		}
 	}
-	return nil
+	if n := c.Pos() + len(feed); s.MaxPos > 0 && n > s.MaxPos {
+		return res, fmt.Errorf("%w (%d tokens, limit %d)", ErrPrefixTooLong, n, s.MaxPos)
+	}
+	for i, t := range feed {
+		if fl.Hit() {
+			return res, fl.Err(i, len(feed), uint64(i))
+		}
+		if faultinject.Armed() {
+			faultinject.Step(faultinject.SiteDriveToken, i, fl)
+		}
+		if err := c.Feed(t); err != nil {
+			res.ErrorPos = i
+			return res, err
+		}
+		s.Fed++
+	}
+	if s.Accepts != nil {
+		return res, c.Accepts(s.Accepts)
+	}
+	return res, nil
 }
 
 // OpenCursor opens a completion cursor on e and feeds prefix (a
-// trailing end marker is tolerated and ignored). On a non-viable
-// prefix it returns the index of the first rejected token along with
-// ErrRejected; rejPos is -1 otherwise.
+// trailing end marker is tolerated and ignored): one unguarded
+// CursorStep. On a non-viable prefix it returns the index of the first
+// rejected token along with ErrRejected; rejPos is -1 otherwise.
 func OpenCursor(e Engine, prefix []grammar.Symbol) (c Cursor, rejPos int, err error) {
-	comp := CompleterOf(e)
-	if comp == nil {
-		return nil, -1, ErrNoComplete
+	if n := len(prefix); n > 0 && prefix[n-1] == grammar.EOF {
+		prefix = prefix[:n-1]
 	}
-	cur, err := comp.OpenCursor()
+	s := CursorStep{Engine: e, Restore: -1}
+	res, err := s.drive(prefix, false, nil, nil)
 	if err != nil {
-		return nil, -1, err
-	}
-	if pos, err := FeedAll(cur, prefix); err != nil {
-		cur.Close()
-		return nil, pos, err
-	}
-	return cur, -1, nil
-}
-
-// FeedAll feeds tokens in order (a trailing end marker is ignored),
-// returning the index of the first token that failed, or -1.
-func FeedAll(c Cursor, tokens []grammar.Symbol) (int, error) {
-	for i, t := range tokens {
-		if t == grammar.EOF && i == len(tokens)-1 {
-			break
+		if s.Cursor != nil {
+			s.Cursor.Close()
 		}
-		if err := c.Feed(t); err != nil {
-			return i, err
-		}
+		return nil, res.ErrorPos, err
 	}
-	return -1, nil
-}
-
-// Accepts is the one-shot query: the accept set after prefix, through a
-// transient cursor. On a non-viable prefix it reports the index of the
-// first rejected token with ErrRejected; rejPos is -1 otherwise.
-func Accepts(e Engine, prefix []grammar.Symbol, dst *TermSet) (rejPos int, err error) {
-	c, pos, err := OpenCursor(e, prefix)
-	if err != nil {
-		return pos, err
-	}
-	defer c.Close()
-	return -1, c.Accepts(dst)
+	return s.Cursor, -1, nil
 }
 
 // badRestore formats the uniform out-of-range Restore error.

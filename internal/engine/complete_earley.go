@@ -22,7 +22,7 @@ type earleyCursor struct {
 	stale   bool
 }
 
-// OpenCursor implements Completer for the Earley backend.
+// OpenCursor implements Engine for the Earley backend.
 func (e *Earley) OpenCursor() (Cursor, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -54,7 +54,7 @@ type llCursor struct {
 
 var llCursorPool = sync.Pool{New: func() any { return new(llCursor) }}
 
-// OpenCursor implements Completer for the LL backend.
+// OpenCursor implements Engine for the LL backend.
 func (e *LL) OpenCursor() (Cursor, error) {
 	c := llCursorPool.Get().(*llCursor)
 	c.e = e

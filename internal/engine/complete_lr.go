@@ -70,10 +70,10 @@ func (h *glrHost) acquire() lr.Table {
 
 func (h *glrHost) release() { h.sess.End() }
 
-// OpenCursor implements Completer for the lazy-GLR backend.
+// OpenCursor implements Engine for the lazy-GLR backend.
 func (e *GLR) OpenCursor() (Cursor, error) { return openGSSCursor(&glrHost{e: e}) }
 
-// OpenCursor implements Completer for the LALR backend.
+// OpenCursor implements Engine for the LALR backend.
 func (e *LALR) OpenCursor() (Cursor, error) { return openGSSCursor(lalrHost{e: e}) }
 
 type gssCursor struct {

@@ -33,6 +33,13 @@ func completeEngines(t testing.TB, g *grammar.Grammar, kinds ...engine.Kind) map
 	return out
 }
 
+// feedStep feeds tokens to c as one guarded cursor step, returning the
+// index of the token that failed, or -1.
+func feedStep(c engine.Cursor, tokens []grammar.Symbol) (int, error) {
+	res, err := engine.ParseGuarded(&engine.CursorStep{Cursor: c, Restore: -1}, tokens, false, nil, nil)
+	return res.ErrorPos, err
+}
+
 // acceptNames renders c's accept set as a deterministic string (names in
 // bit order), failing the test on cursor errors.
 func acceptNames(t testing.TB, name string, c engine.Cursor, set *engine.TermSet) string {
@@ -111,9 +118,6 @@ func TestCompleteCaps(t *testing.T) {
 	for name, e := range completeEngines(t, g, engine.KindGLR, engine.KindLALR, engine.KindLL, engine.KindEarley, engine.KindAuto) {
 		if !e.Caps().Complete {
 			t.Errorf("%s: Caps().Complete = false", name)
-		}
-		if engine.CompleterOf(e) == nil {
-			t.Errorf("%s: CompleterOf = nil", name)
 		}
 	}
 }
@@ -311,8 +315,8 @@ func TestCursorCheckpointRestore(t *testing.T) {
 			if cp != 2 {
 				t.Fatalf("Checkpoint = %d, want 2", cp)
 			}
-			if n, err := engine.FeedAll(c, fixtures.Tokens(g, "n * n")); err != nil {
-				t.Fatalf("FeedAll: token %d: %v", n, err)
+			if n, err := feedStep(c, fixtures.Tokens(g, "n * n")); err != nil {
+				t.Fatalf("feed: token %d: %v", n, err)
 			}
 			if c.Pos() != 5 {
 				t.Fatalf("Pos = %d, want 5", c.Pos())
@@ -327,7 +331,7 @@ func TestCursorCheckpointRestore(t *testing.T) {
 				t.Fatalf("after Restore: {%s}, want {%s}", got, atMark)
 			}
 			// The restored cursor must advance again.
-			if n, err := engine.FeedAll(c, fixtures.Tokens(g, "n")); err != nil {
+			if n, err := feedStep(c, fixtures.Tokens(g, "n")); err != nil {
 				t.Fatalf("re-feed after Restore: token %d: %v", n, err)
 			}
 			// Rewind to the empty prefix, then out-of-range restores.
@@ -456,6 +460,29 @@ func TestCursorStaleAfterBackendSwitch(t *testing.T) {
 	}
 }
 
+// TestCursorStepMaxPos pins where a cursor step checks its position
+// bound: after the restore, before the feed. A feed that would pass
+// MaxPos feeds nothing and leaves the cursor at the restored position.
+func TestCursorStepMaxPos(t *testing.T) {
+	g := guardFixture(t, "CalcLL.bnf")
+	for name, e := range completeEngines(t, g, engine.KindGLR, engine.KindLALR, engine.KindLL, engine.KindEarley) {
+		c, _, err := engine.OpenCursor(e, fixtures.Tokens(g, "n +"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		step := &engine.CursorStep{Cursor: c, Restore: 1, MaxPos: 3}
+		if _, err := engine.ParseGuarded(step, fixtures.Tokens(g, "* n"), false, nil, nil); err != nil || c.Pos() != 3 {
+			t.Fatalf("%s: restore to 1 and feed 2 under MaxPos 3: %v at pos %d", name, err, c.Pos())
+		}
+		_, err = engine.ParseGuarded(step, fixtures.Tokens(g, "* n *"), false, nil, nil)
+		if !errors.Is(err, engine.ErrPrefixTooLong) || step.Fed != 0 || c.Pos() != 1 {
+			t.Fatalf("%s: restore to 1 and feed 3 under MaxPos 3: %v, fed %d at pos %d; want ErrPrefixTooLong, nothing fed at pos 1",
+				name, err, step.Fed, c.Pos())
+		}
+		c.Close()
+	}
+}
+
 func TestOneShotAccepts(t *testing.T) {
 	g := guardFixture(t, "CalcDet.bnf")
 	e, err := engine.New(engine.KindLALR, g, nil)
@@ -463,7 +490,15 @@ func TestOneShotAccepts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var set engine.TermSet
-	if rej, err := engine.Accepts(e, fixtures.Tokens(g, "n + ( n"), &set); err != nil || rej != -1 {
+	accepts := func(prefix []grammar.Symbol) (int, error) {
+		c, rej, err := engine.OpenCursor(e, prefix)
+		if err != nil {
+			return rej, err
+		}
+		defer c.Close()
+		return -1, c.Accepts(&set)
+	}
+	if rej, err := accepts(fixtures.Tokens(g, "n + ( n")); err != nil || rej != -1 {
 		t.Fatalf("Accepts(viable) = %d, %v", rej, err)
 	}
 	for _, want := range []string{")", "+", "*"} {
@@ -476,14 +511,14 @@ func TestOneShotAccepts(t *testing.T) {
 		t.Error("EOF accepted inside parentheses")
 	}
 	// A trailing end marker in the prefix is tolerated.
-	if rej, err := engine.Accepts(e, append(fixtures.Tokens(g, "n"), grammar.EOF), &set); err != nil || rej != -1 {
+	if rej, err := accepts(append(fixtures.Tokens(g, "n"), grammar.EOF)); err != nil || rej != -1 {
 		t.Fatalf("Accepts(with end marker) = %d, %v", rej, err)
 	}
 	if !set.Has(grammar.EOF) {
 		t.Error("EOF not accepted after complete sentence")
 	}
 	// Non-viable prefix: the reject position indexes the offending token.
-	if rej, err := engine.Accepts(e, fixtures.Tokens(g, "n + ) n"), &set); !errors.Is(err, engine.ErrRejected) || rej != 2 {
+	if rej, err := accepts(fixtures.Tokens(g, "n + ) n")); !errors.Is(err, engine.ErrRejected) || rej != 2 {
 		t.Fatalf("Accepts(non-viable) = %d, %v; want 2, ErrRejected", rej, err)
 	}
 }

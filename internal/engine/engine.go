@@ -29,13 +29,15 @@
 // layers are engine-agnostic; capabilities the backends do not share
 // (tree building, incremental update, snapshots) are reported by Caps
 // and the optional Snapshotter interface, and degrade gracefully.
+// Every backend answers completion queries (OpenCursor).
 //
-// Each backend and each document session has exactly one parse body,
-// its drive (see Driver): it attributes the backend's phases to the
-// parse trace and polls the cancellation flag. Parse, Recognize and
-// Session.Reparse forward to it, and ParseGuarded — the dispatch the
-// registry runs every parse and session reparse through — wraps it in
-// the panic, cancellation and fault-injection guard once.
+// Each backend, each document session and each cursor step has exactly
+// one body, its drive (see Driver): it attributes the work to the parse
+// trace and polls the cancellation flag. Parse, Recognize,
+// Session.Reparse and the OpenCursor function forward to it, and
+// ParseGuarded — the dispatch the registry runs every parse, session
+// reparse and cursor step through — wraps it in the panic,
+// cancellation and fault-injection guard once.
 package engine
 
 import (
@@ -137,8 +139,8 @@ type Caps struct {
 	// run from scratch behind the same interface.
 	Reparse bool
 	// Complete reports whether the engine answers prefix-completion
-	// queries (the Completer capability: accept sets over checkpointed
-	// cursors).
+	// queries (accept sets over checkpointed cursors, OpenCursor);
+	// every backend does.
 	Complete bool
 }
 
@@ -175,16 +177,18 @@ type TableInfo struct {
 	States, Complete, Initial, Dirty int
 }
 
-// Driver is the one parse body behind ParseGuarded, implemented by
-// every Engine and every Session (and only by this package's types).
+// Driver is the one body behind ParseGuarded, implemented by every
+// Engine, every Session and CursorStep (and only by this package's
+// types).
 type Driver interface {
 	// drive parses input — a Session parses its retained document
-	// instead and is handed nil — building the forest when buildTrees
-	// is set, recording the backend's stages into tr and polling fl at
-	// its checkpoints. A nil tr or fl costs only nil checks, so the
-	// warm path stays 0 allocs/op. A Session records its whole drive
-	// as one reuse stage and hands its backend a nil trace, since
-	// stages nested inside it would be counted twice.
+	// instead and is handed nil, a CursorStep feeds input to its
+	// cursor — building the forest when buildTrees is set, recording
+	// the backend's stages into tr and polling fl at its checkpoints.
+	// A nil tr or fl costs only nil checks, so the warm path stays 0
+	// allocs/op. A Session records its whole drive as one reuse stage
+	// and hands its backend a nil trace, since stages nested inside it
+	// would be counted twice; a CursorStep records one complete stage.
 	drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error)
 }
 
@@ -221,6 +225,9 @@ type Engine interface {
 	AddRule(r *grammar.Rule) error
 	// DeleteRule is the inverse of AddRule.
 	DeleteRule(r *grammar.Rule) error
+	// OpenCursor opens a completion cursor at the empty prefix. An auto
+	// engine opens it on its selected backend.
+	OpenCursor() (Cursor, error)
 }
 
 // accepted adapts a drive's outcome to Recognize's shape.

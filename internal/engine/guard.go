@@ -11,12 +11,12 @@ import (
 )
 
 // This file is the fault-tolerant engine dispatch: ParseGuarded is what
-// the registry drives every parse and session reparse through. It (1)
-// threads the drive's cancellation flag into the backend's drive loop,
-// (2) recovers panics — a grammar or input that crashes an engine must
-// cost the service one structured error, not the process — and (3)
-// hosts the dispatch-level fault-injection site the chaos harness uses
-// to simulate both.
+// the registry drives every parse, session reparse and cursor step
+// through. It (1) threads the drive's cancellation flag into the
+// backend's drive loop, (2) recovers panics — a grammar or input that
+// crashes an engine must cost the service one structured error, not
+// the process — and (3) hosts the dispatch-level fault-injection site
+// the chaos harness uses to simulate both.
 
 // PanicError is an engine panic recovered at dispatch, converted into a
 // structured error so the serving layer can count it, feed the
@@ -32,9 +32,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: parse panicked: %v", e.Value)
 }
 
-// ParseGuarded runs one drive of d — an Engine parsing input, or a
-// Session (handed nil input) reparsing its retained document — with
-// lifecycle tracing (nil tr traces nothing), cancellation (nil fl
+// ParseGuarded runs one drive of d — an Engine parsing input, a
+// Session (handed nil input) reparsing its retained document, or a
+// CursorStep feeding input to its cursor — with lifecycle tracing (nil tr traces nothing), cancellation (nil fl
 // never cancels; both cost only nil checks, keeping the warm path 0
 // allocs/op), and panic quarantine. A cancel.Abort panicked by the
 // lazy-expansion checkpoint surfaces as the flag's structured

@@ -145,6 +145,74 @@ func TestSessionGuardedCancelAndPanic(t *testing.T) {
 	}
 }
 
+// TestCursorGuardedCancelAndPanic is the cursor row of the guard table
+// on every backend: a cursor step run through ParseGuarded stops its
+// feed at the first checkpoint after the flag fires, with the
+// structured cancellation error, and the tokens fed before it stay fed;
+// a panic at dispatch surfaces as a *engine.PanicError; and the cursor
+// serves its next step afterwards.
+func TestCursorGuardedCancelAndPanic(t *testing.T) {
+	defer faultinject.Reset()
+	for _, tc := range []struct {
+		kind    engine.Kind
+		fixture string
+	}{
+		{engine.KindGLR, "CalcDet.bnf"},
+		{engine.KindLALR, "CalcDet.bnf"},
+		{engine.KindEarley, "CalcDet.bnf"},
+		{engine.KindLL, "CalcLL.bnf"},
+		{engine.KindAuto, "CalcDet.bnf"},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			g := guardFixture(t, tc.fixture)
+			e, err := engine.New(tc.kind, g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, _, err := engine.OpenCursor(e, fixtures.Tokens(g, "n +"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			step := &engine.CursorStep{Cursor: c, Restore: -1}
+
+			// The injected cancel fires the flag at feed index 1; the
+			// checkpoint before index 2 aborts, with "n *" fed.
+			faultinject.Set(faultinject.SiteDriveToken,
+				faultinject.Fault{Kind: faultinject.Cancel, At: 1})
+			_, err = engine.ParseGuarded(step, fixtures.Tokens(g, "n * n"), false, nil, new(cancel.Flag))
+			faultinject.Reset()
+			var cerr *cancel.Error
+			if !errors.As(err, &cerr) || cerr.Reason != cancel.Injected {
+				t.Fatalf("injected cancel on a cursor feed produced %v, want canceled", err)
+			}
+			if step.Fed != 2 || c.Pos() != 4 {
+				t.Fatalf("after the abort: fed %d, pos %d; want 2 fed at pos 4", step.Fed, c.Pos())
+			}
+			fl := new(cancel.Flag)
+			fl.Cancel(cancel.ClientGone)
+			if _, err := engine.ParseGuarded(step, fixtures.Tokens(g, "n"), false, nil, fl); !errors.Is(err, cancel.ErrCanceled) || c.Pos() != 4 {
+				t.Fatalf("fired flag on a cursor feed: %v at pos %d, want canceled at pos 4", err, c.Pos())
+			}
+
+			var set engine.TermSet
+			step.Accepts = &set
+			faultinject.Set(faultinject.SiteDispatch,
+				faultinject.Fault{Kind: faultinject.Panic, Times: 1})
+			var p *engine.PanicError
+			if _, err := engine.ParseGuarded(step, fixtures.Tokens(g, "n"), false, nil, nil); !errors.As(err, &p) {
+				t.Fatalf("cursor step panic surfaced as %v, want *engine.PanicError", err)
+			}
+			faultinject.Reset()
+
+			res, err := engine.ParseGuarded(step, fixtures.Tokens(g, "n"), false, nil, nil)
+			if err != nil || res.ErrorPos != -1 || c.Pos() != 5 || !set.Has(grammar.EOF) {
+				t.Fatalf("cursor step after recovered panic: %v, pos %d, complete=%v", err, c.Pos(), set.Has(grammar.EOF))
+			}
+		})
+	}
+}
+
 // TestParseGuardedZeroAllocsWithFlag is the hot-path allocation pin for
 // the cancellation checkpoints: the warm GLR path (the one the
 // registry-level gate already pins at 0 allocs/op) must stay at zero

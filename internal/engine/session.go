@@ -10,9 +10,9 @@ import (
 // Session is a stateful document bound to one engine: the editor-style
 // workload of open once, splice many times, reparse after each batch of
 // edits. Engines that retain parse state across edits (Earley's chart)
-// reuse everything left of the leftmost damaged token; the others parse
-// from scratch behind the same interface, so `auto` entries keep
-// working regardless of the backend selected.
+// reuse everything left of the leftmost damaged token; the others,
+// auto included, parse from scratch through the engine's own drive, so
+// an auto session parses on whichever backend serves at the time.
 //
 // A Session is NOT safe for concurrent use — callers serialize access
 // (the registry layer wraps each session in a mutex). Grammar updates
@@ -24,7 +24,8 @@ import (
 // builds the forest on request.
 type Session interface {
 	Driver
-	// Engine identifies the concrete backend serving this session.
+	// Engine identifies the concrete backend serving this session now
+	// (for auto, the selection, read without settling).
 	Engine() Kind
 	// Incremental reports whether reparses reuse retained state (false
 	// means every Reparse is a from-scratch parse).
@@ -73,80 +74,17 @@ func CheckSplice(n, at, removed int, insert []grammar.Symbol) error {
 	return earley.CheckSplice(n, at, removed, insert)
 }
 
-// sessionOpener is the optional capability behind OpenSession: engines
-// that can serve a session natively implement it.
-type sessionOpener interface {
-	OpenSession(input []grammar.Symbol) (Session, error)
-}
-
 // OpenSession opens a document session over input (a trailing end
 // marker is dropped) on e. Earley engines get chart-reuse sessions;
-// every other backend, and so every auto engine, gets a full-reparse
-// fallback. Auto sessions follow the engine's selection (see
-// autoSession).
+// every other engine, auto included, gets a full-reparse session, which
+// drives through e itself: an auto session follows the selection, as
+// auto's selection is always a table backend.
 func OpenSession(e Engine, input []grammar.Symbol) (Session, error) {
-	if a, ok := e.(*Auto); ok {
-		cur := a.current()
-		inner, err := OpenSession(cur, input)
-		if err != nil {
-			return nil, err
-		}
-		return &autoSession{Session: inner, a: a, backend: cur}, nil
-	}
-	if so, ok := e.(sessionOpener); ok {
-		return so.OpenSession(input)
+	if ee, ok := e.(*Earley); ok {
+		return ee.openSession(input), nil
 	}
 	return newFallbackSession(e, input), nil
 }
-
-// autoSession is a session on an auto engine, driven by a session of
-// the backend auto selected. A reselection retires that backend, and no
-// later rule update reaches a retired table, so before every drive the
-// session checks that its backend is still the one auto serves with;
-// when it is not, the session reopens on the current backend from its
-// tokens — one full parse, as a full-reparse session pays on every
-// drive anyway.
-type autoSession struct {
-	Session
-	a       *Auto
-	backend Engine
-	// banked holds the reuse accounting of the sessions replaced by
-	// reopens, so Stats stays monotone.
-	banked SessionStats
-}
-
-func (s *autoSession) Reparse() (Result, error) { return s.drive(nil, false, nil, nil) }
-
-// drive implements Driver: follow the selection, then drive.
-func (s *autoSession) drive(input []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
-	if cur := s.a.current(); cur != s.backend {
-		next, err := OpenSession(cur, s.Session.(tokenHolder).document())
-		if err != nil {
-			return Result{}, err
-		}
-		st := s.Session.Stats()
-		s.banked.Reparses += st.Reparses
-		s.banked.FullReparses += st.FullReparses
-		s.banked.SetsReused += st.SetsReused
-		s.banked.SetsRebuilt += st.SetsRebuilt
-		s.Session.Close()
-		s.Session, s.backend = next, cur
-	}
-	return s.Session.drive(input, buildTrees, tr, fl)
-}
-
-func (s *autoSession) Stats() SessionStats {
-	st := s.Session.Stats()
-	st.Reparses += s.banked.Reparses
-	st.FullReparses += s.banked.FullReparses
-	st.SetsReused += s.banked.SetsReused
-	st.SetsRebuilt += s.banked.SetsRebuilt
-	return st
-}
-
-// tokenHolder is implemented by the backend sessions: their current
-// document, for an auto session's reopen.
-type tokenHolder interface{ document() []grammar.Symbol }
 
 // earleySession is the incremental session: a retained earley.Doc whose
 // chart survives across reparses. The Doc runs in tree mode (it records
@@ -157,18 +95,15 @@ type earleySession struct {
 	d *earley.Doc
 }
 
-// OpenSession implements the engine-level session capability for
-// Earley.
-func (e *Earley) OpenSession(input []grammar.Symbol) (Session, error) {
+func (e *Earley) openSession(input []grammar.Symbol) *earleySession {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return &earleySession{e: e, d: e.p.OpenDoc(input, true)}, nil
+	return &earleySession{e: e, d: e.p.OpenDoc(input, true)}
 }
 
-func (s *earleySession) Engine() Kind               { return KindEarley }
-func (s *earleySession) document() []grammar.Symbol { return s.d.Tokens() }
-func (s *earleySession) Incremental() bool          { return true }
-func (s *earleySession) Len() int                   { return s.d.Len() }
+func (s *earleySession) Engine() Kind      { return KindEarley }
+func (s *earleySession) Incremental() bool { return true }
+func (s *earleySession) Len() int          { return s.d.Len() }
 
 func (s *earleySession) Splice(at, removed int, insert []grammar.Symbol) error {
 	return s.d.Splice(at, removed, insert)
@@ -225,14 +160,12 @@ type ForestResetter interface{ ResetForest() }
 
 // fallbackSession serves the Session interface on engines without
 // retained-state reuse: it keeps only the token stream and runs a
-// from-scratch parse on every drive.
+// from-scratch parse through the engine's drive on every drive, so a
+// reparse always answers for the current grammar.
 type fallbackSession struct {
-	e      Engine
-	tokens []grammar.Symbol
-
+	e        Engine
+	tokens   []grammar.Symbol
 	reparses uint64
-	last     Result
-	valid    bool // last holds the recognition result for tokens
 }
 
 func newFallbackSession(e Engine, input []grammar.Symbol) *fallbackSession {
@@ -242,10 +175,11 @@ func newFallbackSession(e Engine, input []grammar.Symbol) *fallbackSession {
 	return &fallbackSession{e: e, tokens: append([]grammar.Symbol(nil), input...)}
 }
 
-func (s *fallbackSession) Engine() Kind               { return s.e.Kind() }
-func (s *fallbackSession) document() []grammar.Symbol { return s.tokens }
-func (s *fallbackSession) Incremental() bool          { return false }
-func (s *fallbackSession) Len() int                   { return len(s.tokens) }
+// Engine implements Session: the backend serving the engine now, read
+// without settling an auto engine's pending rule updates.
+func (s *fallbackSession) Engine() Kind      { return ServingKind(s.e) }
+func (s *fallbackSession) Incremental() bool { return false }
+func (s *fallbackSession) Len() int          { return len(s.tokens) }
 
 func (s *fallbackSession) Splice(at, removed int, insert []grammar.Symbol) error {
 	if err := CheckSplice(len(s.tokens), at, removed, insert); err != nil {
@@ -256,28 +190,21 @@ func (s *fallbackSession) Splice(at, removed int, insert []grammar.Symbol) error
 	out = append(out, insert...)
 	out = append(out, s.tokens[at+removed:]...)
 	s.tokens = out
-	s.valid = false
 	return nil
 }
 
 func (s *fallbackSession) Reparse() (Result, error) { return s.drive(nil, false, nil, nil) }
 
 // drive implements Driver with a from-scratch parse through the
-// backend's drive. A recognition result is cached until the next
-// splice; a tree is rebuilt on every call.
+// engine's drive.
 func (s *fallbackSession) drive(_ []grammar.Symbol, buildTrees bool, tr *obs.ParseTrace, fl *cancel.Flag) (Result, error) {
 	tr.BeginStage(obs.StageReuse)
 	defer tr.EndStage(obs.StageReuse)
-	if s.valid && !buildTrees {
-		return s.last, nil
-	}
 	res, err := s.e.drive(s.tokens, buildTrees, nil, fl)
 	if err != nil {
 		return Result{}, err
 	}
 	s.reparses++
-	s.last = Result{Accepted: res.Accepted, ErrorPos: res.ErrorPos, Expected: res.Expected}
-	s.valid = true
 	return res, nil
 }
 

@@ -6,6 +6,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -32,7 +33,7 @@ var ErrCursorLimit = errors.New("registry: too many open completion cursors")
 
 // ErrPrefixTooLong reports a prefix over the per-cursor token budget
 // (serve: 413).
-var ErrPrefixTooLong = errors.New("registry: completion prefix exceeds token limit")
+var ErrPrefixTooLong = engine.ErrPrefixTooLong
 
 // ErrNoCursor reports an unknown, closed or evicted cursor id
 // (serve: 404).
@@ -41,11 +42,14 @@ var ErrNoCursor = errors.New("registry: no such completion cursor")
 // CompletionSession is one open completion cursor bound to one registry
 // entry, a lease (lease.go). All methods are safe for concurrent use;
 // its requests go through Complete, so completion traffic passes the
-// owning entry's admission gate like parses do.
+// owning entry's admission gate, rule-update lock and guarded dispatch
+// like parses do.
 type CompletionSession struct {
 	lease
 	engName string
-	cur     engine.Cursor
+	// step holds the cursor and is its one Driver, reused by every
+	// request so a warm resume allocates nothing.
+	step    engine.CursorStep
 	queries uint64
 	feeds   uint64
 }
@@ -100,14 +104,15 @@ type CompletionOp struct {
 	Tokens []grammar.Symbol
 }
 
-// feed resolves op's tokens, dropping the end marker.
+// feed resolves op's tokens, dropping the end marker. Callers hold the
+// entry's update read lock.
 func (op *CompletionOp) feed(e *Entry, tr *obs.ParseTrace) ([]grammar.Symbol, error) {
 	if op.Tokens != nil || op.Input == "" {
 		return op.Tokens, nil
 	}
 	tr.BeginStage(obs.StageTokenize)
 	defer tr.EndStage(obs.StageTokenize)
-	toks, err := e.InputTokens(op.Input)
+	toks, err := e.inputTokensLocked(op.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -115,43 +120,49 @@ func (op *CompletionOp) feed(e *Entry, tr *obs.ParseTrace) ([]grammar.Symbol, er
 }
 
 // OpenCompletion opens a completion cursor on e at the end of prefix.
-// It forwards to Complete, without an accept-set query.
+// It forwards to Complete, uncancellable and without an accept-set
+// query.
 func (r *Registry) OpenCompletion(e *Entry, prefix string, tr *obs.ParseTrace) (cs *CompletionSession, rejPos int, err error) {
-	cs, _, rejPos, err = r.Complete(e, CompletionOp{Input: prefix}, nil, tr)
+	cs, _, rejPos, err = r.Complete(context.Background(), e, CompletionOp{Input: prefix}, nil, tr)
 	return cs, rejPos, err
 }
 
 // Apply resumes cs with an already resolved feed. It forwards to
-// Complete.
+// Complete, uncancellable.
 func (cs *CompletionSession) Apply(restore int, feed []grammar.Symbol, dst *engine.TermSet, tr *obs.ParseTrace) (rejIdx int, err error) {
-	_, _, rejIdx, err = cs.reg.Complete(cs.entry, CompletionOp{Cursor: cs, Restore: restore, Tokens: feed}, dst, tr)
+	_, _, rejIdx, err = cs.reg.Complete(context.Background(), cs.entry, CompletionOp{Cursor: cs, Restore: restore, Tokens: feed}, dst, tr)
 	return rejIdx, err
 }
 
 // Complete is the one completion request path; OpenCompletion and
 // Apply forward to it. A resumed cursor must be one of e's. The request
-// passes the entry's admission gate once, resolves op's text inside
-// that admission, and is one sample in the entry's completion latency
-// histogram, whose count is the entry's completion count. It feeds the
-// tokens into the cursor — after the restore, on a resume — and, when
-// dst is non-nil, fills dst with the accept set. MaxPrefixTokens bounds
-// the cursor position after the feed. An open is inserted, under
+// passes the entry's admission gate once, is one sample in the entry's
+// completion latency histogram, whose count is the entry's completion
+// count, and holds the entry's rule-update read lock once, across the
+// resolution of op's text, the open and the step. The step runs
+// through the entry's guarded dispatch like a parse (Entry.drive): ctx
+// cancels it between fed tokens, and an engine panic is quarantined.
+// It restores, on a resume, feeds the tokens and, when dst is non-nil,
+// fills dst with the accept set. MaxPrefixTokens bounds the cursor
+// position after the restore and the feed. An open is inserted, under
 // MaxCursors, only when that first step succeeded; a one-shot query
 // retains nothing. Complete returns the cursor (nil for a one-shot
 // query) and its position. On a rejected token rejIdx is the token's
 // index in the feed, with engine.ErrRejected; a resumed cursor keeps
-// the tokens accepted before it, a started one is dropped. rejIdx is -1
-// otherwise. Errors surface engine.ErrCursorStale once the grammar has
-// moved under a cursor; it then refuses all further use and should be
-// closed.
-func (r *Registry) Complete(e *Entry, op CompletionOp, dst *engine.TermSet, tr *obs.ParseTrace) (cs *CompletionSession, pos, rejIdx int, err error) {
+// the tokens accepted before it, a started one is dropped. rejIdx is
+// -1 otherwise. Errors surface engine.ErrCursorStale once the grammar
+// has moved under a cursor; it then refuses all further use and should
+// be closed.
+func (r *Registry) Complete(ctx context.Context, e *Entry, op CompletionOp, dst *engine.TermSet, tr *obs.ParseTrace) (cs *CompletionSession, pos, rejIdx int, err error) {
 	if err := e.admit(tr); err != nil {
 		return nil, 0, -1, err
 	}
 	defer e.release()
 	defer e.observeCompletion(time.Now())
+	e.updateMu.RLock()
+	defer e.updateMu.RUnlock()
 	if op.Cursor == nil {
-		return r.startCursor(e, op, dst, tr)
+		return r.startCursor(ctx, e, op, dst, tr)
 	}
 	feed, err := op.feed(e, tr)
 	if err != nil {
@@ -164,15 +175,15 @@ func (r *Registry) Complete(e *Entry, op CompletionOp, dst *engine.TermSet, tr *
 		return nil, 0, -1, ErrNoCursor
 	}
 	feeds, queries := cs.feeds, cs.queries
-	rejIdx, err = cs.step(op.Restore, feed, dst, tr)
+	rejIdx, err = cs.run(ctx, op.Restore, feed, dst, tr)
 	r.work.feeds.Add(cs.feeds - feeds)
 	r.work.queries.Add(cs.queries - queries)
-	return cs, cs.cur.Pos(), rejIdx, err
+	return cs, cs.step.Cursor.Pos(), rejIdx, err
 }
 
-// startCursor is Complete without a cursor: a fresh cursor at the empty
-// prefix takes op's feed as its first step.
-func (r *Registry) startCursor(e *Entry, op CompletionOp, dst *engine.TermSet, tr *obs.ParseTrace) (*CompletionSession, int, int, error) {
+// startCursor is Complete without a cursor: the first step opens a
+// cursor at the empty prefix and takes op's feed.
+func (r *Registry) startCursor(ctx context.Context, e *Entry, op CompletionOp, dst *engine.TermSet, tr *obs.ParseTrace) (*CompletionSession, int, int, error) {
 	pos, rejIdx := 0, -1
 	var feeds, queries uint64
 	start := func(maxTokens int) (*CompletionSession, error) {
@@ -180,20 +191,16 @@ func (r *Registry) startCursor(e *Entry, op CompletionOp, dst *engine.TermSet, t
 		if err != nil {
 			return nil, err
 		}
-		e.updateMu.RLock()
-		cur, _, err := engine.OpenCursor(e.eng, nil)
-		kind := e.eng.Kind()
-		e.updateMu.RUnlock()
-		if err != nil {
+		cs := &CompletionSession{lease: lease{entry: e, reg: r, maxTokens: maxTokens}}
+		cs.step.Engine = e.eng
+		if rejIdx, err = cs.run(ctx, -1, feed, dst, tr); err != nil {
+			if cs.step.Cursor != nil {
+				cs.release()
+			}
 			return nil, err
 		}
-		cs := &CompletionSession{lease: lease{entry: e, reg: r, maxTokens: maxTokens},
-			engName: kind.String(), cur: cur}
-		if rejIdx, err = cs.step(-1, feed, dst, tr); err != nil {
-			cs.release()
-			return nil, err
-		}
-		pos, feeds, queries = cur.Pos(), cs.feeds, cs.queries
+		cs.engName = e.eng.Kind().String()
+		pos, feeds, queries = cs.step.Cursor.Pos(), cs.feeds, cs.queries
 		return cs, nil
 	}
 	if op.Once {
@@ -211,30 +218,23 @@ func (r *Registry) startCursor(e *Entry, op CompletionOp, dst *engine.TermSet, t
 	return cs, pos, rejIdx, err
 }
 
-// step is one cursor operation: an optional restore (restore >= 0),
-// the feed, then — when dst is non-nil — an accept-set query. Callers
-// hold cs.mu or own the unpublished cursor.
-func (cs *CompletionSession) step(restore int, feed []grammar.Symbol, dst *engine.TermSet, tr *obs.ParseTrace) (rejIdx int, err error) {
-	tr.BeginStage(obs.StageComplete)
-	defer tr.EndStage(obs.StageComplete)
-	if restore >= 0 {
-		if err := cs.cur.Restore(restore); err != nil {
-			return -1, err
-		}
+// run is one cursor step — an optional restore (restore >= 0), the
+// feed, then, when dst is non-nil, an accept-set query — through the
+// entry's guarded dispatch. Callers hold the entry's update read lock,
+// and hold cs.mu or own the unpublished cursor.
+func (cs *CompletionSession) run(ctx context.Context, restore int, feed []grammar.Symbol, dst *engine.TermSet, tr *obs.ParseTrace) (rejIdx int, err error) {
+	st := &cs.step
+	st.Restore, st.MaxPos, st.Accepts = restore, cs.maxTokens, dst
+	res, err := cs.entry.drive(ctx, st, feed, false, tr)
+	st.Accepts = nil
+	cs.feeds += uint64(st.Fed)
+	if errors.Is(err, engine.ErrRejected) {
+		return res.ErrorPos, err
 	}
-	if err := tooLong(ErrPrefixTooLong, cs.cur.Pos()+len(feed), cs.maxTokens); err != nil {
+	if err != nil {
 		return -1, err
 	}
-	for i, t := range feed {
-		if err := cs.cur.Feed(t); err != nil {
-			return i, err
-		}
-		cs.feeds++
-	}
 	if dst != nil {
-		if err := cs.cur.Accepts(dst); err != nil {
-			return -1, err
-		}
 		cs.queries++
 	}
 	cs.touch()
@@ -284,14 +284,17 @@ func (e *Entry) observeCompletion(start time.Time) {
 	e.completeLat.observe(time.Since(start))
 }
 
-func (cs *CompletionSession) release() { cs.cur.Close() }
+func (cs *CompletionSession) release() { cs.step.Cursor.Close() }
 
 // FeedTokens resolves input against the entry (source text for SDF,
 // terminal names otherwise) into a token batch for Apply, dropping the
 // end-marker terminator.
 func (cs *CompletionSession) FeedTokens(input string) ([]grammar.Symbol, error) {
-	op := CompletionOp{Input: input}
-	return op.feed(cs.entry, nil)
+	toks, err := cs.entry.InputTokens(input)
+	if err != nil {
+		return nil, err
+	}
+	return toks[:len(toks)-1], nil
 }
 
 // Stat snapshots the cursor for the stat and list endpoints.
@@ -307,8 +310,8 @@ func (cs *CompletionSession) Stat() CompletionStat {
 	if cs.closed {
 		return out
 	}
-	v := cs.cur.Vocab()
-	out.Pos = cs.cur.Pos()
+	v := cs.step.Cursor.Vocab()
+	out.Pos = cs.step.Cursor.Pos()
 	out.Vocab = v.Len()
 	out.Version = v.Version
 	out.Queries = cs.queries

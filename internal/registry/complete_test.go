@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +152,52 @@ func TestCursorResumeAllocFree(t *testing.T) {
 			if got := testing.AllocsPerRun(200, step); got != 0 {
 				t.Errorf("warm restore+feed+accepts: %v allocs/op, want 0", got)
 			}
+		})
+	}
+}
+
+// TestCursorRacesRuleUpdates opens cursors and queries their accept
+// sets on lazy GLR and LALR calc entries while a writer adds rules with
+// fresh keywords, which intern new terminals into the entry's symbol
+// table (run it under -race). Cursor work holds the entry's update read
+// lock, so no cursor reads the table mid-intern; a cursor the grammar
+// moved under between two requests answers ErrCursorStale.
+func TestCursorRacesRuleUpdates(t *testing.T) {
+	for _, kind := range []engine.Kind{engine.KindGLR, engine.KindLALR} {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := New()
+			e, err := r.Register("calc", Spec{Source: calcDetSrc, Engine: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const rounds = 200
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if _, err := e.AddRulesText(fmt.Sprintf(`F ::= "kw%d"`, i)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				var set engine.TermSet
+				for i := 0; i < rounds; i++ {
+					cs, _, err := r.OpenCompletion(e, "n +", nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := cs.Apply(-1, nil, &set, nil); err != nil && !errors.Is(err, engine.ErrCursorStale) {
+						t.Error(err)
+					}
+					r.CloseCompletion(cs.ID())
+				}
+			}()
+			wg.Wait()
 		})
 	}
 }

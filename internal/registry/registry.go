@@ -244,9 +244,12 @@ type Entry struct {
 	// SymbolTable and consult the grammar before taking the generator's
 	// write lock, so parses/stats (readers) and updates (writers) must
 	// exclude each other here too. An auto engine's verdict reads settle
-	// its pending rule updates into its kept tables, which reads the
-	// symbol table, so they hold the read lock as well. Lock order:
-	// updateMu, then scanMu, then the generator's locks.
+	// its pending rule updates into its kept tables, and cursor steps
+	// close their frontiers and read accept sets; both read the symbol
+	// table, so they hold the read lock as well. A request takes the
+	// read lock once: a nested read lock deadlocks behind a waiting
+	// writer. Lock order: updateMu, then scanMu, then the generator's
+	// locks.
 	updateMu sync.RWMutex
 
 	// scanMu serializes use of the ISG scanner, whose lazy DFA expansion

@@ -10,6 +10,7 @@ import (
 	"ipg/internal/cancel"
 	"ipg/internal/engine"
 	"ipg/internal/faultinject"
+	"ipg/internal/grammar"
 )
 
 // llFriendlySrc is accepted by all four backends (LL(1), LALR(1),
@@ -107,6 +108,76 @@ func TestParseAbortsOnClientGoneAllEngines(t *testing.T) {
 			}
 			if cerr.Reason != cancel.ClientGone {
 				t.Errorf("%s: reason %v, want client_gone", kind, cerr.Reason)
+			}
+		})
+	}
+}
+
+// TestCompletionGuardedLikeParses runs completion through the entry's
+// guarded dispatch on every backend. A deadline aborts a one-shot
+// query's feed mid-prefix with the structured error and counts like a
+// canceled parse. An injected dispatch panic on a resume surfaces as a
+// *engine.PanicError and counts in Stats().Panics and the breaker's
+// failure streak. The cursor then serves its next step, which ends the
+// streak.
+func TestCompletionGuardedLikeParses(t *testing.T) {
+	for _, kind := range []engine.Kind{
+		engine.KindGLR, engine.KindLALR, engine.KindLL, engine.KindEarley, engine.KindAuto,
+	} {
+		t.Run(kind.String(), func(t *testing.T) {
+			defer faultinject.Reset()
+			r := New()
+			r.SetBreakerConfig(BreakerConfig{Threshold: 3, Cooldown: time.Minute})
+			e, err := r.Register("slow", Spec{Source: llFriendlySrc, Engine: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var set engine.TermSet
+			faultinject.Set(faultinject.SiteDriveToken,
+				faultinject.Fault{Kind: faultinject.Delay, Delay: time.Millisecond})
+			ctx, cancelCtx := context.WithTimeout(context.Background(), 15*time.Millisecond)
+			defer cancelCtx()
+			start := time.Now()
+			_, _, _, err = r.Complete(ctx, e, CompletionOp{Once: true, Input: slowInput(400)}, &set, nil)
+			var cerr *cancel.Error
+			if !errors.As(err, &cerr) || cerr.Reason != cancel.Deadline {
+				t.Fatalf("deadline-bounded completion: %v, want a deadline cancellation", err)
+			}
+			if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+				t.Errorf("abort took %v; checkpoints not reached", elapsed)
+			}
+			if got := e.CanceledTotal()[cancel.Deadline]; got != 1 {
+				t.Errorf("canceled[deadline] = %d, want 1", got)
+			}
+			faultinject.Reset()
+
+			cs, _, err := r.OpenCompletion(e, "a a", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed := func(text string) error {
+				toks, err := cs.FeedTokens(text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = cs.Apply(-1, toks, &set, nil)
+				return err
+			}
+			faultinject.Set(faultinject.SiteDispatch,
+				faultinject.Fault{Kind: faultinject.Panic, Times: 1})
+			var p *engine.PanicError
+			if err := feed("a"); !errors.As(err, &p) {
+				t.Fatalf("completion panic surfaced as %v, want *engine.PanicError", err)
+			}
+			faultinject.Reset()
+			if st := e.Stats(); st.Panics != 1 || st.Breaker.ConsecutiveFailures != 1 {
+				t.Fatalf("after the panic: panics %d, breaker %+v; want 1 and a streak of 1", st.Panics, st.Breaker)
+			}
+			if err := feed("b"); err != nil || !set.Has(grammar.EOF) {
+				t.Fatalf("step after the panic: %v, complete=%v", err, set.Has(grammar.EOF))
+			}
+			if st := e.Stats(); st.Breaker.ConsecutiveFailures != 0 || st.Breaker.State != "closed" {
+				t.Errorf("after a served step: breaker %+v, want closed with no streak", st.Breaker)
 			}
 		})
 	}

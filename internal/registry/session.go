@@ -52,8 +52,10 @@ type Session struct {
 // reuse counters are omitted so fallback (full-reparse) sessions
 // serialize compactly.
 type SessionStat struct {
-	ID           string `json:"id"`
-	Grammar      string `json:"grammar"`
+	ID      string `json:"id"`
+	Grammar string `json:"grammar"`
+	// Engine is the backend serving the entry now, as EngineName
+	// reports it.
 	Engine       string `json:"engine"`
 	Incremental  bool   `json:"incremental,omitempty"`
 	Tokens       int    `json:"tokens"`
@@ -195,8 +197,9 @@ func (w *leaseWork) countReuse(from, to engine.SessionStats) {
 
 func (s *Session) release() { s.es.Close() }
 
-// EngineName reports the concrete backend pinned at open time ("" once
-// closed).
+// EngineName reports the backend serving the session's entry now (for
+// auto, the selection, read with engine.ServingKind, which does not
+// settle pending rule updates); "" once closed.
 func (s *Session) EngineName() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -222,3 +222,53 @@ func TestSessionLimitsAreChecked(t *testing.T) {
 		t.Errorf("failed splice mutated the document: %+v", st)
 	}
 }
+
+// TestSessionReparseAfterRuleUpdate pins that a full-reparse session
+// answers for the grammar as it is now: a reparse with no edit after a
+// rule update must agree with a fresh parse of the same document, on
+// every backend whose sessions reparse from scratch.
+func TestSessionReparseAfterRuleUpdate(t *testing.T) {
+	const src = `
+START ::= E
+E ::= E "+" T | T
+T ::= "n"
+`
+	for _, c := range []struct {
+		kind        engine.Kind
+		src, file   string
+		doc, update string
+	}{
+		{kind: engine.KindGLR, src: src, doc: "n +", update: `E ::= E "+"`},
+		{kind: engine.KindLALR, src: src, doc: "n +", update: `E ::= E "+"`},
+		{kind: engine.KindAuto, src: src, doc: "n +", update: `E ::= E "+"`},
+		{kind: engine.KindLL, file: "CalcLL.bnf", doc: "n n n", update: `Etail ::= "n" T Etail`},
+	} {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			r := New()
+			var e *Entry
+			if c.file != "" {
+				e = registerTestdata(t, r, "g", c.file, c.kind)
+			} else {
+				var err error
+				if e, err = r.Register("g", Spec{Source: c.src, Engine: c.kind}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := r.OpenSession(e, c.doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := s.Reparse(nil); err != nil || res.Accepted {
+				t.Fatalf("before the update: accepted=%v err=%v, want rejected", res.Accepted, err)
+			}
+			mustAddRules(t, e, c.update)
+			want, err := e.ParseInput(c.doc, false)
+			if err != nil || !want.Accepted {
+				t.Fatalf("fresh parse after the update: accepted=%v err=%v, want accepted", want.Accepted, err)
+			}
+			if res, err := s.Reparse(nil); err != nil || !res.Accepted {
+				t.Fatalf("session reparse after the update: accepted=%v err=%v, want accepted", res.Accepted, err)
+			}
+		})
+	}
+}

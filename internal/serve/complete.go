@@ -3,10 +3,13 @@
 // a one-shot accept-set query (prefix + once), opening a retained
 // cursor (prefix alone), and batched operations against a retained
 // cursor (cursor id + restore/feed/candidates/close). Cursors are
-// registry.CompletionSessions: admission-gated, capped, idle-evicted.
+// registry.CompletionSessions: admission-gated, capped, idle-evicted,
+// and bounded by the parse timeout and guarded against engine panics
+// like parses.
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -72,34 +75,6 @@ type CompleteResponse struct {
 	DurationUS int64 `json:"duration_us"`
 }
 
-// writeCompleteError maps completion failures onto HTTP statuses:
-// non-viable prefixes and rejected feeds to 422, stale cursors to 409,
-// out-of-range restores to 416, unknown cursor ids to 404, the cursor
-// cap to 429 (with Retry-After), over-long prefixes to 413 and
-// backends without the capability to 409; everything else — admission,
-// drain, quarantine — falls through to the shared parse classifier.
-func (s *Server) writeCompleteError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, engine.ErrRejected):
-		writeError(w, http.StatusUnprocessableEntity, err)
-	case errors.Is(err, engine.ErrCursorStale):
-		writeError(w, http.StatusConflict, err)
-	case errors.Is(err, engine.ErrBadCheckpoint):
-		writeError(w, http.StatusRequestedRangeNotSatisfiable, err)
-	case errors.Is(err, engine.ErrNoComplete):
-		writeError(w, http.StatusConflict, err)
-	case errors.Is(err, registry.ErrCursorLimit):
-		s.rejected429.Add(1)
-		writeErrorRetry(w, http.StatusTooManyRequests, 1, err)
-	case errors.Is(err, registry.ErrPrefixTooLong):
-		writeError(w, http.StatusRequestEntityTooLarge, err)
-	case errors.Is(err, registry.ErrNoCursor):
-		writeError(w, http.StatusNotFound, err)
-	default:
-		s.writeParseError(w, err)
-	}
-}
-
 // rejAt annotates a rejection with the offending token index (-1 =
 // no index known).
 func rejAt(err error, idx int) error {
@@ -129,12 +104,14 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("once applies to prefix requests only"))
 		return
 	}
+	ctx, cancelParse := s.parseCtx(r.Context())
+	defer cancelParse()
 	start := time.Now()
-	tr := s.tracer.StartParse(e.Name(), e.EngineKind().String(), obs.RequestID(r.Context()))
-	out, err := s.completeOp(e, &req, tr)
+	tr := s.tracer.StartParse(e.Name(), e.EngineKind().String(), obs.RequestID(ctx))
+	out, err := s.completeOp(ctx, e, &req, tr)
 	if err != nil {
 		s.finishTrace(tr, false, err)
-		s.writeCompleteError(w, err)
+		s.writeFailure(w, err)
 		return
 	}
 	out.DurationUS = time.Since(start).Microseconds()
@@ -142,8 +119,9 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// completeOp runs the request as one registry.Complete call.
-func (s *Server) completeOp(e *registry.Entry, req *CompleteRequest, tr *obs.ParseTrace) (CompleteResponse, error) {
+// completeOp runs the request as one registry.Complete call, which ctx
+// bounds like a parse.
+func (s *Server) completeOp(ctx context.Context, e *registry.Entry, req *CompleteRequest, tr *obs.ParseTrace) (CompleteResponse, error) {
 	out := CompleteResponse{Grammar: e.Name(), Engine: e.EngineKind().String()}
 	op := registry.CompletionOp{Once: req.Once, Restore: -1, Input: req.Feed}
 	if req.Prefix != nil {
@@ -159,7 +137,7 @@ func (s *Server) completeOp(e *registry.Entry, req *CompleteRequest, tr *obs.Par
 		}
 	}
 	var set engine.TermSet
-	cs, pos, rejIdx, err := s.reg.Complete(e, op, &set, tr)
+	cs, pos, rejIdx, err := s.reg.Complete(ctx, e, op, &set, tr)
 	if err != nil {
 		return out, rejAt(err, rejIdx)
 	}

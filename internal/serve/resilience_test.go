@@ -72,6 +72,46 @@ func TestParseDeadlineReturns504(t *testing.T) {
 	}
 }
 
+// TestCompleteGuardedLikeParse pins completion on the parse guard over
+// HTTP: a one-shot query whose prefix outlasts the parse timeout
+// answers 504, and an injected engine panic on the step answers 500.
+func TestCompleteGuardedLikeParse(t *testing.T) {
+	defer faultinject.Reset()
+	s, ts := newResilienceServer(t)
+	registerBool(t, ts)
+	s.SetParseTimeout(10 * time.Millisecond)
+	defer s.SetParseTimeout(0)
+	faultinject.Set(faultinject.SiteDriveToken,
+		faultinject.Fault{Kind: faultinject.Delay, Delay: time.Millisecond})
+
+	start := time.Now()
+	resp, body := do(t, "POST", ts.URL+"/v1/grammars/bool/complete",
+		map[string]any{"prefix": longBoolInput(400), "once": true})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("deadline completion: %d %v, want 504", resp.StatusCode, body)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("deadline abort took %v — checkpoints not firing", elapsed)
+	}
+	if code := envelope(t, body)["code"]; code != "timeout" {
+		t.Errorf("504 code = %v, want \"timeout\"", code)
+	}
+	faultinject.Reset()
+
+	faultinject.Set(faultinject.SiteDispatch,
+		faultinject.Fault{Kind: faultinject.Panic, Times: 1})
+	resp, body = do(t, "POST", ts.URL+"/v1/grammars/bool/complete",
+		map[string]any{"prefix": "true or", "once": true})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking completion: %d %v, want 500", resp.StatusCode, body)
+	}
+	resp, body = do(t, "POST", ts.URL+"/v1/grammars/bool/complete",
+		map[string]any{"prefix": "true or", "once": true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("completion after the panic: %d %v, want 200", resp.StatusCode, body)
+	}
+}
+
 func TestBreakerReturns503WithRetryAfter(t *testing.T) {
 	defer faultinject.Reset()
 	s, ts := newResilienceServer(t)

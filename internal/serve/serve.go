@@ -852,7 +852,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	s.parses.Add(1)
 	out, err := s.parseOne(r.Context(), e, req)
 	if err != nil {
-		s.writeParseError(w, err)
+		s.writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -860,13 +860,15 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 
 // throttledErr reports the retryable admission-control class: the
 // entry (or the service) is protecting itself, not rejecting the
-// input. Retry shortly and the parse should go through.
+// input. Retry shortly and the request should go through.
 func throttledErr(err error) bool {
 	return errors.Is(err, registry.ErrBusy) ||
 		errors.Is(err, registry.ErrForestLimit) ||
 		errors.Is(err, registry.ErrRateLimited) ||
 		errors.Is(err, registry.ErrMemoryBudget) ||
-		errors.Is(err, registry.ErrShed)
+		errors.Is(err, registry.ErrShed) ||
+		errors.Is(err, registry.ErrSessionLimit) ||
+		errors.Is(err, registry.ErrCursorLimit)
 }
 
 // statusClientClosedRequest is the de-facto (nginx) status for requests
@@ -878,17 +880,23 @@ const statusClientClosedRequest = 499
 // enough for the orchestrator to route around this instance.
 const drainRetryAfterSec = 5
 
-// classifyParseError maps a parse failure onto its HTTP status and a
-// Retry-After hint in seconds (0 = no header):
+// classifyFailure maps a failed request — a parse, a session operation
+// or a completion — onto its HTTP status and a Retry-After hint in
+// seconds (0 = no header):
 //
 //	canceled: deadline/injected → 504, client gone → 499,
 //	          shutdown (drain force-cancel) → 503 + Retry-After
 //	quarantined (breaker open) → 503 + Retry-After from the breaker
 //	draining → 503 + Retry-After
-//	throttled (busy/forest/rate/memory/shed) → 429 + Retry-After
+//	throttled (busy/forest/rate/memory/shed, session or cursor cap)
+//	          → 429 + Retry-After
 //	engine panic → 500 (stack logged server-side)
-//	anything else → 422 (input problem)
-func (s *Server) classifyParseError(err error) (status, retryAfterSec int) {
+//	unknown, closed or evicted session or cursor → 404
+//	stale cursor → 409
+//	document or prefix over its token budget → 413
+//	out-of-range splice or restore checkpoint → 416
+//	anything else (input problem, rejected token) → 422
+func (s *Server) classifyFailure(err error) (status, retryAfterSec int) {
 	var cerr *cancel.Error
 	if errors.As(err, &cerr) {
 		switch cerr.Reason {
@@ -908,26 +916,33 @@ func (s *Server) classifyParseError(err error) (status, retryAfterSec int) {
 		}
 		return http.StatusServiceUnavailable, ra
 	}
-	if errors.Is(err, registry.ErrDraining) {
+	var p *engine.PanicError
+	switch {
+	case errors.Is(err, registry.ErrDraining):
 		return http.StatusServiceUnavailable, drainRetryAfterSec
-	}
-	if throttledErr(err) {
+	case throttledErr(err):
 		s.rejected429.Add(1)
 		return http.StatusTooManyRequests, 1
-	}
-	var p *engine.PanicError
-	if errors.As(err, &p) {
+	case errors.As(err, &p):
 		s.log().Error("parse panicked",
 			"err", fmt.Sprint(p.Value), "stack", string(p.Stack))
 		return http.StatusInternalServerError, 0
+	case errors.Is(err, registry.ErrNoSession), errors.Is(err, registry.ErrNoCursor):
+		return http.StatusNotFound, 0
+	case errors.Is(err, engine.ErrCursorStale):
+		return http.StatusConflict, 0
+	case errors.Is(err, registry.ErrDocTooLarge), errors.Is(err, registry.ErrPrefixTooLong):
+		return http.StatusRequestEntityTooLarge, 0
+	case errors.Is(err, engine.ErrSplice), errors.Is(err, engine.ErrBadCheckpoint):
+		return http.StatusRequestedRangeNotSatisfiable, 0
 	}
 	return http.StatusUnprocessableEntity, 0
 }
 
-// writeParseError answers a failed parse with the classified status and
+// writeFailure answers a failed request with the classified status and
 // Retry-After hint.
-func (s *Server) writeParseError(w http.ResponseWriter, err error) {
-	status, retry := s.classifyParseError(err)
+func (s *Server) writeFailure(w http.ResponseWriter, err error) {
+	status, retry := s.classifyFailure(err)
 	writeErrorRetry(w, status, retry, err)
 }
 

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
-	"ipg/internal/engine"
 	"ipg/internal/obs"
 	"ipg/internal/registry"
 )
@@ -55,28 +53,6 @@ type SessionEditResponse struct {
 	SetsRebuilt int            `json:"sets_rebuilt,omitempty"`
 }
 
-// writeSessionError maps session-operation failures onto HTTP
-// statuses: 416 for out-of-range splices, 404 for unknown/evicted
-// sessions, 413 for documents over the token budget, 429 for the
-// session-count cap; everything else — including cancellation,
-// quarantine, drain and panic classes — falls through to the shared
-// parse-error classifier.
-func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, engine.ErrSplice):
-		writeError(w, http.StatusRequestedRangeNotSatisfiable, err)
-	case errors.Is(err, registry.ErrNoSession):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, registry.ErrDocTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, err)
-	case errors.Is(err, registry.ErrSessionLimit):
-		s.rejected429.Add(1)
-		writeErrorRetry(w, http.StatusTooManyRequests, 1, err)
-	default:
-		s.writeParseError(w, err)
-	}
-}
-
 // session resolves the {id} path value, answering 404 for ids that are
 // unknown — never issued, closed, or idle-evicted.
 func (s *Server) session(w http.ResponseWriter, r *http.Request) (*registry.Session, bool) {
@@ -108,7 +84,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	sess, res, err := s.reg.StartSession(ctx, e, req.Input, tr)
 	if err != nil {
 		s.finishTrace(tr, false, err)
-		s.writeSessionError(w, err)
+		s.writeFailure(w, err)
 		return
 	}
 	out := renderResult(e, res, false, tr, start)
@@ -133,7 +109,7 @@ func (s *Server) handleSessionEdit(w http.ResponseWriter, r *http.Request) {
 	res, err := sess.Run(ctx, req.Splices, reparse, req.Trees || req.Render, tr)
 	if err != nil {
 		s.finishTrace(tr, false, err)
-		s.writeSessionError(w, err)
+		s.writeFailure(w, err)
 		return
 	}
 	out := SessionEditResponse{ID: sess.ID(), Spliced: len(req.Splices)}
@@ -174,7 +150,7 @@ func (s *Server) handleSessionTree(w http.ResponseWriter, r *http.Request) {
 	res, err := sess.Run(ctx, nil, true, true, tr)
 	if err != nil {
 		s.finishTrace(tr, false, err)
-		s.writeSessionError(w, err)
+		s.writeFailure(w, err)
 		return
 	}
 	out := renderResult(sess.Entry(), res, render, tr, start)

@@ -2,9 +2,10 @@
 # Chaos smoke test: boot ipg-serve with the fault-injection harness
 # armed and verify the resilience layer holds up end to end — engine
 # panics surface as structured 500s and open the per-grammar breaker
-# (503 + Retry-After), deadline-bounded parses abort mid-drive with
-# 504, the injection counters show up in /metrics, and SIGTERM drains
-# the process cleanly within the drain timeout. Run from the
+# (503 + Retry-After), deadline-bounded parses and completions abort
+# mid-drive with 504, a completion's panic surfaces as a 500 like a
+# parse's, the injection counters show up in /metrics, and SIGTERM
+# drains the process cleanly within the drain timeout. Run from the
 # repository root; exits non-zero on the first failure.
 set -eu
 
@@ -15,8 +16,9 @@ trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
 
 go build -o /tmp/ipg-serve-chaos ./cmd/ipg-serve
 # Arm the chaos faults up front:
-#   - dispatch.parse panics twice (breaker threshold is 2, so the pair
-#     of 500s opens the breaker);
+#   - dispatch.parse panics three times (breaker threshold is 2, so the
+#     first pair of 500s opens the breaker on crash; the third is a
+#     completion's, on calc, whose breaker stays closed);
 #   - drive.token delays 1ms per token (a 400-token parse wants 400ms,
 #     far past the 50ms deadline).
 /tmp/ipg-serve-chaos -addr "$ADDR" \
@@ -25,7 +27,7 @@ go build -o /tmp/ipg-serve-chaos ./cmd/ipg-serve
   -parse-timeout 50ms \
   -drain-timeout 5s \
   -breaker-threshold 2 -breaker-cooldown 30s \
-  -fault 'dispatch.parse=panic,n=2' \
+  -fault 'dispatch.parse=panic,n=3' \
   -fault 'drive.token=delay,d=1ms' \
   -log-level debug >"$LOG" 2>&1 &
 SERVE_PID=$!
@@ -74,6 +76,17 @@ echo "$HDRS" | grep -qi '^retry-after:' || {
 }
 echo "ok: breaker open (503 + Retry-After)"
 
+# The third injected panic hits a completion step, which runs through
+# the same guarded dispatch as a parse: a structured 500.
+CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+  "$BASE/v1/grammars/calc/complete" -d '{"prefix":"n +","once":true}')"
+[ "$CODE" = "500" ] || {
+  echo "FAIL: injected completion panic returned $CODE, want 500" >&2
+  cat "$LOG" >&2
+  exit 1
+}
+echo "ok: injected completion panic recovered as 500"
+
 # A long parse through the still-armed per-token delay must abort on
 # the 50ms deadline with 504, well before the ~3s the delays would
 # take end to end.
@@ -94,10 +107,28 @@ ELAPSED=$(( $(date +%s) - START_S ))
 }
 echo "ok: deadline abort mid-drive (504 in ${ELAPSED}s)"
 
+# A one-shot completion of the same prefix feeds it through the same
+# per-token checkpoints, so the deadline aborts it with 504 too.
+START_S="$(date +%s)"
+CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+  "$BASE/v1/grammars/calc/complete" \
+  -d "{\"prefix\":\"$LONG\",\"once\":true}")"
+ELAPSED=$(( $(date +%s) - START_S ))
+[ "$CODE" = "504" ] || {
+  echo "FAIL: deadline completion returned $CODE, want 504" >&2
+  cat "$LOG" >&2
+  exit 1
+}
+[ "$ELAPSED" -le 2 ] || {
+  echo "FAIL: deadline completion abort took ${ELAPSED}s — checkpoints not firing" >&2
+  exit 1
+}
+echo "ok: deadline completion abort mid-feed (504 in ${ELAPSED}s)"
+
 # The fired faults and resilience state must be visible in /metrics.
 METRICS="$(curl -fsS "$BASE/metrics")"
-echo "$METRICS" | grep -q 'ipg_fault_injections_total{site="dispatch.parse",kind="panic"} 2' || {
-  echo "FAIL: /metrics does not count the 2 injected panics" >&2
+echo "$METRICS" | grep -q 'ipg_fault_injections_total{site="dispatch.parse",kind="panic"} 3' || {
+  echo "FAIL: /metrics does not count the 3 injected panics" >&2
   exit 1
 }
 echo "$METRICS" | grep -q 'ipg_parse_panics_total{grammar="crash"' || {
