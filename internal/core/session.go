@@ -50,10 +50,19 @@ func (s *ParseSession) Begin(gen *Generator) {
 	gen.mu.RLock()
 }
 
-// End flushes the session's local counters into the generator's shared
-// ones (one atomic add per counter), counts the parse as served, and
-// releases the shared access taken by Begin.
+// End counts the parse as served and releases the session (see
+// Release).
 func (s *ParseSession) End() {
+	s.gen.parsesServed.Add(1)
+	s.Release()
+}
+
+// Release flushes the session's local counters into the generator's
+// shared ones (one atomic add per counter) and releases the shared
+// access taken by Begin, counting no parse: it closes a bracket that
+// consulted the table without serving a parse, such as one completion
+// cursor operation.
+func (s *ParseSession) Release() {
 	gen := s.gen
 	if s.calls > 0 {
 		gen.actionCalls.Add(s.calls)
@@ -61,7 +70,6 @@ func (s *ParseSession) End() {
 	if s.hits > 0 {
 		gen.cacheHits.Add(s.hits)
 	}
-	gen.parsesServed.Add(1)
 	gen.mu.RUnlock()
 	s.gen = nil
 }

@@ -57,7 +57,8 @@ func (h lalrHost) release() { h.e.mu.RUnlock() }
 
 // glrHost owns a ParseSession so lazy expansion and counter batching
 // work exactly as in a parse. Each cursor operation is bracketed
-// Begin/End (and therefore counted as one table consultation).
+// Begin/Release: it consults the table but serves no parse, so it
+// counts none.
 type glrHost struct {
 	e    *GLR
 	sess core.ParseSession
@@ -68,7 +69,7 @@ func (h *glrHost) acquire() lr.Table {
 	return &h.sess
 }
 
-func (h *glrHost) release() { h.sess.End() }
+func (h *glrHost) release() { h.sess.Release() }
 
 // OpenCursor implements Engine for the lazy-GLR backend.
 func (e *GLR) OpenCursor() (Cursor, error) { return openGSSCursor(&glrHost{e: e}) }

@@ -376,6 +376,13 @@ func runEnginesOnce(kind engine.Kind, w EngineWorkload) (engineRun, error) {
 	// Instrumented steady pass: per-sentence latencies plus the heap
 	// cost of one pass (measured apart from the timed pass above, so
 	// ReadMemStats and per-sentence clock reads do not pollute ns/op).
+	// Like testing.AllocsPerRun, it runs on one P, after a warm-up pass
+	// there: a pass that moves between Ps misses the per-P caches of
+	// the engines' sync.Pools and counts fresh scratch as allocations.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, err := pass(); err != nil {
+		return run, err
+	}
 	run.latencies = make([]time.Duration, 0, len(w.Sentences))
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)

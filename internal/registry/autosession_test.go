@@ -100,7 +100,7 @@ func TestAutoSessionFollowsBackendSwitch(t *testing.T) {
 					t.Fatalf("session verdict %v on %v, entry verdict %v", res.Accepted, doc, want.Accepted)
 				}
 			}
-			if got := s.EngineName(); got != c.to.String() {
+			if got := s.Stat().Engine; got != c.to.String() {
 				t.Errorf("session drives %s, want %s", got, c.to)
 			}
 			st := e.Stats()

@@ -201,3 +201,57 @@ func TestCursorRacesRuleUpdates(t *testing.T) {
 		})
 	}
 }
+
+// TestCursorStepsCountNoParse: on every backend a parse counts one
+// parse served, and so do a session's open and each reparse after an
+// edit, but a cursor open, a feed and an accept-set query count none.
+// Lazy GLR brackets each cursor operation in a generator session, which
+// must not count it as a parse.
+func TestCursorStepsCountNoParse(t *testing.T) {
+	for _, kind := range []engine.Kind{engine.KindGLR, engine.KindLALR, engine.KindLL, engine.KindEarley, engine.KindAuto} {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := New()
+			e, err := r.Register("ab", Spec{Source: llFriendlySrc, Engine: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(0)
+			check := func(what string, parses uint64) {
+				t.Helper()
+				want += parses
+				if got := e.Counters().ParsesServed; got != want {
+					t.Errorf("after %s: %d parses served, want %d", what, got, want)
+				}
+			}
+			if _, err := e.ParseInput("a a b", false); err != nil {
+				t.Fatal(err)
+			}
+			check("a parse", 1)
+			cs, _, err := r.OpenCompletion(e, "a", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed, err := e.InputTokens("a a b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var set engine.TermSet
+			if _, err := cs.Apply(-1, feed[:len(feed)-1], &set, nil); err != nil {
+				t.Fatal(err)
+			}
+			check("a cursor open and a 3-token feed with an accept set", 0)
+			s, err := r.OpenSession(e, "a b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("a session open", 1)
+			if err := s.Splice(0, 0, "a", nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Reparse(nil); err != nil {
+				t.Fatal(err)
+			}
+			check("a session reparse", 1)
+		})
+	}
+}

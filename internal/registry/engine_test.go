@@ -418,6 +418,54 @@ func TestSnapshotGCSparesUnregisteredOfPreviousRun(t *testing.T) {
 	}
 }
 
+// TestSnapshotGCSparesConcurrentReregistration races each
+// re-registration of a removed grammar against a SnapshotGC pass. The
+// pass may win, and the registration then generates cold; but no round
+// may end with the entry resumed warm from a file the pass deleted
+// afterwards, which would start the next restart cold.
+func TestSnapshotGCSparesConcurrentReregistration(t *testing.T) {
+	store := newStoreT(t)
+	r := New()
+	r.SetSnapshotStore(store)
+	if _, err := r.Register("g", Spec{Source: boolSrc}); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 300
+	warm, lost := 0, 0
+	for i := 0; i < rounds; i++ {
+		if _, err := r.SnapshotEntry("g"); err != nil {
+			t.Fatal(err)
+		}
+		r.Remove("g")
+		var wg sync.WaitGroup
+		wg.Add(1)
+		start := make(chan struct{})
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := r.SnapshotGC(); err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		e, err := r.Register("g", Spec{Source: boolSrc})
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.restored {
+			continue
+		}
+		warm++
+		if _, err := store.Load("g"); errors.Is(err, snapshot.ErrNotFound) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Errorf("%d of %d warm re-registrations had their snapshot deleted afterwards", lost, warm)
+	}
+}
+
 // TestConcurrentEarleyParseAndModify is the -race stress test for the
 // overhauled Earley backend: parses sharing one entry (pooled charts,
 // version-stamped grammar recompiles) race rule updates. Every parse

@@ -65,9 +65,6 @@ func (l *lease) idleFor(now time.Time) time.Duration {
 // ID returns the lease's registry-wide identifier.
 func (l *lease) ID() string { return l.id }
 
-// Grammar returns the name of the entry the lease is bound to.
-func (l *lease) Grammar() string { return l.entry.name }
-
 // Entry returns the owning registry entry.
 func (l *lease) Entry() *Entry { return l.entry }
 

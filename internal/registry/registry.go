@@ -915,19 +915,15 @@ type Registry struct {
 	// (zero means lazy GLR). Configure with SetDefaultEngine.
 	defaultEngine engine.Kind
 
-	// restoringMu/restoring track names whose registration is between
-	// snapshot restore and publication in entries, so a concurrent
-	// SnapshotGC pass does not delete the snapshot file out from under
-	// the warm restart it is about to feed.
-	restoringMu sync.Mutex
-	restoring   map[string]int
-
 	// removed (guarded by mu) records names explicitly unregistered via
 	// Remove and not re-registered since. SnapshotGC compacts exactly
 	// these: a name merely absent from the registry may belong to an
 	// HTTP-registered grammar of a previous process run whose snapshot
 	// is still the warm restart it expects — absence must not be
-	// mistaken for removal.
+	// mistaken for removal. Register clears its name before its restore
+	// reads the store, and SnapshotGC checks the name and deletes the
+	// file under mu, so a pass never deletes a file a registration has
+	// resumed from.
 	removed map[string]bool
 
 	// res is the shared fault-tolerance state every entry points at:
@@ -997,7 +993,9 @@ func (r *Registry) Register(name string, spec Spec) (*Entry, error) {
 	}
 	e.profLabels = &r.profLabels
 	e.res = &r.res
-	r.beginRestore(name)
+	r.mu.Lock()
+	delete(r.removed, name)
+	r.mu.Unlock()
 	r.tryRestore(e)
 	r.mu.Lock()
 	var replaced *Entry
@@ -1006,44 +1004,14 @@ func (r *Registry) Register(name string, spec Spec) (*Entry, error) {
 		replaced = old
 	}
 	r.entries[name] = e
-	delete(r.removed, name)
+	delete(r.removed, name) // a Remove that raced the restore
 	r.mu.Unlock()
-	r.endRestore(name)
 	r.registered.Add(1)
 	// Sessions of a replaced entry retain charts built by the old
 	// engine (and completion cursors retain its table frontier); close
 	// them rather than serve stale parses.
 	r.closeLeasesOf(replaced)
 	return e, nil
-}
-
-// beginRestore/endRestore bracket the restore-to-publication window of
-// one Register call; restoringNames feeds SnapshotGC's keep set.
-func (r *Registry) beginRestore(name string) {
-	r.restoringMu.Lock()
-	defer r.restoringMu.Unlock()
-	if r.restoring == nil {
-		r.restoring = map[string]int{}
-	}
-	r.restoring[name]++
-}
-
-func (r *Registry) endRestore(name string) {
-	r.restoringMu.Lock()
-	defer r.restoringMu.Unlock()
-	if r.restoring[name]--; r.restoring[name] <= 0 {
-		delete(r.restoring, name)
-	}
-}
-
-func (r *Registry) restoringNames() []string {
-	r.restoringMu.Lock()
-	defer r.restoringMu.Unlock()
-	out := make([]string, 0, len(r.restoring))
-	for name := range r.restoring {
-		out = append(out, name)
-	}
-	return out
 }
 
 // Get returns the entry registered under name.

@@ -197,18 +197,6 @@ func (w *leaseWork) countReuse(from, to engine.SessionStats) {
 
 func (s *Session) release() { s.es.Close() }
 
-// EngineName reports the backend serving the session's entry now (for
-// auto, the selection, read with engine.ServingKind, which does not
-// settle pending rule updates); "" once closed.
-func (s *Session) EngineName() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ""
-	}
-	return s.es.Engine().String()
-}
-
 // Splice is one session edit: replace tokens[At : At+Remove] with the
 // tokenization of Insert, resolved like the open input (scanned for SDF
 // entries, terminal names otherwise).

@@ -267,35 +267,32 @@ func (r *Registry) SnapshotAll() (int, error) {
 // registry may be an HTTP-registered grammar of a previous process run
 // whose snapshot is exactly the warm restart it expects on
 // re-registration, so absence is not treated as removal (use
-// snapshot.Store.GC directly for a keep-list sweep). Names whose
-// registration is mid-flight (between snapshot restore and publication)
-// are likewise never touched.
+// snapshot.Store.GC directly for a keep-list sweep). A name that a
+// registration has cleared since, mid-flight or published, is likewise
+// never touched: the name is checked and its file deleted under the
+// lock Register clears it under.
 func (r *Registry) SnapshotGC() ([]string, error) {
 	if r.store == nil {
 		return nil, ErrNoStore
 	}
-	restoring := map[string]bool{}
-	for _, name := range r.restoringNames() {
-		restoring[name] = true
-	}
-	r.mu.Lock()
+	r.mu.RLock()
 	candidates := make([]string, 0, len(r.removed))
 	for name := range r.removed {
-		if !restoring[name] {
-			candidates = append(candidates, name)
-		}
+		candidates = append(candidates, name)
 	}
-	r.mu.Unlock()
+	r.mu.RUnlock()
 
 	var reclaimed []string
 	for _, name := range candidates {
-		r.store.Remove(name)
-		// Forget the name whether or not a file existed; re-removal
-		// after a future registration re-records it.
 		r.mu.Lock()
-		delete(r.removed, name)
+		if r.removed[name] {
+			r.store.Remove(name)
+			// Forget the name whether or not a file existed; re-removal
+			// after a future registration re-records it.
+			delete(r.removed, name)
+			reclaimed = append(reclaimed, name)
+		}
 		r.mu.Unlock()
-		reclaimed = append(reclaimed, name)
 	}
 	sort.Strings(reclaimed)
 	return reclaimed, nil

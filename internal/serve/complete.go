@@ -10,7 +10,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -75,15 +74,6 @@ type CompleteResponse struct {
 	DurationUS int64 `json:"duration_us"`
 }
 
-// rejAt annotates a rejection with the offending token index (-1 =
-// no index known).
-func rejAt(err error, idx int) error {
-	if idx >= 0 && errors.Is(err, engine.ErrRejected) {
-		return fmt.Errorf("token %d: %w", idx, err)
-	}
-	return err
-}
-
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entry(w, r)
 	if !ok {
@@ -95,34 +85,35 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case req.Cursor != "" && req.Prefix != nil:
-		writeError(w, http.StatusBadRequest, errors.New("prefix and cursor are mutually exclusive"))
+		writeError(w, fmt.Errorf("%w: prefix and cursor are mutually exclusive", errBadRequest))
 		return
 	case req.Cursor == "" && req.Prefix == nil:
-		writeError(w, http.StatusBadRequest, errors.New("request needs a prefix or a cursor id"))
+		writeError(w, fmt.Errorf("%w: request needs a prefix or a cursor id", errBadRequest))
 		return
 	case req.Once && req.Cursor != "":
-		writeError(w, http.StatusBadRequest, errors.New("once applies to prefix requests only"))
+		writeError(w, fmt.Errorf("%w: once applies to prefix requests only", errBadRequest))
 		return
 	}
-	ctx, cancelParse := s.parseCtx(r.Context())
-	defer cancelParse()
 	start := time.Now()
-	tr := s.tracer.StartParse(e.Name(), e.EngineKind().String(), obs.RequestID(ctx))
-	out, err := s.completeOp(ctx, e, &req, tr)
+	var out CompleteResponse
+	kind, err := s.serveOp(r.Context(), e, func(ctx context.Context, tr *obs.ParseTrace) (bool, error) {
+		var err error
+		out, err = s.completeOp(ctx, e, &req, tr)
+		return err == nil, err
+	})
 	if err != nil {
-		s.finishTrace(tr, false, err)
-		s.writeFailure(w, err)
+		writeError(w, err)
 		return
 	}
+	out.Engine = kind.String()
 	out.DurationUS = time.Since(start).Microseconds()
-	s.finishTrace(tr, true, nil)
 	writeJSON(w, http.StatusOK, out)
 }
 
 // completeOp runs the request as one registry.Complete call, which ctx
 // bounds like a parse.
 func (s *Server) completeOp(ctx context.Context, e *registry.Entry, req *CompleteRequest, tr *obs.ParseTrace) (CompleteResponse, error) {
-	out := CompleteResponse{Grammar: e.Name(), Engine: e.EngineKind().String()}
+	out := CompleteResponse{Grammar: e.Name()}
 	op := registry.CompletionOp{Once: req.Once, Restore: -1, Input: req.Feed}
 	if req.Prefix != nil {
 		op.Input = *req.Prefix
@@ -138,8 +129,11 @@ func (s *Server) completeOp(ctx context.Context, e *registry.Entry, req *Complet
 	}
 	var set engine.TermSet
 	cs, pos, rejIdx, err := s.reg.Complete(ctx, e, op, &set, tr)
+	if rejIdx >= 0 { // a rejection, at this token of the feed
+		err = fmt.Errorf("token %d: %w", rejIdx, err)
+	}
 	if err != nil {
-		return out, rejAt(err, rejIdx)
+		return out, err
 	}
 	out.Pos = pos
 	out.fillAccepts(&set, req.Candidates)
@@ -184,8 +178,7 @@ func (s *Server) handleCompletionStat(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	cs, ok := s.reg.Completion(id)
 	if !ok {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("%w: %q (unknown, closed or evicted)", registry.ErrNoCursor, id))
+		writeError(w, fmt.Errorf("%w: %q (unknown, closed or evicted)", registry.ErrNoCursor, id))
 		return
 	}
 	writeJSON(w, http.StatusOK, cs.Stat())
@@ -194,8 +187,7 @@ func (s *Server) handleCompletionStat(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCompletionClose(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.reg.CloseCompletion(id) {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("%w: %q (unknown, closed or evicted)", registry.ErrNoCursor, id))
+		writeError(w, fmt.Errorf("%w: %q (unknown, closed or evicted)", registry.ErrNoCursor, id))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"closed": true})

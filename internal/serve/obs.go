@@ -21,17 +21,14 @@ import (
 // ---- readiness ----
 
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "starting",
-			"reason": "grammar preload (including snapshot restores) not complete",
-		})
-		return
+	switch {
+	case s.reg.Draining():
+		writeError(w, registry.ErrDraining)
+	case !s.ready.Load():
+		writeError(w, errNotReady)
+	default:
+		writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "grammars": s.reg.Len()})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ready",
-		"grammars": s.reg.Len(),
-	})
 }
 
 // ---- /metrics ----

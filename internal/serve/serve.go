@@ -35,9 +35,7 @@
 //
 // Document sessions hold a parsed document server-side so editors ship
 // token splices instead of whole documents; Earley-backed entries
-// reparse incrementally, reusing every item set left of the edit. Bad
-// splice offsets map to 416, unknown or evicted sessions to 404, and
-// the session-count cap to 429.
+// reparse incrementally, reusing every item set left of the edit.
 //
 // Completion cursors answer constrained-decoding queries: "which
 // terminals may come next after this prefix". A request either ships a
@@ -45,14 +43,14 @@
 // retained cursor by id, feeding tokens, restoring checkpoints and
 // testing candidate terminals against the accept set — served as
 // names plus a dense bitset over the grammar's stable terminal
-// vocabulary. Non-viable prefixes map to 422, stale cursors (grammar
-// modified underneath) to 409, out-of-range restores to 416, the
-// cursor cap to 429 and over-long prefixes to 413.
+// vocabulary.
 //
 // Every non-2xx response carries the uniform error envelope
 // {"error": {"code", "message", "retry_after_s"?}}; codes are stable
 // strings (throttled, cursor_stale, timeout, ...) so clients dispatch
-// without matching message text.
+// without matching message text. Each failure is one row of the
+// failures table (failures.go), which gives its status, code and
+// Retry-After.
 //
 // A registration may pick its parsing backend ("engine": glr, lalr,
 // ll, earley, or auto — which probes the grammar and records why); the
@@ -61,11 +59,7 @@
 //
 // When the backing registry has a snapshot store, registering a grammar
 // whose snapshot matches resumes the saved lazy table instead of
-// generating cold, and /v1/stats reports the snapshot subsystem
-// (entries on engines without persistable tables are skipped; an
-// explicit snapshot request for one is 409). Admission-control
-// rejections (per-entry concurrent-parse, forest-size and request-rate
-// limits) map to 429 Too Many Requests.
+// generating cold, and /v1/stats reports the snapshot subsystem.
 package serve
 
 import (
@@ -76,7 +70,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,17 +178,6 @@ func (s *Server) SetMaxBodyBytes(n int64) {
 // serving traffic.
 func (s *Server) SetParseTimeout(d time.Duration) { s.parseTimeout = d }
 
-// parseCtx derives the per-parse context: the configured parse timeout
-// layered over the request context, so a deadline, a client disconnect
-// or a drain-time force-cancel all reach the engine's drive loop. The
-// returned cancel must run when the parse completes.
-func (s *Server) parseCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.parseTimeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, s.parseTimeout)
-}
-
 // Registry exposes the backing registry (for preloading grammars).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
@@ -264,60 +246,6 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// errorDetail is the payload of the uniform error envelope: a stable
-// machine-readable code, the human-readable message, and — on
-// retryable statuses — the Retry-After hint mirrored into the body so
-// clients need not scrape headers.
-type errorDetail struct {
-	Code        string `json:"code"`
-	Message     string `json:"message"`
-	RetryAfterS int    `json:"retry_after_s,omitempty"`
-}
-
-// errorBody is the uniform error envelope: every non-2xx response is
-// {"error": {"code": ..., "message": ..., "retry_after_s"?: N}}.
-type errorBody struct {
-	Error errorDetail `json:"error"`
-}
-
-// errorCode derives the stable code for an error response. Specific
-// sentinel errors get their own codes (so clients can dispatch without
-// string matching); everything else is coded by status class.
-func errorCode(status int, err error) string {
-	switch {
-	case errors.Is(err, engine.ErrCursorStale):
-		return "cursor_stale"
-	case errors.Is(err, engine.ErrRejected):
-		return "prefix_rejected"
-	case errors.Is(err, engine.ErrBadCheckpoint):
-		return "bad_checkpoint"
-	}
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusRequestEntityTooLarge:
-		return "too_large"
-	case http.StatusRequestedRangeNotSatisfiable:
-		return "bad_range"
-	case http.StatusUnprocessableEntity:
-		return "invalid_input"
-	case http.StatusTooManyRequests:
-		return "throttled"
-	case statusClientClosedRequest:
-		return "client_closed"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	case http.StatusGatewayTimeout:
-		return "timeout"
-	default:
-		return "internal"
-	}
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -326,43 +254,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: errorDetail{
-		Code:    errorCode(status, err),
-		Message: err.Error(),
-	}})
-}
-
-// writeErrorRetry answers a retryable failure, setting the Retry-After
-// header and mirroring the hint into the envelope body.
-func writeErrorRetry(w http.ResponseWriter, status, retrySec int, err error) {
-	if retrySec <= 0 {
-		writeError(w, status, err)
-		return
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retrySec))
-	writeJSON(w, status, errorBody{Error: errorDetail{
-		Code:        errorCode(status, err),
-		Message:     err.Error(),
-		RetryAfterS: retrySec,
-	}})
-}
-
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	limit := s.maxBody
-	if limit <= 0 {
-		limit = DefaultMaxBodyBytes
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return false
+			err = fmt.Errorf("%w: body exceeds %d bytes", errTooLarge, mbe.Limit)
+		} else {
+			err = fmt.Errorf("%w: body: %v", errBadRequest, err)
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		writeError(w, err)
 		return false
 	}
 	return true
@@ -372,7 +274,7 @@ func (s *Server) entry(w http.ResponseWriter, r *http.Request) (*registry.Entry,
 	name := r.PathValue("name")
 	e, ok := s.reg.Get(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no grammar %q", name))
+		writeError(w, fmt.Errorf("%w: %q", registry.ErrUnknownGrammar, name))
 		return nil, false
 	}
 	return e, true
@@ -713,12 +615,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	form, err := registry.ParseForm(req.Form)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, fmt.Errorf("%w: %v", errBadRequest, err))
 		return
 	}
 	kind, err := engine.ParseKind(req.Engine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, fmt.Errorf("%w: %v", errBadRequest, err))
 		return
 	}
 	e, err := s.reg.Register(r.PathValue("name"), registry.Spec{
@@ -728,7 +630,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Engine:    kind,
 	})
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+		writeError(w, err)
 		return
 	}
 	status := http.StatusCreated
@@ -748,7 +650,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	if !s.reg.Remove(r.PathValue("name")) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no grammar %q", r.PathValue("name")))
+		writeError(w, fmt.Errorf("%w: %q", registry.ErrUnknownGrammar, r.PathValue("name")))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"removed": true})
@@ -785,19 +687,18 @@ type ParseResponse struct {
 	DurationUS int64 `json:"duration_us"`
 }
 
-func (s *Server) parseOne(ctx context.Context, e *registry.Entry, req ParseRequest) (ParseResponse, error) {
-	ctx, cancelParse := s.parseCtx(ctx)
-	defer cancelParse()
-	start := time.Now()
-	tr := s.tracer.StartParse(e.Name(), engine.ServingKind(e.Engine()).String(), obs.RequestID(ctx))
-	res, err := e.Run(ctx, req.Input, nil, req.Trees || req.Render, tr)
-	if err != nil {
-		s.finishTrace(tr, false, err)
-		return ParseResponse{}, err
-	}
-	out := renderResult(e, res, req.Render, tr, start)
-	s.finishTrace(tr, res.Accepted, nil)
-	return out, nil
+// parseOne serves one sentence: a parse request's, or a batch item's.
+func (s *Server) parseOne(ctx context.Context, e *registry.Entry, req ParseRequest) (out ParseResponse, err error) {
+	_, err = s.serveOp(ctx, e, func(ctx context.Context, tr *obs.ParseTrace) (bool, error) {
+		start := time.Now()
+		res, err := e.Run(ctx, req.Input, nil, req.Trees || req.Render, tr)
+		if err != nil {
+			return false, err
+		}
+		out = renderResult(e, res, req.Render, tr, start)
+		return res.Accepted, nil
+	})
+	return out, err
 }
 
 // renderResult translates a registry result into the wire shape,
@@ -827,19 +728,6 @@ func renderResult(e *registry.Entry, res registry.Result, render bool, tr *obs.P
 	return out
 }
 
-// finishTrace completes a parse trace and logs slow-parse outliers with
-// their full stage breakdown. Nil traces (tracing off or unsampled with
-// no slow threshold) cost two nil checks.
-func (s *Server) finishTrace(tr *obs.ParseTrace, accepted bool, err error) {
-	sp, _, slow := tr.FinishSpan(accepted, err)
-	if slow {
-		s.log().Warn("slow parse",
-			"grammar", sp.Grammar, "engine", sp.Engine,
-			"duration", sp.Total, "accepted", accepted,
-			"request_id", sp.RequestID, "err", err)
-	}
-}
-
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entry(w, r)
 	if !ok {
@@ -852,98 +740,10 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	s.parses.Add(1)
 	out, err := s.parseOne(r.Context(), e, req)
 	if err != nil {
-		s.writeFailure(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// throttledErr reports the retryable admission-control class: the
-// entry (or the service) is protecting itself, not rejecting the
-// input. Retry shortly and the request should go through.
-func throttledErr(err error) bool {
-	return errors.Is(err, registry.ErrBusy) ||
-		errors.Is(err, registry.ErrForestLimit) ||
-		errors.Is(err, registry.ErrRateLimited) ||
-		errors.Is(err, registry.ErrMemoryBudget) ||
-		errors.Is(err, registry.ErrShed) ||
-		errors.Is(err, registry.ErrSessionLimit) ||
-		errors.Is(err, registry.ErrCursorLimit)
-}
-
-// statusClientClosedRequest is the de-facto (nginx) status for requests
-// abandoned by the client; net/http has no constant for it. The client
-// is gone, so the status is for the access log, not the wire.
-const statusClientClosedRequest = 499
-
-// drainRetryAfterSec is the Retry-After hint on drain-time 503s: long
-// enough for the orchestrator to route around this instance.
-const drainRetryAfterSec = 5
-
-// classifyFailure maps a failed request — a parse, a session operation
-// or a completion — onto its HTTP status and a Retry-After hint in
-// seconds (0 = no header):
-//
-//	canceled: deadline/injected → 504, client gone → 499,
-//	          shutdown (drain force-cancel) → 503 + Retry-After
-//	quarantined (breaker open) → 503 + Retry-After from the breaker
-//	draining → 503 + Retry-After
-//	throttled (busy/forest/rate/memory/shed, session or cursor cap)
-//	          → 429 + Retry-After
-//	engine panic → 500 (stack logged server-side)
-//	unknown, closed or evicted session or cursor → 404
-//	stale cursor → 409
-//	document or prefix over its token budget → 413
-//	out-of-range splice or restore checkpoint → 416
-//	anything else (input problem, rejected token) → 422
-func (s *Server) classifyFailure(err error) (status, retryAfterSec int) {
-	var cerr *cancel.Error
-	if errors.As(err, &cerr) {
-		switch cerr.Reason {
-		case cancel.ClientGone:
-			return statusClientClosedRequest, 0
-		case cancel.Shutdown:
-			return http.StatusServiceUnavailable, drainRetryAfterSec
-		default: // Deadline, Injected
-			return http.StatusGatewayTimeout, 0
-		}
-	}
-	var q *registry.QuarantineError
-	if errors.As(err, &q) {
-		ra := int(q.RetryAfter / time.Second)
-		if ra < 1 {
-			ra = 1
-		}
-		return http.StatusServiceUnavailable, ra
-	}
-	var p *engine.PanicError
-	switch {
-	case errors.Is(err, registry.ErrDraining):
-		return http.StatusServiceUnavailable, drainRetryAfterSec
-	case throttledErr(err):
-		s.rejected429.Add(1)
-		return http.StatusTooManyRequests, 1
-	case errors.As(err, &p):
-		s.log().Error("parse panicked",
-			"err", fmt.Sprint(p.Value), "stack", string(p.Stack))
-		return http.StatusInternalServerError, 0
-	case errors.Is(err, registry.ErrNoSession), errors.Is(err, registry.ErrNoCursor):
-		return http.StatusNotFound, 0
-	case errors.Is(err, engine.ErrCursorStale):
-		return http.StatusConflict, 0
-	case errors.Is(err, registry.ErrDocTooLarge), errors.Is(err, registry.ErrPrefixTooLong):
-		return http.StatusRequestEntityTooLarge, 0
-	case errors.Is(err, engine.ErrSplice), errors.Is(err, engine.ErrBadCheckpoint):
-		return http.StatusRequestedRangeNotSatisfiable, 0
-	}
-	return http.StatusUnprocessableEntity, 0
-}
-
-// writeFailure answers a failed request with the classified status and
-// Retry-After hint.
-func (s *Server) writeFailure(w http.ResponseWriter, err error) {
-	status, retry := s.classifyFailure(err)
-	writeErrorRetry(w, status, retry, err)
 }
 
 // BatchRequest is the POST .../batch body: many sentences fanned out
@@ -991,21 +791,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Inputs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("batch needs at least one input"))
+		writeError(w, fmt.Errorf("%w: batch needs at least one input", errBadRequest))
 		return
 	}
 	if len(req.Inputs) > s.maxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d inputs exceeds the limit of %d; split the request", len(req.Inputs), s.maxBatch))
+		writeError(w, fmt.Errorf("%w: batch of %d inputs exceeds the limit of %d; split the request",
+			errTooLarge, len(req.Inputs), s.maxBatch))
 		return
 	}
 	workers := req.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(req.Inputs) {
-		workers = len(req.Inputs)
-	}
+	workers = min(workers, len(req.Inputs))
 	s.batchSentences.Add(uint64(len(req.Inputs)))
 
 	start := time.Now()
@@ -1019,11 +817,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for idx := range jobs {
 				out, err := s.parseOne(r.Context(), e, ParseRequest{Input: req.Inputs[idx], Trees: req.Trees})
 				if err != nil {
-					throttled := throttledErr(err)
-					if throttled {
-						s.rejected429.Add(1)
-					}
-					results[idx] = BatchItem{Error: err.Error(), Throttled: throttled}
+					results[idx] = BatchItem{Error: err.Error(), Throttled: throttled(err)}
 					continue
 				}
 				results[idx] = BatchItem{ParseResponse: out}
@@ -1062,11 +856,11 @@ type RulesRequest struct {
 	Delete string `json:"delete,omitempty"`
 }
 
-// RulesResponse reports the update. On a 422 the Error field names the
-// failing half and Added/Deleted report what was already applied to the
-// live table before the failure (deletions run first), so clients can
-// see partial application instead of assuming the update was rejected
-// wholesale.
+// RulesResponse reports the update. A failed update is answered 422
+// with the error envelope beside these fields: Added/Deleted report
+// what was already applied to the live table before the failure
+// (deletions run first), so clients can see partial application instead
+// of assuming the update was rejected wholesale.
 type RulesResponse struct {
 	Added   int    `json:"added"`
 	Deleted int    `json:"deleted"`
@@ -1074,7 +868,7 @@ type RulesResponse struct {
 	// Invalidated counts the table states the update made dirty — the
 	// paper's measure of how local the change was.
 	Invalidated uint64 `json:"states_invalidated_total"`
-	Error       string `json:"error,omitempty"`
+	errorBody
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
@@ -1086,39 +880,27 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	var resp RulesResponse
 	// Rule updates join the parse-lifecycle trace: repairs show up as
-	// the repair stage with their state counts on the span. An auto
-	// entry's kept tables are repaired by the next verdict read, not
-	// here, so the span is labelled without settling.
-	tr := s.tracer.StartParse(e.Name(), engine.ServingKind(e.Engine()).String(), obs.RequestID(r.Context()))
-	var updateErr error
-	defer func() { tr.Finish(updateErr == nil, updateErr) }()
-	fail := func(err error) {
-		updateErr = err
-		resp.Error = err.Error()
-		resp.Version = e.Version()
-		resp.Invalidated = e.Counters().StatesInvalidated
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
-	}
-	if req.Delete != "" {
-		n, err := e.UpdateRules(req.Delete, false, tr)
-		resp.Deleted = n
-		if err != nil {
-			fail(err)
-			return
+	// the repair stage with their state counts on the span.
+	var resp RulesResponse
+	_, err := s.serveOp(r.Context(), e, func(_ context.Context, tr *obs.ParseTrace) (bool, error) {
+		var err error
+		if req.Delete != "" {
+			if resp.Deleted, err = e.UpdateRules(req.Delete, false, tr); err != nil {
+				return false, err
+			}
 		}
-	}
-	if req.Add != "" {
-		n, err := e.UpdateRules(req.Add, true, tr)
-		resp.Added = n
-		if err != nil {
-			fail(err)
-			return
+		if req.Add != "" {
+			resp.Added, err = e.UpdateRules(req.Add, true, tr)
 		}
-	}
+		return err == nil, err
+	})
 	resp.Version = e.Version()
 	resp.Invalidated = e.Counters().StatesInvalidated
+	if err != nil {
+		writeErrorIn(w, err, &resp)
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1145,18 +927,8 @@ type SnapshotAllResponse struct {
 
 func (s *Server) handleSnapshotOne(w http.ResponseWriter, r *http.Request) {
 	meta, err := s.reg.SnapshotEntry(r.PathValue("name"))
-	switch {
-	case errors.Is(err, registry.ErrNoStore), errors.Is(err, registry.ErrNotSnapshottable):
-		// Both are configuration/capability conflicts, not input errors:
-		// no store mounted, or the entry's engine keeps no persistable
-		// table (only lazy GLR does).
-		writeError(w, http.StatusConflict, err)
-		return
-	case errors.Is(err, registry.ErrUnknownGrammar):
-		writeError(w, http.StatusNotFound, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	if err != nil {
+		writeError(w, fmt.Errorf("%w: %w", errSnapshot, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, SnapshotResponse{
@@ -1171,7 +943,7 @@ func (s *Server) handleSnapshotOne(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshotAll(w http.ResponseWriter, r *http.Request) {
 	saved, err := s.reg.SnapshotAll()
 	if errors.Is(err, registry.ErrNoStore) {
-		writeError(w, http.StatusConflict, err)
+		writeError(w, err)
 		return
 	}
 	resp := SnapshotAllResponse{Saved: saved}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -59,8 +60,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*registry.Sess
 	id := r.PathValue("id")
 	sess, ok := s.reg.Session(id)
 	if !ok {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("%w: %q (unknown, closed or evicted)", registry.ErrNoSession, id))
+		writeError(w, fmt.Errorf("%w: %q (unknown, closed or evicted)", registry.ErrNoSession, id))
 		return nil, false
 	}
 	return sess, true
@@ -77,19 +77,21 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	// The open parses the document, so the client learns acceptance
 	// without a second round trip.
-	ctx, cancelParse := s.parseCtx(r.Context())
-	defer cancelParse()
-	start := time.Now()
-	tr := s.tracer.StartParse(e.Name(), e.EngineKind().String(), obs.RequestID(ctx))
-	sess, res, err := s.reg.StartSession(ctx, e, req.Input, tr)
-	if err != nil {
-		s.finishTrace(tr, false, err)
-		s.writeFailure(w, err)
+	var out SessionOpenResponse
+	if _, err := s.serveOp(r.Context(), e, func(ctx context.Context, tr *obs.ParseTrace) (bool, error) {
+		start := time.Now()
+		sess, res, err := s.reg.StartSession(ctx, e, req.Input, tr)
+		if err != nil {
+			return false, err
+		}
+		pr := renderResult(e, res, false, tr, start)
+		out = SessionOpenResponse{Session: sess.Stat(), Result: &pr}
+		return res.Accepted, nil
+	}); err != nil {
+		writeError(w, err)
 		return
 	}
-	out := renderResult(e, res, false, tr, start)
-	s.finishTrace(tr, res.Accepted, nil)
-	writeJSON(w, http.StatusCreated, SessionOpenResponse{Session: sess.Stat(), Result: &out})
+	writeJSON(w, http.StatusCreated, out)
 }
 
 func (s *Server) handleSessionEdit(w http.ResponseWriter, r *http.Request) {
@@ -101,24 +103,20 @@ func (s *Server) handleSessionEdit(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	ctx, cancelParse := s.parseCtx(r.Context())
-	defer cancelParse()
-	start := time.Now()
-	tr := s.tracer.StartParse(sess.Grammar(), sess.EngineName(), obs.RequestID(ctx))
 	reparse := req.Reparse == nil || *req.Reparse
-	res, err := sess.Run(ctx, req.Splices, reparse, req.Trees || req.Render, tr)
-	if err != nil {
-		s.finishTrace(tr, false, err)
-		s.writeFailure(w, err)
-		return
-	}
 	out := SessionEditResponse{ID: sess.ID(), Spliced: len(req.Splices)}
-	if reparse {
+	if _, err := s.serveOp(r.Context(), sess.Entry(), func(ctx context.Context, tr *obs.ParseTrace) (bool, error) {
+		start := time.Now()
+		res, err := sess.Run(ctx, req.Splices, reparse, req.Trees || req.Render, tr)
+		if err != nil || !reparse {
+			return err == nil, err
+		}
 		pr := renderResult(sess.Entry(), res, req.Render, tr, start)
 		out.Result = &pr
-		s.finishTrace(tr, res.Accepted, nil)
-	} else {
-		s.finishTrace(tr, true, nil)
+		return res.Accepted, nil
+	}); err != nil {
+		writeError(w, err)
+		return
 	}
 	st := sess.Stat()
 	out.Tokens = st.Tokens
@@ -143,18 +141,19 @@ func (s *Server) handleSessionTree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	render := r.URL.Query().Get("render") != ""
-	ctx, cancelParse := s.parseCtx(r.Context())
-	defer cancelParse()
-	start := time.Now()
-	tr := s.tracer.StartParse(sess.Grammar(), sess.EngineName(), obs.RequestID(ctx))
-	res, err := sess.Run(ctx, nil, true, true, tr)
-	if err != nil {
-		s.finishTrace(tr, false, err)
-		s.writeFailure(w, err)
+	var out ParseResponse
+	if _, err := s.serveOp(r.Context(), sess.Entry(), func(ctx context.Context, tr *obs.ParseTrace) (bool, error) {
+		start := time.Now()
+		res, err := sess.Run(ctx, nil, true, true, tr)
+		if err != nil {
+			return false, err
+		}
+		out = renderResult(sess.Entry(), res, render, tr, start)
+		return res.Accepted, nil
+	}); err != nil {
+		writeError(w, err)
 		return
 	}
-	out := renderResult(sess.Entry(), res, render, tr, start)
-	s.finishTrace(tr, res.Accepted, nil)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -165,8 +164,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.reg.CloseSession(id) {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("%w: %q (unknown, closed or evicted)", registry.ErrNoSession, id))
+		writeError(w, fmt.Errorf("%w: %q (unknown, closed or evicted)", registry.ErrNoSession, id))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"closed": true})

@@ -4,9 +4,10 @@
 # panics surface as structured 500s and open the per-grammar breaker
 # (503 + Retry-After), deadline-bounded parses and completions abort
 # mid-drive with 504, a completion's panic surfaces as a 500 like a
-# parse's, the injection counters show up in /metrics, and SIGTERM
-# drains the process cleanly within the drain timeout. Run from the
-# repository root; exits non-zero on the first failure.
+# parse's, a batch item's panic fails that item alone and is logged
+# with its stack, the injection counters show up in /metrics, and
+# SIGTERM drains the process cleanly within the drain timeout. Run from
+# the repository root; exits non-zero on the first failure.
 set -eu
 
 ADDR="127.0.0.1:18081"
@@ -16,18 +17,20 @@ trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
 
 go build -o /tmp/ipg-serve-chaos ./cmd/ipg-serve
 # Arm the chaos faults up front:
-#   - dispatch.parse panics three times (breaker threshold is 2, so the
+#   - dispatch.parse panics four times (breaker threshold is 2, so the
 #     first pair of 500s opens the breaker on crash; the third is a
-#     completion's, on calc, whose breaker stays closed);
+#     completion's, on calc, and the fourth a batch item's, on items,
+#     whose breakers stay closed);
 #   - drive.token delays 1ms per token (a 400-token parse wants 400ms,
 #     far past the 50ms deadline).
 /tmp/ipg-serve-chaos -addr "$ADDR" \
   -grammar calc=testdata/CalcDet.bnf \
   -grammar crash=testdata/CalcDet.bnf \
+  -grammar items=testdata/CalcDet.bnf \
   -parse-timeout 50ms \
   -drain-timeout 5s \
   -breaker-threshold 2 -breaker-cooldown 30s \
-  -fault 'dispatch.parse=panic,n=3' \
+  -fault 'dispatch.parse=panic,n=4' \
   -fault 'drive.token=delay,d=1ms' \
   -log-level debug >"$LOG" 2>&1 &
 SERVE_PID=$!
@@ -87,6 +90,28 @@ CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
 }
 echo "ok: injected completion panic recovered as 500"
 
+# The fourth injected panic hits the first item of a batch: the batch
+# answers 200 with that item's error in its result, the second item is
+# served, and the panic is logged with its stack, as a single parse's.
+BODY="$(curl -s -w '\n%{http_code}' -X POST "$BASE/v1/grammars/items/batch" \
+  -d '{"inputs":["n + n","n"],"workers":1}')"
+[ "$(echo "$BODY" | tail -1)" = "200" ] || {
+  echo "FAIL: batch with a panicking item returned $(echo "$BODY" | tail -1), want 200" >&2
+  cat "$LOG" >&2
+  exit 1
+}
+echo "$BODY" | head -1 | grep -q '"error":"engine: parse panicked[^"]*"},{"accepted":true' || {
+  echo "FAIL: batch result does not carry the first item's panic beside the served second:" >&2
+  echo "$BODY" >&2
+  exit 1
+}
+grep 'parse panicked' "$LOG" | grep 'grammar=items' | grep -q 'stack=' || {
+  echo "FAIL: the batch item's panic is not logged with its stack" >&2
+  cat "$LOG" >&2
+  exit 1
+}
+echo "ok: batch item panic recovered in its result and logged with its stack"
+
 # A long parse through the still-armed per-token delay must abort on
 # the 50ms deadline with 504, well before the ~3s the delays would
 # take end to end.
@@ -127,8 +152,8 @@ echo "ok: deadline completion abort mid-feed (504 in ${ELAPSED}s)"
 
 # The fired faults and resilience state must be visible in /metrics.
 METRICS="$(curl -fsS "$BASE/metrics")"
-echo "$METRICS" | grep -q 'ipg_fault_injections_total{site="dispatch.parse",kind="panic"} 3' || {
-  echo "FAIL: /metrics does not count the 3 injected panics" >&2
+echo "$METRICS" | grep -q 'ipg_fault_injections_total{site="dispatch.parse",kind="panic"} 4' || {
+  echo "FAIL: /metrics does not count the 4 injected panics" >&2
   exit 1
 }
 echo "$METRICS" | grep -q 'ipg_parse_panics_total{grammar="crash"' || {
