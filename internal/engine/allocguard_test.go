@@ -87,7 +87,7 @@ func TestSessionReparseAllocFree(t *testing.T) {
 		t.Skip("race instrumentation makes sync.Pool lossy; allocation counts are meaningless under -race")
 	}
 	g := fixtures.Booleans()
-	e, err := engine.New(engine.KindEarley, g, nil)
+	e, err := engine.New(engine.KindEarley, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ipg/internal/core"
+	"ipg/internal/forest"
 	"ipg/internal/grammar"
 	"ipg/internal/lalr"
-	"ipg/internal/ll"
 	"ipg/internal/sdf"
 )
 
@@ -49,11 +50,11 @@ func mustRule(t testing.TB, g *grammar.Grammar, text string) *grammar.Rule {
 // churn warm-up on SDF.sdf, which lazy GLR serves: 3 parses, then 12
 // add→delete pairs of fresh-keyword rules with no verdict read between
 // them. The updates do no kept-table work, lazy GLR keeps serving
-// without a table probe, and the next verdict read leaves both kept
-// tables equal to regenerated ones.
+// without a table probe, and the next verdict read leaves the kept
+// LALR(1) table equal to a regenerated one.
 func TestAutoChurnWarmUpDefersKeptRepairs(t *testing.T) {
 	g, doc := loadSDFDoc(t, "exp.sdf")
-	a := NewAuto(g, nil)
+	a := NewAuto(g)
 	for i := 0; i < 3; i++ {
 		if ok, err := a.Recognize(doc); err != nil || !ok {
 			t.Fatalf("parse %d of exp.sdf: ok=%v err=%v", i, ok, err)
@@ -75,7 +76,7 @@ func TestAutoChurnWarmUpDefersKeptRepairs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if w := keptWork(); w != before {
-			t.Fatalf("pair %d: the kept tables did work during the updates: %+v, was %+v", i, w, before)
+			t.Fatalf("pair %d: the kept table did work during the updates: %+v, was %+v", i, w, before)
 		}
 	}
 	if k := ServingKind(a); k != KindGLR {
@@ -88,13 +89,10 @@ func TestAutoChurnWarmUpDefersKeptRepairs(t *testing.T) {
 		t.Fatalf("the settled verdict is %v, want glr (%s)", k, a.Reason())
 	}
 	a.mu.RLock()
-	lrTbl, llTbl := a.lrTbl, a.llTbl
+	lrTbl := a.lrTbl
 	a.mu.RUnlock()
 	if got, want := lrTbl.Signature(), lalr.Generate(g).Signature(); got != want {
 		t.Error("the kept LALR(1) table diverges from a regenerated one")
-	}
-	if got, want := llTbl.Signature(), ll.Generate(g).Signature(); got != want {
-		t.Error("the kept LL(1) table diverges from a regenerated one")
 	}
 }
 
@@ -104,7 +102,7 @@ func TestAutoChurnWarmUpDefersKeptRepairs(t *testing.T) {
 // from the repaired LALR(1) table.
 func TestAutoGLRReasonFollowsUpdates(t *testing.T) {
 	g := grammar.MustParse(ambiguousText)
-	a := NewAuto(g, nil)
+	a := NewAuto(g)
 	for _, u := range []struct {
 		add  bool
 		rule string
@@ -133,13 +131,96 @@ func TestAutoGLRReasonFollowsUpdates(t *testing.T) {
 func TestCapsOfAutoIsUnionOfSelectable(t *testing.T) {
 	var union Caps
 	u := reflect.ValueOf(&union).Elem()
-	for _, k := range []Kind{KindLALR, KindLL, KindGLR} {
+	for _, k := range []Kind{KindLALR, KindGLR} {
 		c := reflect.ValueOf(CapsOf(k))
 		for i := 0; i < u.NumField(); i++ {
 			u.Field(i).SetBool(u.Field(i).Bool() || c.Field(i).Bool())
 		}
 	}
 	if got := CapsOf(KindAuto); got != union {
-		t.Errorf("CapsOf(auto) = %+v, want the union of lalr, ll and glr: %+v", got, union)
+		t.Errorf("CapsOf(auto) = %+v, want the union of lalr and glr: %+v", got, union)
+	}
+}
+
+// llNotLALRText is the textbook grammar that is LL(1) but not LALR(1):
+// E and F both derive the empty A, and the two LR(1) states that reduce
+// A to E or F, reached before and after "(", expect "]" and ")" the
+// other way round. LALR(1) merges them into two reduce/reduce
+// conflicts; LL(1) predicts each alternative from its first terminal
+// or its FOLLOW set.
+const llNotLALRText = `
+START ::= S
+S ::= "(" X | E "]" | F ")"
+X ::= E ")" | F "]"
+E ::= A
+F ::= A
+A ::= ε
+`
+
+// TestAutoServesLLNotLALRWithGLR pins the two-way verdict on a grammar
+// only the LL(1) prediction table finds deterministic: the probe and
+// auto select lazy GLR, and auto agrees with an explicit ll engine on
+// acceptance and tree count for every sentence of up to three tokens.
+func TestAutoServesLLNotLALRWithGLR(t *testing.T) {
+	g := grammar.MustParse(llNotLALRText)
+	if k, reason := Probe(g); k != KindGLR {
+		t.Fatalf("Probe selects %v (%s), want glr", k, reason)
+	}
+	a := NewAuto(g)
+	if k := a.Kind(); k != KindGLR {
+		t.Fatalf("auto serves %v (%s), want glr", k, a.Reason())
+	}
+	llEng, err := NewLL(g, "requested")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var terms []grammar.Symbol
+	for _, s := range g.Symbols().Terminals() {
+		if s != grammar.EOF {
+			terms = append(terms, s)
+		}
+	}
+	sentences := [][]grammar.Symbol{{}}
+	for n, from := 0, 0; n < 3; n++ {
+		to := len(sentences)
+		for _, prefix := range sentences[from:to] {
+			for _, s := range terms {
+				sentences = append(sentences, append(slices.Clip(prefix), s))
+			}
+		}
+		from = to
+	}
+	accepted := 0
+	for _, input := range sentences {
+		name := g.Symbols().NamesOf(input)
+		got, err := a.Parse(input, true)
+		if err != nil {
+			t.Fatalf("auto %s: %v", name, err)
+		}
+		want, err := llEng.Parse(input, true)
+		if err != nil {
+			t.Fatalf("ll %s: %v", name, err)
+		}
+		if got.Accepted != want.Accepted {
+			t.Fatalf("%s: auto accepted=%v, ll accepted=%v", name, got.Accepted, want.Accepted)
+		}
+		if !got.Accepted {
+			continue
+		}
+		accepted++
+		gotTrees, err := forest.TreeCount(got.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTrees, err := forest.TreeCount(want.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotTrees != wantTrees {
+			t.Errorf("%s: auto counts %d trees, ll %d", name, gotTrees, wantTrees)
+		}
+	}
+	if accepted != 4 {
+		t.Errorf("%d of %d sentences accepted, want the language's 4", accepted, len(sentences))
 	}
 }

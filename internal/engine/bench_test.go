@@ -61,7 +61,7 @@ func BenchmarkEngines(b *testing.B) {
 	for _, kind := range []engine.Kind{engine.KindGLR, engine.KindLALR, engine.KindEarley, engine.KindAuto} {
 		b.Run(kind.String(), func(b *testing.B) {
 			g, workload := benchWorkload(b, "calc-det")
-			e, err := engine.New(kind, g, nil)
+			e, err := engine.New(kind, g)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func BenchmarkEngines(b *testing.B) {
 	// grammar — the predictive row of Fig 2.1.
 	b.Run("ll", func(b *testing.B) {
 		g, workload := benchWorkload(b, "calc-ll")
-		e, err := engine.New(engine.KindLL, g, nil)
+		e, err := engine.New(engine.KindLL, g)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func TestAcceptsAllocFree(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := guardFixture(t, tc.fixture)
-			e, err := engine.New(tc.kind, g, nil)
+			e, err := engine.New(tc.kind, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestCursorPoolReuse(t *testing.T) {
 		t.Skip("race instrumentation makes sync.Pool lossy; allocation counts are meaningless under -race")
 	}
 	g := guardFixture(t, "CalcDet.bnf")
-	e, err := engine.New(engine.KindLALR, g, nil)
+	e, err := engine.New(engine.KindLALR, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func completeEngines(t testing.TB, g *grammar.Grammar, kinds ...engine.Kind) map
 	t.Helper()
 	out := make(map[string]engine.Engine, len(kinds))
 	for _, k := range kinds {
-		e, err := engine.New(k, g, nil)
+		e, err := engine.New(k, g)
 		if err != nil {
 			t.Fatalf("engine %v: %v", k, err)
 		}
@@ -358,7 +358,7 @@ func TestCursorStaleAfterRuleUpdate(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			g := guardFixture(t, "CalcLL.bnf")
-			e, err := engine.New(kind, g, nil)
+			e, err := engine.New(kind, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,7 +421,7 @@ func TestCursorStaleAfterBackendSwitch(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			e := engine.NewAuto(g, nil)
+			e := engine.NewAuto(g)
 			if e.Kind() != c.from {
 				t.Fatalf("auto serves %v, want %v", e.Kind(), c.from)
 			}
@@ -485,7 +485,7 @@ func TestCursorStepMaxPos(t *testing.T) {
 
 func TestOneShotAccepts(t *testing.T) {
 	g := guardFixture(t, "CalcDet.bnf")
-	e, err := engine.New(engine.KindLALR, g, nil)
+	e, err := engine.New(engine.KindLALR, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,11 +560,11 @@ func FuzzAccepts(f *testing.F) {
 		f.Fatal(err)
 	}
 	vocab := engine.NewVocab(src)
-	lalrEng, err := engine.New(engine.KindLALR, src, nil)
+	lalrEng, err := engine.New(engine.KindLALR, src)
 	if err != nil {
 		f.Fatal(err)
 	}
-	earleyEng, err := engine.New(engine.KindEarley, src, nil)
+	earleyEng, err := engine.New(engine.KindEarley, src)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -30,7 +30,6 @@ type Earley struct {
 
 	parsesServed atomic.Uint64
 	items        atomic.Uint64
-	updates      atomic.Uint64
 }
 
 // earleyScratch pools the per-parse options value so the steady-state
@@ -110,9 +109,6 @@ func (e *Earley) Counters() core.Counters {
 	}
 }
 
-// Updates reports the number of rule updates applied to the engine.
-func (e *Earley) Updates() uint64 { return e.updates.Load() }
-
 // TableInfo implements Engine: there is no table at all.
 func (e *Earley) TableInfo() TableInfo { return TableInfo{} }
 
@@ -125,7 +121,6 @@ func (e *Earley) AddRule(r *grammar.Rule) error {
 	if err := e.g.AddRule(r); err != nil {
 		return fmt.Errorf("engine: earley add rule: %w", err)
 	}
-	e.updates.Add(1)
 	return nil
 }
 
@@ -136,6 +131,5 @@ func (e *Earley) DeleteRule(r *grammar.Rule) error {
 	if _, err := e.g.DeleteRule(r); err != nil {
 		return fmt.Errorf("engine: earley delete rule: %w", err)
 	}
-	e.updates.Add(1)
 	return nil
 }

@@ -18,12 +18,12 @@
 //   - KindEarley — grammar-driven parsing with no table at all: maximal
 //     flexibility, minimal speed (the other end of Fig 2.1). Builds
 //     packed forests and applies rule updates for free.
-//   - KindAuto — probes the grammar and picks the cheapest adequate
-//     backend (conflict-free ⇒ LALR(1); LL(1)-able ⇒ LL; else lazy
-//     GLR), recording why. Rule updates move the verdict when they move
-//     the grammar across the determinism boundary; the conflicted
-//     tables that decide it are repaired by need, once per verdict
-//     read, not once per update.
+//   - KindAuto — probes the grammar's LALR(1) table and picks LALR(1)
+//     when it is conflict-free and lazy GLR otherwise, recording why.
+//     Rule updates move the verdict when they move the grammar across
+//     the determinism boundary; the conflicted table that decides it is
+//     repaired by need, once per verdict read, not once per update. LL
+//     is never selected, only requested by name.
 //
 // All engines share the glr.Result shape, so the registry and serve
 // layers are engine-agnostic; capabilities the backends do not share
@@ -276,27 +276,13 @@ func GeneratorOf(e Engine) *core.Generator {
 	}
 }
 
-// Options configures engine construction.
-type Options struct {
-	// GC selects the lazy generator's garbage-collection policy (GLR
-	// engines only).
-	GC core.Policy
-}
-
-func (o *Options) gc() core.Policy {
-	if o == nil {
-		return core.PolicyRefCount
-	}
-	return o.GC
-}
-
 // New builds an engine of the given kind for g. KindDefault resolves to
 // KindGLR. Construction fails for KindLL when the grammar is not LL(1);
 // every other kind accepts any grammar.
-func New(kind Kind, g *grammar.Grammar, opts *Options) (Engine, error) {
+func New(kind Kind, g *grammar.Grammar) (Engine, error) {
 	switch kind {
 	case KindDefault, KindGLR:
-		return NewGLR(g, opts, "requested"), nil
+		return NewGLR(g, "requested"), nil
 	case KindLALR:
 		return NewLALR(g, "requested"), nil
 	case KindLL:
@@ -304,7 +290,7 @@ func New(kind Kind, g *grammar.Grammar, opts *Options) (Engine, error) {
 	case KindEarley:
 		return NewEarley(g, "requested"), nil
 	case KindAuto:
-		return NewAuto(g, opts), nil
+		return NewAuto(g), nil
 	default:
 		return nil, fmt.Errorf("engine: unknown kind %v", kind)
 	}

@@ -84,7 +84,7 @@ func TestEveryEngineParsesTheCalculator(t *testing.T) {
 		{KindLL, "CalcLL.bnf"}, // CalcDet is left-recursive; LL needs the factored variant
 	} {
 		g := loadFixture(t, tc.fixture)
-		e, err := New(tc.kind, g, nil)
+		e, err := New(tc.kind, g)
 		if err != nil {
 			t.Fatalf("New(%v): %v", tc.kind, err)
 		}
@@ -122,7 +122,7 @@ func TestLLRejectsNonLL1Grammar(t *testing.T) {
 
 func TestAutoSelectsLALRForDeterministicCalc(t *testing.T) {
 	g := loadFixture(t, "CalcDet.bnf")
-	e := NewAuto(g, nil)
+	e := NewAuto(g)
 	if e.Kind() != KindLALR {
 		t.Fatalf("auto picked %v for the calculator, want lalr (reason %q)", e.Kind(), e.Reason())
 	}
@@ -133,7 +133,7 @@ func TestAutoSelectsLALRForDeterministicCalc(t *testing.T) {
 
 func TestAutoSelectsGLRForAmbiguousGrammar(t *testing.T) {
 	g := grammar.MustParse(ambiguousText)
-	e := NewAuto(g, nil)
+	e := NewAuto(g)
 	if e.Kind() != KindGLR {
 		t.Fatalf("auto picked %v for an ambiguous grammar, want glr (reason %q)", e.Kind(), e.Reason())
 	}
@@ -151,7 +151,7 @@ func TestAutoSelectsGLRForAmbiguousGrammar(t *testing.T) {
 
 func TestAutoReselectsAcrossModifications(t *testing.T) {
 	g := loadFixture(t, "CalcDet.bnf")
-	e := NewAuto(g, nil)
+	e := NewAuto(g)
 	if e.Kind() != KindLALR {
 		t.Fatalf("initial selection %v, want lalr", e.Kind())
 	}
@@ -196,25 +196,25 @@ func TestSnapshotterOf(t *testing.T) {
 	det := loadFixture(t, "CalcDet.bnf")
 	amb := grammar.MustParse(ambiguousText)
 
-	glrEng, _ := New(KindGLR, grammar.MustParse(ambiguousText), nil)
+	glrEng, _ := New(KindGLR, grammar.MustParse(ambiguousText))
 	if SnapshotterOf(glrEng) == nil {
 		t.Error("GLR engine must support snapshots")
 	}
-	lalrEng, _ := New(KindLALR, det, nil)
+	lalrEng, _ := New(KindLALR, det)
 	if SnapshotterOf(lalrEng) != nil {
 		t.Error("LALR engine must not claim snapshot support")
 	}
-	if s := SnapshotterOf(NewAuto(det, nil)); s != nil {
+	if s := SnapshotterOf(NewAuto(det)); s != nil {
 		t.Error("auto→LALR must not claim snapshot support")
 	}
-	if s := SnapshotterOf(NewAuto(amb, nil)); s == nil {
+	if s := SnapshotterOf(NewAuto(amb)); s == nil {
 		t.Error("auto→GLR must support snapshots")
 	}
 }
 
 func TestGLRSnapshotRoundTrip(t *testing.T) {
 	g := grammar.MustParse(ambiguousText)
-	e := NewGLR(g, nil, "requested")
+	e := NewGLR(g, "requested")
 	if _, err := e.Parse(fixtures.Tokens(g, "n + n"), true); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestGLRSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := NewGLR(g2, nil, "requested")
+	e2 := NewGLR(g2, "requested")
 	e2.RestoreTable(auto)
 	info := e2.TableInfo()
 	if info.Complete != cov.Complete {
@@ -249,10 +249,10 @@ func TestGLRSnapshotRoundTrip(t *testing.T) {
 
 func TestGeneratorOf(t *testing.T) {
 	amb := grammar.MustParse(ambiguousText)
-	if GeneratorOf(NewGLR(amb, nil, "requested")) == nil {
+	if GeneratorOf(NewGLR(amb, "requested")) == nil {
 		t.Error("GeneratorOf(GLR) = nil")
 	}
-	if GeneratorOf(NewAuto(amb, nil)) == nil {
+	if GeneratorOf(NewAuto(amb)) == nil {
 		t.Error("GeneratorOf(auto→GLR) = nil")
 	}
 	det := loadFixture(t, "CalcDet.bnf")
@@ -349,7 +349,7 @@ func TestLLRollsBackConflictingRule(t *testing.T) {
 // still conflict-free.
 func TestAutoKeepsLALRUnderChurn(t *testing.T) {
 	g := loadFixture(t, "CalcDet.bnf")
-	e := NewAuto(g, nil)
+	e := NewAuto(g)
 	if e.Kind() != KindLALR {
 		t.Fatalf("initial selection %v, want lalr", e.Kind())
 	}

@@ -23,14 +23,13 @@ type GLR struct {
 	mu     sync.RWMutex
 	reason string
 	gen    *core.Generator
-	opts   core.Options
 }
 
-// NewGLR builds a lazy-GLR engine for g; no table generation happens
-// until the first parse.
-func NewGLR(g *grammar.Grammar, opts *Options, reason string) *GLR {
-	copts := core.Options{Policy: opts.gc()}
-	return &GLR{reason: reason, gen: core.New(g, &copts), opts: copts}
+// NewGLR builds a lazy-GLR engine for g with the generator's default
+// garbage-collection policy (core.PolicyRefCount); no table generation
+// happens until the first parse.
+func NewGLR(g *grammar.Grammar, reason string) *GLR {
+	return &GLR{reason: reason, gen: core.New(g, nil)}
 }
 
 // Kind implements Engine.
@@ -136,5 +135,5 @@ func (e *GLR) SaveTable(w io.Writer) (core.CoverageStats, error) {
 func (e *GLR) RestoreTable(a *lr.Automaton) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.gen = core.NewFromAutomaton(a, &e.opts)
+	e.gen = core.NewFromAutomaton(a, nil)
 }

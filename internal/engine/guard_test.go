@@ -34,7 +34,7 @@ func guardFixture(t testing.TB, name string) *grammar.Grammar {
 func TestParseGuardedRecoversPanics(t *testing.T) {
 	defer faultinject.Reset()
 	g := guardFixture(t, "CalcDet.bnf")
-	e, err := engine.New(engine.KindLALR, g, nil)
+	e, err := engine.New(engine.KindLALR, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCancelFlagAbortsEveryEngine(t *testing.T) {
 		{engine.KindLL, "CalcLL.bnf"},
 	} {
 		g := guardFixture(t, tc.fixture)
-		e, err := engine.New(tc.kind, g, nil)
+		e, err := engine.New(tc.kind, g)
 		if err != nil {
 			t.Fatalf("New(%v): %v", tc.kind, err)
 		}
@@ -114,7 +114,7 @@ func TestSessionGuardedCancelAndPanic(t *testing.T) {
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			g := guardFixture(t, tc.fixture)
-			e, err := engine.New(tc.kind, g, nil)
+			e, err := engine.New(tc.kind, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestCursorGuardedCancelAndPanic(t *testing.T) {
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			g := guardFixture(t, tc.fixture)
-			e, err := engine.New(tc.kind, g, nil)
+			e, err := engine.New(tc.kind, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestParseGuardedZeroAllocsWithFlag(t *testing.T) {
 		t.Skip("race instrumentation makes sync.Pool lossy; allocation counts are meaningless under -race")
 	}
 	g := fixtures.Booleans()
-	e, err := engine.New(engine.KindGLR, g, nil)
+	e, err := engine.New(engine.KindGLR, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestGuardedFlagAddsNoAllocs(t *testing.T) {
 		{engine.KindLL, "CalcLL.bnf"},
 	} {
 		g := guardFixture(t, tc.fixture)
-		e, err := engine.New(tc.kind, g, nil)
+		e, err := engine.New(tc.kind, g)
 		if err != nil {
 			t.Fatalf("New(%v): %v", tc.kind, err)
 		}

@@ -23,15 +23,15 @@ func TestParitySDFFixturesAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	glrEng, err := engine.New(engine.KindGLR, g, nil)
+	glrEng, err := engine.New(engine.KindGLR, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lalrEng, err := engine.New(engine.KindLALR, g, nil)
+	lalrEng, err := engine.New(engine.KindLALR, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	earleyEng, err := engine.New(engine.KindEarley, g, nil)
+	earleyEng, err := engine.New(engine.KindEarley, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestParitySDFAmbiguousPackedForests(t *testing.T) {
 		if w.Name != "calc-sdf-ambiguous" {
 			continue
 		}
-		glrEng, err := engine.New(engine.KindGLR, w.Grammar, nil)
+		glrEng, err := engine.New(engine.KindGLR, w.Grammar)
 		if err != nil {
 			t.Fatal(err)
 		}
-		earleyEng, err := engine.New(engine.KindEarley, w.Grammar, nil)
+		earleyEng, err := engine.New(engine.KindEarley, w.Grammar)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,15 +48,15 @@ func treeOf(t *testing.T, e Engine, g *grammar.Grammar, input string) (bool, str
 func TestParityDeterministicFixturesIdenticalTrees(t *testing.T) {
 	for _, fixture := range []string{"CalcDet.bnf", "CalcLL.bnf"} {
 		g := loadFixture(t, fixture)
-		glrEng, err := New(KindGLR, g, nil)
+		glrEng, err := New(KindGLR, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lalrEng, err := New(KindLALR, g, nil)
+		lalrEng, err := New(KindLALR, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		earleyEng, err := New(KindEarley, g, nil)
+		earleyEng, err := New(KindEarley, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,9 +94,9 @@ func TestParityDeterministicFixturesIdenticalTrees(t *testing.T) {
 
 func TestParityAmbiguousGrammarAcceptance(t *testing.T) {
 	g := grammar.MustParse(ambiguousText)
-	glrEng, _ := New(KindGLR, g, nil)
-	lalrEng, _ := New(KindLALR, g, nil) // conflicted table drives GSS
-	earleyEng, _ := New(KindEarley, g, nil)
+	glrEng, _ := New(KindGLR, g)
+	lalrEng, _ := New(KindLALR, g) // conflicted table drives GSS
+	earleyEng, _ := New(KindEarley, g)
 
 	for _, input := range []string{"n", "n + n", "n + n + n", "n + n + n + n", "", "+ n", "n +"} {
 		toks := fixtures.Tokens(g, input)

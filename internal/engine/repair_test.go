@@ -168,12 +168,12 @@ func convertSDF(t testing.TB) *sdf.Converted {
 // TestAutoVerdictParity is the property behind the incremental auto
 // verdict: over random add/delete sequences, after every update the auto
 // engine selects what a probe of a fresh copy of the grammar selects,
-// and while lazy GLR serves, the LALR(1) and LL(1) tables auto keeps and
-// repairs are action-identical to from-scratch generations, and its
-// reason quotes the fresh probe's conflict count. A batched pass reads
-// the verdict only after each batch of 1–8 updates, add→delete and
-// delete→re-add pairs of one rule included, so each settle repairs the
-// kept tables once with the batch's net diff.
+// and while lazy GLR serves, the LALR(1) table auto keeps and repairs is
+// action-identical to a from-scratch generation, and its reason quotes
+// the fresh probe's conflict count. A batched pass reads the verdict
+// only after each batch of 1–8 updates, add→delete and delete→re-add
+// pairs of one rule included, so each settle repairs the kept table
+// once with the batch's net diff.
 func TestAutoVerdictParity(t *testing.T) {
 	grammars := []struct {
 		name string
@@ -188,7 +188,7 @@ func TestAutoVerdictParity(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
 			batched := seed >= 4
 			g := c.load(t)
-			a := NewAuto(g, nil)
+			a := NewAuto(g)
 			rng := rand.New(rand.NewSource(seed))
 			var nts, pool []grammar.Symbol
 			for _, n := range g.Symbols().Nonterminals() {
@@ -266,7 +266,7 @@ func TestAutoVerdictParity(t *testing.T) {
 
 // checkAutoParity reads a's verdict, settling its pending updates, and
 // checks it against a fresh probe of g; while lazy GLR serves, the kept
-// tables must equal regenerated ones and the reason must quote the
+// table must equal a regenerated one and the reason must quote the
 // fresh probe's conflict count.
 func checkAutoParity(t *testing.T, a *Auto, g *grammar.Grammar, label string) {
 	t.Helper()
@@ -282,16 +282,13 @@ func checkAutoParity(t *testing.T, a *Auto, g *grammar.Grammar, label string) {
 		t.Fatalf("%s: reason quotes %d LALR(1) conflicts, a fresh probe %d (%q)", label, have, want, a.Reason())
 	}
 	a.mu.RLock()
-	lrTbl, llTbl, pending := a.lrTbl, a.llTbl, len(a.pending)
+	lrTbl, pending := a.lrTbl, len(a.pending)
 	a.mu.RUnlock()
-	if lrTbl == nil || llTbl == nil || pending != 0 {
-		t.Fatalf("%s: lazy GLR serves with kept tables %v/%v and %d updates pending", label, lrTbl != nil, llTbl != nil, pending)
+	if lrTbl == nil || pending != 0 {
+		t.Fatalf("%s: lazy GLR serves with a kept table %v and %d updates pending", label, lrTbl != nil, pending)
 	}
 	if got, want := lrTbl.Signature(), lalr.Generate(g).Signature(); got != want {
 		t.Fatalf("%s: retained LALR table diverges\n--- retained ---\n%s\n--- regenerated ---\n%s", label, got, want)
-	}
-	if got, want := llTbl.Signature(), ll.Generate(g).Signature(); got != want {
-		t.Fatalf("%s: retained LL table diverges\n--- retained ---\n%s\n--- regenerated ---\n%s", label, got, want)
 	}
 }
 
@@ -332,9 +329,10 @@ type tableRepairCtx struct {
 // the same bytes as batches of 1–8 mutations, add→delete and
 // delete→re-add pairs of one rule included; each batch is folded by
 // auto's rule (logUpdate) and repaired with one Repair of the net diff
-// per table, or re-stamped when the diff is empty, as auto's settle
-// does. CI runs this for 60s alongside FuzzSessionSplice and uploads
-// crashers.
+// per table. The LALR(1) table is re-stamped instead when the diff is
+// empty, as auto's settle does; the LL(1) table, which the ll backend
+// repairs, takes the empty Repair. CI runs this for 60s alongside
+// FuzzSessionSplice and uploads crashers.
 func FuzzTableRepair(f *testing.F) {
 	calcSrc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "CalcDet.bnf"))
 	if err != nil {
@@ -556,13 +554,10 @@ func fuzzBatchedRepair(t *testing.T, c tableRepairCtx, data []byte) {
 		}
 		if len(log) == 0 {
 			ltab.Restamp()
-			ptab.Restamp()
-		} else {
-			if st := ltab.Repair(log...); st.Stale() {
-				ltab = lalr.Generate(g)
-			}
-			ptab.Repair(log...)
+		} else if st := ltab.Repair(log...); st.Stale() {
+			ltab = lalr.Generate(g)
 		}
+		ptab.Repair(log...)
 		if got, want := ltab.Signature(), lalr.Generate(g).Signature(); got != want {
 			t.Fatalf("%s batch %d: repaired LALR table diverges\n--- repaired ---\n%s\n--- regenerated ---\n%s",
 				c.name, batch, got, want)

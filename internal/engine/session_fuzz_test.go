@@ -31,7 +31,7 @@ func newSessionFuzzCtxs(tb testing.TB) []sessionFuzzCtx {
 		vocabC = append(vocabC, gC.Symbols().MustIntern(name, grammar.Terminal))
 	}
 	mk := func(k Kind, g *grammar.Grammar) Engine {
-		e, err := New(k, g, nil)
+		e, err := New(k, g)
 		if err != nil {
 			tb.Fatalf("New(%v): %v", k, err)
 		}

@@ -120,14 +120,6 @@ func Set(site string, f Fault) {
 	mu.Unlock()
 }
 
-// Clear disarms the fault at site, if any.
-func Clear(site string) {
-	mu.Lock()
-	delete(faults, site)
-	armed.Store(len(faults) > 0)
-	mu.Unlock()
-}
-
 // Reset disarms every fault and zeroes all counters.
 func Reset() {
 	mu.Lock()

@@ -170,9 +170,6 @@ func (t *SymbolTable) Kind(s Symbol) Kind {
 // IsTerminal reports whether s is a terminal of this table.
 func (t *SymbolTable) IsTerminal(s Symbol) bool { return t.Kind(s) == Terminal }
 
-// IsNonterminal reports whether s is a nonterminal of this table.
-func (t *SymbolTable) IsNonterminal(s Symbol) bool { return t.Kind(s) == Nonterminal }
-
 // Len returns the number of interned symbols, including EOF.
 func (t *SymbolTable) Len() int { return len(t.names) - 1 }
 

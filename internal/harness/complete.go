@@ -128,7 +128,7 @@ type completeRun struct {
 
 func runCompleteOnce(kind engine.Kind, g *grammar.Grammar, prefix []grammar.Symbol) (completeRun, error) {
 	var run completeRun
-	e, err := engine.New(kind, g, nil)
+	e, err := engine.New(kind, g)
 	if err != nil {
 		return run, err
 	}

@@ -327,7 +327,7 @@ func PercentileNS(sorted []time.Duration, q float64) int64 {
 func runEnginesOnce(kind engine.Kind, w EngineWorkload) (engineRun, error) {
 	var run engineRun
 	start := time.Now()
-	e, err := engine.New(kind, w.Grammar, nil)
+	e, err := engine.New(kind, w.Grammar)
 	if err != nil {
 		return run, err
 	}

@@ -107,11 +107,6 @@ func (c CharClass) Negate() CharClass {
 	return CharClass{ranges: out}
 }
 
-// Union returns the union of two classes.
-func (c CharClass) Union(o CharClass) CharClass {
-	return NewCharClass(append(append([]RuneRange(nil), c.ranges...), o.ranges...)...)
-}
-
 // Ranges returns the normalized ranges. Callers must not modify the
 // slice.
 func (c CharClass) Ranges() []RuneRange { return c.ranges }

@@ -172,13 +172,6 @@ func (t *Table) Repair(rules ...*grammar.Rule) RepairStats {
 	return st
 }
 
-// Restamp records that the grammar, though its version moved, again
-// holds exactly the rules the table reflects, in the same order: the
-// updates since cancelled out. The next Repair then measures damage
-// from the current version instead of refilling what moved and moved
-// back.
-func (t *Table) Restamp() { t.version = t.g.Version() }
-
 // spliceRow replaces row n's previous count conflicts in the table-wide
 // list, kept in (nonterminal, lookahead) order, with its current ones.
 func (t *Table) spliceRow(n grammar.Symbol, count int) {

@@ -30,7 +30,7 @@ const (
 	// StageAdmit is admission control: rate limiting + concurrency gate.
 	StageAdmit
 	// StageSelect is engine selection — auto entries settle pending rule
-	// updates here, repairing their kept tables or re-probing.
+	// updates here, repairing their kept table or re-probing.
 	StageSelect
 	// StageTable is table/chart work: the LR drive or Earley chart pass,
 	// including lazy state expansion on the GLR path.

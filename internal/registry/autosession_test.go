@@ -43,7 +43,7 @@ var autoSwitchCases = []struct {
 		}
 		// Only the kept LALR(1) table propagates lookaheads under GLR.
 		if after := e.Counters().RepairPropagated; after != before {
-			t.Fatalf("the updates repaired the kept tables (%d lookahead slots propagated), want them pending", after-before)
+			t.Fatalf("the updates repaired the kept table (%d lookahead slots propagated), want them pending", after-before)
 		}
 	}},
 }

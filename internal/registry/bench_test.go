@@ -12,10 +12,10 @@ import (
 // lazy GLR serves: SDF.sdf, the service benchmark's churn grammar. One
 // op adds and then deletes a fresh-keyword rule through the registry,
 // the way POST /v1/grammars/{name}/rules does. The updates only log the
-// rule for auto's kept tables; three untimed parses follow each pair,
+// rule for auto's kept table; three untimed parses follow each pair,
 // and the first settles the verdict, folding the pair to nothing.
 // probes/op counts the full table probes auto ran; it is 0 when every
-// verdict is re-read from the kept tables.
+// verdict is re-read from the kept table.
 func BenchmarkAutoRuleUpdate(b *testing.B) {
 	e := registerTestdata(b, New(), "sdf", "SDF.sdf", engine.KindAuto)
 	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "exp.sdf"))

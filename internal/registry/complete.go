@@ -123,14 +123,14 @@ func (op *CompletionOp) feed(e *Entry, tr *obs.ParseTrace) ([]grammar.Symbol, er
 // It forwards to Complete, uncancellable and without an accept-set
 // query.
 func (r *Registry) OpenCompletion(e *Entry, prefix string, tr *obs.ParseTrace) (cs *CompletionSession, rejPos int, err error) {
-	cs, _, rejPos, err = r.Complete(context.Background(), e, CompletionOp{Input: prefix}, nil, tr)
+	cs, _, _, rejPos, err = r.Complete(context.Background(), e, CompletionOp{Input: prefix}, nil, tr)
 	return cs, rejPos, err
 }
 
 // Apply resumes cs with an already resolved feed. It forwards to
 // Complete, uncancellable.
 func (cs *CompletionSession) Apply(restore int, feed []grammar.Symbol, dst *engine.TermSet, tr *obs.ParseTrace) (rejIdx int, err error) {
-	_, _, rejIdx, err = cs.reg.Complete(context.Background(), cs.entry, CompletionOp{Cursor: cs, Restore: restore, Tokens: feed}, dst, tr)
+	_, _, _, rejIdx, err = cs.reg.Complete(context.Background(), cs.entry, CompletionOp{Cursor: cs, Restore: restore, Tokens: feed}, dst, tr)
 	return rejIdx, err
 }
 
@@ -147,38 +147,41 @@ func (cs *CompletionSession) Apply(restore int, feed []grammar.Symbol, dst *engi
 // position after the restore and the feed. An open is inserted, under
 // MaxCursors, only when that first step succeeded; a one-shot query
 // retains nothing. Complete returns the cursor (nil for a one-shot
-// query) and its position. On a rejected token rejIdx is the token's
-// index in the feed, with engine.ErrRejected; a resumed cursor keeps
-// the tokens accepted before it, a started one is dropped. rejIdx is
-// -1 otherwise. Errors surface engine.ErrCursorStale once the grammar
+// query), its position and the entry's version (Entry.Version) the
+// step ran at, read under the lock. On a rejected token rejIdx is the
+// token's index in the feed, with engine.ErrRejected; a resumed cursor
+// keeps the tokens accepted before it, a started one is dropped.
+// rejIdx is -1 otherwise. Errors surface engine.ErrCursorStale once the grammar
 // has moved under a cursor; it then refuses all further use and should
 // be closed.
-func (r *Registry) Complete(ctx context.Context, e *Entry, op CompletionOp, dst *engine.TermSet, tr *obs.ParseTrace) (cs *CompletionSession, pos, rejIdx int, err error) {
+func (r *Registry) Complete(ctx context.Context, e *Entry, op CompletionOp, dst *engine.TermSet, tr *obs.ParseTrace) (cs *CompletionSession, pos int, version uint64, rejIdx int, err error) {
 	if err := e.admit(tr); err != nil {
-		return nil, 0, -1, err
+		return nil, 0, 0, -1, err
 	}
 	defer e.release()
 	defer e.observeCompletion(time.Now())
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
+	version = e.Version()
 	if op.Cursor == nil {
-		return r.startCursor(ctx, e, op, dst, tr)
+		cs, pos, rejIdx, err = r.startCursor(ctx, e, op, dst, tr)
+		return cs, pos, version, rejIdx, err
 	}
 	feed, err := op.feed(e, tr)
 	if err != nil {
-		return nil, 0, -1, err
+		return nil, 0, version, -1, err
 	}
 	cs = op.Cursor
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.closed {
-		return nil, 0, -1, ErrNoCursor
+		return nil, 0, version, -1, ErrNoCursor
 	}
 	feeds, queries := cs.feeds, cs.queries
 	rejIdx, err = cs.run(ctx, op.Restore, feed, dst, tr)
 	r.work.feeds.Add(cs.feeds - feeds)
 	r.work.queries.Add(cs.queries - queries)
-	return cs, cs.step.Cursor.Pos(), rejIdx, err
+	return cs, cs.step.Cursor.Pos(), version, rejIdx, err
 }
 
 // startCursor is Complete without a cursor: the first step opens a

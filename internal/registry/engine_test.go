@@ -57,39 +57,40 @@ func TestSameGrammarUnderEveryEngine(t *testing.T) {
 	}
 }
 
+// TestAutoSelectionPerGrammar pins auto's verdict on every testdata
+// grammar, registered as ipg-serve's -grammar flag registers it: a
+// conflicted LALR(1) table selects lazy GLR, a conflict-free one
+// LALR(1).
 func TestAutoSelectionPerGrammar(t *testing.T) {
 	r := New()
+	for _, c := range []struct {
+		file string
+		want engine.Kind
+	}{
+		{"SDF.sdf", engine.KindGLR},
+		{"exp.sdf", engine.KindGLR},
+		{"Calc.sdf", engine.KindGLR},
+		{"CalcDet.bnf", engine.KindLALR},
+		{"CalcLL.bnf", engine.KindLALR},
+		{"Exam.sdf", engine.KindLALR},
+		{"ASF.sdf", engine.KindLALR},
+	} {
+		e := registerTestdata(t, r, c.file, c.file, engine.KindAuto)
+		reason := e.Stats().EngineReason
+		if got := e.EngineKind(); got != c.want {
+			t.Errorf("auto picked %v for %s, want %v (%s)", got, c.file, c.want, reason)
+		}
+		if e.RequestedEngine() != engine.KindAuto {
+			t.Errorf("%s: RequestedEngine = %v, want auto", c.file, e.RequestedEngine())
+		}
+		if want := map[engine.Kind]string{engine.KindGLR: "LALR(1) conflicts", engine.KindLALR: "conflict-free"}[c.want]; !strings.Contains(reason, want) {
+			t.Errorf("%s: selection reason %q does not say %q", c.file, reason, want)
+		}
+	}
 
-	// Deterministic calculator: auto must pick the LALR(1) fast path.
-	det, err := r.Register("calc", Spec{Source: calcDetSrc, Engine: engine.KindAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.EngineKind() != engine.KindLALR {
-		t.Errorf("auto picked %v for the deterministic calculator, want lalr (%s)",
-			det.EngineKind(), det.Stats().EngineReason)
-	}
-	if det.RequestedEngine() != engine.KindAuto {
-		t.Errorf("RequestedEngine = %v, want auto", det.RequestedEngine())
-	}
-
-	// The ambiguous SDF calculator (priorities, not stratification):
-	// auto must keep lazy GLR.
-	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "Calc.sdf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	amb, err := r.Register("calc-sdf", Spec{Source: string(src), Form: FormSDF, Engine: engine.KindAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if amb.EngineKind() != engine.KindGLR {
-		t.Errorf("auto picked %v for the ambiguous SDF calculator, want glr (%s)",
-			amb.EngineKind(), amb.Stats().EngineReason)
-	}
-	if reason := amb.Stats().EngineReason; !strings.Contains(reason, "conflict") {
-		t.Errorf("selection reason %q does not mention conflicts", reason)
-	}
+	// The ambiguous SDF calculator (priorities, not stratification)
+	// parses on lazy GLR with its priority filters applied.
+	amb, _ := r.Get("Calc.sdf")
 	res, err := amb.ParseInput("1 + 2 * 3", true)
 	if err != nil || !res.Accepted || res.Trees != 1 {
 		t.Fatalf("auto/GLR SDF parse: err=%v accepted=%v trees=%d", err, res.Accepted, res.Trees)
@@ -118,8 +119,8 @@ func registerTestdata(tb testing.TB, r *Registry, name, file string, kind engine
 // TestAutoGLRUpdatesRepairProbe pins the incremental auto verdict on the
 // service path. SDF.sdf has LALR(1) conflicts, so auto serves it with
 // lazy GLR; the parses between fresh-keyword rule updates settle them,
-// splicing each into the probe tables auto keeps, and the verdict is
-// re-read from those tables without a single table probe.
+// splicing each into the probe table auto keeps, and the verdict is
+// re-read from that table without a single table probe.
 func TestAutoGLRUpdatesRepairProbe(t *testing.T) {
 	e := registerTestdata(t, New(), "sdf", "SDF.sdf", engine.KindAuto)
 	if e.EngineKind() != engine.KindGLR {
@@ -161,9 +162,9 @@ func TestAutoGLRUpdatesRepairProbe(t *testing.T) {
 // TestAutoSettleRunsInSelectStage pins where an auto entry's kept-table
 // work lands. A traced rule update on SDF.sdf, which lazy GLR serves,
 // carries only the lazy generator's splice: no lookahead propagation,
-// rule diffing or re-analysis, which under GLR only the kept tables do.
+// rule diffing or re-analysis, which under GLR only the kept table does.
 // The next traced parse settles the update in its select stage, and the
-// entry's counters then include the kept tables' repair.
+// entry's counters then include the kept table's repair.
 func TestAutoSettleRunsInSelectStage(t *testing.T) {
 	e := registerTestdata(t, New(), "sdf", "SDF.sdf", engine.KindAuto)
 	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "exp.sdf"))
@@ -182,7 +183,7 @@ func TestAutoSettleRunsInSelectStage(t *testing.T) {
 			sp.RepairPropagated, sp.RepairRulesDiffed, sp.RepairReanalysed)
 	}
 	if mid := e.Counters(); mid.RepairPropagated != before.RepairPropagated {
-		t.Fatalf("the update repaired the kept tables: %+v, was %+v", mid, before)
+		t.Fatalf("the update repaired the kept table: %+v, was %+v", mid, before)
 	}
 	tr = tracer.StartParse(e.Name(), engine.ServingKind(e.Engine()).String(), "")
 	res, err := e.Run(context.Background(), string(doc), nil, false, tr)
@@ -191,7 +192,7 @@ func TestAutoSettleRunsInSelectStage(t *testing.T) {
 	}
 	sp, _, _ = tr.FinishSpan(true, nil)
 	if after := e.Counters(); after.RepairPropagated == before.RepairPropagated {
-		t.Fatal("the parse did not settle the update into the kept tables")
+		t.Fatal("the parse did not settle the update into the kept table")
 	}
 	if sp.Stages[obs.StageSelect] <= 0 || sp.Engine != "glr" {
 		t.Fatalf("parse span: select stage %v, engine %q; want a select stage on glr", sp.Stages[obs.StageSelect], sp.Engine)

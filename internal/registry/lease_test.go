@@ -276,7 +276,7 @@ func TestLeaseWorkTotalsExact(t *testing.T) {
 	}
 	// A one-shot query and an open rejected after two feeds retain
 	// nothing and count nothing.
-	if _, _, _, err := r.Complete(context.Background(), lalr, CompletionOp{Once: true, Input: "n + n"}, &set, nil); err != nil {
+	if _, _, _, _, err := r.Complete(context.Background(), lalr, CompletionOp{Once: true, Input: "n + n"}, &set, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := r.OpenCompletion(lalr, "n + + n", nil); !errors.Is(err, engine.ErrRejected) {

@@ -104,9 +104,6 @@ type Spec struct {
 	// the registry default, which is lazy GLR unless SetDefaultEngine
 	// says otherwise; engine.KindAuto probes the grammar).
 	Engine engine.Kind
-	// GC selects the generator's garbage-collection policy (lazy-GLR
-	// engines only).
-	GC core.Policy
 	// Limits is the entry's admission control; the zero value inherits
 	// the registry's defaults (SetDefaultLimits).
 	Limits Limits
@@ -244,7 +241,7 @@ type Entry struct {
 	// SymbolTable and consult the grammar before taking the generator's
 	// write lock, so parses/stats (readers) and updates (writers) must
 	// exclude each other here too. An auto engine's verdict reads settle
-	// its pending rule updates into its kept tables, and cursor steps
+	// its pending rule updates into its kept table, and cursor steps
 	// close their frontiers and read accept sets; both read the symbol
 	// table, so they hold the read lock as well. A request takes the
 	// read lock once: a nested read lock deadlocks behind a waiting
@@ -292,7 +289,7 @@ func newEntry(name string, spec Spec) (*Entry, error) {
 	default:
 		return nil, fmt.Errorf("registry: unresolved form %v", spec.Form)
 	}
-	eng, err := engine.New(spec.Engine, e.g, &engine.Options{GC: spec.GC})
+	eng, err := engine.New(spec.Engine, e.g)
 	if err != nil {
 		return nil, err
 	}
@@ -962,9 +959,6 @@ func New() *Registry {
 // zero-alloc warm path only pays when a profiler is actually attached.
 // Safe to flip while serving.
 func (r *Registry) SetProfileLabels(on bool) { r.profLabels.Store(on) }
-
-// ProfileLabels reports whether pprof labeling is on.
-func (r *Registry) ProfileLabels() bool { return r.profLabels.Load() }
 
 // Register compiles spec and installs it under name, replacing any
 // previous entry of that name (the new entry continues the version

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ipg/internal/core"
 	"ipg/internal/glr"
 	"ipg/internal/grammar"
 )
@@ -250,7 +249,7 @@ func (e errorString) Error() string { return string(e) }
 // (before-or-after semantics), and nothing panics or races.
 func TestConcurrentParseAndModifyStress(t *testing.T) {
 	r := New()
-	e, err := r.Register("bool", Spec{Source: boolSrc, GC: core.PolicyRefCount})
+	e, err := r.Register("bool", Spec{Source: boolSrc})
 	if err != nil {
 		t.Fatal(err)
 	}

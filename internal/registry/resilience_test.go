@@ -138,7 +138,7 @@ func TestCompletionGuardedLikeParses(t *testing.T) {
 			ctx, cancelCtx := context.WithTimeout(context.Background(), 15*time.Millisecond)
 			defer cancelCtx()
 			start := time.Now()
-			_, _, _, err = r.Complete(ctx, e, CompletionOp{Once: true, Input: slowInput(400)}, &set, nil)
+			_, _, _, _, err = r.Complete(ctx, e, CompletionOp{Once: true, Input: slowInput(400)}, &set, nil)
 			var cerr *cancel.Error
 			if !errors.As(err, &cerr) || cerr.Reason != cancel.Deadline {
 				t.Fatalf("deadline-bounded completion: %v, want a deadline cancellation", err)

@@ -98,16 +98,10 @@ func (r *Registry) SetLogger(l *slog.Logger) { r.logger = l }
 // registered with zero Limits. Call before serving traffic.
 func (r *Registry) SetDefaultLimits(l Limits) { r.defaultLimits = l }
 
-// DefaultLimits returns the registry-wide default admission control.
-func (r *Registry) DefaultLimits() Limits { return r.defaultLimits }
-
 // SetDefaultEngine sets the backend applied to every spec registered
 // with engine.KindDefault (the zero value keeps lazy GLR). Call before
 // serving traffic.
 func (r *Registry) SetDefaultEngine(k engine.Kind) { r.defaultEngine = k }
-
-// DefaultEngine returns the registry-wide default backend.
-func (r *Registry) DefaultEngine() engine.Kind { return r.defaultEngine }
 
 // log returns the configured logger, or a discard logger so call sites
 // never nil-check. Logging happens off the parse hot path only

@@ -54,7 +54,8 @@ type CompleteResponse struct {
 	Cursor string `json:"cursor,omitempty"`
 	// Pos is the cursor position — tokens fed so far.
 	Pos int `json:"pos"`
-	// Version is the grammar version the accept set was computed at.
+	// Version is the entry's version the accept set was computed at,
+	// the one GET /v1/grammars/{name} and the rules response report.
 	Version uint64 `json:"version"`
 	// Accepts lists the terminals that may come next, in vocabulary
 	// order; Bitset is the same set as hex-encoded bytes over the
@@ -128,14 +129,14 @@ func (s *Server) completeOp(ctx context.Context, e *registry.Entry, req *Complet
 		}
 	}
 	var set engine.TermSet
-	cs, pos, rejIdx, err := s.reg.Complete(ctx, e, op, &set, tr)
+	cs, pos, version, rejIdx, err := s.reg.Complete(ctx, e, op, &set, tr)
 	if rejIdx >= 0 { // a rejection, at this token of the feed
 		err = fmt.Errorf("token %d: %w", rejIdx, err)
 	}
 	if err != nil {
 		return out, err
 	}
-	out.Pos = pos
+	out.Pos, out.Version = pos, version
 	out.fillAccepts(&set, req.Candidates)
 	if cs == nil {
 		return out, nil
@@ -154,7 +155,6 @@ func (s *Server) completeOp(ctx context.Context, e *registry.Entry, req *Complet
 // fillAccepts renders the accept set into the wire shape and answers
 // the candidate probes.
 func (out *CompleteResponse) fillAccepts(set *engine.TermSet, candidates []string) {
-	out.Version = set.Vocab().Version
 	out.Accepts = set.AppendNames(make([]string, 0, set.Count()))
 	out.Bitset = set.Hex()
 	out.Complete = set.Has(grammar.EOF)

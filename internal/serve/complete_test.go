@@ -279,6 +279,30 @@ func TestCompleteCursorStaleAfterRuleUpdate(t *testing.T) {
 	}
 }
 
+// TestCompleteVersionIsEntryVersion pins that a completion reports the
+// entry's version, the one /v1/grammars/{name} reports: 1 on a fresh
+// entry and 2 after one rule update, not the grammar's own mutation
+// count, which also counts the rules it was registered with.
+func TestCompleteVersionIsEntryVersion(t *testing.T) {
+	ts := newTestServer(t)
+	mustRegister(t, ts, "bool", boolSrc)
+	for want := 1; want <= 2; want++ {
+		if want == 2 {
+			if resp, body := do(t, "POST", ts.URL+"/v1/grammars/bool/rules", map[string]any{"add": `B ::= "not" B`}); resp.StatusCode != 200 {
+				t.Fatalf("rules: %d %v", resp.StatusCode, body)
+			}
+		}
+		_, info := do(t, "GET", ts.URL+"/v1/grammars/bool", nil)
+		resp, body := do(t, "POST", ts.URL+"/v1/grammars/bool/complete", map[string]any{"prefix": "true", "once": true})
+		if resp.StatusCode != 200 {
+			t.Fatalf("complete: %d %v", resp.StatusCode, body)
+		}
+		if info["version"] != float64(want) || body["version"] != float64(want) {
+			t.Errorf("versions: /v1/grammars/bool %v, /complete %v; want both %d", info["version"], body["version"], want)
+		}
+	}
+}
+
 func TestCompleteCursorLimitsAndEviction(t *testing.T) {
 	s := New(nil)
 	ts := httptest.NewServer(s.Handler())

@@ -20,14 +20,17 @@ import (
 // non-2xx from it, and serveOp runs every parse-shaped request along
 // the one path that bounds, labels, times and classifies it.
 
-// The failures the handlers raise themselves: a request that does not
-// fit its route, an over-long one, a readiness probe before the
-// preload, and a snapshot the store could not take.
+// The failures the handlers raise themselves: a request no route
+// serves, one that does not fit its route, an over-long one, a
+// readiness probe before the preload, and a snapshot the store could
+// not take.
 var (
-	errBadRequest = errors.New("bad request")
-	errTooLarge   = errors.New("request too large")
-	errNotReady   = errors.New("not ready: grammar preload (including snapshot restores) not complete")
-	errSnapshot   = errors.New("snapshot")
+	errNoRoute          = errors.New("no route matches the path")
+	errMethodNotAllowed = errors.New("method not allowed")
+	errBadRequest       = errors.New("bad request")
+	errTooLarge         = errors.New("request too large")
+	errNotReady         = errors.New("not ready: grammar preload (including snapshot restores) not complete")
+	errSnapshot         = errors.New("snapshot")
 )
 
 // failure declares one way a request can fail: the errors it matches,
@@ -55,6 +58,10 @@ const statusClientClosedRequest = 499
 // failures is every failure a request can end in, matched in order;
 // the last row matches any error.
 var failures = []failure{
+	{"`errNoRoute`", is(errNoRoute), http.StatusNotFound, "not_found", 0,
+		"No route matches the path."},
+	{"`errMethodNotAllowed`", is(errMethodNotAllowed), http.StatusMethodNotAllowed, "method_not_allowed", 0,
+		"A route matches the path but not the method; the `Allow` header lists the methods it serves."},
 	{"`errBadRequest`", is(errBadRequest), http.StatusBadRequest, "bad_request", 0,
 		"The body does not decode into the route's request, or its fields do not fit together."},
 	{"`errTooLarge`", is(errTooLarge), http.StatusRequestEntityTooLarge, "too_large", 0,

@@ -32,6 +32,16 @@ type failureCase struct {
 
 // failureCases holds a case for every failures row, by the row's err.
 var failureCases = map[string]failureCase{
+	"`errNoRoute`": {func(t *testing.T, s *Server) *httptest.ResponseRecorder {
+		return doReq(t, s, "GET", "/v1/nosuch", "")
+	}, "no route"},
+	"`errMethodNotAllowed`": {func(t *testing.T, s *Server) *httptest.ResponseRecorder {
+		rec := doReq(t, s, "PATCH", "/v1/grammars/bool", "")
+		if allow := rec.Header().Get("Allow"); allow != "DELETE, GET, HEAD, PUT" {
+			t.Errorf("Allow %q, want the methods /v1/grammars/{name} serves", allow)
+		}
+		return rec
+	}, "method not allowed"},
 	"`errBadRequest`": {func(t *testing.T, s *Server) *httptest.ResponseRecorder {
 		return doReq(t, s, "POST", "/v1/grammars/bool/parse", "{not json")
 	}, "bad request"},
@@ -444,7 +454,7 @@ func TestReadyzNamesDrain(t *testing.T) {
 
 // TestThrottledLeaseOpenSettlesNothing: a session open or a completion
 // refused at admission leaves an auto entry's pending rule update
-// unsettled, so its kept tables are not repaired for a request that
+// unsettled, so its kept table is not repaired for a request that
 // never ran.
 func TestThrottledLeaseOpenSettlesNothing(t *testing.T) {
 	s := New(nil)
@@ -465,7 +475,7 @@ func TestThrottledLeaseOpenSettlesNothing(t *testing.T) {
 			t.Fatalf("%s: %d %s, want 429", c.path, rec.Code, rec.Body)
 		}
 		if after := e.Counters().RepairPropagated; after != before {
-			t.Errorf("a throttled %s repaired kept tables: RepairPropagated %d -> %d", c.path, before, after)
+			t.Errorf("a throttled %s repaired the kept table: RepairPropagated %d -> %d", c.path, before, after)
 		}
 	}
 }

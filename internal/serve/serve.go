@@ -70,6 +70,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,7 +152,31 @@ func New(reg *registry.Registry) *Server {
 	s.mux.HandleFunc("GET /v1/completions", s.handleCompletionList)
 	s.mux.HandleFunc("GET /v1/completions/{id}", s.handleCompletionStat)
 	s.mux.HandleFunc("DELETE /v1/completions/{id}", s.handleCompletionClose)
+	s.mux.HandleFunc("/", s.handleNoRoute)
 	return s
+}
+
+// handleNoRoute answers, through the failures table, the requests the
+// catch-all pattern "/" receives: those no route serves. Routed
+// requests never reach it. When a route serves the path with another
+// method, the answer is 405 with the Allow header the mux would send
+// (a GET route also serves HEAD), else 404.
+func (s *Server) handleNoRoute(w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	probe := &http.Request{URL: r.URL, Host: r.Host}
+	for _, m := range []string{http.MethodConnect, http.MethodDelete, http.MethodGet, http.MethodHead,
+		http.MethodOptions, http.MethodPatch, http.MethodPost, http.MethodPut, http.MethodTrace} {
+		probe.Method = m
+		if _, pattern := s.mux.Handler(probe); pattern != "/" {
+			allow = append(allow, m)
+		}
+	}
+	if len(allow) == 0 {
+		writeError(w, fmt.Errorf("%w: %s", errNoRoute, r.URL.Path))
+		return
+	}
+	w.Header().Set("Allow", strings.Join(allow, ", "))
+	writeError(w, fmt.Errorf("%w: %s %s", errMethodNotAllowed, r.Method, r.URL.Path))
 }
 
 // SetMaxBatchInputs overrides the batch-size cap (0 restores the

@@ -73,8 +73,8 @@ const (
 	// EngineEarley is table-free Earley parsing: accepts everything,
 	// recognizes only, slowest per token.
 	EngineEarley = engine.KindEarley
-	// EngineAuto probes the grammar (conflict-free ⇒ LALR(1); LL(1)-able
-	// ⇒ LL; else lazy GLR) and records the reason.
+	// EngineAuto probes the grammar's LALR(1) table (conflict-free ⇒
+	// LALR(1); else lazy GLR) and records the reason.
 	EngineAuto = engine.KindAuto
 )
 

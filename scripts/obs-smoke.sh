@@ -125,6 +125,24 @@ curl -fsS -X POST "$BASE/v1/grammars/calc/complete" \
 }
 echo "ok: completion cursor open/accepts/feed/close ($CID)"
 
+# A request no route serves gets the error envelope too: 405 with the
+# Allow header when a route serves the path with another method, 404
+# when none matches it.
+RESP="$(curl -sS -i -X PATCH "$BASE/v1/grammars/calc")"
+echo "$RESP" | head -n 1 | grep -q ' 405' \
+  && echo "$RESP" | grep -qi '^Allow: DELETE, GET, HEAD, PUT' \
+  && echo "$RESP" | grep -q '"code":"method_not_allowed"' || {
+  echo "FAIL: PATCH /v1/grammars/calc did not answer the 405 envelope with Allow" >&2
+  exit 1
+}
+RESP="$(curl -sS -i "$BASE/v1/nosuch")"
+echo "$RESP" | head -n 1 | grep -q ' 404' \
+  && echo "$RESP" | grep -q '"code":"not_found"' || {
+  echo "FAIL: GET /v1/nosuch did not answer the 404 envelope" >&2
+  exit 1
+}
+echo "ok: unrouted requests answer the error envelope (405 with Allow, 404)"
+
 # The exposition must serve exactly the families of docs/API.md's
 # Metrics table, each with its type. That table is the families table
 # the server's exposition walks (TestMetricsDocs keeps the two equal),
