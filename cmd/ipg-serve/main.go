@@ -7,7 +7,7 @@
 // Usage:
 //
 //	ipg-serve [-addr :8080] [-grammar name=path ...] [-engine auto]
-//	          [-snapshot-dir dir] [-snapshot-interval 5m] [-snapshot-gzip]
+//	          [-snapshot-dir dir] [-snapshot-interval 5m]
 //	          [-snapshot-retries n] [-snapshot-retry-backoff d]
 //	          [-max-parses n] [-max-forest-nodes n] [-rate r] [-burst n]
 //	          [-session-max n] [-session-tokens n] [-session-idle 10m]
@@ -21,8 +21,9 @@
 // Each -grammar flag preloads a grammar file at startup (.sdf files load
 // as SDF definitions, anything else as plain BNF). -engine picks the
 // default parsing backend per registered grammar — glr (default), lalr,
-// ll, earley, or auto, which probes each grammar and records why it
-// chose what; registrations over HTTP may override it per grammar. With
+// ll, earley, or auto, which probes each grammar once, at registration,
+// and records why it chose what (rule updates keep that backend);
+// registrations over HTTP may override it per grammar. With
 // -snapshot-dir the service persists each grammar's lazily generated
 // parse table — on shutdown, every -snapshot-interval, and on POST
 // /v1/snapshot — and a restarted service resumes the saved tables
@@ -31,8 +32,7 @@
 // skipped). Interval and shutdown snapshots also compact the directory,
 // removing files for grammars explicitly unregistered over DELETE
 // (never for grammars merely not yet re-registered after a restart, so
-// warm restarts survive); -snapshot-gzip compresses the table payloads
-// (loading stays transparent either way).
+// warm restarts survive).
 // -max-parses, -max-forest-nodes, -rate and -burst set per-grammar
 // admission control so a warm, heavily loaded service stays protected.
 //
@@ -51,9 +51,9 @@
 // Logs are structured (log/slog); -log-level picks the floor (debug
 // logs every request) and -log-json switches to JSON lines.
 // -trace-sample N records every Nth parse's lifecycle — tokenize,
-// admit, engine select, table/chart work, forest build, render — into a
-// ring served by GET /v1/trace; -trace-slow D additionally retains
-// every parse at least that slow, sampled or not, and logs it.
+// admit, table/chart work, forest build, render — into a ring served
+// by GET /v1/trace; -trace-slow D additionally retains every parse at
+// least that slow, sampled or not, and logs it.
 // -pprof exposes the net/http/pprof endpoints under /debug/pprof/ and
 // labels engine calls with (grammar, engine) pprof labels so profiles
 // attribute samples per tenant (off by default: labeling costs
@@ -147,7 +147,6 @@ func main() {
 	engineName := flag.String("engine", "", "default parsing backend per grammar: glr, lalr, ll, earley or auto ('' = glr)")
 	snapDir := flag.String("snapshot-dir", "", "persist parse-table snapshots here; restart resumes them ('' = disabled)")
 	snapEvery := flag.Duration("snapshot-interval", 0, "also snapshot all grammars on this interval (0 = only on shutdown and POST /v1/snapshot)")
-	snapGzip := flag.Bool("snapshot-gzip", false, "gzip-compress snapshot table payloads (loading is transparent either way)")
 	maxParses := flag.Int("max-parses", 0, "per-grammar max concurrent parses; excess gets 429 (0 = unlimited)")
 	maxForest := flag.Int("max-forest-nodes", 0, "per-grammar max parse-forest nodes; larger parses get 429 (0 = unlimited)")
 	rate := flag.Float64("rate", 0, "per-grammar sustained parse requests per second; excess gets 429 (0 = unthrottled)")
@@ -231,9 +230,8 @@ func main() {
 		if err != nil {
 			fatal("snapshot store", "err", err)
 		}
-		store.SetGzip(*snapGzip)
 		reg.SetSnapshotStore(store)
-		logger.Info("snapshots enabled", "dir", store.Dir(), "gzip", *snapGzip)
+		logger.Info("snapshots enabled", "dir", store.Dir())
 	}
 
 	front := serve.New(reg)

@@ -13,10 +13,11 @@
 //
 // -engine selects the parsing backend: glr (default — the paper's lazy
 // incremental generator), lalr, ll, earley, or auto, which probes the
-// grammar, prints why it chose what, and keeps re-probing as rules are
-// added or deleted in the REPL. The non-GLR backends drive the same
-// REPL and parse/text modes; -load-table/-save-table/-snapshot require
-// the default engine, whose lazy table is the thing worth persisting.
+// grammar once, prints why it chose what, and keeps that backend as
+// rules are added or deleted in the REPL. The non-GLR backends drive
+// the same REPL and parse/text modes; -load-table/-save-table/-snapshot
+// require the default engine, whose lazy table is the thing worth
+// persisting.
 //
 // -snapshot names a checksummed session file: the table generated this
 // session (including its lazy frontier) is saved atomically on exit and
@@ -38,12 +39,14 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"ipg"
+	"ipg/internal/snapshot"
 )
 
 func main() {
@@ -293,29 +296,11 @@ func resumeSession(g *ipg.Grammar, path string) *ipg.Parser {
 	return p
 }
 
-// saveSession writes the session snapshot atomically (temp + rename),
-// so an interrupted exit leaves the previous session intact.
+// saveSession writes the session snapshot atomically (temp, fsync,
+// rename), so an interrupted exit leaves the previous session intact.
 func saveSession(p *ipg.Parser, path string) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ipg-session-*")
+	err := snapshot.WriteFile(path, func(w io.Writer) error { return p.SaveSnapshot(w, filepath.Base(path)) })
 	if err != nil {
-		log.Print(err)
-		return
-	}
-	defer os.Remove(tmp.Name())
-	if err := p.SaveSnapshot(tmp, filepath.Base(path)); err != nil {
-		tmp.Close()
-		log.Print(err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		log.Print(err)
-		return
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		log.Print(err)
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		log.Print(err)
 	}
 }

@@ -396,18 +396,19 @@ func TestCursorStaleAfterRuleUpdate(t *testing.T) {
 	}
 }
 
-// TestCursorStaleAfterBackendSwitch is the backend-switch case of the
-// staleness contract: a cursor opened on auto's backend refuses with
-// ErrCursorStale once a rule update moves auto to another backend, in
-// both directions, and a fresh cursor opens on the new one.
+// TestCursorStaleAfterBackendSwitch is the verdict-crossing case of the
+// staleness contract. Each case names how a rule update moves a fresh
+// probe's verdict across the LALR(1) boundary; auto's engine keeps the
+// backend it was built on, a cursor opened before the update refuses
+// with ErrCursorStale, and a fresh cursor opens and feeds.
 func TestCursorStaleAfterBackendSwitch(t *testing.T) {
 	for _, c := range []struct {
-		name     string
-		from, to engine.Kind
-		add      bool
+		name string
+		kind engine.Kind
+		add  bool
 	}{
-		{"lalr to glr", engine.KindLALR, engine.KindGLR, true},
-		{"glr to lalr", engine.KindGLR, engine.KindLALR, false},
+		{"lalr to glr", engine.KindLALR, true},
+		{"glr to lalr", engine.KindGLR, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g := guardFixture(t, "CalcDet.bnf")
@@ -422,8 +423,8 @@ func TestCursorStaleAfterBackendSwitch(t *testing.T) {
 				}
 			}
 			e := engine.NewAuto(g)
-			if e.Kind() != c.from {
-				t.Fatalf("auto serves %v, want %v", e.Kind(), c.from)
+			if e.Kind() != c.kind {
+				t.Fatalf("auto serves %v, want %v", e.Kind(), c.kind)
 			}
 			cur, _, err := engine.OpenCursor(e, fixtures.Tokens(g, "n +"))
 			if err != nil {
@@ -438,15 +439,15 @@ func TestCursorStaleAfterBackendSwitch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.Kind() != c.to {
-				t.Fatalf("auto serves %v after the update, want %v", e.Kind(), c.to)
+			if e.Kind() != c.kind {
+				t.Fatalf("auto serves %v after the update, want %v still", e.Kind(), c.kind)
 			}
 			var set engine.TermSet
 			if err := cur.Accepts(&set); !errors.Is(err, engine.ErrCursorStale) {
-				t.Fatalf("Accepts after the switch err = %v, want ErrCursorStale", err)
+				t.Fatalf("Accepts after the update err = %v, want ErrCursorStale", err)
 			}
 			if err := cur.Feed(fixtures.Tokens(g, "n")[0]); !errors.Is(err, engine.ErrCursorStale) {
-				t.Fatalf("Feed after the switch err = %v, want ErrCursorStale", err)
+				t.Fatalf("Feed after the update err = %v, want ErrCursorStale", err)
 			}
 			fresh, _, err := engine.OpenCursor(e, fixtures.Tokens(g, "n +"))
 			if err != nil {

@@ -18,11 +18,10 @@
 //   - KindEarley — grammar-driven parsing with no table at all: maximal
 //     flexibility, minimal speed (the other end of Fig 2.1). Builds
 //     packed forests and applies rule updates for free.
-//   - KindAuto — probes the grammar's LALR(1) table and picks LALR(1)
-//     when it is conflict-free and lazy GLR otherwise, recording why.
-//     Rule updates move the verdict when they move the grammar across
-//     the determinism boundary; the conflicted table that decides it is
-//     repaired by need, once per verdict read, not once per update. LL
+//   - KindAuto — probes the grammar's LALR(1) table once, when the
+//     engine is built, and returns LALR(1) when it is conflict-free and
+//     lazy GLR otherwise, with the verdict as the reason. The choice
+//     holds for the engine's life: rule updates go to that backend. LL
 //     is never selected, only requested by name.
 //
 // All engines share the glr.Result shape, so the registry and serve
@@ -68,8 +67,8 @@ const (
 	KindLL
 	// KindEarley is table-free Earley parsing.
 	KindEarley
-	// KindAuto probes the grammar and delegates to the cheapest adequate
-	// backend.
+	// KindAuto probes the grammar and builds the cheapest adequate
+	// backend (New never returns an engine of this kind).
 	KindAuto
 )
 
@@ -145,8 +144,8 @@ type Caps struct {
 }
 
 // CapsOf returns the capability matrix row for a concrete kind. KindAuto
-// reports the union an auto engine may provide; ask the selected engine
-// (Engine.Caps) for the live answer.
+// reports the union of the kinds auto may select; ask the built engine
+// (Engine.Caps) for its answer.
 func CapsOf(k Kind) Caps {
 	switch k {
 	case KindGLR:
@@ -197,8 +196,8 @@ type Driver interface {
 // rule updates exclude parses internally.
 type Engine interface {
 	Driver
-	// Kind identifies the backend (the concrete one: an auto engine
-	// reports the kind it selected).
+	// Kind identifies the backend (auto selection builds a concrete
+	// one, so it is never KindAuto).
 	Kind() Kind
 	// Reason explains why this engine drives the grammar: "requested"
 	// for explicit selection, or the auto prober's verdict.
@@ -225,8 +224,7 @@ type Engine interface {
 	AddRule(r *grammar.Rule) error
 	// DeleteRule is the inverse of AddRule.
 	DeleteRule(r *grammar.Rule) error
-	// OpenCursor opens a completion cursor at the empty prefix. An auto
-	// engine opens it on its selected backend.
+	// OpenCursor opens a completion cursor at the empty prefix.
 	OpenCursor() (Cursor, error)
 }
 
@@ -235,8 +233,7 @@ func accepted(res Result, err error) (bool, error) { return res.Accepted, err }
 
 // Snapshotter is the optional persistence capability: engines whose
 // table state is worth carrying across restarts implement it. Use
-// SnapshotterOf to query an engine, which also resolves auto engines to
-// their selected backend.
+// SnapshotterOf to query an engine.
 type Snapshotter interface {
 	// SaveTable serializes the table including its lazy frontier.
 	SaveTable(w io.Writer) (core.CoverageStats, error)
@@ -251,34 +248,26 @@ type Snapshotter interface {
 var ErrNoSnapshot = errors.New("engine: backend does not support table snapshots")
 
 // SnapshotterOf returns e's snapshot capability, or nil when the engine
-// (or, for auto, its selected backend) has none.
+// has none.
 func SnapshotterOf(e Engine) Snapshotter {
-	if a, ok := e.(*Auto); ok {
-		return a.snapshotter()
-	}
-	if s, ok := e.(Snapshotter); ok {
-		return s
-	}
-	return nil
+	s, _ := e.(Snapshotter)
+	return s
 }
 
 // GeneratorOf returns the lazy incremental generator backing e, or nil
 // when e is not GLR-backed. It exists for callers that need the paper's
 // machinery directly (table dumps, coverage, the snapshot subsystem).
 func GeneratorOf(e Engine) *core.Generator {
-	switch eng := e.(type) {
-	case *GLR:
+	if eng, ok := e.(*GLR); ok {
 		return eng.Generator()
-	case *Auto:
-		return GeneratorOf(eng.current())
-	default:
-		return nil
 	}
+	return nil
 }
 
 // New builds an engine of the given kind for g. KindDefault resolves to
-// KindGLR. Construction fails for KindLL when the grammar is not LL(1);
-// every other kind accepts any grammar.
+// KindGLR, and KindAuto to the *LALR or *GLR engine NewAuto selects.
+// Construction fails for KindLL when the grammar is not LL(1); every
+// other kind accepts any grammar.
 func New(kind Kind, g *grammar.Grammar) (Engine, error) {
 	switch kind {
 	case KindDefault, KindGLR:

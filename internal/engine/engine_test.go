@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ipg/internal/fixtures"
+	"ipg/internal/forest"
 	"ipg/internal/grammar"
 	"ipg/internal/ll"
 	"ipg/internal/lr"
@@ -149,46 +150,89 @@ func TestAutoSelectsGLRForAmbiguousGrammar(t *testing.T) {
 	}
 }
 
-func TestAutoReselectsAcrossModifications(t *testing.T) {
+// TestAutoKeepsRegistrationVerdict pins that auto probes once: New
+// returns the concrete engine the probe picked, and rule updates keep it
+// whichever way they move the grammar across the LALR(1) boundary. An
+// LALR engine whose table gains conflicts counts them in its reason and
+// drives the GSS parser over its table, agreeing with lazy GLR.
+func TestAutoKeepsRegistrationVerdict(t *testing.T) {
 	g := loadFixture(t, "CalcDet.bnf")
-	e := NewAuto(g)
-	if e.Kind() != KindLALR {
-		t.Fatalf("initial selection %v, want lalr", e.Kind())
-	}
-
-	// An ambiguous flat rule introduces LALR(1) conflicts: auto must move
-	// the grammar onto the lazy-GLR path.
-	amb, err := grammar.Parse(`E ::= E "+" E`, g.Symbols())
+	e, err := New(KindAuto, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Parse(fixtures.Tokens(g, "n + n"), false); err != nil {
+	if _, ok := e.(*LALR); !ok {
+		t.Fatalf("New(auto) built a %T for the calculator, want *LALR", e)
+	}
+	mod, err := grammar.Parse(`E ::= E "+" E`, g.Symbols())
+	if err != nil {
 		t.Fatal(err)
 	}
-	served := e.Counters().ParsesServed
-
-	rule := amb.Rules()[0]
+	rule := mod.Rules()[0]
 	if err := e.AddRule(rule); err != nil {
 		t.Fatal(err)
 	}
-	if e.Kind() != KindGLR {
-		t.Fatalf("after ambiguous rule: selection %v, want glr (reason %q)", e.Kind(), e.Reason())
+	if k, _ := Probe(g.Clone()); k != KindGLR {
+		t.Fatalf("a fresh probe of the ambiguous calculator selects %v, want glr", k)
 	}
-	// Reselection must not reset the entry's monotonic counters.
-	if got := e.Counters().ParsesServed; got < served {
-		t.Fatalf("ParsesServed regressed across reselection: %d -> %d", served, got)
+	if e.Kind() != KindLALR {
+		t.Fatalf("after the ambiguous rule: %v serves, want lalr (reason %q)", e.Kind(), e.Reason())
 	}
-	res, err := e.Parse(fixtures.Tokens(g, "n + n + n"), true)
-	if err != nil || !res.Accepted {
-		t.Fatalf("post-switch parse: %v accepted=%v", err, res.Accepted)
+	if !strings.Contains(e.Reason(), "LALR(1) conflicts") {
+		t.Errorf("reason %q does not name the conflicts the update added", e.Reason())
+	}
+	ref := NewGLR(g.Clone(), "requested")
+	input := fixtures.Tokens(g, "n + n + n")
+	got, err := e.Parse(input, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Parse(input, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Accepted || !want.Accepted {
+		t.Fatalf("n + n + n: auto accepted=%v, glr accepted=%v; want both", got.Accepted, want.Accepted)
+	}
+	gotTrees, err := forest.TreeCount(got.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTrees, err := forest.TreeCount(want.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotTrees != wantTrees || gotTrees < 2 {
+		t.Errorf("n + n + n: auto counts %d trees, glr %d; want the same ambiguity", gotTrees, wantTrees)
 	}
 
-	// Deleting it restores determinism: auto returns to LALR.
 	if err := e.DeleteRule(rule); err != nil {
 		t.Fatal(err)
 	}
 	if e.Kind() != KindLALR {
-		t.Fatalf("after deleting the rule: selection %v, want lalr (reason %q)", e.Kind(), e.Reason())
+		t.Fatalf("after deleting the rule: %v serves, want lalr (reason %q)", e.Kind(), e.Reason())
+	}
+
+	amb := grammar.MustParse(ambiguousText)
+	e, err = New(KindAuto, amb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.(*GLR); !ok {
+		t.Fatalf("New(auto) built a %T for an ambiguous grammar, want *GLR", e)
+	}
+	mod, err = grammar.Parse(`E ::= E "+" E`, amb.Symbols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DeleteRule(mod.Rules()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if k, _ := Probe(amb.Clone()); k != KindLALR {
+		t.Fatalf("a fresh probe of the disambiguated grammar selects %v, want lalr", k)
+	}
+	if e.Kind() != KindGLR {
+		t.Fatalf("after deleting the ambiguous rule: %v serves, want glr (reason %q)", e.Kind(), e.Reason())
 	}
 }
 
@@ -345,8 +389,7 @@ func TestLLRollsBackConflictingRule(t *testing.T) {
 // TestAutoKeepsLALRUnderChurn pins that a burst of rule updates with no
 // parse traffic keeps a deterministic grammar on the LALR fast path:
 // each update is absorbed by an in-place repair of the serving table,
-// not a regeneration, and the verdict reads after the burst find it
-// still conflict-free.
+// not a regeneration.
 func TestAutoKeepsLALRUnderChurn(t *testing.T) {
 	g := loadFixture(t, "CalcDet.bnf")
 	e := NewAuto(g)
@@ -379,12 +422,6 @@ func TestAutoKeepsLALRUnderChurn(t *testing.T) {
 	}
 	if c.RepairFallbacks != 0 {
 		t.Errorf("churn burst fell back to regeneration %d times", c.RepairFallbacks)
-	}
-	// Repaired updates whose verdict visibly holds stamp the selection
-	// current instead of scheduling a probe; the whole burst must not
-	// have regenerated a single table.
-	if got := e.Reprobes(); got != 0 {
-		t.Errorf("churn burst triggered %d re-probes, want 0", got)
 	}
 	res, err := e.Parse(fixtures.Tokens(g, "n + n * n"), true)
 	if err != nil || !res.Accepted || res.Root == nil {

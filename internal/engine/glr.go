@@ -17,12 +17,11 @@ import (
 // only engine whose table both updates incrementally and persists across
 // restarts (Snapshotter).
 type GLR struct {
-	// mu guards gen replacement (RestoreTable) and reason, which auto
-	// refreshes when its verdict is re-read; the generator's own locks
-	// guard everything else.
-	mu     sync.RWMutex
 	reason string
-	gen    *core.Generator
+	// mu guards gen replacement (RestoreTable); the generator's own
+	// locks guard everything else.
+	mu  sync.RWMutex
+	gen *core.Generator
 }
 
 // NewGLR builds a lazy-GLR engine for g with the generator's default
@@ -36,19 +35,7 @@ func NewGLR(g *grammar.Grammar, reason string) *GLR {
 func (e *GLR) Kind() Kind { return KindGLR }
 
 // Reason implements Engine.
-func (e *GLR) Reason() string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.reason
-}
-
-// setReason replaces the reason: auto's verdict, re-read after rule
-// updates that left lazy GLR serving.
-func (e *GLR) setReason(reason string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.reason = reason
-}
+func (e *GLR) Reason() string { return e.reason }
 
 // Caps implements Engine.
 func (e *GLR) Caps() Caps { return CapsOf(KindGLR) }

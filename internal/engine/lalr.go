@@ -65,15 +65,20 @@ func newLALRFromTable(g *grammar.Grammar, tbl *lalr.Table, reason string) *LALR 
 func (e *LALR) Kind() Kind { return KindLALR }
 
 // Reason implements Engine. Once rule updates have been absorbed, the
-// reason records how: repaired in place vs regenerated.
+// reason records how: repaired in place vs regenerated. While the table
+// has conflicts it counts them, so a verdict of conflict-free is never
+// left standing after an update added one.
 func (e *LALR) Reason() string {
-	u := e.updates.Load()
-	if u == 0 {
-		return e.reason
+	reason := e.reason
+	if u := e.updates.Load(); u > 0 {
+		f := e.fallbacks.Load()
+		reason = fmt.Sprintf("%s — %d/%d rule updates repaired in place (%d regenerated)",
+			reason, u-f, u, f)
 	}
-	f := e.fallbacks.Load()
-	return fmt.Sprintf("%s — %d/%d rule updates repaired in place (%d regenerated)",
-		e.reason, u-f, u, f)
+	if n := len(e.Table().Conflicts()); n > 0 {
+		reason = fmt.Sprintf("%s — %d LALR(1) conflicts, parsed by the GSS driver", reason, n)
+	}
+	return reason
 }
 
 // Caps implements Engine.

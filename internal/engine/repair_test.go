@@ -1,12 +1,9 @@
 package engine
 
 import (
-	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"regexp"
-	"strconv"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,7 +13,6 @@ import (
 	"ipg/internal/grammar"
 	"ipg/internal/lalr"
 	"ipg/internal/ll"
-	"ipg/internal/sdf"
 )
 
 // TestLALRSessionSurvivesRuleUpdates pins the session-facing win of the
@@ -143,171 +139,6 @@ func TestConcurrentLALRParseAndModify(t *testing.T) {
 	}
 }
 
-// loadSDFGrammar compiles testdata/SDF.sdf the way the registry does
-// for an SDF entry.
-func loadSDFGrammar(t testing.TB) *grammar.Grammar { return convertSDF(t).Grammar }
-
-// convertSDF parses and converts testdata/SDF.sdf.
-func convertSDF(t testing.TB) *sdf.Converted {
-	t.Helper()
-	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "SDF.sdf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := sdf.ParseDefinition(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv, err := sdf.Convert(def, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return conv
-}
-
-// TestAutoVerdictParity is the property behind the incremental auto
-// verdict: over random add/delete sequences, after every update the auto
-// engine selects what a probe of a fresh copy of the grammar selects,
-// and while lazy GLR serves, the LALR(1) table auto keeps and repairs is
-// action-identical to a from-scratch generation, and its reason quotes
-// the fresh probe's conflict count. A batched pass reads the verdict
-// only after each batch of 1–8 updates, add→delete and delete→re-add
-// pairs of one rule included, so each settle repairs the kept table
-// once with the batch's net diff.
-func TestAutoVerdictParity(t *testing.T) {
-	grammars := []struct {
-		name string
-		load func(testing.TB) *grammar.Grammar
-	}{
-		{"CalcDet", func(tb testing.TB) *grammar.Grammar { return loadFixture(tb, "CalcDet.bnf") }},
-		{"ambiguous", func(testing.TB) *grammar.Grammar { return grammar.MustParse(ambiguousText) }},
-		{"SDF.sdf", loadSDFGrammar},
-	}
-	for _, c := range grammars {
-		// Seeds 0-3 read the verdict after every update, 4-7 after each batch.
-		for seed := int64(0); seed < 8; seed++ {
-			batched := seed >= 4
-			g := c.load(t)
-			a := NewAuto(g)
-			rng := rand.New(rand.NewSource(seed))
-			var nts, pool []grammar.Symbol
-			for _, n := range g.Symbols().Nonterminals() {
-				if n != g.Start() {
-					nts = append(nts, n)
-					pool = append(pool, n)
-				}
-			}
-			for _, s := range g.Symbols().Terminals() {
-				if s != grammar.EOF {
-					pool = append(pool, s)
-				}
-			}
-			newRule := func() *grammar.Rule {
-				rhs := make([]grammar.Symbol, rng.Intn(4))
-				for i := range rhs {
-					rhs[i] = pool[rng.Intn(len(pool))]
-				}
-				if r := grammar.NewRule(nts[rng.Intn(len(nts))], rhs...); !g.Has(r) {
-					return r
-				}
-				return nil
-			}
-			liveRule := func() *grammar.Rule {
-				var candidates []*grammar.Rule
-				for _, r := range g.Rules() {
-					if r.Lhs != g.Start() {
-						candidates = append(candidates, r)
-					}
-				}
-				if len(candidates) == 0 {
-					return nil
-				}
-				return candidates[rng.Intn(len(candidates))]
-			}
-			for step := 0; step < 10; step++ {
-				label := fmt.Sprintf("%s batched=%v seed %d step %d", c.name, batched, seed, step)
-				n, kinds := 1, 2
-				if batched {
-					n, kinds = 1+rng.Intn(8), 4
-				}
-				for i := 0; i < n; i++ {
-					var err error
-					switch rng.Intn(kinds) {
-					case 0:
-						if r := newRule(); r != nil {
-							err = a.AddRule(r)
-						}
-					case 1:
-						if r := liveRule(); r != nil {
-							err = a.DeleteRule(r)
-						}
-					case 2: // add→delete: cancels in the log
-						if r := newRule(); r != nil {
-							if err = a.AddRule(r); err == nil {
-								err = a.DeleteRule(r)
-							}
-						}
-					case 3: // delete→re-add: moves the rule last among its LHS's
-						if r := liveRule(); r != nil {
-							if err = a.DeleteRule(r); err == nil {
-								err = a.AddRule(grammar.NewRule(r.Lhs, r.Rhs...))
-							}
-						}
-					}
-					if err != nil {
-						t.Fatalf("%s: update %d: %v", label, i, err)
-					}
-				}
-				checkAutoParity(t, a, g, label)
-			}
-		}
-	}
-}
-
-// checkAutoParity reads a's verdict, settling its pending updates, and
-// checks it against a fresh probe of g; while lazy GLR serves, the kept
-// table must equal a regenerated one and the reason must quote the
-// fresh probe's conflict count.
-func checkAutoParity(t *testing.T, a *Auto, g *grammar.Grammar, label string) {
-	t.Helper()
-	got := a.Kind()
-	want, reason := Probe(g.Clone())
-	if got != want {
-		t.Fatalf("%s: auto selects %v, a fresh probe %v (%s)", label, got, want, reason)
-	}
-	if got != KindGLR {
-		return
-	}
-	if have, want := conflictCount(t, a.Reason()), conflictCount(t, reason); have != want {
-		t.Fatalf("%s: reason quotes %d LALR(1) conflicts, a fresh probe %d (%q)", label, have, want, a.Reason())
-	}
-	a.mu.RLock()
-	lrTbl, pending := a.lrTbl, len(a.pending)
-	a.mu.RUnlock()
-	if lrTbl == nil || pending != 0 {
-		t.Fatalf("%s: lazy GLR serves with a kept table %v and %d updates pending", label, lrTbl != nil, pending)
-	}
-	if got, want := lrTbl.Signature(), lalr.Generate(g).Signature(); got != want {
-		t.Fatalf("%s: retained LALR table diverges\n--- retained ---\n%s\n--- regenerated ---\n%s", label, got, want)
-	}
-}
-
-// conflictCount reads the LALR(1) conflict count an auto reason quotes.
-func conflictCount(t *testing.T, reason string) int {
-	t.Helper()
-	m := conflictsRE.FindStringSubmatch(reason)
-	if m == nil {
-		t.Fatalf("reason %q quotes no LALR(1) conflict count", reason)
-	}
-	n, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-var conflictsRE = regexp.MustCompile(`(\d+) LALR\(1\) conflicts`)
-
 type errorf string
 
 func (e errorf) Error() string { return string(e) }
@@ -327,12 +158,10 @@ type tableRepairCtx struct {
 // cover actions, gotos, lookaheads and conflicts), and the repaired
 // LALR table must produce the same parse forests. A second pass decodes
 // the same bytes as batches of 1–8 mutations, add→delete and
-// delete→re-add pairs of one rule included; each batch is folded by
-// auto's rule (logUpdate) and repaired with one Repair of the net diff
-// per table. The LALR(1) table is re-stamped instead when the diff is
-// empty, as auto's settle does; the LL(1) table, which the ll backend
-// repairs, takes the empty Repair. CI runs this for 60s alongside
-// FuzzSessionSplice and uploads crashers.
+// delete→re-add pairs of one rule included; each batch is folded to
+// its net diff (foldUpdate) and repaired with one Repair of it per
+// table, an empty Repair when the diff is empty. CI runs this for 60s
+// alongside FuzzSessionSplice and uploads crashers.
 func FuzzTableRepair(f *testing.F) {
 	calcSrc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "CalcDet.bnf"))
 	if err != nil {
@@ -499,11 +328,28 @@ func (m *fuzzMutator) live(a int) *grammar.Rule {
 	return candidates[a%len(candidates)]
 }
 
+// foldUpdate appends a rule update to a log, which it keeps folded to
+// its net diff. Only an add followed by a delete of the same rule
+// cancels: the grammar is then as it was, rule order included. A delete
+// followed by a re-add does not cancel, since the re-added rule moves
+// to the end of its left-hand side's rules. A delete that finds its
+// rule in the log therefore finds it last as an add.
+func foldUpdate(log []*grammar.Rule, r *grammar.Rule, added bool) []*grammar.Rule {
+	if !added {
+		for i := len(log) - 1; i >= 0; i-- {
+			if log[i].Equal(r) {
+				return slices.Delete(log, i, i+1)
+			}
+		}
+	}
+	return append(log, r)
+}
+
 // fuzzBatchedRepair is FuzzTableRepair's batched pass: data decodes to
 // batches, a size byte (1 + b%8 mutations) then 3 bytes a mutation,
 // whose first byte picks an add, a delete, an add→delete of one new
 // rule or a delete→re-add of one live rule. Each batch is applied to
-// the grammar, logged through logUpdate, and repaired once per table.
+// the grammar, folded through foldUpdate, and repaired once per table.
 func fuzzBatchedRepair(t *testing.T, c tableRepairCtx, data []byte) {
 	g := grammar.MustParse(c.src)
 	ltab := lalr.Generate(g)
@@ -533,28 +379,26 @@ func fuzzBatchedRepair(t *testing.T, c tableRepairCtx, data []byte) {
 			switch op % 4 {
 			case 0:
 				if r := m.candidate(a, b); r != nil {
-					log = logUpdate(log, add(r), true)
+					log = foldUpdate(log, add(r), true)
 				}
 			case 1:
 				if r := m.live(a); r != nil {
-					log = logUpdate(log, del(r), false)
+					log = foldUpdate(log, del(r), false)
 				}
 			case 2:
 				if r := m.candidate(a, b); r != nil {
-					log = logUpdate(log, add(r), true)
-					log = logUpdate(log, del(r), false)
+					log = foldUpdate(log, add(r), true)
+					log = foldUpdate(log, del(r), false)
 				}
 			case 3:
 				if r := m.live(a); r != nil {
 					stored := del(r)
-					log = logUpdate(log, stored, false)
-					log = logUpdate(log, add(grammar.NewRule(stored.Lhs, stored.Rhs...)), true)
+					log = foldUpdate(log, stored, false)
+					log = foldUpdate(log, add(grammar.NewRule(stored.Lhs, stored.Rhs...)), true)
 				}
 			}
 		}
-		if len(log) == 0 {
-			ltab.Restamp()
-		} else if st := ltab.Repair(log...); st.Stale() {
+		if st := ltab.Repair(log...); st.Stale() {
 			ltab = lalr.Generate(g)
 		}
 		ptab.Repair(log...)

@@ -10,9 +10,8 @@ import (
 // Session is a stateful document bound to one engine: the editor-style
 // workload of open once, splice many times, reparse after each batch of
 // edits. Engines that retain parse state across edits (Earley's chart)
-// reuse everything left of the leftmost damaged token; the others,
-// auto included, parse from scratch through the engine's own drive, so
-// an auto session parses on whichever backend serves at the time.
+// reuse everything left of the leftmost damaged token; the others
+// parse from scratch through the engine's own drive.
 //
 // A Session is NOT safe for concurrent use — callers serialize access
 // (the registry layer wraps each session in a mutex). Grammar updates
@@ -24,8 +23,7 @@ import (
 // builds the forest on request.
 type Session interface {
 	Driver
-	// Engine identifies the concrete backend serving this session now
-	// (for auto, the selection, read without settling).
+	// Engine identifies the backend serving this session.
 	Engine() Kind
 	// Incremental reports whether reparses reuse retained state (false
 	// means every Reparse is a from-scratch parse).
@@ -76,9 +74,8 @@ func CheckSplice(n, at, removed int, insert []grammar.Symbol) error {
 
 // OpenSession opens a document session over input (a trailing end
 // marker is dropped) on e. Earley engines get chart-reuse sessions;
-// every other engine, auto included, gets a full-reparse session, which
-// drives through e itself: an auto session follows the selection, as
-// auto's selection is always a table backend.
+// every other engine gets a full-reparse session, which drives through
+// e itself.
 func OpenSession(e Engine, input []grammar.Symbol) (Session, error) {
 	if ee, ok := e.(*Earley); ok {
 		return ee.openSession(input), nil
@@ -175,9 +172,7 @@ func newFallbackSession(e Engine, input []grammar.Symbol) *fallbackSession {
 	return &fallbackSession{e: e, tokens: append([]grammar.Symbol(nil), input...)}
 }
 
-// Engine implements Session: the backend serving the engine now, read
-// without settling an auto engine's pending rule updates.
-func (s *fallbackSession) Engine() Kind      { return ServingKind(s.e) }
+func (s *fallbackSession) Engine() Kind      { return s.e.Kind() }
 func (s *fallbackSession) Incremental() bool { return false }
 func (s *fallbackSession) Len() int          { return len(s.tokens) }
 

@@ -464,13 +464,6 @@ func (t *Table) Repair(rules ...*grammar.Rule) RepairStats {
 	return st
 }
 
-// Restamp records that the grammar, though its version moved, again
-// holds exactly the rules the table reflects, in the same order: the
-// updates since cancelled out. The next Repair then measures damage
-// from the current version instead of re-deriving what moved and moved
-// back.
-func (t *Table) Restamp() { t.version = t.auto.Grammar().Version() }
-
 // lookaheadDamage marks, through damage, the surviving states whose slot
 // closures compute a FIRST(β) that moved since the table's version: a
 // rule whose suffix after a nonterminal position can read a

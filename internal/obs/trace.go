@@ -29,9 +29,6 @@ const (
 	StageTokenize Stage = iota
 	// StageAdmit is admission control: rate limiting + concurrency gate.
 	StageAdmit
-	// StageSelect is engine selection — auto entries settle pending rule
-	// updates here, repairing their kept table or re-probing.
-	StageSelect
 	// StageTable is table/chart work: the LR drive or Earley chart pass,
 	// including lazy state expansion on the GLR path.
 	StageTable
@@ -55,7 +52,7 @@ const (
 	StageComplete
 
 	// NumStages is the number of lifecycle stages.
-	NumStages = 10
+	NumStages = 9
 )
 
 // String names the stage as used in trace JSON and logs.
@@ -65,8 +62,6 @@ func (s Stage) String() string {
 		return "tokenize"
 	case StageAdmit:
 		return "admit"
-	case StageSelect:
-		return "select"
 	case StageTable:
 		return "table"
 	case StageForest:
@@ -202,15 +197,6 @@ func (t *ParseTrace) MarkPanicked() {
 		return
 	}
 	t.span.Panicked = true
-}
-
-// SetEngine records the concrete backend that served the parse (auto
-// entries call it after selection). No-op on a nil trace.
-func (t *ParseTrace) SetEngine(engine string) {
-	if t == nil {
-		return
-	}
-	t.span.Engine = engine
 }
 
 // Finish completes the trace: the span is retained in the sampled ring

@@ -32,7 +32,6 @@ func TestDisabledTracerIsNil(t *testing.T) {
 	var tr *ParseTrace
 	tr.BeginStage(StageTable)
 	tr.EndStage(StageTable)
-	tr.SetEngine("glr")
 	if s, sl := tr.Finish(true, nil); s || sl {
 		t.Error("nil trace finished as captured")
 	}

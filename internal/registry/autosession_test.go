@@ -8,42 +8,37 @@ import (
 	"ipg/internal/engine"
 )
 
-// ambiguousRule makes calcDetSrc ambiguous, moving auto to lazy GLR.
+// ambiguousRule makes calcDetSrc ambiguous: a fresh probe of the result
+// selects lazy GLR.
 const ambiguousRule = `E ::= E "+" E`
 
-// autoSwitchCases drive an auto entry through rule updates while a
-// session is open on the backend selected before them: LALR(1) to lazy
-// GLR when a rule adds conflicts, lazy GLR to LALR(1) when its deletion
-// removes them, and lazy GLR staying put under heavy rule churn, where
-// 13 updates fold into the one settle the next verdict read runs. The
-// last update adds F ::= "m" in every case, so the entry accepts
-// "n + m".
-var autoSwitchCases = []struct {
-	name     string
-	src      string
-	from, to engine.Kind
-	update   func(t *testing.T, e *Entry)
+// autoUpdateCases drive an auto entry through rule updates while a
+// session is open. Each case names how the updates move a fresh probe's
+// verdict: across the LALR(1) boundary when a rule adds conflicts or its
+// deletion removes them, and nowhere under heavy rule churn on lazy GLR.
+// The entry keeps the backend of its registration throughout. The last
+// update adds F ::= "m" in every case, so the entry accepts "n + m".
+var autoUpdateCases = []struct {
+	name   string
+	src    string
+	kind   engine.Kind
+	update func(t *testing.T, e *Entry)
 }{
-	{"lalr to glr", calcDetSrc, engine.KindLALR, engine.KindGLR, func(t *testing.T, e *Entry) {
+	{"lalr to glr", calcDetSrc, engine.KindLALR, func(t *testing.T, e *Entry) {
 		mustAddRules(t, e, ambiguousRule)
 	}},
-	{"glr to lalr", calcDetSrc + ambiguousRule + "\n", engine.KindGLR, engine.KindLALR, func(t *testing.T, e *Entry) {
+	{"glr to lalr", calcDetSrc + ambiguousRule + "\n", engine.KindGLR, func(t *testing.T, e *Entry) {
 		if n, err := e.DeleteRulesText(ambiguousRule); err != nil || n != 1 {
 			t.Fatalf("delete %s: n=%d err=%v", ambiguousRule, n, err)
 		}
 	}},
-	{"glr stays glr under churn", calcDetSrc + ambiguousRule + "\n", engine.KindGLR, engine.KindGLR, func(t *testing.T, e *Entry) {
-		before := e.Counters().RepairPropagated
+	{"glr stays glr under churn", calcDetSrc + ambiguousRule + "\n", engine.KindGLR, func(t *testing.T, e *Entry) {
 		for i := 0; i < 6; i++ {
 			rule := fmt.Sprintf(`T ::= "kw%d"`, i)
 			mustAddRules(t, e, rule)
 			if n, err := e.DeleteRulesText(rule); err != nil || n != 1 {
 				t.Fatalf("delete %s: n=%d err=%v", rule, n, err)
 			}
-		}
-		// Only the kept LALR(1) table propagates lookaheads under GLR.
-		if after := e.Counters().RepairPropagated; after != before {
-			t.Fatalf("the updates repaired the kept table (%d lookahead slots propagated), want them pending", after-before)
 		}
 	}},
 }
@@ -55,20 +50,21 @@ func mustAddRules(t *testing.T, e *Entry, text string) {
 	}
 }
 
-// TestAutoSessionFollowsBackendSwitch is the regression test for
-// sessions that kept driving the backend auto retired: the reparse
-// after the switch must return the entry's own verdict, on the current
-// backend, without an engine panic or a breaker trip.
+// TestAutoSessionFollowsBackendSwitch pins that rule updates keep an
+// auto entry, and the session open on it, on the backend of the
+// entry's registration: each reparse after the updates runs there and
+// agrees with a stateless parse, without an engine panic or a breaker
+// trip.
 func TestAutoSessionFollowsBackendSwitch(t *testing.T) {
-	for _, c := range autoSwitchCases {
+	for _, c := range autoUpdateCases {
 		t.Run(c.name, func(t *testing.T) {
 			r := New()
 			e, err := r.Register("calc", Spec{Source: c.src, Engine: engine.KindAuto})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.EngineKind() != c.from {
-				t.Fatalf("auto serves %v, want %v (%s)", e.EngineKind(), c.from, e.Stats().EngineReason)
+			if e.EngineKind() != c.kind {
+				t.Fatalf("auto serves %v, want %v (%s)", e.EngineKind(), c.kind, e.Stats().EngineReason)
 			}
 			s, err := r.OpenSession(e, "n + n")
 			if err != nil {
@@ -76,8 +72,8 @@ func TestAutoSessionFollowsBackendSwitch(t *testing.T) {
 			}
 			c.update(t, e)
 			mustAddRules(t, e, `F ::= "m"`)
-			if e.EngineKind() != c.to {
-				t.Fatalf("auto serves %v after the updates, want %v (%s)", e.EngineKind(), c.to, e.Stats().EngineReason)
+			if e.EngineKind() != c.kind {
+				t.Fatalf("auto serves %v after the updates, want %v still (%s)", e.EngineKind(), c.kind, e.Stats().EngineReason)
 			}
 			doc := []string{"n", "+", "n"}
 			for _, edit := range []struct {
@@ -90,7 +86,7 @@ func TestAutoSessionFollowsBackendSwitch(t *testing.T) {
 				doc[edit.at] = edit.insert
 				res, err := s.Reparse(nil)
 				if err != nil {
-					t.Fatalf("reparse after the switch: %v", err)
+					t.Fatalf("reparse after the updates: %v", err)
 				}
 				want, err := e.ParseInput(strings.Join(doc, " "), false)
 				if err != nil {
@@ -100,27 +96,27 @@ func TestAutoSessionFollowsBackendSwitch(t *testing.T) {
 					t.Fatalf("session verdict %v on %v, entry verdict %v", res.Accepted, doc, want.Accepted)
 				}
 			}
-			if got := s.Stat().Engine; got != c.to.String() {
-				t.Errorf("session drives %s, want %s", got, c.to)
+			if got := s.Stat().Engine; got != c.kind.String() {
+				t.Errorf("session drives %s, want %s", got, c.kind)
 			}
 			st := e.Stats()
 			if st.Panics != 0 || st.Breaker.State != "closed" || st.Breaker.ConsecutiveFailures != 0 {
 				t.Fatalf("panics %d, breaker %+v", st.Panics, st.Breaker)
 			}
 			if tot := r.SessionTotals(); tot.Reparses < 4 {
-				t.Errorf("session totals lost the reparses of the retired backend: %+v", tot)
+				t.Errorf("session totals lost reparses: %+v", tot)
 			}
 		})
 	}
 }
 
-// TestAutoSessionConcurrentSwitches runs session edits and reparses,
-// stateless parses, stats reads and a writer that moves the entry
-// between LALR(1) and lazy GLR, with rule churn while lazy GLR serves,
-// all at once (run it under -race): every reparse must succeed on
-// whichever backend serves at the time, and no engine panic may reach
-// the breaker.
-func TestAutoSessionConcurrentSwitches(t *testing.T) {
+// TestAutoSessionConcurrentUpdates runs session edits and reparses,
+// stateless parses, stats reads and a writer that moves the grammar of
+// an auto entry across the LALR(1) boundary and back, with rule churn
+// on the conflicted side, all at once (run it under -race): every
+// reparse must succeed on the LALR backend the entry registered with,
+// and no engine panic may reach the breaker.
+func TestAutoSessionConcurrentUpdates(t *testing.T) {
 	r := New()
 	e, err := r.Register("calc", Spec{Source: calcDetSrc, Engine: engine.KindAuto})
 	if err != nil {
@@ -144,6 +140,10 @@ func TestAutoSessionConcurrentSwitches(t *testing.T) {
 				res, err := s.Reparse(nil)
 				if err != nil || !res.Accepted {
 					done <- fmt.Errorf("reparse %d: accepted=%v err=%v", i, res.Accepted, err)
+					return
+				}
+				if got := s.Stat().Engine; got != "lalr" {
+					done <- fmt.Errorf("reparse %d ran on %s, want lalr", i, got)
 					return
 				}
 				if _, err := e.ParseInput("n * n", false); err != nil {
@@ -182,7 +182,7 @@ func TestAutoSessionConcurrentSwitches(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if st := e.Stats(); st.Panics != 0 || st.Breaker.State != "closed" {
-		t.Fatalf("panics %d, breaker %+v", st.Panics, st.Breaker)
+	if st := e.Stats(); st.Panics != 0 || st.Breaker.State != "closed" || st.Engine != engine.KindLALR {
+		t.Fatalf("panics %d, breaker %+v, engine %v", st.Panics, st.Breaker, st.Engine)
 	}
 }

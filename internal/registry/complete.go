@@ -46,7 +46,10 @@ var ErrNoCursor = errors.New("registry: no such completion cursor")
 // like parses do.
 type CompletionSession struct {
 	lease
-	engName string
+	// version is the entry version (Entry.Version) the cursor opened
+	// at. Any rule update leaves the cursor stale, so it is also the
+	// version of its last successful step.
+	version uint64
 	// step holds the cursor and is its one Driver, reused by every
 	// request so a warm resume allocates nothing.
 	step    engine.CursorStep
@@ -202,7 +205,7 @@ func (r *Registry) startCursor(ctx context.Context, e *Entry, op CompletionOp, d
 			}
 			return nil, err
 		}
-		cs.engName = e.eng.Kind().String()
+		cs.version = e.Version()
 		pos, feeds, queries = cs.step.Cursor.Pos(), cs.feeds, cs.queries
 		return cs, nil
 	}
@@ -307,16 +310,15 @@ func (cs *CompletionSession) Stat() CompletionStat {
 	out := CompletionStat{
 		ID:      cs.id,
 		Grammar: cs.entry.name,
-		Engine:  cs.engName,
+		Engine:  cs.entry.EngineKind().String(),
+		Version: cs.version,
 		IdleMs:  cs.idleFor(time.Now()).Milliseconds(),
 	}
 	if cs.closed {
 		return out
 	}
-	v := cs.step.Cursor.Vocab()
 	out.Pos = cs.step.Cursor.Pos()
-	out.Vocab = v.Len()
-	out.Version = v.Version
+	out.Vocab = cs.step.Cursor.Vocab().Len()
 	out.Queries = cs.queries
 	out.Feeds = cs.feeds
 	return out

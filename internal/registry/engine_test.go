@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -12,7 +11,6 @@ import (
 
 	"ipg/internal/engine"
 	"ipg/internal/grammar"
-	"ipg/internal/obs"
 	"ipg/internal/snapshot"
 )
 
@@ -116,11 +114,10 @@ func registerTestdata(tb testing.TB, r *Registry, name, file string, kind engine
 	return e
 }
 
-// TestAutoGLRUpdatesRepairProbe pins the incremental auto verdict on the
+// TestAutoGLRUpdatesRepairProbe pins auto on the churn workload's
 // service path. SDF.sdf has LALR(1) conflicts, so auto serves it with
-// lazy GLR; the parses between fresh-keyword rule updates settle them,
-// splicing each into the probe table auto keeps, and the verdict is
-// re-read from that table without a single table probe.
+// lazy GLR, and 24 fresh-keyword rule updates, each followed by parses,
+// keep it there.
 func TestAutoGLRUpdatesRepairProbe(t *testing.T) {
 	e := registerTestdata(t, New(), "sdf", "SDF.sdf", engine.KindAuto)
 	if e.EngineKind() != engine.KindGLR {
@@ -153,49 +150,6 @@ func TestAutoGLRUpdatesRepairProbe(t *testing.T) {
 		if e.EngineKind() != engine.KindGLR {
 			t.Fatalf("pair %d: auto moved to %v (%s)", i, e.EngineKind(), e.Stats().EngineReason)
 		}
-	}
-	if got := e.Stats().EngineReprobes; got != 0 {
-		t.Errorf("24 verdict-stable updates ran %d table probes, want 0", got)
-	}
-}
-
-// TestAutoSettleRunsInSelectStage pins where an auto entry's kept-table
-// work lands. A traced rule update on SDF.sdf, which lazy GLR serves,
-// carries only the lazy generator's splice: no lookahead propagation,
-// rule diffing or re-analysis, which under GLR only the kept table does.
-// The next traced parse settles the update in its select stage, and the
-// entry's counters then include the kept table's repair.
-func TestAutoSettleRunsInSelectStage(t *testing.T) {
-	e := registerTestdata(t, New(), "sdf", "SDF.sdf", engine.KindAuto)
-	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "exp.sdf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
-	before := e.Counters()
-	tr := tracer.StartParse(e.Name(), engine.ServingKind(e.Engine()).String(), "")
-	if n, err := e.UpdateRules(`LEX-ELEM ::= "kw0"`, true, tr); err != nil || n != 1 {
-		t.Fatalf("add: n=%d err=%v", n, err)
-	}
-	sp, _, _ := tr.FinishSpan(true, nil)
-	if sp.RepairPropagated != 0 || sp.RepairRulesDiffed != 0 || sp.RepairReanalysed != 0 {
-		t.Fatalf("the rules span carries kept-table work: propagated %d, rules diffed %d, re-analysed %d",
-			sp.RepairPropagated, sp.RepairRulesDiffed, sp.RepairReanalysed)
-	}
-	if mid := e.Counters(); mid.RepairPropagated != before.RepairPropagated {
-		t.Fatalf("the update repaired the kept table: %+v, was %+v", mid, before)
-	}
-	tr = tracer.StartParse(e.Name(), engine.ServingKind(e.Engine()).String(), "")
-	res, err := e.Run(context.Background(), string(doc), nil, false, tr)
-	if err != nil || !res.Accepted {
-		t.Fatalf("parse exp.sdf: err=%v accepted=%v", err, res.Accepted)
-	}
-	sp, _, _ = tr.FinishSpan(true, nil)
-	if after := e.Counters(); after.RepairPropagated == before.RepairPropagated {
-		t.Fatal("the parse did not settle the update into the kept table")
-	}
-	if sp.Stages[obs.StageSelect] <= 0 || sp.Engine != "glr" {
-		t.Fatalf("parse span: select stage %v, engine %q; want a select stage on glr", sp.Stages[obs.StageSelect], sp.Engine)
 	}
 }
 

@@ -240,13 +240,11 @@ type Entry struct {
 	// cannot see: rule-text updates intern new symbols into the shared
 	// SymbolTable and consult the grammar before taking the generator's
 	// write lock, so parses/stats (readers) and updates (writers) must
-	// exclude each other here too. An auto engine's verdict reads settle
-	// its pending rule updates into its kept table, and cursor steps
-	// close their frontiers and read accept sets; both read the symbol
-	// table, so they hold the read lock as well. A request takes the
-	// read lock once: a nested read lock deadlocks behind a waiting
-	// writer. Lock order: updateMu, then scanMu, then the generator's
-	// locks.
+	// exclude each other here too. Cursor steps close their frontiers
+	// and read accept sets, which read the symbol table, so they hold
+	// the read lock as well. A request takes the read lock once: a
+	// nested read lock deadlocks behind a waiting writer. Lock order:
+	// updateMu, then scanMu, then the generator's locks.
 	updateMu sync.RWMutex
 
 	// scanMu serializes use of the ISG scanner, whose lazy DFA expansion
@@ -324,12 +322,8 @@ func (e *Entry) Grammar() *grammar.Grammar { return e.g }
 func (e *Entry) Engine() engine.Engine { return e.eng }
 
 // EngineKind reports the concrete backend serving the entry (an auto
-// entry reports its verdict, settling pending rule updates first).
-func (e *Entry) EngineKind() engine.Kind {
-	e.updateMu.RLock()
-	defer e.updateMu.RUnlock()
-	return e.eng.Kind()
-}
+// entry reports the verdict of its registration).
+func (e *Entry) EngineKind() engine.Kind { return e.eng.Kind() }
 
 // RequestedEngine reports the kind the registration asked for —
 // engine.KindAuto stays auto here even after selection.
@@ -338,11 +332,7 @@ func (e *Entry) RequestedEngine() engine.Kind { return e.requested }
 // Generator exposes the entry's shared incremental generator when the
 // engine is lazy-GLR-backed, nil otherwise (use Engine for the
 // backend-independent surface).
-func (e *Entry) Generator() *core.Generator {
-	e.updateMu.RLock()
-	defer e.updateMu.RUnlock()
-	return engine.GeneratorOf(e.eng)
-}
+func (e *Entry) Generator() *core.Generator { return engine.GeneratorOf(e.eng) }
 
 // Counters samples the engine's work counters.
 func (e *Entry) Counters() core.Counters { return e.eng.Counters() }
@@ -484,7 +474,7 @@ func (e *Entry) drive(ctx context.Context, d engine.Driver, input []grammar.Symb
 		// runs under (grammar, engine) pprof labels so profiles of a
 		// multi-tenant service split by tenant. Gated because labeling
 		// allocates; the zero-alloc gates run with it off.
-		obs.WithProfileLabels(ctx, e.name, engine.ServingKind(e.eng).String(), func() {
+		obs.WithProfileLabels(ctx, e.name, e.eng.Kind().String(), func() {
 			res, err = engine.ParseGuarded(d, input, buildTrees, tr, fl)
 		})
 	} else {
@@ -791,10 +781,6 @@ type Stats struct {
 	// with Counters.ParsesServed it is the entry's update-rate/parse-rate
 	// ratio (UpdateParseRatio).
 	RuleUpdates uint64
-	// EngineReprobes counts the full table probes the auto engine ran
-	// to reselect (engine.Auto.Reprobes; 0 for explicitly selected
-	// backends).
-	EngineReprobes uint64
 	// SnapshotSaves counts snapshots persisted for this entry.
 	SnapshotSaves uint64
 	// States/Complete/Initial/Dirty describe the engine's table.
@@ -846,10 +832,6 @@ func (e *Entry) Stats() Stats {
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
 	info := e.eng.TableInfo()
-	var reprobes uint64
-	if a, ok := e.eng.(*engine.Auto); ok {
-		reprobes = a.Reprobes()
-	}
 	completeLat := e.completeLat.snapshot()
 	return Stats{
 		Name:              e.name,
@@ -862,7 +844,6 @@ func (e *Entry) Stats() Stats {
 		EngineReason:      e.eng.Reason(),
 		Caps:              e.eng.Caps(),
 		RuleUpdates:       e.ruleUpdates.Load(),
-		EngineReprobes:    reprobes,
 		SnapshotSaves:     e.snapSaves.Load(),
 		States:            info.States,
 		Complete:          info.Complete,

@@ -8,13 +8,14 @@ import (
 	"testing"
 )
 
-// TestAutoSessionFollowsBackendSwitchOverHTTP drives the registry
-// regression over the wire: a session opened while auto serves one
-// backend is edited and reparsed after rule updates — LALR(1) to lazy
-// GLR, lazy GLR to LALR(1), and lazy GLR staying put under churn, where
-// 13 rules POSTs fold into the settle of the next verdict read. Every
-// PATCH answers 200 with the entry's own verdict, and no engine panic
-// reaches the grammar's breaker.
+// TestAutoSessionFollowsBackendSwitchOverHTTP drives the registry test
+// over the wire: a session opened on an auto grammar is edited and
+// reparsed after rule updates. Each case names how the updates move a
+// fresh probe's verdict — LALR(1) to lazy GLR, lazy GLR to LALR(1), or
+// nowhere under churn on lazy GLR — and the grammar keeps the backend
+// of its registration throughout. Every PATCH answers 200 with the
+// verdict of a stateless parse, and no engine panic reaches the
+// grammar's breaker.
 func TestAutoSessionFollowsBackendSwitchOverHTTP(t *testing.T) {
 	const ambiguous = `E ::= E "+" E`
 	churn := func(t *testing.T, url string) {
@@ -25,16 +26,16 @@ func TestAutoSessionFollowsBackendSwitchOverHTTP(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		name, src, from, to string
-		update              func(t *testing.T, url string)
+		name, src, engine string
+		update            func(t *testing.T, url string)
 	}{
-		{"lalr to glr", calcDetSrc, "lalr", "glr", func(t *testing.T, url string) {
+		{"lalr to glr", calcDetSrc, "lalr", func(t *testing.T, url string) {
 			updateRules(t, url, map[string]any{"add": ambiguous})
 		}},
-		{"glr to lalr", calcDetSrc + ambiguous + "\n", "glr", "lalr", func(t *testing.T, url string) {
+		{"glr to lalr", calcDetSrc + ambiguous + "\n", "glr", func(t *testing.T, url string) {
 			updateRules(t, url, map[string]any{"delete": ambiguous})
 		}},
-		{"glr stays glr under churn", calcDetSrc + ambiguous + "\n", "glr", "glr", churn},
+		{"glr stays glr under churn", calcDetSrc + ambiguous + "\n", "glr", churn},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			srv := New(nil)
@@ -42,7 +43,7 @@ func TestAutoSessionFollowsBackendSwitchOverHTTP(t *testing.T) {
 			defer ts.Close()
 			grammarURL := ts.URL + "/v1/grammars/calc"
 			resp, body := do(t, "PUT", grammarURL, map[string]any{"source": c.src, "engine": "auto"})
-			if resp.StatusCode != http.StatusCreated || body["engine"] != c.from {
+			if resp.StatusCode != http.StatusCreated || body["engine"] != c.engine {
 				t.Fatalf("register: %d %v", resp.StatusCode, body)
 			}
 			resp, body = do(t, "POST", grammarURL+"/sessions", map[string]any{"input": "n + n"})
@@ -53,8 +54,8 @@ func TestAutoSessionFollowsBackendSwitchOverHTTP(t *testing.T) {
 
 			c.update(t, grammarURL)
 			updateRules(t, grammarURL, map[string]any{"add": `F ::= "m"`})
-			if _, body = do(t, "GET", grammarURL, nil); body["engine"] != c.to {
-				t.Fatalf("auto serves %v after the updates, want %s", body["engine"], c.to)
+			if _, body = do(t, "GET", grammarURL, nil); body["engine"] != c.engine {
+				t.Fatalf("auto serves %v after the updates, want %s still", body["engine"], c.engine)
 			}
 
 			doc := []string{"n", "+", "n"}

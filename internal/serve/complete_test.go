@@ -279,26 +279,48 @@ func TestCompleteCursorStaleAfterRuleUpdate(t *testing.T) {
 	}
 }
 
-// TestCompleteVersionIsEntryVersion pins that a completion reports the
-// entry's version, the one /v1/grammars/{name} reports: 1 on a fresh
-// entry and 2 after one rule update, not the grammar's own mutation
-// count, which also counts the rules it was registered with.
+// TestCompleteVersionIsEntryVersion pins that a completion and its
+// cursor's stat, in GET /v1/completions/{id} and in the cursor list,
+// report the entry's version, the one /v1/grammars/{name} reports: 1 on
+// a fresh calculator entry and 2 after one rule update, not the
+// grammar's own mutation count, which also counts the rules it was
+// registered with.
 func TestCompleteVersionIsEntryVersion(t *testing.T) {
 	ts := newTestServer(t)
-	mustRegister(t, ts, "bool", boolSrc)
+	mustRegister(t, ts, "calc", calcDetSrc)
 	for want := 1; want <= 2; want++ {
 		if want == 2 {
-			if resp, body := do(t, "POST", ts.URL+"/v1/grammars/bool/rules", map[string]any{"add": `B ::= "not" B`}); resp.StatusCode != 200 {
+			if resp, body := do(t, "POST", ts.URL+"/v1/grammars/calc/rules", map[string]any{"add": `F ::= "m"`}); resp.StatusCode != 200 {
 				t.Fatalf("rules: %d %v", resp.StatusCode, body)
 			}
 		}
-		_, info := do(t, "GET", ts.URL+"/v1/grammars/bool", nil)
-		resp, body := do(t, "POST", ts.URL+"/v1/grammars/bool/complete", map[string]any{"prefix": "true", "once": true})
+		_, info := do(t, "GET", ts.URL+"/v1/grammars/calc", nil)
+		resp, body := do(t, "POST", ts.URL+"/v1/grammars/calc/complete", map[string]any{"prefix": "n +"})
 		if resp.StatusCode != 200 {
 			t.Fatalf("complete: %d %v", resp.StatusCode, body)
 		}
-		if info["version"] != float64(want) || body["version"] != float64(want) {
-			t.Errorf("versions: /v1/grammars/bool %v, /complete %v; want both %d", info["version"], body["version"], want)
+		id, _ := body["cursor"].(string)
+		_, stat := do(t, "GET", ts.URL+"/v1/completions/"+id, nil)
+		_, list := do(t, "GET", ts.URL+"/v1/completions", nil)
+		listed, _ := list["completions"].([]any)
+		if len(listed) != 1 {
+			t.Fatalf("cursor list: %v", list)
+		}
+		for _, c := range []struct {
+			where   string
+			version any
+		}{
+			{"GET /v1/grammars/calc", info["version"]},
+			{"/complete", body["version"]},
+			{"GET /v1/completions/{id}", stat["version"]},
+			{"GET /v1/completions", listed[0].(map[string]any)["version"]},
+		} {
+			if c.version != float64(want) {
+				t.Errorf("%s answers version %v, want %d", c.where, c.version, want)
+			}
+		}
+		if resp, _ := do(t, "DELETE", ts.URL+"/v1/completions/"+id, nil); resp.StatusCode != 200 {
+			t.Fatalf("close: %d", resp.StatusCode)
 		}
 	}
 }

@@ -196,9 +196,7 @@ func throttled(err error) bool { return failureOf(err).status == http.StatusTooM
 //
 //   - op's context carries -parse-timeout, for the registry call that
 //     takes one;
-//   - the span is labelled, once op is done, with the backend that
-//     served, read by engine.ServingKind, which does not settle an auto
-//     entry's pending rule updates (a label must not repair tables);
+//   - the span is labelled with the backend that serves the entry;
 //   - the span finishes with op's outcome, and one past the tracer's
 //     slow threshold is logged;
 //   - a failure is classified through the failures table: a 429 is
@@ -212,10 +210,9 @@ func (s *Server) serveOp(ctx context.Context, e *registry.Entry, op func(context
 		ctx, stop = context.WithTimeout(ctx, s.parseTimeout)
 		defer stop()
 	}
-	tr := s.tracer.StartParse(e.Name(), "", obs.RequestID(ctx))
+	kind := e.EngineKind()
+	tr := s.tracer.StartParse(e.Name(), kind.String(), obs.RequestID(ctx))
 	accepted, err := op(ctx, tr)
-	kind := engine.ServingKind(e.Engine())
-	tr.SetEngine(kind.String())
 	if sp, _, slow := tr.FinishSpan(accepted, err); slow {
 		s.log().Warn("slow request", "grammar", e.Name(), "engine", kind.String(),
 			"duration", sp.Total, "accepted", accepted, "request_id", sp.RequestID, "err", err)

@@ -453,9 +453,8 @@ func TestReadyzNamesDrain(t *testing.T) {
 }
 
 // TestThrottledLeaseOpenSettlesNothing: a session open or a completion
-// refused at admission leaves an auto entry's pending rule update
-// unsettled, so its kept table is not repaired for a request that
-// never ran.
+// refused at admission after a rule update does no table repair work
+// for a request that never ran.
 func TestThrottledLeaseOpenSettlesNothing(t *testing.T) {
 	s := New(nil)
 	s.reg.SetDefaultLimits(registry.Limits{RatePerSec: 0.001, Burst: 1})
@@ -475,7 +474,7 @@ func TestThrottledLeaseOpenSettlesNothing(t *testing.T) {
 			t.Fatalf("%s: %d %s, want 429", c.path, rec.Code, rec.Body)
 		}
 		if after := e.Counters().RepairPropagated; after != before {
-			t.Errorf("a throttled %s repaired the kept table: RepairPropagated %d -> %d", c.path, before, after)
+			t.Errorf("a throttled %s repaired a table: RepairPropagated %d -> %d", c.path, before, after)
 		}
 	}
 }

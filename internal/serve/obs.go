@@ -110,9 +110,6 @@ var families = slices.Concat([]family{
 	perGrammar("ipg_table_repair_fallbacks_total", obs.TypeCounter,
 		"Rule updates whose table repair declined and regenerated from scratch.",
 		func(st registry.Stats) float64 { return float64(st.Counters.RepairFallbacks) }),
-	perGrammar("ipg_engine_reprobes_total", obs.TypeCounter,
-		"Full table probes the auto engine ran to reselect its backend (verdicts re-read from repaired tables do not count).",
-		func(st registry.Stats) float64 { return float64(st.EngineReprobes) }),
 	perGrammar("ipg_admission_rejected_total", obs.TypeCounter,
 		"Requests refused by the grammar's admission gate (drain, circuit breaker, memory budget, load shedder, "+
 			"rate or concurrency limit) or its forest-size limit: parses, batch items, session opens and edits, "+

@@ -447,9 +447,8 @@ func TestLatencyJSONShape(t *testing.T) {
 	}
 }
 
-// TestEntryInfoObservabilityCounters checks the new per-entry counters
-// surface through the JSON API: snapshot saves and auto-engine
-// re-probes.
+// TestEntryInfoObservabilityCounters checks the per-entry snapshot
+// counter surfaces through the JSON API.
 func TestEntryInfoObservabilityCounters(t *testing.T) {
 	store, err := snapshot.NewStore(t.TempDir())
 	if err != nil {
@@ -471,8 +470,5 @@ func TestEntryInfoObservabilityCounters(t *testing.T) {
 	}
 	if info.SnapshotSaves != 1 {
 		t.Errorf("snapshot_saves_total = %d, want 1", info.SnapshotSaves)
-	}
-	if info.EngineReprobes != 0 {
-		t.Errorf("engine_reprobes_total = %d for explicit engine, want 0", info.EngineReprobes)
 	}
 }

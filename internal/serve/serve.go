@@ -532,12 +532,9 @@ type EntryInfo struct {
 	// UpdateParseRatio relates them to parses served.
 	RuleUpdates      uint64  `json:"rule_updates_total"`
 	UpdateParseRatio float64 `json:"update_parse_ratio"`
-	// EngineReprobes counts the full table probes the auto engine ran
-	// to reselect (0 for explicitly selected backends); SnapshotSaves
-	// counts this entry's persisted table snapshots.
-	EngineReprobes uint64 `json:"engine_reprobes_total"`
-	SnapshotSaves  uint64 `json:"snapshot_saves_total"`
-	States         int    `json:"states"`
+	// SnapshotSaves counts this entry's persisted table snapshots.
+	SnapshotSaves uint64 `json:"snapshot_saves_total"`
+	States        int    `json:"states"`
 	// Complete/Initial/Dirty break down the shared table: how much has
 	// been generated by need, and how much a modification invalidated.
 	Complete int `json:"complete_states"`
@@ -582,7 +579,6 @@ func infoOf(st registry.Stats) EntryInfo {
 		EngineCaps:          capsOf(st.Caps),
 		RuleUpdates:         st.RuleUpdates,
 		UpdateParseRatio:    st.UpdateParseRatio(),
-		EngineReprobes:      st.EngineReprobes,
 		SnapshotSaves:       st.SnapshotSaves,
 		States:              st.States,
 		Complete:            st.Complete,

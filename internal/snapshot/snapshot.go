@@ -24,7 +24,6 @@ package snapshot
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -71,14 +70,9 @@ type Meta struct {
 	// CreatedUnix is the snapshot time (seconds).
 	CreatedUnix int64 `json:"created_unix"`
 	// PayloadLen and PayloadSHA256 guard the payload against truncation
-	// and corruption. Both describe the stored (possibly compressed)
-	// bytes, so integrity is checked before any decompression runs.
+	// and corruption.
 	PayloadLen    int    `json:"payload_len"`
 	PayloadSHA256 string `json:"payload_sha256"`
-	// Encoding is how the stored payload bytes are wrapped: "" for raw,
-	// "gzip" for a gzip-compressed table. Decode resolves it
-	// transparently — Snapshot.Payload is always the raw table.
-	Encoding string `json:"encoding,omitempty"`
 	// States/Complete describe the table at snapshot time (for stats).
 	States   int `json:"states"`
 	Complete int `json:"complete"`
@@ -125,29 +119,11 @@ func Hash(g *grammar.Grammar) string {
 
 // Encode writes the envelope: magic, header line, payload. The header's
 // integrity fields are computed here, so callers only fill the
-// descriptive ones. Setting snap.Encoding to "gzip" compresses the
-// payload on the way out (snap.Payload itself stays the raw table);
-// Decode undoes it transparently.
+// descriptive ones.
 func Encode(w io.Writer, snap *Snapshot) error {
 	m := snap.Meta
-	stored := snap.Payload
-	switch m.Encoding {
-	case "":
-	case "gzip":
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(snap.Payload); err != nil {
-			return fmt.Errorf("snapshot: gzip: %w", err)
-		}
-		if err := zw.Close(); err != nil {
-			return fmt.Errorf("snapshot: gzip: %w", err)
-		}
-		stored = buf.Bytes()
-	default:
-		return fmt.Errorf("snapshot: unknown payload encoding %q", m.Encoding)
-	}
-	m.PayloadLen = len(stored)
-	sum := sha256.Sum256(stored)
+	m.PayloadLen = len(snap.Payload)
+	sum := sha256.Sum256(snap.Payload)
 	m.PayloadSHA256 = hex.EncodeToString(sum[:])
 	header, err := json.Marshal(m)
 	if err != nil {
@@ -157,13 +133,15 @@ func Encode(w io.Writer, snap *Snapshot) error {
 	fmt.Fprintln(bw, magic)
 	bw.Write(header)
 	bw.WriteByte('\n')
-	bw.Write(stored)
+	bw.Write(snap.Payload)
 	return bw.Flush()
 }
 
 // Decode reads and verifies an envelope: magic, header syntax, payload
 // length and checksum. Any integrity failure is reported as ErrCorrupt
-// so callers can distinguish "broken file" from "wrong grammar".
+// so callers can distinguish "broken file" from "wrong grammar"; so is
+// a header field Meta does not know, such as the payload encoding older
+// writers could record.
 func Decode(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
 	magicLine, err := br.ReadString('\n')
@@ -175,8 +153,13 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	var m Meta
-	if err := json.Unmarshal(bytes.TrimRight(headerLine, "\n"), &m); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(headerLine))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("%w: bad header: %v", ErrCorrupt, err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("%w: bad header: data after the JSON object", ErrCorrupt)
 	}
 	payload, err := io.ReadAll(br)
 	if err != nil {
@@ -189,25 +172,6 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if hex.EncodeToString(sum[:]) != m.PayloadSHA256 {
 		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
 	}
-	// Integrity holds for the stored bytes; only now undo the encoding.
-	switch m.Encoding {
-	case "":
-	case "gzip":
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
-		if err != nil {
-			return nil, fmt.Errorf("%w: gzip header: %v", ErrCorrupt, err)
-		}
-		raw, err := io.ReadAll(zr)
-		if cerr := zr.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: gzip payload: %v", ErrCorrupt, err)
-		}
-		payload = raw
-	default:
-		return nil, fmt.Errorf("%w: unknown payload encoding %q", ErrCorrupt, m.Encoding)
-	}
 	return &Snapshot{Meta: m, Payload: payload}, nil
 }
 
@@ -216,16 +180,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 // goroutines (atomic rename is the only mutation).
 type Store struct {
 	dir string
-	// gzip compresses payloads written by Save (SetGzip). Loading is
-	// always transparent: the envelope's encoding flag decides.
-	gzip bool
 }
-
-// SetGzip makes Save gzip-compress table payloads. Reads stay
-// transparent either way (the envelope records the encoding), so a
-// directory may mix compressed and raw snapshots freely — e.g. after
-// toggling the flag across restarts. Call before serving traffic.
-func (st *Store) SetGzip(on bool) { st.gzip = on }
 
 // NewStore opens (creating if needed) a snapshot directory.
 func NewStore(dir string) (*Store, error) {
@@ -250,40 +205,42 @@ func (st *Store) Path(name string) string {
 	return filepath.Join(st.dir, url.PathEscape(name)+fileExt)
 }
 
-// Save writes a snapshot atomically: temp file in the same directory,
-// fsync, rename over the previous file. A crash at any point leaves
-// either the old snapshot or the new one — never a torn file.
+// Save writes snap over its name's previous snapshot, atomically (see
+// WriteFile).
 func (st *Store) Save(snap *Snapshot) error {
-	if st.gzip && snap.Encoding == "" {
-		// Don't mutate the caller's snapshot; the encoding is a property
-		// of this store's files, not of the table.
-		compressed := *snap
-		compressed.Encoding = "gzip"
-		snap = &compressed
-	}
-	tmp, err := os.CreateTemp(st.dir, ".tmp-*"+fileExt)
+	err := WriteFile(st.Path(snap.Name), func(w io.Writer) error { return Encode(w, snap) })
 	if err != nil {
 		return fmt.Errorf("snapshot: save %q: %w", snap.Name, err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if err := Encode(tmp, snap); err != nil {
+	return nil
+}
+
+// WriteFile replaces the file at path with what write produces,
+// atomically: write fills a temp file in the same directory, which is
+// fsynced, made world-readable and renamed over path. A crash at any
+// point leaves either the old file or the new one — never a torn or
+// empty file.
+func WriteFile(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*"+filepath.Ext(path))
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("snapshot: save %q: %w", snap.Name, err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("snapshot: save %q: %w", snap.Name, err)
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("snapshot: save %q: %w", snap.Name, err)
+		return err
 	}
 	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return fmt.Errorf("snapshot: save %q: %w", snap.Name, err)
+		return err
 	}
-	if err := os.Rename(tmp.Name(), st.Path(snap.Name)); err != nil {
-		return fmt.Errorf("snapshot: save %q: %w", snap.Name, err)
-	}
-	return nil
+	return os.Rename(tmp.Name(), path)
 }
 
 // Load reads and verifies the snapshot for name. It returns ErrNotFound
@@ -307,36 +264,6 @@ func (st *Store) Load(name string) (*Snapshot, error) {
 // Remove deletes the snapshot for name, reporting whether one existed.
 func (st *Store) Remove(name string) bool {
 	return os.Remove(st.Path(name)) == nil
-}
-
-// GC compacts the directory: every snapshot file whose grammar name is
-// not in keep is removed, and the removed names are returned. Long-lived
-// directories otherwise accumulate envelopes for grammars that were
-// unregistered, renamed, or belonged to departed tenants. Foreign files
-// (wrong extension, temp files, undecodable names) are never touched.
-func (st *Store) GC(keep []string) (removed []string, err error) {
-	names, err := st.List()
-	if err != nil {
-		return nil, err
-	}
-	keepSet := make(map[string]bool, len(keep))
-	for _, name := range keep {
-		keepSet[name] = true
-	}
-	for _, name := range names {
-		if keepSet[name] {
-			continue
-		}
-		if rmErr := os.Remove(st.Path(name)); rmErr != nil && !errors.Is(rmErr, fs.ErrNotExist) {
-			// Keep sweeping; report the first failure at the end.
-			if err == nil {
-				err = fmt.Errorf("snapshot: gc %q: %w", name, rmErr)
-			}
-			continue
-		}
-		removed = append(removed, name)
-	}
-	return removed, err
 }
 
 // List returns the names with a snapshot file, sorted.

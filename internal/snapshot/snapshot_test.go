@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,6 +63,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"bad magic":         func(b []byte) []byte { return append([]byte("nope\n"), b...) },
 		"no header":         func(b []byte) []byte { return []byte(magic + "\n") },
 		"garbage header":    func(b []byte) []byte { return []byte(magic + "\n{not json\n") },
+		"trailing header":   func(b []byte) []byte { return bytes.Replace(b, []byte("}\n"), []byte("} x\n"), 1) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, err := Decode(bytes.NewReader(mangle(whole)))
@@ -184,126 +186,55 @@ func TestCorruptFileOnDisk(t *testing.T) {
 	}
 }
 
-func TestGzipEncodingRoundTrip(t *testing.T) {
-	// A compressible payload so the size win is observable.
-	payload := strings.Repeat("state 12 shift 34 reduce 56\n", 512)
-	snap := testSnap("calc", payload)
-	snap.Encoding = "gzip"
-
-	var buf bytes.Buffer
-	if err := Encode(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() >= len(payload) {
-		t.Errorf("gzip envelope is %d bytes for a %d-byte payload", buf.Len(), len(payload))
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Encoding != "gzip" {
-		t.Errorf("Encoding = %q, want gzip", got.Encoding)
-	}
-	if string(got.Payload) != payload {
-		t.Error("gzip round trip mangled the payload")
-	}
-	// The caller's snapshot stays raw.
-	if string(snap.Payload) != payload {
-		t.Error("Encode mutated the caller's payload")
-	}
-}
-
-func TestStoreGzipTransparentLoad(t *testing.T) {
-	dir := t.TempDir()
-	stRaw, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stGz, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stGz.SetGzip(true)
-
-	payload := strings.Repeat("transition 7 -> 9 on EXP\n", 256)
-	if err := stRaw.Save(testSnap("raw", payload)); err != nil {
-		t.Fatal(err)
-	}
-	if err := stGz.Save(testSnap("gz", payload)); err != nil {
-		t.Fatal(err)
-	}
-
-	rawInfo, err := os.Stat(stRaw.Path("raw"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gzInfo, err := os.Stat(stGz.Path("gz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gzInfo.Size() >= rawInfo.Size() {
-		t.Errorf("gzip file %d bytes >= raw file %d bytes", gzInfo.Size(), rawInfo.Size())
-	}
-
-	// A mixed directory loads transparently through either store.
-	for _, name := range []string{"raw", "gz"} {
-		got, err := stRaw.Load(name)
-		if err != nil {
-			t.Fatalf("Load(%q): %v", name, err)
-		}
-		if string(got.Payload) != payload {
-			t.Errorf("Load(%q) mangled the payload", name)
-		}
-	}
-}
-
+// TestDecodeRejectsUnknownEncoding: a header that names a payload
+// encoding, as gzip-compressed snapshots once did, decodes as corrupt
+// whatever its checksum says, so its entry starts cold.
 func TestDecodeRejectsUnknownEncoding(t *testing.T) {
-	snap := testSnap("calc", "payload")
-	snap.Encoding = "zstd"
 	var buf bytes.Buffer
-	if err := Encode(&buf, snap); err == nil {
-		t.Fatal("Encode accepted an unknown encoding")
+	if err := Encode(&buf, testSnap("calc", "payload")); err != nil {
+		t.Fatal(err)
+	}
+	env := strings.Replace(buf.String(), `"payload_len"`, `"encoding":"gzip","payload_len"`, 1)
+	if _, err := Decode(strings.NewReader(env)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a header naming an encoding decodes with %v, want ErrCorrupt", err)
 	}
 }
 
-func TestStoreGC(t *testing.T) {
+// TestWriteFileKeepsOldFileOnError: a write that fails leaves the
+// previous file in place and no temp file behind; one that succeeds
+// replaces it with a world-readable file.
+func TestWriteFileKeepsOldFileOnError(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"a", "b", "tenant/c"} {
-		if err := st.Save(testSnap(name, "payload")); err != nil {
-			t.Fatal(err)
+	path := filepath.Join(dir, "session.ipgsnap")
+	write := func(text string, err error) func(io.Writer) error {
+		return func(w io.Writer) error {
+			if _, werr := io.WriteString(w, text); werr != nil {
+				return werr
+			}
+			return err
 		}
 	}
-	// Foreign files must survive the sweep.
-	foreign := filepath.Join(dir, "notes.txt")
-	if err := os.WriteFile(foreign, []byte("keep me"), 0o644); err != nil {
+	if err := WriteFile(path, write("old", nil)); err != nil {
 		t.Fatal(err)
 	}
-
-	removed, err := st.GC([]string{"a"})
+	boom := errors.New("boom")
+	if err := WriteFile(path, write("partial", boom)); !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "old" {
+		t.Fatalf("after a failed write the file holds %q (%v), want the old contents", got, err)
+	}
+	if err := WriteFile(path, write("new", nil)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(removed) != 2 {
-		t.Fatalf("GC removed %v, want b and tenant/c", removed)
+	if got, _ := os.ReadFile(path); string(got) != "new" || info.Mode().Perm() != 0o644 {
+		t.Errorf("file holds %q with mode %v, want \"new\" with 0644", got, info.Mode().Perm())
 	}
-	names, err := st.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "a" {
-		t.Fatalf("store holds %v after GC, want [a]", names)
-	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Errorf("GC touched a foreign file: %v", err)
-	}
-
-	// GC with everything kept is a no-op.
-	removed, err = st.GC([]string{"a"})
-	if err != nil || len(removed) != 0 {
-		t.Fatalf("idempotent GC removed %v, err %v", removed, err)
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("directory holds %d files, want only the written one", len(entries))
 	}
 }

@@ -73,8 +73,9 @@ const (
 	// EngineEarley is table-free Earley parsing: accepts everything,
 	// recognizes only, slowest per token.
 	EngineEarley = engine.KindEarley
-	// EngineAuto probes the grammar's LALR(1) table (conflict-free ⇒
-	// LALR(1); else lazy GLR) and records the reason.
+	// EngineAuto probes the grammar's LALR(1) table once, at
+	// registration (conflict-free ⇒ LALR(1); else lazy GLR), and records
+	// the reason; rule updates keep that backend.
 	EngineAuto = engine.KindAuto
 )
 

@@ -116,6 +116,16 @@ CID="$(echo "$COMP" | sed -n 's/.*"cursor":"\([^"]*\)".*/\1/p')"
   echo "FAIL: completion open returned no cursor id" >&2
   exit 1
 }
+# The cursor's stat reports the entry version its steps ran at, the one
+# /complete reports: 1 on the preloaded, never updated entry.
+echo "$COMP" | grep -q '"version":1[,}]' || {
+  echo "FAIL: completion open does not report entry version 1" >&2
+  exit 1
+}
+curl -fsS "$BASE/v1/completions/$CID" | grep -q '"version":1[,}]' || {
+  echo "FAIL: cursor stat does not report entry version 1" >&2
+  exit 1
+}
 curl -fsS -X POST "$BASE/v1/grammars/calc/complete" \
   -H 'X-Request-Id: smoke-complete-feed' \
   -d "{\"cursor\":\"$CID\",\"feed\":\"n * n\",\"close\":true}" \
