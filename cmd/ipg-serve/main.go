@@ -46,8 +46,10 @@
 // the timeout).
 //
 // Observability: the service always exposes GET /metrics (Prometheus
-// text format), /healthz (liveness) and /readyz (flips ready once the
-// preload — including snapshot restores — has published every table).
+// text format), /healthz (liveness) and /readyz (readiness). The
+// listener binds before the preload: while grammars and snapshot
+// restores load, /healthz answers 200 and /readyz 503, and /readyz
+// flips ready once the preload has published every table.
 // Logs are structured (log/slog); -log-level picks the floor (debug
 // logs every request) and -log-json switches to JSON lines.
 // -trace-sample N records every Nth parse's lifecycle — tokenize,
@@ -249,6 +251,45 @@ func main() {
 			"sample_every", *traceSample, "slow_threshold", *traceSlow)
 	}
 
+	handler := front.Handler()
+	if *pprofOn {
+		// Mount the pprof handlers explicitly (not via the DefaultServeMux
+		// side effect), so only -pprof exposes them: production hot spots
+		// stay observable with `go tool pprof host:port/debug/pprof/profile`
+		// without profiling being open by default.
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux.Handle("/", handler)
+		handler = mux
+		logger.Info("pprof enabled", "path", "/debug/pprof/", "profile_labels", true)
+	}
+	// baseCtx underlies every request context. Canceling it at the end
+	// of a timed-out drain fires every in-flight parse's cancellation
+	// flag (reason shutdown), so stuck parses abort at their next
+	// checkpoint instead of holding the process open.
+	baseCtx, cancelBase := context.WithCancel(context.Background())
+	defer cancelBase()
+	srv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		MaxHeaderBytes:    1 << 20,
+		BaseContext:       func(net.Listener) context.Context { return baseCtx },
+	}
+
+	// Bind and serve before the preload, so that /healthz answers and
+	// /readyz reports 503 while grammars and snapshots load.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal("listen failed", "addr", *addr, "err", err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	logger.Info("ipg-serve listening", "addr", ln.Addr().String())
+
 	for _, spec := range grammars {
 		name, path, _ := strings.Cut(spec, "=")
 		src, err := os.ReadFile(path)
@@ -273,36 +314,7 @@ func main() {
 	// Every preloaded table (including snapshot restores) is published:
 	// the instance can take traffic.
 	front.MarkReady()
-
-	handler := front.Handler()
-	if *pprofOn {
-		// Mount the pprof handlers explicitly (not via the DefaultServeMux
-		// side effect), so only -pprof exposes them: production hot spots
-		// stay observable with `go tool pprof host:port/debug/pprof/profile`
-		// without profiling being open by default.
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", handler)
-		handler = mux
-		logger.Info("pprof enabled", "path", "/debug/pprof/", "profile_labels", true)
-	}
-	// baseCtx underlies every request context. Canceling it at the end
-	// of a timed-out drain fires every in-flight parse's cancellation
-	// flag (reason shutdown), so stuck parses abort at their next
-	// checkpoint instead of holding the process open.
-	baseCtx, cancelBase := context.WithCancel(context.Background())
-	defer cancelBase()
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-		BaseContext:       func(net.Listener) context.Context { return baseCtx },
-	}
+	logger.Info("ipg-serve ready", "grammars", reg.Len())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -390,12 +402,6 @@ func main() {
 			}
 		}()
 	}
-
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("ipg-serve listening", "addr", *addr, "grammars", reg.Len())
-		errc <- srv.ListenAndServe()
-	}()
 
 	select {
 	case err := <-errc:

@@ -13,8 +13,9 @@ import (
 // session (the paper's motivating application): dozens of interleaved
 // rule additions, deletions, parses and occasional garbage-collection
 // sweeps. After every step the incrementally maintained parser must
-// agree with an Earley oracle reading the same live grammar — Earley is
-// grammar-driven, so it follows every modification by construction.
+// agree with an Earley oracle over the same live grammar — Earley is
+// grammar-driven, so a Refresh of its grammar view follows every
+// modification.
 func TestTortureSession(t *testing.T) {
 	for _, policy := range []Policy{PolicyRefCount, PolicyRetainAll, PolicyEagerSweep} {
 		policy := policy
@@ -25,7 +26,7 @@ func TestTortureSession(t *testing.T) {
 					Nonterminals: 3, Terminals: 3, Rules: 5, EpsilonProb: 0.1,
 				}, rng)
 				gen := New(g, &Options{Policy: policy, SweepThreshold: 0.6})
-				oracle := earley.New(g) // reads g live
+				oracle := earley.New(g)
 
 				syms := g.Symbols()
 				var nts, pool []grammar.Symbol
@@ -42,6 +43,7 @@ func TestTortureSession(t *testing.T) {
 				}
 
 				checkParses := func(step int) {
+					oracle.Refresh() // the generator's updates moved the grammar
 					for i := 0; i < 4; i++ {
 						var input []grammar.Symbol
 						if sent, ok := g.RandomSentence(rng, 6); ok && rng.Intn(2) == 0 {

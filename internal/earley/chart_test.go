@@ -223,8 +223,8 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestGrammarVersionRecompiles: a rule update must be visible on the
-// very next parse (the compiled view is version-stamped).
+// TestGrammarVersionRecompiles: a rule update and its Refresh must be
+// visible on the very next parse.
 func TestGrammarVersionRecompiles(t *testing.T) {
 	g := grammar.MustParse(`
 START ::= E
@@ -242,12 +242,14 @@ E ::= "x"
 	if err := g.AddRule(mod.Rules()[0]); err != nil {
 		t.Fatal(err)
 	}
+	p.Refresh()
 	if !p.Recognize(fixtures.Tokens(g, "y")) {
 		t.Fatal("rule update not visible to the next parse")
 	}
 	if _, err := g.DeleteRule(mod.Rules()[0]); err != nil {
 		t.Fatal(err)
 	}
+	p.Refresh()
 	if p.Recognize(fixtures.Tokens(g, "y")) {
 		t.Fatal("rule deletion not visible to the next parse")
 	}
@@ -271,4 +273,64 @@ func TestEOFTerminatedInput(t *testing.T) {
 	if s := forest.String(res.Root, g.Symbols()); !strings.Contains(s, "or") {
 		t.Fatalf("unexpected tree %s", s)
 	}
+}
+
+// TestParsesLoadTheUpdatesView: New and Refresh publish the grammar
+// view; a parse, a document reparse, a tree and a cursor after an update
+// all run on the view the update published, and none compiles another.
+// A parse after an update nobody refreshed panics instead of compiling.
+func TestParsesLoadTheUpdatesView(t *testing.T) {
+	g := grammar.MustParse(`
+START ::= S
+S ::= A "b"
+A ::= "a"
+`)
+	p := New(g)
+	if p.prog == nil || p.prog.version != g.Version() {
+		t.Fatalf("New published no view of version %d", g.Version())
+	}
+	b := fixtures.Tokens(g, "b")
+	d := p.OpenDoc(b, true)
+	if res, err := d.Reparse(nil); err != nil || res.Accepted {
+		t.Fatalf("'b' with A not nullable: accepted %v, %v", res.Accepted, err)
+	}
+	before := p.prog
+
+	a, _ := g.Symbols().Lookup("A")
+	eps := grammar.NewRule(a)
+	if err := g.AddRule(eps); err != nil {
+		t.Fatal(err)
+	}
+	p.Refresh()
+	pr := p.prog
+	if pr == before || pr.version != g.Version() || !pr.nullable[a] {
+		t.Fatalf("Refresh published %p at version %d (nullable A %v), want a new view at %d",
+			pr, pr.version, pr.nullable[a], g.Version())
+	}
+	if !p.Recognize(b) {
+		t.Fatal("'b' rejected after A became nullable")
+	}
+	if res, err := d.Reparse(nil); err != nil || !res.Accepted || d.prog != pr {
+		t.Fatalf("doc reparse: accepted %v, %v, on the published view %v", res.Accepted, err, d.prog == pr)
+	}
+	if res, err := d.Tree(nil); err != nil || res.Root == nil || d.b.pr != pr {
+		t.Fatalf("doc tree: root %v, %v, on the published view %v", res.Root != nil, err, d.b.pr == pr)
+	}
+	c := p.OpenCursor()
+	if !c.Feed(b[0]) || !c.AtEnd() || c.d.prog != pr {
+		t.Fatalf("cursor: fed 'b' to a sentence on the published view %v", c.d.prog == pr)
+	}
+	if p.prog != pr {
+		t.Fatal("a parse replaced the view the update published")
+	}
+
+	if _, err := g.DeleteRule(eps); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a parse after an unrefreshed update did not panic")
+		}
+	}()
+	p.Recognize(b)
 }

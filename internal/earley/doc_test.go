@@ -226,6 +226,7 @@ E ::= E "+" "x" | "x"
 	if _, err := g.AddAll(mod); err != nil {
 		t.Fatal(err)
 	}
+	p.Refresh()
 	ySym, _ := g.Symbols().Lookup("y")
 	if err := d.Splice(0, 1, []grammar.Symbol{ySym}); err != nil {
 		t.Fatal(err)

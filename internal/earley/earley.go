@@ -4,15 +4,16 @@
 // expect Earley's algorithm to have better generation performance, but a
 // much inferior parsing performance"). There is no generation phase at
 // all: every parse derives its information from the grammar, which is
-// exactly what makes the algorithm flexible — a rule update costs
-// nothing beyond the grammar mutation itself.
+// exactly what makes the algorithm flexible — a rule update costs only
+// a recompile of the flat grammar view, proportional to the grammar.
 //
 // The implementation uses the standard predictor/scanner/completer with
 // the Aycock–Horspool nullable-prediction fix (epsilon rules are handled
 // correctly), plus:
 //
-//   - a compiled grammar view (program) cached per grammar version, so
-//     steady-state parses touch flat arrays instead of maps;
+//   - a compiled grammar view (program), built by New and by every
+//     Refresh after a rule update, so parses touch flat arrays instead
+//     of maps and never compile;
 //   - a pooled, arena-backed chart (Workspace): dense per-set item
 //     storage with a generation-stamped dedup table, mirroring
 //     glr.Workspace — a warm parse allocates nothing in its token loop;
@@ -26,7 +27,7 @@ package earley
 
 import (
 	"errors"
-	"sync/atomic"
+	"fmt"
 
 	"ipg/internal/cancel"
 	"ipg/internal/forest"
@@ -119,22 +120,34 @@ func (o *Options) forest() *forest.Forest {
 // no finite packed forest exists. Recognition still works.
 var ErrCyclic = errors.New("earley: cyclic derivation (grammar not finitely ambiguous)")
 
-// Parser is an Earley parser for a grammar. It keeps no table: the
-// compiled grammar view is re-derived whenever the grammar's version
-// moves, so rule updates adapt automatically — the flexibility end of
-// the Fig 2.1 spectrum.
+// Parser is an Earley parser for a grammar. It keeps no table, only a
+// compiled view of the grammar's rules: New builds it, and Refresh
+// rebuilds it after rule updates, so the update pays the Fig 2.1
+// modification cost and parses only load the published view. Mutating
+// the grammar without calling Refresh is a programming error that the
+// next parse reports by panicking, as core.Generator does.
 //
 // Concurrent parses through one Parser are safe as long as grammar
-// mutations are excluded by the caller (the engine layer brackets them
-// with a reader/writer lock).
+// mutations and their Refresh are excluded by the caller (the engine
+// layer does both under its write lock).
 type Parser struct {
 	g    *grammar.Grammar
-	prog atomic.Pointer[program]
+	prog *program
 }
 
-// New returns a parser for g. No precomputation is performed; the
-// compiled view is built on first use.
-func New(g *grammar.Grammar) *Parser { return &Parser{g: g} }
+// New returns a parser for g with g's view compiled.
+func New(g *grammar.Grammar) *Parser {
+	p := &Parser{g: g}
+	p.Refresh()
+	return p
+}
+
+// Refresh recompiles the grammar view after rule updates and publishes
+// it to later parses. Call it after every AddRule/DeleteRule on the
+// parser's grammar (once per batch suffices), under the exclusion that
+// covers the update: it reads the grammar's Analysis, which is not safe
+// beside concurrent readers.
+func (p *Parser) Refresh() { p.prog = compile(p.g) }
 
 // Parse runs one Earley parse. A trailing end marker ($) is accepted
 // and ignored, so EOF-terminated token streams pass through unchanged.
@@ -142,11 +155,11 @@ func (p *Parser) Parse(input []grammar.Symbol, opts *Options) (Result, error) {
 	if n := len(input); n > 0 && input[n-1] == grammar.EOF {
 		input = input[:n-1]
 	}
+	pr := p.program()
 	w := opts.workspace()
 	if w.pooled {
 		defer releaseWorkspace(w)
 	}
-	pr := p.program()
 	buildTrees := opts.trees()
 	tr := opts.trace()
 	fl := opts.cancelFlag()
@@ -199,16 +212,14 @@ func (p *Parser) RecognizeDiag(input []grammar.Symbol) (ok bool, stats Stats, er
 	return res.Accepted, res.Stats, res.ErrorPos, res.Expected
 }
 
-// program returns the compiled view of the current grammar, rebuilding
-// it when the grammar version has moved. The rebuild is proportional to
-// the grammar size — the "modification cost" of the Earley row in
-// Fig 2.1, paid once per update batch instead of per parse.
+// program returns the published view of the grammar. A grammar that
+// moved since the last Refresh was mutated behind the parser's back.
 func (p *Parser) program() *program {
-	if pr := p.prog.Load(); pr != nil && pr.version == p.g.Version() {
-		return pr
+	pr := p.prog
+	if v := p.g.Version(); pr.version != v {
+		panic(fmt.Sprintf("earley: grammar modified behind the parser's back (version %d, view compiled at %d); call Parser.Refresh after each rule update",
+			v, pr.version))
 	}
-	pr := compile(p.g)
-	p.prog.Store(pr)
 	return pr
 }
 
@@ -238,7 +249,11 @@ type program struct {
 	numSyms int
 }
 
+// compile builds the view of g's current rules, reading nullability
+// from g's incremental Analysis. Its cost, proportional to the grammar,
+// is the Earley row's modification cost in Fig 2.1.
 func compile(g *grammar.Grammar) *program {
+	ana := g.Analysis()
 	numSyms := g.Symbols().Len() + 1
 	pr := &program{
 		g:        g,
@@ -251,9 +266,7 @@ func compile(g *grammar.Grammar) *program {
 	}
 	for _, s := range g.Symbols().Nonterminals() {
 		pr.isNT[s] = true
-	}
-	for s := range g.Nullable() {
-		pr.nullable[s] = true
+		pr.nullable[s] = ana.Nullable(s)
 	}
 	pr.minSuffix = make([][]int32, len(pr.rules))
 	for i, r := range pr.rules {

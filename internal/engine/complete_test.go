@@ -396,12 +396,12 @@ func TestCursorStaleAfterRuleUpdate(t *testing.T) {
 	}
 }
 
-// TestCursorStaleAfterBackendSwitch is the verdict-crossing case of the
-// staleness contract. Each case names how a rule update moves a fresh
-// probe's verdict across the LALR(1) boundary; auto's engine keeps the
-// backend it was built on, a cursor opened before the update refuses
-// with ErrCursorStale, and a fresh cursor opens and feeds.
-func TestCursorStaleAfterBackendSwitch(t *testing.T) {
+// TestAutoCursorKeepsBackendAcrossUpdates is the verdict-crossing case
+// of the staleness contract. Each case names how a rule update moves a
+// fresh probe's verdict across the LALR(1) boundary; auto's engine
+// keeps the backend it was built on, a cursor opened before the update
+// refuses with ErrCursorStale, and a fresh cursor opens and feeds.
+func TestAutoCursorKeepsBackendAcrossUpdates(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		kind engine.Kind

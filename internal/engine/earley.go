@@ -14,13 +14,14 @@ import (
 )
 
 // Earley is the table-free backend behind the Engine interface: every
-// parse derives its information from the grammar, so rule updates cost
-// nothing and acceptance covers every context-free grammar. Since the
-// chart overhaul it is a full peer of the other engines — Parse builds
-// packed forests node-identical to the LR engines' trees on unambiguous
-// inputs — while staying the flexibility end of the Fig 2.1 spectrum:
-// the per-token work is the highest of all backends, but a grammar
-// modification is free.
+// parse derives its information from the grammar, so a rule update
+// costs only a recompile of the parser's flat grammar view and
+// acceptance covers every context-free grammar. Since the chart
+// overhaul it is a full peer of the other engines — Parse builds packed
+// forests node-identical to the LR engines' trees on unambiguous inputs
+// — while staying the flexibility end of the Fig 2.1 spectrum: the
+// per-token work is the highest of all backends, but a grammar
+// modification generates no table.
 type Earley struct {
 	reason string
 
@@ -37,7 +38,8 @@ type Earley struct {
 // package earley.
 var earleyScratchPool = sync.Pool{New: func() any { return new(earley.Options) }}
 
-// NewEarley builds an Earley engine for g; no precomputation happens.
+// NewEarley builds an Earley engine for g; the only precomputation is
+// the parser's grammar view.
 func NewEarley(g *grammar.Grammar, reason string) *Earley {
 	return &Earley{reason: reason, g: g, p: earley.New(g)}
 }
@@ -113,23 +115,25 @@ func (e *Earley) Counters() core.Counters {
 func (e *Earley) TableInfo() TableInfo { return TableInfo{} }
 
 // AddRule implements Engine: the grammar is the table, so the update is
-// complete the moment the rule is added (the compiled view refreshes on
-// the next parse).
+// the rule's addition plus the parser's Refresh, both under the write
+// lock; parses after it load the view the update published.
 func (e *Earley) AddRule(r *grammar.Rule) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.g.AddRule(r); err != nil {
 		return fmt.Errorf("engine: earley add rule: %w", err)
 	}
+	e.p.Refresh()
 	return nil
 }
 
-// DeleteRule implements Engine.
+// DeleteRule implements Engine like AddRule.
 func (e *Earley) DeleteRule(r *grammar.Rule) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, err := e.g.DeleteRule(r); err != nil {
 		return fmt.Errorf("engine: earley delete rule: %w", err)
 	}
+	e.p.Refresh()
 	return nil
 }

@@ -217,10 +217,10 @@ type Engine interface {
 	Counters() core.Counters
 	// TableInfo describes the current table.
 	TableInfo() TableInfo
-	// AddRule applies a grammar modification incrementally: GLR and
-	// Earley splice natively, LALR repairs the affected states in place
-	// (regenerating only when the repair declines), and LL refills the
-	// damaged prediction rows.
+	// AddRule applies a grammar modification incrementally: GLR
+	// splices natively, Earley recompiles its grammar view, LALR
+	// repairs the affected states in place (regenerating only when the
+	// repair declines), and LL refills the damaged prediction rows.
 	AddRule(r *grammar.Rule) error
 	// DeleteRule is the inverse of AddRule.
 	DeleteRule(r *grammar.Rule) error

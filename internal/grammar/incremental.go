@@ -80,9 +80,9 @@ func (g *Grammar) Analysis() *Analysis {
 }
 
 // maxPending bounds the modifications an analysis may hold unapplied:
-// a grammar whose tables stopped reading it (a table-free backend
-// serves it) folds them in every maxPending updates rather than keep
-// an unbounded list.
+// a grammar whose tables stopped reading it (auto's probe built it and
+// lazy GLR serves the grammar) folds them in every maxPending updates
+// rather than keep an unbounded list.
 const maxPending = 64
 
 // record notes one rule modification for the next update.

@@ -1,12 +1,12 @@
 package grammar
 
-// This file implements the classical grammar analyses: reachability,
-// productivity, NULLABLE, FIRST and FOLLOW. The functions below compute
-// them from scratch, to fixpoint over the current rule set, as maps;
-// they are the reference the incremental Analysis (incremental.go) is
-// tested against, and what one-off callers use. The table generators
-// read the Analysis instead, which the grammar keeps up to date across
-// rule modifications at a cost bounded by what the modification moved.
+// This file is the test oracle for the grammar analyses: reachability,
+// productivity, NULLABLE, FIRST and FOLLOW, each computed from scratch,
+// to fixpoint over the current rule set, as maps. The incremental
+// Analysis (incremental.go), which the grammar keeps up to date across
+// rule modifications at a cost bounded by what the modification moved,
+// is production's only grammar analysis; the tests here and
+// FuzzGrammarAnalysis compare it against these fixpoints.
 
 // SymbolSet is a set of symbols.
 type SymbolSet map[Symbol]bool

@@ -150,7 +150,8 @@ func (t *Table) Repair(rules ...*grammar.Rule) RepairStats {
 		}
 		for _, r := range g.RulesFor(x) {
 			st.RulesDiffed++
-			if t.nullable(r.Rhs) {
+			t.tmp = t.tmp.Sized(grammar.BitsetWords(g.Symbols()))
+			if a.FirstOf(t.tmp, r.Rhs) {
 				damaged[x] = true
 				break
 			}
@@ -199,17 +200,6 @@ func (t *Table) windowMoved(r *grammar.Rule, moved map[grammar.Symbol]bool) bool
 		}
 	}
 	return false
-}
-
-// nullable reports whether alpha derives the empty string.
-func (t *Table) nullable(alpha []grammar.Symbol) bool {
-	syms := t.g.Symbols()
-	for _, s := range alpha {
-		if syms.Kind(s) == grammar.Terminal || !t.ana.Nullable(s) {
-			return false
-		}
-	}
-	return true
 }
 
 // sameConflicts reports whether two conflict lists of one row hold the

@@ -50,12 +50,12 @@ func mustAddRules(t *testing.T, e *Entry, text string) {
 	}
 }
 
-// TestAutoSessionFollowsBackendSwitch pins that rule updates keep an
+// TestAutoSessionKeepsBackendAcrossUpdates pins that rule updates keep an
 // auto entry, and the session open on it, on the backend of the
 // entry's registration: each reparse after the updates runs there and
 // agrees with a stateless parse, without an engine panic or a breaker
 // trip.
-func TestAutoSessionFollowsBackendSwitch(t *testing.T) {
+func TestAutoSessionKeepsBackendAcrossUpdates(t *testing.T) {
 	for _, c := range autoUpdateCases {
 		t.Run(c.name, func(t *testing.T) {
 			r := New()

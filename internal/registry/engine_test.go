@@ -423,9 +423,9 @@ func TestSnapshotGCSparesConcurrentReregistration(t *testing.T) {
 
 // TestConcurrentEarleyParseAndModify is the -race stress test for the
 // overhauled Earley backend: parses sharing one entry (pooled charts,
-// version-stamped grammar recompiles) race rule updates. Every parse
-// must see a consistent rule set — before-or-after semantics, no torn
-// compiled view.
+// the grammar view each update recompiles) race rule updates. Every
+// parse must see a consistent rule set — before-or-after semantics, no
+// torn compiled view.
 func TestConcurrentEarleyParseAndModify(t *testing.T) {
 	r := New()
 	e, err := r.Register("bool", Spec{Source: `

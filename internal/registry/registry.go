@@ -291,13 +291,6 @@ func newEntry(name string, spec Spec) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	// An SDF grammar with priority/associativity filters needs the
-	// parse forest to apply them — a recognize-only backend would
-	// accept sentences whose every derivation the filters forbid,
-	// silently diverging from the tree-building engines.
-	if e.rel != nil && !eng.Caps().Trees {
-		return nil, fmt.Errorf("registry: engine %s cannot apply the grammar's priority/associativity filters (no tree building); use glr, lalr or auto", eng.Kind())
-	}
 	e.eng = eng
 	e.bucket.tokens = e.limits.bucketBurst()
 	e.bucket.last = e.created

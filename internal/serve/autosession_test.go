@@ -8,15 +8,15 @@ import (
 	"testing"
 )
 
-// TestAutoSessionFollowsBackendSwitchOverHTTP drives the registry test
-// over the wire: a session opened on an auto grammar is edited and
+// TestAutoSessionKeepsBackendAcrossUpdatesOverHTTP drives the registry
+// test over the wire: a session opened on an auto grammar is edited and
 // reparsed after rule updates. Each case names how the updates move a
 // fresh probe's verdict — LALR(1) to lazy GLR, lazy GLR to LALR(1), or
 // nowhere under churn on lazy GLR — and the grammar keeps the backend
 // of its registration throughout. Every PATCH answers 200 with the
 // verdict of a stateless parse, and no engine panic reaches the
 // grammar's breaker.
-func TestAutoSessionFollowsBackendSwitchOverHTTP(t *testing.T) {
+func TestAutoSessionKeepsBackendAcrossUpdatesOverHTTP(t *testing.T) {
 	const ambiguous = `E ::= E "+" E`
 	churn := func(t *testing.T, url string) {
 		for i := 0; i < 6; i++ {

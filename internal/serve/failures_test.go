@@ -453,8 +453,8 @@ func TestReadyzNamesDrain(t *testing.T) {
 }
 
 // TestThrottledLeaseOpenSettlesNothing: a session open or a completion
-// refused at admission after a rule update does no table repair work
-// for a request that never ran.
+// refused at admission after a rule update does no table work, neither
+// repair nor lazy expansion, for a request that never ran.
 func TestThrottledLeaseOpenSettlesNothing(t *testing.T) {
 	s := New(nil)
 	s.reg.SetDefaultLimits(registry.Limits{RatePerSec: 0.001, Burst: 1})
@@ -469,12 +469,16 @@ func TestThrottledLeaseOpenSettlesNothing(t *testing.T) {
 		if rec := doReq(t, s, "POST", "/v1/grammars/calc/rules", rule); rec.Code != http.StatusOK {
 			t.Fatalf("rules: %d %s", rec.Code, rec.Body)
 		}
-		before := e.Counters().RepairPropagated
+		all := e.Counters()
+		before := all.RepairPropagated
 		if rec := doReq(t, s, "POST", "/v1/grammars/calc/"+c.path, c.body); rec.Code != http.StatusTooManyRequests {
 			t.Fatalf("%s: %d %s, want 429", c.path, rec.Code, rec.Body)
 		}
 		if after := e.Counters().RepairPropagated; after != before {
 			t.Errorf("a throttled %s repaired a table: RepairPropagated %d -> %d", c.path, before, after)
+		}
+		if after := e.Counters(); after != all {
+			t.Errorf("a throttled %s did table work: %+v -> %+v", c.path, all, after)
 		}
 	}
 }

@@ -28,8 +28,8 @@ type lifecycle struct {
 
 // TestLeaseOpenIsOneAdmittedRequest: opening a session or a cursor is
 // one admitted request, its first reparse or accept set included. With
-// a one-request bucket the open succeeds; the next open is throttled
-// and moves no lifecycle counter.
+// a one-request bucket the open succeeds; the next open, after a rule
+// update, is throttled and moves no lifecycle counter.
 func TestLeaseOpenIsOneAdmittedRequest(t *testing.T) {
 	for _, tc := range []struct {
 		name, path string
@@ -55,6 +55,7 @@ func TestLeaseOpenIsOneAdmittedRequest(t *testing.T) {
 			if resp, body := do(t, "POST", url, tc.body); resp.StatusCode != tc.status {
 				t.Errorf("open with one request left: %d %v, want %d", resp.StatusCode, body, tc.status)
 			}
+			updateRules(t, ts.URL+"/v1/grammars/bool", map[string]any{"add": `B ::= "maybe"`})
 			if resp, body := do(t, "POST", url, tc.body); resp.StatusCode != http.StatusTooManyRequests {
 				t.Errorf("open with an empty bucket: %d %v, want 429", resp.StatusCode, body)
 			}

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -44,6 +47,42 @@ func TestReadyz(t *testing.T) {
 	s.MarkReady()
 	if rec := doReq(t, s, "GET", "/readyz", ""); rec.Code != 200 {
 		t.Errorf("readyz after MarkReady: %d, want 200", rec.Code)
+	}
+}
+
+// debugSink is a log handler that takes every level and drops it.
+type debugSink struct{}
+
+func (debugSink) Enabled(context.Context, slog.Level) bool  { return true }
+func (debugSink) Handle(context.Context, slog.Record) error { return nil }
+func (h debugSink) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h debugSink) WithGroup(string) slog.Handler           { return h }
+
+// TestRequestLogFreeAboveDebug: the per-request debug line costs no
+// allocation when the log floor is above debug. Its arguments are
+// built only behind the level check, so a request allocates less with
+// the floor at info than with a debug handler that drops the line.
+func TestRequestLogFreeAboveDebug(t *testing.T) {
+	allocs := func(l *slog.Logger, method, path, body string) float64 {
+		s := New(nil)
+		s.SetLogger(l)
+		s.MarkReady()
+		mustPut(t, s, "bool", obsBoolSrc)
+		h := s.Handler()
+		return testing.AllocsPerRun(100, func() {
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, path, strings.NewReader(body)))
+		})
+	}
+	info := obs.NewLogger(io.Discard, slog.LevelInfo, false)
+	for _, c := range []struct{ method, path, body string }{
+		{"GET", "/readyz", ""},
+		{"POST", "/v1/grammars/bool/parse", `{"input":"true or false"}`},
+	} {
+		above, debug := allocs(info, c.method, c.path, c.body), allocs(slog.New(debugSink{}), c.method, c.path, c.body)
+		if above >= debug {
+			t.Errorf("%s %s: %.0f allocs with the floor at info, %.0f with debug on; the debug line's arguments are built regardless",
+				c.method, c.path, above, debug)
+		}
 	}
 }
 

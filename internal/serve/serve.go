@@ -265,9 +265,13 @@ func (s *Server) Handler() http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		s.mux.ServeHTTP(sw, r)
-		s.log().Debug("request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"duration", time.Since(start), "request_id", id)
+		// Guarded, so that above debug level the arguments are not
+		// boxed on every request.
+		if l := s.log(); l.Enabled(r.Context(), slog.LevelDebug) {
+			l.Debug("request",
+				"method", r.Method, "path", r.URL.Path, "status", sw.status,
+				"duration", time.Since(start), "request_id", id)
+		}
 	})
 }
 

@@ -35,17 +35,19 @@ go build -o /tmp/ipg-serve-chaos ./cmd/ipg-serve
   -log-level debug >"$LOG" 2>&1 &
 SERVE_PID=$!
 
+# The listener binds before the preload: wait until /readyz says every
+# grammar is loaded.
 i=0
-until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
+until curl -fsS "$BASE/readyz" >/dev/null 2>&1; do
   i=$((i + 1))
   if [ "$i" -gt 50 ]; then
-    echo "FAIL: /healthz never came up" >&2
+    echo "FAIL: /readyz never turned ready" >&2
     cat "$LOG" >&2
     exit 1
   fi
   sleep 0.2
 done
-echo "ok: /healthz live"
+echo "ok: /readyz ready"
 
 # Two injected panics must surface as structured 500s, not crash the
 # process.

@@ -19,25 +19,25 @@ go build -o /tmp/ipg-serve-smoke ./cmd/ipg-serve
   -log-level debug >"$LOG" 2>&1 &
 SERVE_PID=$!
 
-# Wait for liveness (the process may still be preloading).
+# Wait for readiness: the listener binds before the preload, so
+# /readyz answers 503 until every grammar is loaded.
 i=0
-until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
+until curl -fsS "$BASE/readyz" 2>/dev/null | grep -q '"status":"ready"'; do
   i=$((i + 1))
   if [ "$i" -gt 50 ]; then
-    echo "FAIL: /healthz never came up" >&2
+    echo "FAIL: /readyz never turned ready" >&2
     cat "$LOG" >&2
     exit 1
   fi
   sleep 0.2
 done
-echo "ok: /healthz live"
+echo "ok: /readyz ready"
 
-# Readiness must already be true: preload completes before listening.
-curl -fsS "$BASE/readyz" | grep -q '"status":"ready"' || {
-  echo "FAIL: /readyz not ready after preload" >&2
+curl -fsS "$BASE/healthz" >/dev/null || {
+  echo "FAIL: /healthz not live" >&2
   exit 1
 }
-echo "ok: /readyz ready"
+echo "ok: /healthz live"
 
 # Serve one traced parse (sampling 1 + 1µs slow threshold guarantee the
 # span is retained on both paths).
