@@ -74,10 +74,12 @@
 // service drains: /readyz flips unready, new work is refused with 503,
 // in-flight parses get -drain-timeout to finish and are then
 // force-canceled; tables are snapshotted and sessions closed before
-// exit. -snapshot-retries re-attempts failed snapshot writes with
-// doubling backoff. -fault arms the deterministic fault-injection
-// harness (chaos testing; repeatable): site=kind[,d=DUR][,at=N][,n=N],
-// e.g. -fault drive.token=delay,d=1ms or -fault dispatch.parse=panic,n=3.
+// exit. A SIGTERM during the preload stops it after the grammar being
+// loaded and drains the same way. -snapshot-retries re-attempts failed
+// snapshot writes with doubling backoff. -fault arms the deterministic
+// fault-injection harness (chaos testing; repeatable):
+// site=kind[,d=DUR][,at=N][,n=N], e.g. -fault drive.token=delay,d=1ms
+// or -fault dispatch.parse=panic,n=3.
 // Example session:
 //
 //	ipg-serve -grammar calc=testdata/Calc.sdf -snapshot-dir /var/lib/ipg \
@@ -280,6 +282,12 @@ func main() {
 		BaseContext:       func(net.Listener) context.Context { return baseCtx },
 	}
 
+	// The signal context comes first: a SIGTERM or SIGINT that arrives
+	// while grammars load stops the preload and drains, like one that
+	// arrives later.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	// Bind and serve before the preload, so that /healthz answers and
 	// /readyz reports 503 while grammars and snapshots load.
 	ln, err := net.Listen("tcp", *addr)
@@ -291,6 +299,10 @@ func main() {
 	logger.Info("ipg-serve listening", "addr", ln.Addr().String())
 
 	for _, spec := range grammars {
+		if ctx.Err() != nil {
+			logger.Info("preload interrupted", "loaded", reg.Len(), "requested", len(grammars))
+			break
+		}
 		name, path, _ := strings.Cut(spec, "=")
 		src, err := os.ReadFile(path)
 		if err != nil {
@@ -311,13 +323,12 @@ func main() {
 		logger.Info("loaded grammar", "grammar", name, "path", path,
 			"engine", e.EngineKind().String(), "reason", e.Stats().EngineReason, "table", how)
 	}
-	// Every preloaded table (including snapshot restores) is published:
-	// the instance can take traffic.
-	front.MarkReady()
-	logger.Info("ipg-serve ready", "grammars", reg.Len())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	if ctx.Err() == nil {
+		// Every preloaded table (including snapshot restores) is
+		// published: the instance can take traffic.
+		front.MarkReady()
+		logger.Info("ipg-serve ready", "grammars", reg.Len())
+	}
 
 	if *snapDir != "" && *snapEvery > 0 {
 		ticker := time.NewTicker(*snapEvery)

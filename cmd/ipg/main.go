@@ -26,8 +26,10 @@
 //
 // REPL commands:
 //
-//	<sentence>        parse space-separated terminals
-//	:add <rule>       add a BNF rule incrementally
+//	<sentence>        parse source text (SDF grammars) or space-separated
+//	                  terminal names (BNF grammars)
+//	:add <rule>       add a BNF rule incrementally (an SDF grammar's
+//	                  scanner learns its new quoted terminals)
 //	:delete <rule>    delete a BNF rule incrementally
 //	:stats            show table coverage
 //	:table            show the ACTION/GOTO table generated so far
@@ -129,7 +131,7 @@ func main() {
 			}
 		}()
 	}
-	if *session != "" && p.Generator() != nil {
+	if *session != "" {
 		defer saveSession(p, *session)
 	}
 
@@ -338,12 +340,7 @@ func runREPL(p *ipg.Parser, report func(ipg.Result)) {
 		case strings.HasPrefix(line, ":"):
 			fmt.Println("unknown command", line)
 		default:
-			toks, err := p.Tokens(line)
-			if err != nil {
-				fmt.Println("error:", err)
-				break
-			}
-			res, err := p.Parse(toks)
+			res, err := parseLine(p, line)
 			if err != nil {
 				fmt.Println("error:", err)
 				break
@@ -352,4 +349,18 @@ func runREPL(p *ipg.Parser, report func(ipg.Result)) {
 		}
 		fmt.Print("> ")
 	}
+}
+
+// parseLine parses a REPL line as source text when the grammar came from
+// SDF, which has a scanner, and as terminal names otherwise — the way a
+// registry entry reads its input under the other engines.
+func parseLine(p *ipg.Parser, line string) (ipg.Result, error) {
+	if p.Scanner() != nil {
+		return p.ParseText(line)
+	}
+	toks, err := p.Tokens(line)
+	if err != nil {
+		return ipg.Result{}, err
+	}
+	return p.Parse(toks)
 }

@@ -115,7 +115,7 @@ func (op *CompletionOp) feed(e *Entry, tr *obs.ParseTrace) ([]grammar.Symbol, er
 	}
 	tr.BeginStage(obs.StageTokenize)
 	defer tr.EndStage(obs.StageTokenize)
-	toks, err := e.inputTokensLocked(op.Input)
+	toks, err := e.front.InputTokens(op.Input)
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,10 @@
 // grammars get the fast deterministic path while ambiguous ones keep
 // lazy GLR, per grammar rather than per binary.
 //
+// An entry's grammar front end — SDF loading, token resolution,
+// rule-text updates and the priority filters — is internal/lang's
+// Front, the one the ipg facade's Parser uses too.
+//
 // Locking discipline (see core.Generator): every lazy-GLR parse is
 // bracketed by the generator's BeginParse/EndParse (shared access);
 // AddRule/DeleteRule and garbage collection take exclusive access inside
@@ -43,9 +47,8 @@ import (
 	"ipg/internal/forest"
 	"ipg/internal/grammar"
 	"ipg/internal/isg"
+	"ipg/internal/lang"
 	"ipg/internal/obs"
-	"ipg/internal/priority"
-	"ipg/internal/sdf"
 	"ipg/internal/snapshot"
 )
 
@@ -167,9 +170,9 @@ func (s Spec) sniff() Form {
 	return FormRules
 }
 
-// Entry is one registered grammar: the grammar, its parsing engine, and
-// (for SDF entries) the generated scanner and priority filters. All
-// methods are safe for concurrent use.
+// Entry is one registered grammar: its front end (the grammar and, for
+// SDF entries, the generated scanner and priority filters) and its
+// parsing engine. All methods are safe for concurrent use.
 type Entry struct {
 	name    string
 	form    Form
@@ -183,7 +186,7 @@ type Entry struct {
 	// auto here even after selection; eng.Kind() is the concrete one).
 	requested engine.Kind
 	eng       engine.Engine
-	g         *grammar.Grammar
+	front     *lang.Front
 
 	// limits is the entry's admission control (set at registration).
 	limits Limits
@@ -236,27 +239,17 @@ type Entry struct {
 	// instead of starting cold. Set before the entry is published.
 	restored bool
 
-	// updateMu guards the entry-level pieces the generator's own lock
-	// cannot see: rule-text updates intern new symbols into the shared
-	// SymbolTable and consult the grammar before taking the generator's
-	// write lock, so parses/stats (readers) and updates (writers) must
-	// exclude each other here too. Cursor steps close their frontiers
-	// and read accept sets, which read the symbol table, so they hold
-	// the read lock as well. A request takes the read lock once: a
-	// nested read lock deadlocks behind a waiting writer. Lock order:
-	// updateMu, then scanMu, then the generator's locks.
+	// updateMu is the front end's symbol-table lock (see internal/lang):
+	// rule-text updates intern new symbols into the shared SymbolTable
+	// and consult the grammar before taking the generator's write lock,
+	// so parses/stats (readers) and updates (writers) must exclude each
+	// other here too. Cursor steps close their frontiers and read accept
+	// sets, which read the symbol table, so they hold the read lock as
+	// well. A request takes the read lock once: a nested read lock
+	// deadlocks behind a waiting writer. Lock order: updateMu, then the
+	// front end's scanner lock, then the generator's locks.
 	updateMu sync.RWMutex
-
-	// scanMu serializes use of the ISG scanner, whose lazy DFA expansion
-	// mutates scanner state. Also guards scanner rule extension.
-	scanMu  sync.Mutex
-	scanner *isg.Scanner
-	rel     *priority.Relation
 }
-
-// ErrNoScanner is returned by ScanText on entries registered from plain
-// rules, which have no lexical syntax.
-var ErrNoScanner = errors.New("registry: entry has no scanner (registered from plain rules); parse token names instead")
 
 func newEntry(name string, spec Spec) (*Entry, error) {
 	e := &Entry{name: name, form: spec.sniff(), created: time.Now(),
@@ -267,27 +260,17 @@ func newEntry(name string, spec Spec) (*Entry, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.g = g
+		e.front = lang.New(g)
 	case FormSDF:
-		def, err := sdf.ParseDefinition(spec.Source)
+		front, err := lang.LoadSDF(spec.Source, spec.StartSort)
 		if err != nil {
 			return nil, err
 		}
-		conv, err := sdf.Convert(def, spec.StartSort)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := conv.Scanner()
-		if err != nil {
-			return nil, err
-		}
-		e.g = conv.Grammar
-		e.scanner = sc
-		e.rel = conv.Relation
+		e.front = front
 	default:
 		return nil, fmt.Errorf("registry: unresolved form %v", spec.Form)
 	}
-	eng, err := engine.New(spec.Engine, e.g)
+	eng, err := engine.New(spec.Engine, e.front.Grammar())
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +292,7 @@ func (e *Entry) Version() uint64 { return e.version.Load() }
 
 // Grammar exposes the entry's grammar. Do not modify it directly; use
 // AddRulesText/DeleteRulesText.
-func (e *Entry) Grammar() *grammar.Grammar { return e.g }
+func (e *Entry) Grammar() *grammar.Grammar { return e.front.Grammar() }
 
 // Engine exposes the entry's parsing engine.
 func (e *Entry) Engine() engine.Engine { return e.eng }
@@ -382,7 +365,7 @@ func (e *Entry) Run(ctx context.Context, text string, toks []grammar.Symbol, bui
 	if toks == nil {
 		var err error
 		tr.BeginStage(obs.StageTokenize)
-		toks, err = e.inputTokensLocked(text)
+		toks, err = e.front.InputTokens(text)
 		tr.EndStage(obs.StageTokenize)
 		if err != nil {
 			return Result{}, err
@@ -406,9 +389,10 @@ func (e *Entry) Latency() LatencySnapshot { return e.lat.snapshot() }
 
 // admit is the concurrent-parse admission gate: the token bucket first
 // (sustained rate), then the concurrency cap. It must bracket the whole
-// request — including the scan phase, which serializes on scanMu and
-// would otherwise queue unboundedly — so callers take it before
-// tokenizing, not just before parsing. It is timed as tr's admit stage.
+// request — including the scan phase, which serializes on the front
+// end's scanner lock and would otherwise queue unboundedly — so callers
+// take it before tokenizing, not just before parsing. It is timed as
+// tr's admit stage.
 // Pair every successful admit with a deferred release (a method, not a
 // returned closure: the closure would escape and put one allocation on
 // the zero-alloc warm path).
@@ -532,17 +516,8 @@ func (e *Entry) finishResult(res engine.Result, tr *obs.ParseTrace) (Result, err
 	// the stage accumulates on top of any engine-recorded forest build.
 	tr.BeginStage(obs.StageForest)
 	defer tr.EndStage(obs.StageForest)
-	if e.rel != nil && res.Root != nil {
-		filtered, err := e.rel.Filter(res.Forest, res.Root)
-		switch {
-		case errors.Is(err, priority.ErrNoValidParse):
-			out.Accepted = false
-			out.Root = nil
-		case err != nil:
-			return out, err
-		default:
-			out.Root = filtered
-		}
+	if err := e.front.Disambiguate(&out.Result); err != nil {
+		return out, err
 	}
 	switch {
 	case out.Root != nil:
@@ -564,18 +539,7 @@ func (e *Entry) finishResult(res engine.Result, tr *obs.ParseTrace) (Result, err
 func (e *Entry) InputTokens(input string) ([]grammar.Symbol, error) {
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
-	return e.inputTokensLocked(input)
-}
-
-func (e *Entry) inputTokensLocked(input string) ([]grammar.Symbol, error) {
-	if e.scanner != nil {
-		toks, _, err := e.scanTextLocked(input)
-		if err != nil {
-			return nil, err
-		}
-		return append(toks, grammar.EOF), nil
-	}
-	return e.tokensLocked(input)
+	return e.front.InputTokens(input)
 }
 
 // Describe renders a result's human-facing strings under the entry's
@@ -585,7 +549,7 @@ func (e *Entry) inputTokensLocked(input string) ([]grammar.Symbol, error) {
 func (e *Entry) Describe(res Result, render bool) (expected []string, forestText string) {
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
-	syms := e.g.Symbols()
+	syms := e.front.Grammar().Symbols()
 	if !res.Accepted {
 		for _, sym := range res.Expected {
 			if sym == grammar.EOF {
@@ -609,46 +573,16 @@ func (e *Entry) Describe(res Result, render bool) (expected []string, forestText
 func (e *Entry) Tokens(text string) ([]grammar.Symbol, error) {
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
-	return e.tokensLocked(text)
-}
-
-func (e *Entry) tokensLocked(text string) ([]grammar.Symbol, error) {
-	words := strings.Fields(text)
-	out := make([]grammar.Symbol, 0, len(words)+1)
-	for _, word := range words {
-		s, ok := e.g.Symbols().Lookup(word)
-		if !ok {
-			return nil, fmt.Errorf("registry: unknown token %q", word)
-		}
-		if e.g.Symbols().Kind(s) != grammar.Terminal {
-			return nil, fmt.Errorf("registry: %q is not a terminal", word)
-		}
-		out = append(out, s)
-	}
-	// An input that already ends with the "$" end marker stays as is —
-	// the trailing EOF is the engines' accepted form either way.
-	if n := len(out); n > 0 && out[n-1] == grammar.EOF {
-		return out, nil
-	}
-	return append(out, grammar.EOF), nil
+	return e.front.Tokens(text)
 }
 
 // ScanText tokenizes src with the entry's ISG scanner (SDF entries
-// only). Scanner state mutates during lazy DFA expansion, so scans are
-// serialized per entry.
+// only; others get lang.ErrNoScanner). Scanner state mutates during
+// lazy DFA expansion, so scans are serialized per entry.
 func (e *Entry) ScanText(src string) ([]grammar.Symbol, []isg.Token, error) {
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
-	return e.scanTextLocked(src)
-}
-
-func (e *Entry) scanTextLocked(src string) ([]grammar.Symbol, []isg.Token, error) {
-	if e.scanner == nil {
-		return nil, nil, ErrNoScanner
-	}
-	e.scanMu.Lock()
-	defer e.scanMu.Unlock()
-	return sdf.TokenizeWith(e.scanner, src, e.g.Symbols())
+	return e.front.ScanText(src)
 }
 
 // AddRulesText parses BNF rule lines against the entry's symbol table
@@ -670,11 +604,13 @@ func (e *Entry) DeleteRulesText(text string) (n int, err error) {
 }
 
 // UpdateRules is the entry's one rule-update path; AddRulesText and
-// DeleteRulesText forward to it. It parses BNF rule lines against the
-// entry's symbol table and, under the exclusive update lock, adds them
-// (add) or deletes them, skipping rules already present or absent, and
-// returns how many it applied. Each engine update is recorded under the
-// trace's repair stage (nil trace = untraced).
+// DeleteRulesText forward to it. Under the exclusive update lock, the
+// front end (lang.Front.UpdateRules) parses the BNF rule lines against
+// the entry's symbol table, skips rules already present (add) or absent
+// (delete) and teaches an SDF entry's scanner; each remaining rule goes
+// to the engine. It returns how many rules it applied. Each engine
+// update is recorded under the trace's repair stage (nil trace =
+// untraced).
 func (e *Entry) UpdateRules(text string, add bool, tr *obs.ParseTrace) (n int, err error) {
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
@@ -685,30 +621,16 @@ func (e *Entry) UpdateRules(text string, add bool, tr *obs.ParseTrace) (n int, e
 			e.version.Add(1)
 		}
 	}()
-	tmp, err := grammar.Parse(text, e.g.Symbols())
-	if err != nil {
-		return 0, err
-	}
 	apply := e.eng.DeleteRule
 	if add {
 		apply = e.eng.AddRule
 	}
-	for _, r := range tmp.Rules() {
-		if e.g.Has(r) == add {
-			continue // already present (add) or absent (delete)
-		}
-		if add && e.scanner != nil {
-			if err := e.extendScanner(r); err != nil {
-				return n, err
-			}
-		}
-		if err := e.applyUpdate(tr, r, apply); err != nil {
-			return n, err
-		}
-		e.ruleUpdates.Add(1)
-		n++
-	}
-	return n, nil
+	done, err := e.front.UpdateRules(text, add, func(r *grammar.Rule) error {
+		return e.applyUpdate(tr, r, apply)
+	})
+	n = len(done)
+	e.ruleUpdates.Add(uint64(n))
+	return n, err
 }
 
 // applyUpdate runs one engine rule update under the repair trace stage,
@@ -732,26 +654,6 @@ func (e *Entry) applyUpdate(tr *obs.ParseTrace, r *grammar.Rule, fn func(*gramma
 		Reanalysed:  int(after.RepairReanalysed - before.RepairReanalysed),
 	})
 	return err
-}
-
-// extendScanner teaches the entry's scanner any terminal of r it cannot
-// yet produce, as a literal token (keyword/punctuation convention).
-func (e *Entry) extendScanner(r *grammar.Rule) error {
-	e.scanMu.Lock()
-	defer e.scanMu.Unlock()
-	for _, sym := range r.Rhs {
-		if e.g.Symbols().Kind(sym) != grammar.Terminal {
-			continue
-		}
-		name := e.g.Symbols().Name(sym)
-		if e.scanner.HasSort(name) {
-			continue
-		}
-		if err := e.scanner.AddRule(isg.Rule{Sort: name, Pattern: isg.Lit(name)}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Stats is a point-in-time snapshot of one entry.
@@ -831,7 +733,7 @@ func (e *Entry) Stats() Stats {
 		Form:              e.form,
 		Version:           e.version.Load(),
 		Created:           e.created,
-		Rules:             len(e.g.Rules()),
+		Rules:             len(e.front.Grammar().Rules()),
 		Engine:            e.eng.Kind(),
 		Requested:         e.requested,
 		EngineReason:      e.eng.Reason(),

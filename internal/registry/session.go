@@ -302,7 +302,7 @@ func (s *Session) applyLocked(edits []Splice, tr *obs.ParseTrace) error {
 	inserts := one[:0]
 	n := s.es.Len()
 	for i, ed := range edits {
-		toks, err := s.entry.inputTokensLocked(ed.Insert)
+		toks, err := s.entry.front.InputTokens(ed.Insert)
 		if err != nil {
 			return fmt.Errorf("splice %d: %w", i, err)
 		}

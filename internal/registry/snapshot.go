@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -10,7 +9,6 @@ import (
 
 	"ipg/internal/engine"
 	"ipg/internal/faultinject"
-	"ipg/internal/lr"
 	"ipg/internal/obs"
 	"ipg/internal/snapshot"
 )
@@ -141,14 +139,14 @@ func (r *Registry) tryRestore(e *Entry) {
 			"grammar", e.name, "err", err)
 		return
 	}
-	if err := snap.ValidateFor(e.g); err != nil {
+	auto, err := snap.Restore(e.Grammar())
+	switch {
+	case errors.Is(err, snapshot.ErrGrammarMismatch):
 		r.snapRejected.Add(1)
 		r.log().Warn("snapshot stale, generating cold",
 			"grammar", e.name, "err", err)
 		return
-	}
-	auto, err := lr.Load(e.g, bytes.NewReader(snap.Payload))
-	if err != nil {
+	case err != nil:
 		r.snapErrors.Add(1)
 		r.log().Warn("snapshot table load failed, generating cold",
 			"grammar", e.name, "err", err)
@@ -174,23 +172,13 @@ func (e *Entry) Snapshot() (*snapshot.Snapshot, error) {
 	if snapper == nil {
 		return nil, fmt.Errorf("%w: %q uses engine %s", ErrNotSnapshottable, e.name, e.eng.Kind())
 	}
-	var buf bytes.Buffer
-	cov, err := snapper.SaveTable(&buf)
+	snap, err := snapshot.Take(e.name, e.Grammar(), snapper.SaveTable)
 	if err != nil {
 		return nil, fmt.Errorf("registry: snapshot %q: %w", e.name, err)
 	}
-	return &snapshot.Snapshot{
-		Meta: snapshot.Meta{
-			Name:        e.name,
-			Form:        e.form.String(),
-			Version:     e.version.Load(),
-			GrammarHash: snapshot.Hash(e.g),
-			CreatedUnix: snapshot.Now(),
-			States:      cov.Initial + cov.Complete + cov.Dirty,
-			Complete:    cov.Complete,
-		},
-		Payload: buf.Bytes(),
-	}, nil
+	snap.Form = e.form.String()
+	snap.Version = e.version.Load()
+	return snap, nil
 }
 
 // SnapshotEntry snapshots one entry to the store and returns the

@@ -38,7 +38,9 @@ import (
 	"strings"
 	"time"
 
+	"ipg/internal/core"
 	"ipg/internal/grammar"
+	"ipg/internal/lr"
 )
 
 const magic = "ipg-snapshot v1"
@@ -100,6 +102,39 @@ func short(h string) string {
 type Snapshot struct {
 	Meta
 	Payload []byte
+}
+
+// Take serializes a table generated for g through save (the
+// SaveTable method of core.Generator or of a persistable engine) into a
+// snapshot named name. The header records g's hash and the table
+// coverage save reports; callers may add the descriptive fields.
+func Take(name string, g *grammar.Grammar, save func(io.Writer) (core.CoverageStats, error)) (*Snapshot, error) {
+	var buf bytes.Buffer
+	cov, err := save(&buf)
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{
+		Meta: Meta{
+			Name:        name,
+			GrammarHash: Hash(g),
+			CreatedUnix: Now(),
+			States:      cov.Initial + cov.Complete + cov.Dirty,
+			Complete:    cov.Complete,
+		},
+		Payload: buf.Bytes(),
+	}, nil
+}
+
+// Restore validates the snapshot against g — a mismatch wraps
+// ErrGrammarMismatch — and loads its graph of item sets over g, ready to
+// resume (core.NewFromAutomaton, or a persistable engine's
+// RestoreTable).
+func (s *Snapshot) Restore(g *grammar.Grammar) (*lr.Automaton, error) {
+	if err := s.ValidateFor(g); err != nil {
+		return nil, err
+	}
+	return lr.Load(g, bytes.NewReader(s.Payload))
 }
 
 // Hash fingerprints a grammar's observable rule set: the start symbol

@@ -19,6 +19,14 @@
 // the input sentences need it, and a grammar modification invalidates
 // only the table parts it affects.
 //
+// A Parser is that system: the lazily and incrementally generated LR(0)
+// table driving the GSS (or copying) engine. It shares its grammar front
+// end with the registry's entries — SDF loading, token resolution,
+// rule-text updates that also teach an SDF scanner new literals, and the
+// priority filters — so a text reads the same through both. The
+// registry (NewRegistry) hosts the other backends, LALR(1), LL(1),
+// Earley and auto-selection, per grammar.
+//
 // # Quick start
 //
 //	g, _ := ipg.ParseGrammar(`
@@ -42,10 +50,8 @@ import (
 	"ipg/internal/glr"
 	"ipg/internal/grammar"
 	"ipg/internal/isg"
-	"ipg/internal/lalr"
+	"ipg/internal/lang"
 	"ipg/internal/lr"
-	"ipg/internal/priority"
-	"ipg/internal/sdf"
 )
 
 // Re-exported grammar vocabulary. Symbols are interned integers; a
@@ -104,71 +110,34 @@ const (
 	Deterministic = glr.Deterministic
 )
 
-// GCPolicy selects how the incremental generator treats states orphaned
-// by grammar modifications (section 6.2 of the paper).
-type GCPolicy = core.Policy
-
-// Garbage-collection policies.
-const (
-	// GCRefCount is the paper's deferred reference-counting collector.
-	GCRefCount = core.PolicyRefCount
-	// GCRetainAll never removes states.
-	GCRetainAll = core.PolicyRetainAll
-	// GCEagerSweep sweeps after every modification.
-	GCEagerSweep = core.PolicyEagerSweep
-)
-
-// TableKind selects the parse-table construction.
-type TableKind uint8
-
-const (
-	// LR0 tables (the paper's choice: fast to generate, more parser
-	// splitting). Required for incremental generation.
-	LR0 TableKind = iota
-	// LALR1 tables (the Yacc baseline: slower generation, fewer
-	// conflicts). LALR tables are generated eagerly and regenerated from
-	// scratch on modification — exactly the asymmetry the paper
-	// measures.
-	LALR1
-)
-
 // Options configures NewParser. The zero value (nil) gives the paper's
 // IPG: lazy incremental LR(0) generation driving the GSS engine.
 type Options struct {
-	// Table selects LR0 (default) or LALR1.
-	Table TableKind
 	// Eager generates the full table up front (the paper's PG) instead
 	// of lazily during parsing.
 	Eager bool
 	// Engine selects the parse algorithm (default GSS).
 	Engine Engine
-	// GC selects the incremental garbage-collection policy.
-	GC GCPolicy
 	// DisableTrees skips parse forest construction.
 	DisableTrees bool
 }
 
-// ErrNotIncremental is returned by AddRule/DeleteRule on parsers whose
-// table kind does not support incremental update (LALR1).
-var ErrNotIncremental = errors.New("ipg: LALR(1) tables cannot be updated incrementally; rebuild the parser")
-
-// Parser couples a grammar, a (lazily or eagerly generated) parse table
-// and a parsing engine. With the default options it is the paper's IPG
-// system: NewParser returns immediately, table parts materialize during
+// Parser couples a grammar's front end (internal/lang: token resolution,
+// rule-text updates and, for SDF, the scanner and priority filters), the
+// paper's lazily and incrementally generated LR(0) table and a parsing
+// engine: NewParser returns immediately, table parts materialize during
 // Parse, and AddRule/DeleteRule splice grammar changes into the existing
-// table.
+// table. For the LALR(1), LL(1) or Earley backends, register the grammar
+// in a Registry instead.
 type Parser struct {
-	g          *grammar.Grammar
-	opts       Options
-	gen        *core.Generator    // LR0 path (lazy/incremental)
-	lalrTbl    *lalr.Table        // LALR1 path
-	scanner    *isg.Scanner       // optional, set by SDF loading
-	priorities *priority.Relation // optional, set by SDF loading
+	opts  Options
+	front *lang.Front
+	gen   *core.Generator
 
-	// mu guards what the generator's own locks cannot see: the
-	// rule-text helpers intern new symbols into the shared SymbolTable
-	// before taking the generator's write lock, so token-stream parses
-	// (readers) and rule updates (writers) exclude each other here.
+	// mu is the front end's symbol-table lock: the rule-text helpers
+	// intern new symbols into the shared SymbolTable before taking the
+	// generator's write lock, so parses and token resolution (readers)
+	// and rule updates (writers) exclude each other here.
 	mu sync.RWMutex
 }
 
@@ -178,22 +147,26 @@ func NewParser(g *Grammar, opts *Options) (*Parser, error) {
 	if g == nil {
 		return nil, errors.New("ipg: nil grammar")
 	}
-	p := &Parser{g: g}
+	return build(lang.New(g), opts), nil
+}
+
+// build returns a parser over front's grammar with a fresh table,
+// pregenerated under Options.Eager.
+func build(front *lang.Front, opts *Options) *Parser {
+	p := newParser(front, core.New(front.Grammar(), nil), opts)
+	if p.opts.Eager {
+		p.gen.Pregenerate()
+	}
+	return p
+}
+
+// newParser returns a parser over front's grammar driving gen.
+func newParser(front *lang.Front, gen *core.Generator, opts *Options) *Parser {
+	p := &Parser{front: front, gen: gen}
 	if opts != nil {
 		p.opts = *opts
 	}
-	switch p.opts.Table {
-	case LR0:
-		p.gen = core.New(g, &core.Options{Policy: p.opts.GC})
-		if p.opts.Eager {
-			p.gen.Pregenerate()
-		}
-	case LALR1:
-		p.lalrTbl = lalr.Generate(g)
-	default:
-		return nil, fmt.Errorf("ipg: unknown table kind %d", p.opts.Table)
-	}
-	return p, nil
+	return p
 }
 
 // ParseGrammar reads a grammar from the plain-text BNF format:
@@ -210,17 +183,12 @@ func ParseGrammar(text string) (*Grammar, error) {
 
 // Grammar returns the parser's grammar. Modify it only through AddRule
 // and DeleteRule.
-func (p *Parser) Grammar() *Grammar { return p.g }
+func (p *Parser) Grammar() *Grammar { return p.front.Grammar() }
 
 // Table exposes the underlying parse table (for dumps and diagnostics).
-func (p *Parser) Table() lr.Table {
-	if p.gen != nil {
-		return p.gen
-	}
-	return p.lalrTbl
-}
+func (p *Parser) Table() lr.Table { return p.gen }
 
-// Generator exposes the incremental generator, or nil for LALR tables.
+// Generator exposes the incremental generator.
 func (p *Parser) Generator() *core.Generator { return p.gen }
 
 // Result is the outcome of a parse.
@@ -229,78 +197,48 @@ type Result = glr.Result
 // Parse parses a terminal stream (the end marker is appended
 // automatically).
 //
-// Parse is safe for concurrent use on LR(0) parsers: each call holds
-// shared access to the lazily expanding table for its whole duration, so
-// concurrent AddRule/DeleteRule/AddRulesText/DeleteRulesText calls never
-// tear a running parse (see core.Generator). ScanText/ParseText
-// additionally use the ISG scanner, which is not concurrency-safe — use
-// a Registry entry for concurrent text parsing.
+// Parse is safe for concurrent use: each call holds shared access to
+// the lazily expanding table for its whole duration, so concurrent
+// AddRule/DeleteRule/AddRulesText/DeleteRulesText calls never tear a
+// running parse (see core.Generator). So are Recognize, Tokens,
+// ScanText and ParseText.
 func (p *Parser) Parse(input []Symbol) (Result, error) {
-	if p.gen != nil {
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		p.gen.BeginParse()
-		defer p.gen.EndParse()
-	}
-	engine := p.opts.Engine
-	return glr.Parse(p.Table(), input, &glr.Options{
-		Engine:       engine,
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.parseLocked(input)
+}
+
+func (p *Parser) parseLocked(input []Symbol) (Result, error) {
+	p.gen.BeginParse()
+	defer p.gen.EndParse()
+	return glr.Parse(p.gen, input, &glr.Options{
+		Engine:       p.opts.Engine,
 		DisableTrees: p.opts.DisableTrees,
 	})
 }
 
 // Recognize reports acceptance without building trees. Like Parse it is
-// safe for concurrent use on LR(0) parsers.
+// safe for concurrent use.
 func (p *Parser) Recognize(input []Symbol) (bool, error) {
-	if p.gen != nil {
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		p.gen.BeginParse()
-		defer p.gen.EndParse()
-	}
-	return glr.Recognize(p.Table(), input, p.opts.Engine)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	p.gen.BeginParse()
+	defer p.gen.EndParse()
+	return glr.Recognize(p.gen, input, p.opts.Engine)
 }
 
 // Tokens converts whitespace-separated terminal names into a token
-// stream. Unknown names are an error. Like Parse it may run concurrently
-// with the rule-update methods, which intern new symbols.
+// stream (without the end marker, which Parse appends). Unknown names
+// are an error. Like Parse it may run concurrently with the rule-update
+// methods, which intern new symbols.
 func (p *Parser) Tokens(text string) ([]Symbol, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	var out []Symbol
-	start := -1
-	flush := func(end int) error {
-		if start < 0 {
-			return nil
-		}
-		word := text[start:end]
-		start = -1
-		s, ok := p.g.Symbols().Lookup(word)
-		if !ok {
-			return fmt.Errorf("ipg: unknown token %q", word)
-		}
-		if p.g.Symbols().Kind(s) != grammar.Terminal {
-			return fmt.Errorf("ipg: %q is not a terminal", word)
-		}
-		out = append(out, s)
-		return nil
-	}
-	for i := 0; i < len(text); i++ {
-		switch text[i] {
-		case ' ', '\t', '\n', '\r':
-			if err := flush(i); err != nil {
-				return nil, err
-			}
-		default:
-			if start < 0 {
-				start = i
-			}
-		}
-	}
-	if err := flush(len(text)); err != nil {
+	toks, err := p.front.Tokens(text)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return toks[:len(toks)-1], nil
 }
 
 // MustTokens is Tokens that panics on unknown names; convenient in
@@ -316,9 +254,6 @@ func (p *Parser) MustTokens(text string) []Symbol {
 // AddRule adds a rule and incrementally updates the parse table
 // (ADD-RULE, section 6).
 func (p *Parser) AddRule(r *Rule) error {
-	if p.gen == nil {
-		return ErrNotIncremental
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.gen.AddRule(r)
@@ -327,54 +262,30 @@ func (p *Parser) AddRule(r *Rule) error {
 // DeleteRule removes a rule and incrementally updates the parse table
 // (DELETE-RULE, section 6).
 func (p *Parser) DeleteRule(r *Rule) error {
-	if p.gen == nil {
-		return ErrNotIncremental
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.gen.DeleteRule(r)
 }
 
 // AddRulesText parses BNF rule lines (sharing this parser's symbol
-// table) and adds each rule incrementally. It returns the added rules.
+// table) and adds each rule not already present incrementally. On an
+// SDF-loaded parser it first teaches the scanner the rule's new quoted
+// terminals as literal tokens, so the new syntax scans at once — the
+// paper's simultaneous editing of language definitions and programs. It
+// returns the added rules.
 func (p *Parser) AddRulesText(text string) ([]*Rule, error) {
-	if p.gen == nil {
-		return nil, ErrNotIncremental
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tmp, err := grammar.Parse(text, p.g.Symbols())
-	if err != nil {
-		return nil, err
-	}
-	var added []*Rule
-	for _, r := range tmp.Rules() {
-		if err := p.gen.AddRule(r); err != nil {
-			return added, err
-		}
-		added = append(added, r)
-	}
-	return added, nil
+	return p.front.UpdateRules(text, true, p.gen.AddRule)
 }
 
-// DeleteRulesText parses BNF rule lines and deletes each rule
+// DeleteRulesText parses BNF rule lines and deletes each rule present
 // incrementally.
 func (p *Parser) DeleteRulesText(text string) error {
-	if p.gen == nil {
-		return ErrNotIncremental
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tmp, err := grammar.Parse(text, p.g.Symbols())
-	if err != nil {
-		return err
-	}
-	for _, r := range tmp.Rules() {
-		if err := p.gen.DeleteRule(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := p.front.UpdateRules(text, false, p.gen.DeleteRule)
+	return err
 }
 
 // Stats reports generation progress: how much of the parse table exists,
@@ -389,13 +300,8 @@ type Stats struct {
 	StatesRemoved int
 }
 
-// Stats returns generation statistics (zero value for LALR tables, which
-// are always fully generated).
+// Stats returns generation statistics.
 func (p *Parser) Stats() Stats {
-	if p.gen == nil {
-		n := p.lalrTbl.Automaton().Len()
-		return Stats{States: n, Complete: n}
-	}
 	cov := p.gen.Coverage()
 	return Stats{
 		States:        cov.Initial + cov.Complete + cov.Dirty,
@@ -409,60 +315,33 @@ func (p *Parser) Stats() Stats {
 
 // TableString renders the tabular ACTION/GOTO form of the current graph
 // of item sets (Fig 4.1b); ungenerated states render as '·'.
-func (p *Parser) TableString() string {
-	if p.gen != nil {
-		return p.gen.Automaton().FormatTable()
-	}
-	return p.lalrTbl.Automaton().FormatTable()
-}
+func (p *Parser) TableString() string { return p.gen.Automaton().FormatTable() }
 
 // GraphString renders the graph of item sets as text.
-func (p *Parser) GraphString() string {
-	if p.gen != nil {
-		return p.gen.Automaton().Dump()
-	}
-	return p.lalrTbl.Automaton().Dump()
-}
+func (p *Parser) GraphString() string { return p.gen.Automaton().Dump() }
 
 // DOT renders the graph of item sets in Graphviz format.
-func (p *Parser) DOT() string {
-	if p.gen != nil {
-		return p.gen.Automaton().DOT()
-	}
-	return p.lalrTbl.Automaton().DOT()
-}
+func (p *Parser) DOT() string { return p.gen.Automaton().DOT() }
 
 // SaveTable persists the current graph of item sets — including its lazy
 // frontier, so a later session resumes exactly where this one stopped
-// generating. Only LR(0) tables are persistable.
+// generating.
 func (p *Parser) SaveTable(w io.Writer) error {
-	if p.gen == nil {
-		return errors.New("ipg: LALR(1) tables are not persistable")
-	}
-	return p.gen.Automaton().Save(w)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	_, err := p.gen.SaveTable(w)
+	return err
 }
 
 // NewParserFromTable rebuilds a parser from a table saved by SaveTable.
 // The grammar must still contain every rule the table references (use
 // the same grammar text the table was generated from).
 func NewParserFromTable(g *Grammar, r io.Reader, opts *Options) (*Parser, error) {
-	if opts != nil && opts.Table != LR0 {
-		return nil, errors.New("ipg: only LR(0) tables are persistable")
-	}
 	auto, err := lr.Load(g, r)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{g: g}
-	if opts != nil {
-		p.opts = *opts
-	}
-	gcOpts := &core.Options{}
-	if opts != nil {
-		gcOpts.Policy = opts.GC
-	}
-	p.gen = core.NewFromAutomaton(auto, gcOpts)
-	return p, nil
+	return newParser(lang.New(g), core.NewFromAutomaton(auto, nil), opts), nil
 }
 
 // ErrorMessage renders a human-readable diagnostic for a rejected parse:
@@ -472,7 +351,7 @@ func (p *Parser) ErrorMessage(res Result, input []Symbol) string {
 	if res.Accepted || res.ErrorPos < 0 {
 		return ""
 	}
-	syms := p.g.Symbols()
+	syms := p.Grammar().Symbols()
 	found := "end of input"
 	if res.ErrorPos < len(input) {
 		found = fmt.Sprintf("%q", syms.Name(input[res.ErrorPos]))
@@ -498,12 +377,12 @@ func TreeCount(n *Node) (int64, error) { return forest.TreeCount(n) }
 // TreeString renders a forest in bracketed form with {a | b} ambiguity
 // groups.
 func (p *Parser) TreeString(n *Node) string {
-	return forest.String(n, p.g.Symbols())
+	return forest.String(n, p.Grammar().Symbols())
 }
 
 // Trees enumerates up to limit parse trees as bracketed strings.
 func (p *Parser) Trees(n *Node, limit int) ([]string, error) {
-	return forest.Trees(n, p.g.Symbols(), limit)
+	return forest.Trees(n, p.Grammar().Symbols(), limit)
 }
 
 // LoadSDF parses an SDF definition (the paper's Syntax Definition
@@ -511,25 +390,11 @@ func (p *Parser) Trees(n *Node, limit int) ([]string, error) {
 // parser for the defined language. startSort selects the start sort ("" =
 // the result sort of the first context-free function).
 func LoadSDF(src, startSort string, opts *Options) (*Parser, error) {
-	def, err := sdf.ParseDefinition(src)
+	front, err := lang.LoadSDF(src, startSort)
 	if err != nil {
 		return nil, err
 	}
-	conv, err := sdf.Convert(def, startSort)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := conv.Scanner()
-	if err != nil {
-		return nil, err
-	}
-	p, err := NewParser(conv.Grammar, opts)
-	if err != nil {
-		return nil, err
-	}
-	p.scanner = sc
-	p.priorities = conv.Relation
-	return p, nil
+	return build(front, opts), nil
 }
 
 // Disambiguate applies the SDF priority and associativity filters of an
@@ -538,51 +403,39 @@ func LoadSDF(src, startSort string, opts *Options) (*Parser, error) {
 // rejected. It is a no-op for grammars without priorities and for
 // results without trees.
 func (p *Parser) Disambiguate(res *Result) error {
-	if p.priorities == nil || res.Root == nil {
-		return nil
-	}
-	filtered, err := p.priorities.Filter(res.Forest, res.Root)
-	if err != nil {
-		if errors.Is(err, priority.ErrNoValidParse) {
-			res.Accepted = false
-			res.Root = nil
-			return nil
-		}
-		return err
-	}
-	res.Root = filtered
-	return nil
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.front.Disambiguate(res)
 }
 
 // Scanner returns the ISG scanner of an SDF-loaded parser (nil
-// otherwise).
-func (p *Parser) Scanner() *isg.Scanner { return p.scanner }
+// otherwise). AddRulesText extends it as rules need; a caller that adds
+// lexical rules itself must not scan concurrently.
+func (p *Parser) Scanner() *isg.Scanner { return p.front.Scanner() }
 
 // ScanText tokenizes src with the parser's ISG scanner. The symbol slice
 // feeds Parse; the token slice carries the matched texts and positions
 // (forest leaves index into it via Node.Pos). It requires an SDF-loaded
 // parser.
 func (p *Parser) ScanText(src string) ([]Symbol, []Token, error) {
-	if p.scanner == nil {
-		return nil, nil, errors.New("ipg: ScanText requires a parser loaded from SDF (use LoadSDF)")
-	}
-	return sdf.TokenizeWith(p.scanner, src, p.g.Symbols())
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.front.ScanText(src)
 }
 
 // ParseText scans src with the parser's ISG scanner, parses the token
 // stream, and applies the grammar's priority/associativity filters. It
 // requires an SDF-loaded parser.
 func (p *Parser) ParseText(src string) (Result, error) {
-	toks, _, err := p.ScanText(src)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	toks, _, err := p.front.ScanText(src)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := p.Parse(toks)
-	if err != nil {
-		return res, err
+	res, err := p.parseLocked(toks)
+	if err == nil {
+		err = p.front.Disambiguate(&res)
 	}
-	if err := p.Disambiguate(&res); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, err
 }

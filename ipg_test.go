@@ -1,9 +1,7 @@
 package ipg
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
@@ -88,34 +86,6 @@ func TestIncrementalFacade(t *testing.T) {
 	}
 	if res.Accepted {
 		t.Error("deletion not picked up")
-	}
-}
-
-func TestLALROption(t *testing.T) {
-	g, err := ParseGrammar(`
-START ::= E
-E ::= E "+" T | T
-T ::= "x"
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewParser(g, &Options{Table: LALR1, Engine: Deterministic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Parse(p.MustTokens("x + x + x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Error("rejected")
-	}
-	if err := p.AddRule(nil); !errors.Is(err, ErrNotIncremental) {
-		t.Errorf("AddRule on LALR parser: %v", err)
-	}
-	if s := p.Stats(); s.Complete != s.States || s.States == 0 {
-		t.Errorf("LALR stats: %+v", s)
 	}
 }
 
@@ -320,24 +290,6 @@ func TestNilGrammar(t *testing.T) {
 	}
 }
 
-func TestGCPolicyOption(t *testing.T) {
-	g, _ := ParseGrammar(boolSrc)
-	p, err := NewParser(g, &Options{GC: GCRetainAll, Eager: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AddRulesText(`B ::= "maybe"`); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Parse(p.MustTokens("maybe and true"))
-	if err != nil || !res.Accepted {
-		t.Errorf("retain-all parse: %v %v", res.Accepted, err)
-	}
-	if p.Stats().StatesRemoved != 0 {
-		t.Error("retain-all should not remove states")
-	}
-}
-
 func TestSaveLoadTable(t *testing.T) {
 	g, _ := ParseGrammar(boolSrc)
 	p, _ := NewParser(g, nil)
@@ -375,59 +327,51 @@ func TestSaveLoadTable(t *testing.T) {
 	}
 }
 
-func TestSaveTableLALRRejected(t *testing.T) {
-	g, _ := ParseGrammar(`
-START ::= E
-E ::= "x"
-`)
-	p, _ := NewParser(g, &Options{Table: LALR1})
-	if err := p.SaveTable(io.Discard); err == nil {
-		t.Error("LALR tables should not be persistable")
-	}
-	if _, err := NewParserFromTable(g, strings.NewReader(""), &Options{Table: LALR1}); err == nil {
-		t.Error("NewParserFromTable should reject LALR option")
-	}
-}
-
 // TestSimultaneousLexicalAndSyntacticModification exercises the paper's
 // section 8 vision — "simultaneous editing of language definitions and
 // programs" — end to end: a new operator is added to a *running*
 // SDF-loaded parser by extending both the ISG scanner (new token) and the
-// IPG parse table (new rule), with no regeneration of either.
+// IPG parse table (new rule), with no regeneration of either. The
+// lexical half is done by hand (ISG AddRule) or left to AddRulesText,
+// which teaches the scanner the rule's new literal itself.
 func TestSimultaneousLexicalAndSyntacticModification(t *testing.T) {
 	src, err := os.ReadFile("testdata/Calc.sdf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadSDF(string(src), "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, _ := p.ParseText("7 + 2"); !res.Accepted {
-		t.Fatal("base language broken")
-	}
-	if _, _, err := p.ScanText("7 % 2"); err == nil {
-		t.Fatal("'%' should not scan before the lexical modification")
-	}
+	for _, manual := range []bool{true, false} {
+		p, err := LoadSDF(string(src), "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, _ := p.ParseText("7 + 2"); !res.Accepted {
+			t.Fatal("base language broken")
+		}
+		if _, _, err := p.ScanText("7 % 2"); err == nil {
+			t.Fatal("'%' should not scan before the lexical modification")
+		}
 
-	// Lexical half: teach the scanner the new token (ISG AddRule).
-	if err := p.Scanner().AddRule(LiteralTokenRule("%")); err != nil {
-		t.Fatal(err)
-	}
-	// Syntactic half: teach the parser the new rule (IPG ADD-RULE).
-	if _, err := p.AddRulesText(`EXP ::= EXP "%" EXP`); err != nil {
-		t.Fatal(err)
-	}
+		if manual {
+			// Lexical half: teach the scanner the new token (ISG AddRule).
+			if err := p.Scanner().AddRule(LiteralTokenRule("%")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Syntactic half: teach the parser the new rule (IPG ADD-RULE).
+		if _, err := p.AddRulesText(`EXP ::= EXP "%" EXP`); err != nil {
+			t.Fatal(err)
+		}
 
-	res, err := p.ParseText("7 % 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Error("'%' expression rejected after the simultaneous modification")
-	}
-	// The old language still works and the table was reused, not rebuilt.
-	if res, _ := p.ParseText("7 + 2 * 3"); !res.Accepted {
-		t.Error("old language broken by the modification")
+		res, err := p.ParseText("7 % 2")
+		if err != nil {
+			t.Fatalf("manual lexical half %v: %v", manual, err)
+		}
+		if !res.Accepted {
+			t.Errorf("manual lexical half %v: '%%' expression rejected after the simultaneous modification", manual)
+		}
+		// The old language still works and the table was reused, not rebuilt.
+		if res, _ := p.ParseText("7 + 2 * 3"); !res.Accepted {
+			t.Errorf("manual lexical half %v: old language broken by the modification", manual)
+		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // This file re-exports the concurrent parse service's grammar registry:
 // a concurrency-safe catalog of named, versioned grammars, each owning
-// one shared lazily generated parse table that all concurrent parses
-// reuse. See cmd/ipg-serve for the HTTP front end over the same
-// registry.
+// one parsing backend — by default a shared lazily generated parse
+// table — that all concurrent parses reuse. See cmd/ipg-serve for the
+// HTTP front end over the same registry.
 //
 //	reg := ipg.NewRegistry()
 //	entry, _ := reg.Register("calc", ipg.GrammarSpec{Source: calcSDF})
@@ -20,7 +20,8 @@ import (
 // Registry is the concurrency-safe grammar catalog.
 type Registry = registry.Registry
 
-// RegistryEntry is one registered grammar with its shared generator.
+// RegistryEntry is one registered grammar with its front end and its
+// parsing backend.
 type RegistryEntry = registry.Entry
 
 // GrammarSpec describes a grammar to register (BNF rules or SDF).
@@ -35,8 +36,9 @@ type RegistryResult = registry.Result
 type GrammarForm = registry.Form
 
 // EntryLimits is per-grammar admission control for registry entries:
-// max concurrent parses and max forest nodes (zero = unlimited). Set on
-// a GrammarSpec, or registry-wide with Registry.SetDefaultLimits.
+// max concurrent parses, max forest nodes, and a token bucket's
+// sustained request rate and burst (zero = unlimited). Set on a
+// GrammarSpec, or registry-wide with Registry.SetDefaultLimits.
 type EntryLimits = registry.Limits
 
 // Grammar source forms.
@@ -62,16 +64,18 @@ const (
 	// EngineDefault inherits the registry default (lazy GLR unless
 	// Registry.SetDefaultEngine says otherwise).
 	EngineDefault = engine.KindDefault
-	// EngineGLR is the paper's IPG: lazy incremental LR(0) + GSS. The
-	// only backend with incremental rule updates and table snapshots.
+	// EngineGLR is the paper's IPG: lazy incremental LR(0) + GSS. Every
+	// backend applies rule updates in place; this is the only one with
+	// table snapshots.
 	EngineGLR = engine.KindGLR
 	// EngineLALR is the eagerly generated LALR(1) baseline; fastest on
-	// deterministic grammars, full regeneration on modification.
+	// deterministic grammars, and a rule update repairs the affected
+	// states in place.
 	EngineLALR = engine.KindLALR
 	// EngineLL is LL(1) predictive parsing; rejects non-LL(1) grammars.
 	EngineLL = engine.KindLL
-	// EngineEarley is table-free Earley parsing: accepts everything,
-	// recognizes only, slowest per token.
+	// EngineEarley is table-free Earley parsing: accepts every
+	// context-free grammar and builds packed forests; slowest per token.
 	EngineEarley = engine.KindEarley
 	// EngineAuto probes the grammar's LALR(1) table once, at
 	// registration (conflict-free ⇒ LALR(1); else lazy GLR), and records
@@ -102,11 +106,5 @@ type ParseCounters = core.Counters
 // NewRegistry returns an empty grammar registry.
 func NewRegistry() *Registry { return registry.New() }
 
-// Counters samples the parser's generator work counters. It returns the
-// zero value for LALR parsers, whose tables are static.
-func (p *Parser) Counters() ParseCounters {
-	if p.gen == nil {
-		return ParseCounters{}
-	}
-	return p.gen.Counters()
-}
+// Counters samples the parser's generator work counters.
+func (p *Parser) Counters() ParseCounters { return p.gen.Counters() }

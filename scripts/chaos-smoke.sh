@@ -6,8 +6,9 @@
 # mid-drive with 504, a completion's panic surfaces as a 500 like a
 # parse's, a batch item's panic fails that item alone and is logged
 # with its stack, the injection counters show up in /metrics, and
-# SIGTERM drains the process cleanly within the drain timeout. Run from
-# the repository root; exits non-zero on the first failure.
+# SIGTERM drains the process cleanly within the drain timeout, also
+# when it lands during the preload. Run from the repository root; exits
+# non-zero on the first failure.
 set -eu
 
 ADDR="127.0.0.1:18081"
@@ -197,5 +198,54 @@ grep -q '"msg":"drain complete"\|msg="drain complete"' "$LOG" || {
   exit 1
 }
 echo "ok: SIGTERM drained cleanly"
+
+# A SIGTERM during the preload must drain too: the listener answers
+# /healthz (and /readyz 503) before the grammars load, so the signal can
+# land mid-preload. Sixty ASF.sdf grammars under -engine lalr take
+# seconds to load; the process must stop the preload, log the drain and
+# exit 0 whether the signal lands during the preload or after it.
+PRELOAD=""
+i=0
+while [ "$i" -lt 60 ]; do
+  i=$((i + 1))
+  PRELOAD="$PRELOAD -grammar g$i=testdata/ASF.sdf"
+done
+# shellcheck disable=SC2086 # PRELOAD is a list of flags
+/tmp/ipg-serve-chaos -addr "$ADDR" -engine lalr $PRELOAD >"$LOG" 2>&1 &
+SERVE_PID=$!
+i=0
+until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
+  i=$((i + 1))
+  if [ "$i" -gt 200 ]; then
+    echo "FAIL: /healthz never answered during the preload" >&2
+    cat "$LOG" >&2
+    exit 1
+  fi
+  sleep 0.05
+done
+kill -TERM "$SERVE_PID"
+i=0
+while kill -0 "$SERVE_PID" 2>/dev/null; do
+  i=$((i + 1))
+  if [ "$i" -gt 50 ]; then
+    echo "FAIL: process still alive 10s after a SIGTERM during the preload" >&2
+    cat "$LOG" >&2
+    exit 1
+  fi
+  sleep 0.2
+done
+STATUS=0
+wait "$SERVE_PID" || STATUS=$?
+[ "$STATUS" -eq 0 ] || {
+  echo "FAIL: SIGTERM during the preload: exit status $STATUS, want 0" >&2
+  cat "$LOG" >&2
+  exit 1
+}
+grep -q '"msg":"draining"\|msg=draining' "$LOG" || {
+  echo "FAIL: SIGTERM during the preload logged no draining line" >&2
+  cat "$LOG" >&2
+  exit 1
+}
+echo "ok: SIGTERM during the preload drained (exit 0, $(grep -c 'loaded grammar' "$LOG") of 60 grammars loaded)"
 
 echo "chaos smoke passed"

@@ -1,12 +1,10 @@
 package ipg
 
 import (
-	"bytes"
-	"fmt"
 	"io"
 
 	"ipg/internal/core"
-	"ipg/internal/lr"
+	"ipg/internal/lang"
 	"ipg/internal/snapshot"
 )
 
@@ -38,27 +36,15 @@ func GrammarHash(g *Grammar) string { return snapshot.Hash(g) }
 // snapshot envelope: unlike the raw SaveTable format, the result
 // records the grammar hash, so LoadSnapshotParser can reject a stale
 // file instead of resolving it against the wrong grammar, and detects
-// truncation or corruption by checksum. Only LR(0) tables are
-// persistable.
+// truncation or corruption by checksum.
 func (p *Parser) SaveSnapshot(w io.Writer, name string) error {
-	if p.gen == nil {
-		return fmt.Errorf("ipg: LALR(1) tables are not persistable")
-	}
-	var buf bytes.Buffer
-	cov, err := p.gen.SaveTable(&buf)
+	p.mu.RLock()
+	snap, err := snapshot.Take(name, p.Grammar(), p.gen.SaveTable)
+	p.mu.RUnlock()
 	if err != nil {
 		return err
 	}
-	return snapshot.Encode(w, &snapshot.Snapshot{
-		Meta: snapshot.Meta{
-			Name:        name,
-			GrammarHash: snapshot.Hash(p.g),
-			CreatedUnix: snapshot.Now(),
-			States:      cov.Initial + cov.Complete + cov.Dirty,
-			Complete:    cov.Complete,
-		},
-		Payload: buf.Bytes(),
-	})
+	return snapshot.Encode(w, snap)
 }
 
 // LoadSnapshotParser rebuilds a parser from a snapshot written by
@@ -66,28 +52,13 @@ func (p *Parser) SaveSnapshot(w io.Writer, name string) error {
 // set matches the snapshot's grammar hash. On any validation failure it
 // returns an error and the caller should build a cold parser instead.
 func LoadSnapshotParser(g *Grammar, r io.Reader, opts *Options) (*Parser, error) {
-	if opts != nil && opts.Table != LR0 {
-		return nil, fmt.Errorf("ipg: only LR(0) tables are persistable")
-	}
 	snap, err := snapshot.Decode(r)
 	if err != nil {
 		return nil, err
 	}
-	if err := snap.ValidateFor(g); err != nil {
-		return nil, err
-	}
-	auto, err := lr.Load(g, bytes.NewReader(snap.Payload))
+	auto, err := snap.Restore(g)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{g: g}
-	if opts != nil {
-		p.opts = *opts
-	}
-	gcOpts := &core.Options{}
-	if opts != nil {
-		gcOpts.Policy = opts.GC
-	}
-	p.gen = core.NewFromAutomaton(auto, gcOpts)
-	return p, nil
+	return newParser(lang.New(g), core.NewFromAutomaton(auto, nil), opts), nil
 }
