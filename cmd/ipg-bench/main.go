@@ -13,10 +13,17 @@
 // results (the engine report CI uploads as bench-engines.json; no test
 // reads it, the gates measure live).
 //
+// With -compare it reads two such reports, a parent's and a change's,
+// and prints each (workload, engine) row's tree_parse_ns, parse_ns and
+// bytes_per_op side by side with the change's relative delta. A side
+// may name several reports, comma-separated; it then shows the median
+// with the quartiles beside it.
+//
 // Usage:
 //
 //	ipg-bench [-testdata dir] [-repeat n]
 //	ipg-bench -engines [-json bench-engines.json]
+//	ipg-bench -compare parent.json[,parent2.json...] change.json[,change2.json...]
 //	ipg-bench -edits | -churn
 package main
 
@@ -41,7 +48,24 @@ func main() {
 	churn := flag.Bool("churn", false, "run the churn workload (in-place LALR table repair vs regeneration) instead of Fig 7.1")
 	complete := flag.Bool("complete", false, "run the completion workload (accept-set queries and cursor feed/restore per backend) instead of Fig 7.1")
 	jsonPath := flag.String("json", "", "also write machine-readable results to this file (-engines mode)")
+	compare := flag.Bool("compare", false, "compare two -engines -json reports given as arguments: parent then change, each a comma-separated list of files")
 	flag.Parse()
+
+	if *compare {
+		if flag.NArg() != 2 {
+			log.Fatal("usage: ipg-bench -compare parent.json[,...] change.json[,...]")
+		}
+		parent, err := readEngineReports(flag.Arg(0))
+		if err != nil {
+			log.Fatal(err)
+		}
+		change, err := readEngineReports(flag.Arg(1))
+		if err != nil {
+			log.Fatal(err)
+		}
+		compareEngines(os.Stdout, parent, change)
+		return
+	}
 
 	if *engines {
 		runEngines(*dir, *repeat, *jsonPath)

@@ -152,7 +152,7 @@ func main() {
 	snapDir := flag.String("snapshot-dir", "", "persist parse-table snapshots here; restart resumes them ('' = disabled)")
 	snapEvery := flag.Duration("snapshot-interval", 0, "also snapshot all grammars on this interval (0 = only on shutdown and POST /v1/snapshot)")
 	maxParses := flag.Int("max-parses", 0, "per-grammar max concurrent parses; excess gets 429 (0 = unlimited)")
-	maxForest := flag.Int("max-forest-nodes", 0, "per-grammar max parse-forest nodes; larger parses get 429 (0 = unlimited)")
+	maxForest := flag.Int("max-forest-nodes", 0, "per-grammar max parse-forest nodes, counting leaves, rule nodes and ambiguity nodes (one per span with two or more derivations); larger parses get 429 (0 = unlimited)")
 	rate := flag.Float64("rate", 0, "per-grammar sustained parse requests per second; excess gets 429 (0 = unthrottled)")
 	burst := flag.Int("burst", 0, "per-grammar request burst on top of -rate (0 = max(1, rate))")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatchInputs, "max sentences per batch request")

@@ -212,3 +212,63 @@ func TestConcurrentTextParsesBesideRuleUpdates(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestTreeStringBesideRuleUpdates renders a forest over and over while
+// another goroutine adds rules with fresh keywords, each of which
+// interns a new terminal into the symbol table the renderers read.
+// Meaningful under -race: TreeString, Trees and ErrorMessage take the
+// parser's read lock.
+func TestTreeStringBesideRuleUpdates(t *testing.T) {
+	src, err := os.ReadFile("testdata/Calc.sdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ipg.LoadSDF(string(src), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.ParseText("1 + 2 * 3")
+	if err != nil || !res.Accepted {
+		t.Fatalf("ParseText: accepted %v, %v", res.Accepted, err)
+	}
+	bad, err := p.ParseText("1 +")
+	if err != nil || bad.Accepted {
+		t.Fatalf("ParseText(1 +): accepted %v, %v", bad.Accepted, err)
+	}
+	badToks, _, err := p.ScanText("1 +")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.TreeString(res.Root)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for j := 0; j < 200; j++ {
+			rule := fmt.Sprintf(`EXP ::= "kw%d" EXP`, j)
+			if _, err := p.AddRulesText(rule); err != nil {
+				t.Errorf("AddRulesText(%s): %v", rule, err)
+				return
+			}
+		}
+	}()
+	for stop := false; !stop; {
+		select {
+		case <-done:
+			stop = true
+		default:
+		}
+		if got := p.TreeString(res.Root); got != want {
+			t.Fatalf("TreeString = %s, want %s", got, want)
+		}
+		if _, err := p.Trees(res.Root, 4); err != nil {
+			t.Fatal(err)
+		}
+		if msg := p.ErrorMessage(bad, badToks); msg == "" {
+			t.Fatal("ErrorMessage of a rejected parse is empty")
+		}
+	}
+	wg.Wait()
+}

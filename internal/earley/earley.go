@@ -74,8 +74,6 @@ type Options struct {
 	// BuildTrees requests forest construction. Tree-building parses keep
 	// the full chart (the Leo shortcut is off) and record completions.
 	BuildTrees bool
-	// Forest supplies an existing forest to build into (optional).
-	Forest *forest.Forest
 	// Workspace supplies reusable chart storage; nil borrows one from an
 	// internal sync.Pool. A workspace serves one parse at a time.
 	Workspace *Workspace
@@ -107,13 +105,6 @@ func (o *Options) trace() *obs.ParseTrace {
 }
 
 func (o *Options) trees() bool { return o != nil && o.BuildTrees }
-
-func (o *Options) forest() *forest.Forest {
-	if o != nil && o.Forest != nil {
-		return o.Forest
-	}
-	return forest.NewForest()
-}
 
 // ErrCyclic is returned by tree-building parses of cyclic grammars
 // (A ::= A): such grammars derive sentences in infinitely many ways, so
@@ -173,7 +164,7 @@ func (p *Parser) Parse(input []grammar.Symbol, opts *Options) (Result, error) {
 	if !buildTrees {
 		return res, nil
 	}
-	res.Forest = opts.forest()
+	res.Forest = forest.NewForest()
 	if !res.Accepted {
 		// Match the LL engine's shape: a tree-building rejection still
 		// carries its (empty) forest.

@@ -6,6 +6,7 @@
 package engine_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"ipg/internal/fixtures"
 	"ipg/internal/grammar"
 	"ipg/internal/harness"
+	"ipg/internal/sdf"
 )
 
 // engineRun holds the one live RunEngines run both allocation gates
@@ -144,5 +146,61 @@ func TestEarleyAllocDropVersusPR4(t *testing.T) {
 			t.Errorf("%s/earley: %d allocs/op vs %d pre-overhaul — less than the required 10x drop",
 				w, r.AllocsPerOp, before)
 		}
+	}
+}
+
+// asfTreeBytesLimit bounds the heap bytes of one warm lazy-GLR tree parse
+// of ASF.sdf (475 tokens): about 1.25x the 144 KB it measured once GSS
+// edges were labelled by their derivations (a forest of 1,663 nodes);
+// with a single-alternative ambiguity node per edge it was 510 KB and
+// 3,422 nodes.
+const asfTreeBytesLimit = 180_000
+
+// TestTreeParseBytesGuard holds a warm ASF.sdf tree parse through the
+// GLR engine to asfTreeBytesLimit bytes per parse. Like RunEngines it
+// counts on one P after a warm-up there, so pooled workspaces are hits.
+func TestTreeParseBytesGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation makes sync.Pool lossy; allocation counts are meaningless under -race")
+	}
+	g := sdf.MustBootstrapGrammar()
+	inputs, err := harness.LoadInputs("../../testdata", g.Symbols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asf []grammar.Symbol
+	for _, in := range inputs {
+		if in.Name == "ASF.sdf" {
+			asf = in.Tokens
+		}
+	}
+	e, err := engine.New(engine.KindGLR, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func() {
+		res, err := e.Parse(asf, true)
+		if err != nil || !res.Accepted || res.Root == nil {
+			t.Fatalf("ASF.sdf tree parse: accepted %v, %v", res.Accepted, err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 3; i++ {
+		parse()
+	}
+	const runs = 20
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < runs; i++ {
+		parse()
+	}
+	runtime.ReadMemStats(&ms1)
+	perOp := (ms1.TotalAlloc - ms0.TotalAlloc) / runs
+	t.Logf("warm ASF.sdf tree parse: %d B/op (limit %d)", perOp, asfTreeBytesLimit)
+	if perOp > asfTreeBytesLimit {
+		t.Errorf("warm ASF.sdf tree parse allocates %d B/op, limit %d — forest construction regression", perOp, asfTreeBytesLimit)
 	}
 }

@@ -153,45 +153,78 @@ func TestAmbiguityFlattens(t *testing.T) {
 	}
 }
 
-func TestSlotAndPack(t *testing.T) {
+// TestPackPromotesInPlace packs a second derivation into a rule node
+// that a parent already references: the parent sees both derivations,
+// the original moves to a fresh node, Rule hands out that copy from then
+// on, and packing into a leaf panics.
+func TestPackPromotesInPlace(t *testing.T) {
 	g, f := exprFixture(t)
+	b, _ := g.Symbols().Lookup("B")
 	tr := symbols(g, "true")[0]
-	fa := symbols(g, "false")[0]
-	l1, l2 := f.Leaf(tr, 0), f.Leaf(fa, 0)
-	slot := f.Slot(l1)
-	if slot.Kind() != Amb || len(slot.Alts()) != 1 {
-		t.Fatal("Slot should be a single-alt amb node")
+	or := symbols(g, "or")[0]
+	var unit, orRule *grammar.Rule
+	for _, r := range g.RulesFor(b) {
+		switch {
+		case r.Len() == 1 && r.Rhs[0] == tr:
+			unit = r
+		case r.Len() == 3:
+			orRule = r
+		}
 	}
-	// Single-alt slots render transparently.
-	if got := String(slot, g.Symbols()); got != "true" {
-		t.Errorf("slot renders as %q", got)
+	start, _ := g.Symbols().Lookup("START")
+	var top *grammar.Rule
+	for _, r := range g.RulesFor(start) {
+		top = r
 	}
-	f.Pack(slot, l2)
-	if len(slot.Alts()) != 2 {
-		t.Error("Pack did not extend slot")
+	// true or true or true: the left-nested derivation first, with a
+	// parent START node built over it.
+	t0 := f.Rule(unit, []*Node{f.Leaf(tr, 0)})
+	t2 := f.Rule(unit, []*Node{f.Leaf(tr, 2)})
+	t4 := f.Rule(unit, []*Node{f.Leaf(tr, 4)})
+	o1, o3 := f.Leaf(or, 1), f.Leaf(or, 3)
+	left := f.Rule(orRule, []*Node{f.Rule(orRule, []*Node{t0, o1, t2}), o3, t4})
+	parent := f.Rule(top, []*Node{left})
+	if n, _ := TreeCount(parent); n != 1 {
+		t.Fatalf("TreeCount before packing = %d, want 1", n)
 	}
-	f.Pack(slot, l2) // duplicate
-	if len(slot.Alts()) != 2 {
-		t.Error("Pack should deduplicate")
-	}
-	// Packing an amb merges its alternatives.
-	other := f.Slot(l1)
-	f.Pack(slot, other)
-	if len(slot.Alts()) != 2 {
-		t.Error("packing an amb with known alts should not grow the slot")
-	}
-}
+	leftID := left.ID()
 
-func TestPackNonAmbPanics(t *testing.T) {
-	g, f := exprFixture(t)
-	tr := symbols(g, "true")[0]
-	leaf := f.Leaf(tr, 0)
+	right := f.Rule(orRule, []*Node{t0, o1, f.Rule(orRule, []*Node{t2, o3, t4})})
+	f.Pack(left, right)
+	if left.Kind() != Amb || len(left.Alts()) != 2 || left.ID() != leftID {
+		t.Fatalf("promoted node is %v #%d with %d alts, want amb #%d with 2", left.Kind(), left.ID(), len(left.Alts()), leftID)
+	}
+	if n, err := TreeCount(parent); err != nil || n != 2 {
+		t.Errorf("parent built before packing counts %d trees (%v), want 2", n, err)
+	}
+	if got := String(parent, g.Symbols()); !strings.HasPrefix(got, "START({") || !strings.Contains(got, " | ") {
+		t.Errorf("parent renders as %s", got)
+	}
+	moved := left.Alts()[0]
+	if moved.Kind() != RuleNode || moved.Rule() != orRule {
+		t.Fatalf("first alternative is %v, want the moved rule node", moved.Kind())
+	}
+	// The index re-points to the moved copy: the same derivation interns
+	// to it, and packing it again is a no-op.
+	again := f.Rule(orRule, moved.Children())
+	if again != moved {
+		t.Error("Rule does not return the moved copy of a promoted node")
+	}
+	f.Pack(left, again)
+	f.Pack(left, right)
+	if len(left.Alts()) != 2 {
+		t.Errorf("duplicate packs grew the node to %d alts", len(left.Alts()))
+	}
+	if !left.Holds(orRule, moved.Children()) || !left.Holds(orRule, right.Children()) {
+		t.Error("promoted node does not hold both derivations")
+	}
+
 	defer func() {
 		if recover() == nil {
-			t.Error("Pack on non-amb should panic")
+			t.Error("Pack into a leaf should panic")
 		}
 	}()
-	f.Pack(leaf, leaf)
+	f.Pack(o1, o3)
 }
 
 func TestYield(t *testing.T) {
@@ -271,9 +304,8 @@ func TestCyclicForestDetected(t *testing.T) {
 		}
 	}
 	leaf := f.Leaf(tr, 0)
-	base := f.Rule(unit, []*Node{leaf})
-	slot := f.Slot(base)
-	// Create a cycle: pack an alternative whose child is the slot itself.
+	slot := f.Rule(unit, []*Node{leaf})
+	// Create a cycle: pack an alternative whose child is the node itself.
 	// (This is what parsing 'x' with A ::= A | "x" produces.)
 	cyc := f.Rule(unit, []*Node{slot})
 	f.Pack(slot, cyc)

@@ -24,22 +24,45 @@ import (
 // bounded by the number of states, edges by node pairs, and re-examination
 // only triggers on new edges.
 //
+// Edge labels. An edge is labelled by its derivation itself: the sweep's
+// leaf for a shift edge, and for a reduction edge the forest node of its
+// symbol over its span. Every edge over one (symbol, span) carries the
+// same node, found in a per-sweep table keyed by symbol and start
+// position. A second derivation of the span arrives as another reduction
+// in the same sweep; forest.Pack then promotes the label in place into an
+// ambiguity node, so parents built earlier, which point at the label,
+// see it, and a span with one derivation costs no ambiguity node. Leaf
+// labels are never packed: every LR(0) state has a single accessing
+// symbol, so a state entered by shifting a terminal is never the GOTO
+// target of a nonterminal.
+//
+// The per-sweep table loses no sharing. Every node built in sweep k ends
+// at k and has edge labels as children, so equal nodes can arise only
+// within one sweep. Zero-width nodes (spans of ε derivations) are the
+// exception: they are keyed by symbol alone, in a table that lives for
+// the whole parse. Keying labels by span rather than by rule and children
+// also keeps packing exact: two edges over one span never hold distinct
+// nodes with the same derivations, whose later packing would count a
+// derivation twice.
+//
 // All transient structures — GSS nodes and edges, the two frontiers, the
-// pending-reduction stack and the path/action buffers — live in a
-// Workspace (workspace.go) that is rewound per parse and recycled across
-// parses, so the steady-state token loop over an already-expanded table
-// performs no heap allocation.
+// pending-reduction stack, the label tables and the path/action buffers
+// — live in a Workspace (workspace.go) that is rewound per parse and
+// recycled across parses, so the steady-state token loop over an
+// already-expanded table performs no heap allocation.
 
 type gssNode struct {
 	state *lr.State
+	// pos is the sweep (token index) the node belongs to.
+	pos   int
 	edges []*gssEdge
 }
 
 type gssEdge struct {
 	to *gssNode
-	// label is a forest slot (mutable single-alt ambiguity node) so that
-	// local ambiguity packing is visible to parents created earlier; nil
-	// when tree building is off.
+	// label is the edge's derivation: a leaf, or the node of its symbol
+	// over its span, which later derivations are packed into; nil when
+	// tree building is off.
 	label *forest.Node
 }
 
@@ -89,13 +112,13 @@ func gssParse(tbl lr.Table, input []grammar.Symbol, opts *Options) (Result, erro
 	if buildTrees {
 		// Recognition never touches a forest: it is only built when the
 		// caller wants trees.
-		res.Forest = opts.forest()
+		res.Forest = forest.NewForest()
 	}
 	w.begin()
 
 	front, next := &w.front, &w.next
 	front.reset()
-	startNode := w.nodes.get(tbl.Start())
+	startNode := w.nodes.get(tbl.Start(), 0)
 	res.Stats.Nodes++
 	front.add(startNode)
 
@@ -121,6 +144,7 @@ func gssParse(tbl lr.Table, input []grammar.Symbol, opts *Options) (Result, erro
 		lastPos = pos
 
 		// Phase 1: reductions (and accept detection) to fixpoint.
+		w.spans.reset()
 		w.work = w.work[:0]
 		for _, n := range front.order {
 			w.enqueueReduces(tbl, n, symbol, pos, opts, &res)
@@ -144,20 +168,16 @@ func gssParse(tbl lr.Table, input []grammar.Symbol, opts *Options) (Result, erro
 				goState := tbl.Goto(dest.state, p.rule.Lhs)
 				opts.trace(Event{Op: "goto", Token: symbol, Pos: pos, State: goState})
 
-				var ruleNode *forest.Node
+				var label *forest.Node
 				if buildTrees {
-					ruleNode = res.Forest.Rule(p.rule, w.children[path.childOff:path.childOff+plen])
+					label = w.label(res.Forest, p.rule, w.children[path.childOff:path.childOff+plen], dest.pos, pos)
 				}
 
 				m := front.get(goState)
 				if m == nil {
-					m = w.nodes.get(goState)
+					m = w.nodes.get(goState, pos)
 					res.Stats.Nodes++
 					front.add(m)
-					var label *forest.Node
-					if buildTrees {
-						label = res.Forest.Slot(ruleNode)
-					}
 					m.edges = append(m.edges, w.edges.get(dest, label))
 					res.Stats.Edges++
 					// A brand-new node: examine its own reductions (this
@@ -168,17 +188,12 @@ func gssParse(tbl lr.Table, input []grammar.Symbol, opts *Options) (Result, erro
 					continue
 				}
 				if edge := m.edgeTo(dest); edge != nil {
-					// Local ambiguity: pack into the existing slot. The
-					// hash-consed rule node makes repeated identical
-					// reductions a no-op.
-					if buildTrees {
-						res.Forest.Pack(edge.label, ruleNode)
+					// Another derivation of an existing edge: label
+					// packed it into the edge's label already.
+					if edge.label != label {
+						panic("glr: GOTO on a nonterminal reached a state entered by a shift")
 					}
 					continue
-				}
-				var label *forest.Node
-				if buildTrees {
-					label = res.Forest.Slot(ruleNode)
 				}
 				edge := w.edges.get(dest, label)
 				m.edges = append(m.edges, edge)
@@ -220,15 +235,11 @@ func gssParse(tbl lr.Table, input []grammar.Symbol, opts *Options) (Result, erro
 				opts.trace(Event{Op: "shift", Token: symbol, Pos: pos, State: action.State})
 				m := next.get(action.State)
 				if m == nil {
-					m = w.nodes.get(action.State)
+					m = w.nodes.get(action.State, pos+1)
 					res.Stats.Nodes++
 					next.add(m)
 				}
-				var label *forest.Node
-				if buildTrees {
-					label = res.Forest.Slot(leaf)
-				}
-				m.edges = append(m.edges, w.edges.get(n, label))
+				m.edges = append(m.edges, w.edges.get(n, leaf))
 				res.Stats.Edges++
 			}
 		}
@@ -239,15 +250,21 @@ func gssParse(tbl lr.Table, input []grammar.Symbol, opts *Options) (Result, erro
 	}
 
 	if res.Accepted && buildTrees {
-		var roots []*forest.Node
+		// The accepting edges' distinct labels are the roots; most
+		// grammars have one.
+		roots := w.labels[:0]
 		for _, n := range w.acceptNodes {
 			for _, e := range n.edges {
-				roots = append(roots, e.label)
+				roots = appendNew(roots, e.label)
 			}
 		}
-		if len(roots) > 0 {
+		switch {
+		case len(roots) == 1:
+			res.Root = roots[0]
+		case len(roots) > 1:
 			res.Root = res.Forest.Ambiguity(roots...)
 		}
+		w.labels = roots
 	}
 	if !res.Accepted {
 		res.ErrorPos = lastPos
@@ -298,4 +315,34 @@ func (w *Workspace) walkPaths(cur *gssNode, remaining int, used bool, mustUse *g
 			w.labels = w.labels[:len(w.labels)-1]
 		}
 	}
+}
+
+// label returns the forest node that labels every edge over r.Lhs's span
+// input[start:pos] in this sweep, holding r's derivation over children:
+// the span's first derivation becomes the node, later ones are packed
+// into it.
+func (w *Workspace) label(f *forest.Forest, r *grammar.Rule, children []*forest.Node, start, pos int) *forest.Node {
+	var slot **forest.Node
+	if start == pos {
+		slot = w.eps.slot(r.Lhs, 0)
+	} else {
+		slot = w.spans.slot(r.Lhs, start)
+	}
+	switch n := *slot; {
+	case n == nil:
+		*slot = f.Apply(r, children)
+	case !n.Holds(r, children):
+		f.Pack(n, f.Apply(r, children))
+	}
+	return *slot
+}
+
+// appendNew appends n to nodes unless it is already there.
+func appendNew(nodes []*forest.Node, n *forest.Node) []*forest.Node {
+	for _, x := range nodes {
+		if x == n {
+			return nodes
+		}
+	}
+	return append(nodes, n)
 }

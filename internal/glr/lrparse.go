@@ -24,7 +24,7 @@ func lrParse(tbl lr.Table, input []grammar.Symbol, opts *Options) (Result, error
 	buildTrees := opts.trees()
 	res := Result{ErrorPos: -1}
 	if buildTrees {
-		res.Forest = opts.forest()
+		res.Forest = forest.NewForest()
 	}
 	tracing := opts != nil && opts.Trace != nil
 

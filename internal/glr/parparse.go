@@ -38,7 +38,7 @@ func parParse(tbl lr.Table, input []grammar.Symbol, opts *Options) (Result, erro
 	res := Result{ErrorPos: -1}
 	buildTrees := opts.trees()
 	if buildTrees {
-		res.Forest = opts.forest()
+		res.Forest = forest.NewForest()
 	}
 	budget := opts.budget(len(input))
 	w.begin()

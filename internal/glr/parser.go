@@ -162,8 +162,6 @@ type Options struct {
 	// 1000 + 100×(input length). The bound only trips for grammars that
 	// are not finitely ambiguous (cyclic grammars).
 	MaxReductions int
-	// Forest supplies an existing forest to build into (optional).
-	Forest *forest.Forest
 	// Workspace supplies reusable per-parse scratch (GSS arenas,
 	// frontiers, action buffers), making the steady-state token loop
 	// allocation-free. Nil borrows one from an internal pool. A
@@ -190,13 +188,6 @@ func (o *Options) budget(inputLen int) int {
 		return o.MaxReductions
 	}
 	return 1000 + 100*inputLen
-}
-
-func (o *Options) forest() *forest.Forest {
-	if o != nil && o.Forest != nil {
-		return o.Forest
-	}
-	return forest.NewForest()
 }
 
 func (o *Options) trees() bool { return o == nil || !o.DisableTrees }

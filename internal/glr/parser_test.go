@@ -8,6 +8,7 @@ import (
 	"ipg/internal/fixtures"
 	"ipg/internal/forest"
 	"ipg/internal/grammar"
+	"ipg/internal/lalr"
 	"ipg/internal/lr"
 )
 
@@ -164,6 +165,43 @@ func TestAmbiguityCountCatalan(t *testing.T) {
 			if c != catalan[n] {
 				t.Errorf("%v: %d ors -> %d trees, want %d", e, n, c, catalan[n])
 			}
+		}
+	}
+}
+
+// TestSharedLabelsCountOnce parses a sentence on which edges over one
+// span hang off different stack nodes. Their labels must be one node:
+// keyed by rule and children instead, two edges of a span can carry
+// distinct nodes that each later gain the other's derivation, and
+// packing both into a parent counts derivations twice (19 trees here
+// instead of 14).
+func TestSharedLabelsCountOnce(t *testing.T) {
+	g := grammar.MustParse(`
+START ::= N1
+N1 ::= N0 | "t1" N1 | "t1"
+N0 ::= N1 "t1" N1 | N1 N0 | "t0" N0
+`)
+	auto := lr.New(g)
+	auto.GenerateAll()
+	for _, tbl := range []lr.Table{auto, lalr.Generate(g)} {
+		toks := fixtures.Tokens(g, "t1 t1 t1 t1 t1")
+		resC, err := Parse(tbl, toks, &Options{Engine: Copying})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resG, err := Parse(tbl, toks, &Options{Engine: GSS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, _ := forest.TreeCount(resC.Root)
+		cg, _ := forest.TreeCount(resG.Root)
+		if cc != 14 || cg != 14 {
+			t.Errorf("tree counts: copying %d, gss %d, want 14", cc, cg)
+		}
+		tc, _ := forest.Trees(resC.Root, g.Symbols(), 0)
+		tg, _ := forest.Trees(resG.Root, g.Symbols(), 0)
+		if strings.Join(tc, "\n") != strings.Join(tg, "\n") {
+			t.Errorf("trees differ:\ncopying %q\ngss     %q", tc, tg)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package glr
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,9 @@ import (
 
 // Property: the copying engine (the paper's PAR-PARSE) and the GSS engine
 // accept the same sentences and represent the same number of parse trees,
-// whenever the copying engine terminates within budget.
+// whenever the copying engine terminates within budget. Where there are
+// few trees, both forests enumerate the same ones; and every ambiguity
+// node of a GSS forest packs at least two alternatives.
 func TestEnginesEquivalentOnRandomGrammars(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -63,12 +66,52 @@ func TestEnginesEquivalentOnRandomGrammars(t *testing.T) {
 				t.Fatalf("seed %d: tree counts differ: copying=%d gss=%d on %s\n%s",
 					seed, nc, ng, g.Symbols().NamesOf(input), g.String())
 			}
+			if n := thinAmbiguity(resG.Root); n != nil {
+				t.Fatalf("seed %d: gss ambiguity node #%d has %d alternatives on %s\n%s",
+					seed, n.ID(), len(n.Alts()), g.Symbols().NamesOf(input), g.String())
+			}
+			if nc > treeLimit {
+				continue
+			}
+			tc, errC := forest.Trees(resC.Root, g.Symbols(), treeLimit)
+			tg, errG := forest.Trees(resG.Root, g.Symbols(), treeLimit)
+			if errC != nil || errG != nil || strings.Join(tc, "\n") != strings.Join(tg, "\n") {
+				t.Fatalf("seed %d: trees differ on %s (%v, %v):\ncopying %q\ngss     %q\n%s",
+					seed, g.Symbols().NamesOf(input), errC, errG, tc, tg, g.String())
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1)), MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// treeLimit bounds the forest.Trees enumerations the engine property
+// compares.
+const treeLimit = 64
+
+// thinAmbiguity returns an ambiguity node reachable from root with fewer
+// than two alternatives, or nil.
+func thinAmbiguity(root *forest.Node) *forest.Node {
+	seen := map[*forest.Node]bool{}
+	var walk func(n *forest.Node) *forest.Node
+	walk = func(n *forest.Node) *forest.Node {
+		if seen[n] {
+			return nil
+		}
+		seen[n] = true
+		if n.Kind() == forest.Amb && len(n.Alts()) < 2 {
+			return n
+		}
+		for _, k := range append(n.Children(), n.Alts()...) {
+			if bad := walk(k); bad != nil {
+				return bad
+			}
+		}
+		return nil
+	}
+	return walk(root)
 }
 
 // Property: every accepted parse's forest yields the input sentence.

@@ -5,15 +5,17 @@ import (
 	"sync"
 
 	"ipg/internal/forest"
+	"ipg/internal/grammar"
 	"ipg/internal/lr"
 )
 
 // Workspace is the reusable per-parse scratch of the parsing engines:
 // GSS node and edge arenas, the dense state-indexed frontier pair, the
-// pending-reduction stack, path-enumeration buffers, the action buffer
-// driven through lr.Table.AppendActions, and the deterministic driver's
-// stack. On a warm (already-expanded) table a parse that reuses a
-// Workspace does no heap allocation in its token loop.
+// pending-reduction stack, the GSS edge-label tables, path-enumeration
+// buffers, the action buffer driven through lr.Table.AppendActions, and
+// the deterministic driver's stack. On a warm (already-expanded) table a
+// parse that reuses a Workspace does no heap allocation in its token
+// loop.
 //
 // A Workspace may be used by one parse at a time. Callers either supply
 // one through Options.Workspace (and own its lifetime — e.g. one per
@@ -23,6 +25,11 @@ type Workspace struct {
 	front, next frontierBuf
 	nodes       nodeArena
 	edges       edgeArena
+
+	// spans interns the labels of the current sweep's reduction edges
+	// by (symbol, start); eps interns zero-width labels for the whole
+	// parse (see gss.go).
+	spans, eps labelTable
 
 	work     []pendingReduce
 	paths    []gssPath
@@ -52,6 +59,8 @@ type detEntry struct {
 func (w *Workspace) begin() {
 	w.nodes.reset()
 	w.edges.reset()
+	w.spans.reset()
+	w.eps.reset()
 	w.work = w.work[:0]
 	w.paths = w.paths[:0]
 	w.children = w.children[:0]
@@ -69,6 +78,8 @@ func (w *Workspace) begin() {
 func (w *Workspace) scrub() {
 	w.nodes.scrub()
 	w.edges.scrub()
+	clear(w.spans.slots)
+	clear(w.eps.slots)
 	clear(w.work[:cap(w.work)])
 	clear(w.children[:cap(w.children)])
 	clear(w.labels[:cap(w.labels)])
@@ -175,7 +186,7 @@ type nodeArena struct {
 	n      int
 }
 
-func (a *nodeArena) get(s *lr.State) *gssNode {
+func (a *nodeArena) get(s *lr.State, pos int) *gssNode {
 	ci, off := a.n/gssChunk, a.n%gssChunk
 	if ci == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]gssNode, gssChunk))
@@ -183,6 +194,7 @@ func (a *nodeArena) get(s *lr.State) *gssNode {
 	a.n++
 	nd := &a.chunks[ci][off]
 	nd.state = s
+	nd.pos = pos
 	nd.edges = nd.edges[:0] // keep capacity: steady-state reuse is allocation-free
 	return nd
 }
@@ -225,5 +237,78 @@ func (a *edgeArena) scrub() {
 		e := &a.chunks[i/gssChunk][i%gssChunk]
 		e.to = nil
 		e.label = nil
+	}
+}
+
+// labelTable maps (symbol, start position) to the forest node labelling
+// the GSS edges over that span: open addressing over slots stamped with
+// a generation, so reset is one increment and the storage is kept
+// across sweeps and parses.
+type labelTable struct {
+	slots []labelSlot
+	gen   uint32
+	live  int
+}
+
+type labelSlot struct {
+	gen   uint32
+	sym   grammar.Symbol
+	start int32
+	node  *forest.Node
+}
+
+func (t *labelTable) reset() {
+	t.gen++
+	if t.gen == 0 {
+		// Stamp wrapped: invalidate every slot once, then restart at 1.
+		clear(t.slots)
+		t.gen = 1
+	}
+	t.live = 0
+}
+
+// slot returns the node slot of (sym, start), claiming an empty one (nil
+// node) when the key is new.
+func (t *labelTable) slot(sym grammar.Symbol, start int) **forest.Node {
+	if 2*(t.live+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := labelHash(sym, start) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			*s = labelSlot{gen: t.gen, sym: sym, start: int32(start)}
+			t.live++
+			return &s.node
+		}
+		if s.sym == sym && s.start == int32(start) {
+			return &s.node
+		}
+	}
+}
+
+func labelHash(sym grammar.Symbol, start int) uint32 {
+	h := uint32(sym)*0x9e3779b1 ^ uint32(start)*0x85ebca77
+	return h ^ h>>15
+}
+
+// grow doubles the table (at least 64 slots), moving the live entries.
+func (t *labelTable) grow() {
+	old := t.slots
+	size := 2 * len(old)
+	if size < 64 {
+		size = 64
+	}
+	t.slots = make([]labelSlot, size)
+	mask := uint32(size - 1)
+	for _, s := range old {
+		if s.gen != t.gen {
+			continue
+		}
+		i := labelHash(s.sym, int(s.start)) & mask
+		for t.slots[i].gen == t.gen {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 	"ipg/internal/grammar"
 	"ipg/internal/lalr"
-	"ipg/internal/sdf"
+	"ipg/internal/lang"
 )
 
 // This file is the grammar-churn measurement behind `ipg-bench`'s churn
@@ -82,15 +82,11 @@ func runChurnOn(dir, name string, repeat int) ([]ChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	def, err := sdf.ParseDefinition(string(src))
+	front, err := lang.LoadSDF(string(src), "")
 	if err != nil {
 		return nil, err
 	}
-	conv, err := sdf.Convert(def, "")
-	if err != nil {
-		return nil, err
-	}
-	g := conv.Grammar
+	g := front.Grammar()
 
 	// Full-regeneration baseline: best warm pass, plus its heap cost.
 	var regen time.Duration

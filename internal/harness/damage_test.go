@@ -8,8 +8,8 @@ import (
 	"ipg/internal/core"
 	"ipg/internal/grammar"
 	"ipg/internal/lalr"
+	"ipg/internal/lang"
 	"ipg/internal/ll"
-	"ipg/internal/sdf"
 )
 
 // damageWork is what one fresh-keyword add+delete on copy 0's LEX-ELEM
@@ -28,15 +28,11 @@ func loadSDFGrammar(tb testing.TB) *grammar.Grammar {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	def, err := sdf.ParseDefinition(string(src))
+	front, err := lang.LoadSDF(string(src), "")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	conv, err := sdf.Convert(def, "")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return conv.Grammar
+	return front.Grammar()
 }
 
 // measureDamage runs one warm-up and one counted add+delete cycle of

@@ -12,6 +12,7 @@ import (
 
 	"ipg/internal/engine"
 	"ipg/internal/grammar"
+	"ipg/internal/lang"
 	"ipg/internal/sdf"
 )
 
@@ -157,15 +158,7 @@ func calcSDFWorkload(dir string) (*grammar.Grammar, [][]grammar.Symbol, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	def, err := sdf.ParseDefinition(string(src))
-	if err != nil {
-		return nil, nil, err
-	}
-	conv, err := sdf.Convert(def, "")
-	if err != nil {
-		return nil, nil, err
-	}
-	sc, err := conv.Scanner()
+	front, err := lang.LoadSDF(string(src), "")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -180,13 +173,13 @@ func calcSDFWorkload(dir string) (*grammar.Grammar, [][]grammar.Symbol, error) {
 			}
 			fmt.Fprintf(&b, "%d", 1+(i+t)%9)
 		}
-		toks, _, err := sdf.TokenizeWith(sc, b.String(), conv.Grammar.Symbols())
+		toks, _, err := front.ScanText(b.String())
 		if err != nil {
 			return nil, nil, err
 		}
 		sentences = append(sentences, append(toks, grammar.EOF))
 	}
-	return conv.Grammar, sentences, nil
+	return front.Grammar(), sentences, nil
 }
 
 // EngineResult is one (workload, engine) measurement.

@@ -154,9 +154,10 @@ func (rel *Relation) Forbidden(parent *grammar.Rule, arg int, child *grammar.Rul
 var ErrNoValidParse = errors.New("priority: all parses removed by priority/associativity constraints")
 
 // Filter rebuilds the forest rooted at root without derivations that
-// violate the relation, sharing nodes through f's hash-consing. It
-// returns ErrNoValidParse when nothing survives and forest.ErrCyclic on
-// cyclic forests.
+// violate the relation. A node none of whose children or alternatives
+// changed is returned as it is; only the nodes it rebuilds are built in
+// f, rule nodes hash-consed there. It returns ErrNoValidParse when
+// nothing survives and forest.ErrCyclic on cyclic forests.
 func (rel *Relation) Filter(f *forest.Forest, root *forest.Node) (*forest.Node, error) {
 	type key struct {
 		id     int
@@ -191,9 +192,10 @@ func (rel *Relation) Filter(f *forest.Forest, root *forest.Node) (*forest.Node, 
 			if parent != nil && rel.Forbidden(parent, arg, n.Rule()) {
 				break // filtered: out stays nil
 			}
-			children := make([]*forest.Node, len(n.Children()))
+			kids := n.Children()
+			var children []*forest.Node // made at the first changed child
 			ok := true
-			for i, c := range n.Children() {
+			for i, c := range kids {
 				fc, err := walk(c, n.Rule(), i)
 				if err != nil {
 					return nil, err
@@ -202,26 +204,42 @@ func (rel *Relation) Filter(f *forest.Forest, root *forest.Node) (*forest.Node, 
 					ok = false
 					break
 				}
-				children[i] = fc
+				if fc != c && children == nil {
+					children = append(make([]*forest.Node, 0, len(kids)), kids[:i]...)
+				}
+				if children != nil {
+					children = append(children, fc)
+				}
 			}
-			if ok {
+			switch {
+			case !ok:
+			case children == nil:
+				out = n
+			default:
 				out = f.Rule(n.Rule(), children)
 			}
 		case forest.Amb:
 			// Ambiguity nodes are transparent: alternatives face the
 			// same parent context.
-			var alts []*forest.Node
-			for _, a := range n.Alts() {
+			alts := n.Alts()
+			var kept []*forest.Node // made at the first changed alternative
+			for i, a := range alts {
 				fa, err := walk(a, parent, arg)
 				if err != nil {
 					return nil, err
 				}
-				if fa != nil {
-					alts = append(alts, fa)
+				if fa != a && kept == nil {
+					kept = append(make([]*forest.Node, 0, len(alts)), alts[:i]...)
+				}
+				if kept != nil && fa != nil {
+					kept = append(kept, fa)
 				}
 			}
-			if len(alts) > 0 {
-				out = f.Ambiguity(alts...)
+			switch {
+			case kept == nil:
+				out = n
+			case len(kept) > 0:
+				out = f.Ambiguity(kept...)
 			}
 		}
 		seen[k] = true

@@ -179,6 +179,36 @@ func TestEmptyRelationIsNoop(t *testing.T) {
 	}
 }
 
+// TestFilterReturnsUnchangedNodes checks that Filter builds nothing for
+// what it does not prune: with no constraint violated it returns the
+// root itself, and pruning one of two derivations returns the other as
+// it is.
+func TestFilterReturnsUnchangedNodes(t *testing.T) {
+	_, f, root, rules := exprSetup(t, "x + x * x")
+	nodes := f.NodeCount()
+	filtered, err := New().Filter(f, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filtered != root || f.NodeCount() != nodes {
+		t.Errorf("empty relation: root #%d -> #%d, %d -> %d nodes", root.ID(), filtered.ID(), nodes, f.NodeCount())
+	}
+	rel := New()
+	rel.AddGreater(rules["*"], rules["+"])
+	rel.Close()
+	filtered, err = rel.Filter(f, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := false
+	for _, a := range root.Alts() {
+		kept = kept || a == filtered
+	}
+	if !kept || f.NodeCount() != nodes {
+		t.Errorf("pruning one derivation: got #%d (an original alternative: %v), %d -> %d nodes", filtered.ID(), kept, nodes, f.NodeCount())
+	}
+}
+
 func TestAssocOnNonRecursiveRuleVacuous(t *testing.T) {
 	g := grammar.MustParse(`
 START ::= E

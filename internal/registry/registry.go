@@ -123,7 +123,9 @@ type Limits struct {
 	// MaxForestNodes rejects a parse whose shared forest grew beyond
 	// this many nodes (ErrForestLimit) — ambiguity bombs produce
 	// exponentially many derivations in polynomially many nodes, so
-	// even a modest cap bounds the response work.
+	// even a modest cap bounds the response work. A forest counts its
+	// leaves, rule nodes and one ambiguity node per span that has two
+	// or more derivations (forest.Forest.NodeCount).
 	MaxForestNodes int
 	// RatePerSec refills the entry's token bucket: sustained parse
 	// requests above this rate are rejected with ErrRateLimited (HTTP

@@ -93,7 +93,7 @@ var failures = []failure{
 	{"`registry.ErrBusy`", is(registry.ErrBusy), http.StatusTooManyRequests, "throttled", 1,
 		"The grammar's concurrent-request limit (`-max-parses`) is reached."},
 	{"`registry.ErrForestLimit`", is(registry.ErrForestLimit), http.StatusTooManyRequests, "throttled", 1,
-		"The parse forest grew past `-max-forest-nodes`."},
+		"The parse forest grew past `-max-forest-nodes` nodes: its leaves, rule nodes and ambiguity nodes, one for each span with two or more derivations."},
 	{"`registry.ErrMemoryBudget`", is(registry.ErrMemoryBudget), http.StatusTooManyRequests, "throttled", 1,
 		"Retained tables and session charts are over `-mem-budget`."},
 	{"`registry.ErrShed`", is(registry.ErrShed), http.StatusTooManyRequests, "throttled", 1,

@@ -136,8 +136,9 @@ type Parser struct {
 
 	// mu is the front end's symbol-table lock: the rule-text helpers
 	// intern new symbols into the shared SymbolTable before taking the
-	// generator's write lock, so parses and token resolution (readers)
-	// and rule updates (writers) exclude each other here.
+	// generator's write lock, so parses, token resolution and the
+	// renderers that read symbol names (readers) and rule updates
+	// (writers) exclude each other here.
 	mu sync.RWMutex
 }
 
@@ -351,6 +352,8 @@ func (p *Parser) ErrorMessage(res Result, input []Symbol) string {
 	if res.Accepted || res.ErrorPos < 0 {
 		return ""
 	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	syms := p.Grammar().Symbols()
 	found := "end of input"
 	if res.ErrorPos < len(input) {
@@ -377,11 +380,15 @@ func TreeCount(n *Node) (int64, error) { return forest.TreeCount(n) }
 // TreeString renders a forest in bracketed form with {a | b} ambiguity
 // groups.
 func (p *Parser) TreeString(n *Node) string {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return forest.String(n, p.Grammar().Symbols())
 }
 
 // Trees enumerates up to limit parse trees as bracketed strings.
 func (p *Parser) Trees(n *Node, limit int) ([]string, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return forest.Trees(n, p.Grammar().Symbols(), limit)
 }
 
