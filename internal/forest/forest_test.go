@@ -153,10 +153,55 @@ func TestAmbiguityFlattens(t *testing.T) {
 	}
 }
 
+// TestSlotAndPack packs alternatives into an ambiguity node: a new
+// alternative extends it in place, a duplicate is dropped, and packing
+// another ambiguity node merges its alternatives.
+func TestSlotAndPack(t *testing.T) {
+	g, f := exprFixture(t)
+	tr := symbols(g, "true")[0]
+	fa := symbols(g, "false")[0]
+	l1, l2, l3, l4 := f.Leaf(tr, 0), f.Leaf(fa, 0), f.Leaf(tr, 1), f.Leaf(fa, 1)
+	slot := f.Ambiguity(l1, l2)
+	id := slot.ID()
+	f.Pack(slot, l3)
+	if slot.Kind() != Amb || len(slot.Alts()) != 3 || slot.ID() != id {
+		t.Fatalf("Pack did not extend the ambiguity node in place: %v #%d with %d alts", slot.Kind(), slot.ID(), len(slot.Alts()))
+	}
+	f.Pack(slot, l3) // duplicate
+	f.Pack(slot, slot)
+	if len(slot.Alts()) != 3 {
+		t.Errorf("Pack should deduplicate: %d alts", len(slot.Alts()))
+	}
+	// Packing an amb merges its alternatives.
+	f.Pack(slot, f.Ambiguity(l1, l3))
+	if len(slot.Alts()) != 3 {
+		t.Errorf("packing an amb with known alts should not grow the node: %d alts", len(slot.Alts()))
+	}
+	f.Pack(slot, f.Ambiguity(l2, l4))
+	if len(slot.Alts()) != 4 || slot.Alts()[3] != l4 {
+		t.Errorf("packing an amb should add its new alternatives: %d alts", len(slot.Alts()))
+	}
+	if got := String(slot, g.Symbols()); got != "{false | false | true | true}" {
+		t.Errorf("packed node renders as %q", got)
+	}
+}
+
+func TestPackNonAmbPanics(t *testing.T) {
+	g, f := exprFixture(t)
+	tr := symbols(g, "true")[0]
+	leaf := f.Leaf(tr, 0)
+	defer func() {
+		if recover() == nil {
+			t.Error("Pack into a leaf should panic")
+		}
+	}()
+	f.Pack(leaf, leaf)
+}
+
 // TestPackPromotesInPlace packs a second derivation into a rule node
 // that a parent already references: the parent sees both derivations,
-// the original moves to a fresh node, Rule hands out that copy from then
-// on, and packing into a leaf panics.
+// the original moves to a fresh node, and Rule hands out that copy from
+// then on.
 func TestPackPromotesInPlace(t *testing.T) {
 	g, f := exprFixture(t)
 	b, _ := g.Symbols().Lookup("B")
@@ -218,13 +263,6 @@ func TestPackPromotesInPlace(t *testing.T) {
 	if !left.Holds(orRule, moved.Children()) || !left.Holds(orRule, right.Children()) {
 		t.Error("promoted node does not hold both derivations")
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("Pack into a leaf should panic")
-		}
-	}()
-	f.Pack(o1, o3)
 }
 
 func TestYield(t *testing.T) {
