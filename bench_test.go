@@ -42,7 +42,7 @@ import (
 func loadInputs(b *testing.B) []harness.Input {
 	b.Helper()
 	g := sdf.MustBootstrapGrammar()
-	inputs, err := harness.LoadInputs("testdata", g.Symbols())
+	inputs, err := harness.LoadInputs("testdata", g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func BenchmarkSec52Coverage(b *testing.B) {
 //     re-expands exactly those 3, and the parse after that none.
 func TestLazyGenerationPaidOnce(t *testing.T) {
 	g := sdf.MustBootstrapGrammar()
-	inputs, err := harness.LoadInputs("testdata", g.Symbols())
+	inputs, err := harness.LoadInputs("testdata", g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestWarmLazyParsesLikeEager(t *testing.T) {
 	}
 	const warmLazyRuns, warmLazyBound = 201, 1.25
 	g := sdf.MustBootstrapGrammar()
-	inputs, err := harness.LoadInputs("testdata", g.Symbols())
+	inputs, err := harness.LoadInputs("testdata", g)
 	if err != nil {
 		t.Fatal(err)
 	}

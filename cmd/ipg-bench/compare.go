@@ -13,14 +13,15 @@ import (
 )
 
 // compareMetrics are the engine-report columns -compare sets side by
-// side: the steady tree-building pass, the steady recognition pass and
-// its heap bytes.
+// side: the steady tree-building pass and its heap bytes, the steady
+// recognition pass and its heap bytes.
 var compareMetrics = []struct {
 	name  string
 	value func(harness.EngineResult) int64
 	dur   bool
 }{
 	{"tree_parse_ns", func(r harness.EngineResult) int64 { return r.TreeParseNS }, true},
+	{"tree_bytes_per_op", func(r harness.EngineResult) int64 { return r.TreeBytesPerOp }, false},
 	{"parse_ns", func(r harness.EngineResult) int64 { return r.ParseNS }, true},
 	{"bytes_per_op", func(r harness.EngineResult) int64 { return r.BytesPerOp }, false},
 }
@@ -118,14 +119,14 @@ func summarize(xs []float64, dur bool) (mid float64, text string) {
 }
 
 // compareEngines prints, for every (workload, engine) row of the two
-// sides, each side's tree_parse_ns, parse_ns and bytes_per_op and the
+// sides, each side's value of every compareMetrics column and the
 // change's relative delta against the parent.
 func compareEngines(w io.Writer, parent, change []engineReport) {
 	fmt.Fprintf(w, "Engine comparison — parent (%d report(s)) vs change (%d report(s))\n", len(parent), len(change))
 	if len(parent) > 1 || len(change) > 1 {
 		fmt.Fprintln(w, "(a side of several reports shows median [q1, q3])")
 	}
-	fmt.Fprintf(w, "%-28s %-14s %30s %30s %9s\n", "workload/engine", "metric", "parent", "change", "delta")
+	fmt.Fprintf(w, "%-28s %-17s %30s %30s %9s\n", "workload/engine", "metric", "parent", "change", "delta")
 	pv := make([]map[rowKey][]float64, len(compareMetrics))
 	cv := make([]map[rowKey][]float64, len(compareMetrics))
 	for i, m := range compareMetrics {
@@ -140,7 +141,7 @@ func compareEngines(w io.Writer, parent, change []engineReport) {
 			if len(pv[i][k]) > 0 && len(cv[i][k]) > 0 && a != 0 {
 				delta = fmt.Sprintf("%+.1f%%", 100*(b-a)/a)
 			}
-			fmt.Fprintf(w, "%-28s %-14s %30s %30s %9s\n", label, m.name, at, bt, delta)
+			fmt.Fprintf(w, "%-28s %-17s %30s %30s %9s\n", label, m.name, at, bt, delta)
 			label = ""
 		}
 	}

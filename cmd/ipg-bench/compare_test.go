@@ -16,13 +16,16 @@ func row(workload, engine string, tree, parse, bytes int64) harness.EngineResult
 }
 
 func TestCompareEnginesSingleReports(t *testing.T) {
-	parent := []engineReport{report(row("w", "glr", 2000, 1000, 400), row("w", "lalr", 500, 500, 0))}
-	change := []engineReport{report(row("w", "glr", 1000, 1000, 100), row("w", "earley", 800, 700, 0))}
+	glrParent, glrChange := row("w", "glr", 2000, 1000, 400), row("w", "glr", 1000, 1000, 100)
+	glrParent.TreeBytesPerOp, glrChange.TreeBytesPerOp = 5000, 4000
+	parent := []engineReport{report(glrParent, row("w", "lalr", 500, 500, 0))}
+	change := []engineReport{report(glrChange, row("w", "earley", 800, 700, 0))}
 	var b strings.Builder
 	compareEngines(&b, parent, change)
 	out := b.String()
 	for _, want := range []string{
 		"w/glr", "tree_parse_ns", "-50.0%", "+0.0%", "-75.0%",
+		"tree_bytes_per_op", "-20.0%",
 		"w/lalr", "w/earley",
 	} {
 		if !strings.Contains(out, want) {

@@ -14,8 +14,9 @@
 // reads it, the gates measure live).
 //
 // With -compare it reads two such reports, a parent's and a change's,
-// and prints each (workload, engine) row's tree_parse_ns, parse_ns and
-// bytes_per_op side by side with the change's relative delta. A side
+// and prints each (workload, engine) row's tree_parse_ns,
+// tree_bytes_per_op, parse_ns and bytes_per_op side by side with the
+// change's relative delta. A side
 // may name several reports, comma-separated; it then shows the median
 // with the quartiles beside it.
 //
@@ -97,7 +98,7 @@ func main() {
 	}
 
 	g := sdf.MustBootstrapGrammar()
-	inputs, err := harness.LoadInputs(*dir, g.Symbols())
+	inputs, err := harness.LoadInputs(*dir, g)
 	if err != nil {
 		log.Fatal(err)
 	}

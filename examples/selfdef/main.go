@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"ipg/internal/core"
 	"ipg/internal/glr"
+	"ipg/internal/harness"
 	"ipg/internal/sdf"
 )
 
@@ -30,29 +30,25 @@ func main() {
 	fullStates := full.Coverage().Complete
 	fmt.Printf("full SDF parse table: %d states\n\n", fullStates)
 
+	inputs, err := harness.LoadInputs(dir, g)
+	if err != nil {
+		log.Fatalf("%v (run from the repository root, or pass the testdata dir)", err)
+	}
 	cumulative := core.New(g, nil)
 	fmt.Println("input        tokens  fresh-coverage  cumulative-coverage  accepted")
-	for _, name := range []string{"exp.sdf", "Exam.sdf", "SDF.sdf", "ASF.sdf"} {
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			log.Fatalf("%v (run from the repository root, or pass the testdata dir)", err)
-		}
-		toks, _, err := sdf.Tokenize(string(src), g.Symbols())
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, in := range inputs {
 		// Fresh generator: the paper's per-input measurement.
 		fresh := core.New(g.Clone(), nil)
-		ok, err := glr.Recognize(fresh, toks, glr.GSS)
+		ok, err := glr.Recognize(fresh, in.Tokens, glr.GSS)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Cumulative generator: an editing session over many files.
-		if _, err := glr.Recognize(cumulative, toks, glr.GSS); err != nil {
+		if _, err := glr.Recognize(cumulative, in.Tokens, glr.GSS); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-12s %6d  %13.0f%%  %18.0f%%  %v\n",
-			name, len(toks),
+			in.Name, harness.SentenceLen(in.Tokens),
 			100*float64(fresh.Coverage().Complete)/float64(fullStates),
 			100*float64(cumulative.Coverage().Complete)/float64(fullStates), ok)
 	}

@@ -167,7 +167,7 @@ func TestTreeParseBytesGuard(t *testing.T) {
 		t.Skip("race instrumentation makes sync.Pool lossy; allocation counts are meaningless under -race")
 	}
 	g := sdf.MustBootstrapGrammar()
-	inputs, err := harness.LoadInputs("../../testdata", g.Symbols())
+	inputs, err := harness.LoadInputs("../../testdata", g)
 	if err != nil {
 		t.Fatal(err)
 	}

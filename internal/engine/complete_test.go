@@ -264,7 +264,7 @@ func TestAcceptSetParityAmbiguous(t *testing.T) {
 // general backends.
 func TestAcceptSetParitySDF(t *testing.T) {
 	g := sdf.MustBootstrapGrammar()
-	inputs, err := harness.LoadInputs("../../testdata", g.Symbols())
+	inputs, err := harness.LoadInputs("../../testdata", g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestParitySDFFixturesAcceptance(t *testing.T) {
 	// by design), where it now also has to agree on the packed forest,
 	// not just acceptance.
 	g := sdf.MustBootstrapGrammar()
-	inputs, err := harness.LoadInputs("../../testdata", g.Symbols())
+	inputs, err := harness.LoadInputs("../../testdata", g)
 	if err != nil {
 		t.Fatal(err)
 	}

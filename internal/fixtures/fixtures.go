@@ -2,7 +2,11 @@
 // throughout the paper, shared by tests, examples, and benchmarks.
 package fixtures
 
-import "ipg/internal/grammar"
+import (
+	"strings"
+
+	"ipg/internal/grammar"
+)
 
 // BooleansText is the grammar of the Booleans of Fig. 4.1(a):
 //
@@ -42,30 +46,17 @@ B ::= "b"
 // AB returns a fresh Fig. 6.2 grammar.
 func AB() *grammar.Grammar { return grammar.MustParse(ABText) }
 
-// Tokens interns each space-separated word of s as a terminal of g's
-// symbol table and returns the token stream (without end marker). It
-// panics if a word is not a terminal — fixture sentences are static.
+// Tokens looks each whitespace-separated word of s up in g's symbol
+// table and returns the token stream (without end marker). It panics on
+// an unknown word — fixture sentences are static.
 func Tokens(g *grammar.Grammar, s string) []grammar.Symbol {
 	var out []grammar.Symbol
-	word := ""
-	flush := func() {
-		if word == "" {
-			return
-		}
+	for _, word := range strings.Fields(s) {
 		sym, ok := g.Symbols().Lookup(word)
 		if !ok {
 			panic("fixtures: unknown token " + word)
 		}
 		out = append(out, sym)
-		word = ""
 	}
-	for _, c := range s {
-		if c == ' ' || c == '\t' || c == '\n' {
-			flush()
-			continue
-		}
-		word += string(c)
-	}
-	flush()
 	return out
 }

@@ -148,6 +148,7 @@ func (n *Node) Holds(r *grammar.Rule, children []*Node) bool {
 // are carved from a second arena of the same shape.
 type Forest struct {
 	nodes int
+	amb   bool // an ambiguity node was made (see Ambiguous)
 	// leaves indexes leaf nodes by token position; leaves of different
 	// terminals at one position chain through Node.next.
 	leaves []*Node
@@ -179,6 +180,12 @@ func NewForest() *Forest { return &Forest{} }
 // ambiguity nodes, the measure of sharing (compare with TreeCount, which
 // counts unshared trees).
 func (f *Forest) NodeCount() int { return f.nodes }
+
+// Ambiguous reports whether the forest ever made an ambiguity node, by
+// Ambiguity or Pack. Only Pack changes the children of a node already
+// made, so a forest that never did is acyclic and TreeCount of any of
+// its nodes is 1.
+func (f *Forest) Ambiguous() bool { return f.amb }
 
 // nextBlock sizes the arena block that follows one of capacity prev.
 func nextBlock(prev, need int) int {
@@ -340,6 +347,7 @@ func (f *Forest) Ambiguity(alts ...*Node) *Node {
 		return flat[0]
 	}
 	n := f.newNode(Amb)
+	f.amb = true
 	if len(flat) > 0 {
 		n.sym = flat[0].sym
 	}
@@ -376,6 +384,7 @@ func (f *Forest) Pack(n, alt *Node) {
 		f.repoint(n, c)
 		n.kind, n.rule, n.next = Amb, nil, nil
 		n.kids = f.carve(c)
+		f.amb = true
 	}
 	if alt.kind == Amb {
 		for _, a := range alt.kids {

@@ -119,14 +119,13 @@ func TestAmbiguityBasics(t *testing.T) {
 		t.Fatalf("root is %v with %d alts", root.Kind(), len(root.Alts()))
 	}
 	n, err := TreeCount(root)
-	if err != nil || n != 2 {
-		t.Fatalf("TreeCount = %d, %v", n, err)
+	if err != nil || n != 2 || !f.Ambiguous() {
+		t.Fatalf("TreeCount = %d, %v (ambiguous %v)", n, err, f.Ambiguous())
 	}
 	s := String(root, g.Symbols())
 	if !strings.Contains(s, "|") || !strings.HasPrefix(s, "{") {
 		t.Errorf("ambiguity renders as %s", s)
 	}
-	_ = f
 }
 
 func TestAmbiguitySingleCollapses(t *testing.T) {
@@ -138,6 +137,9 @@ func TestAmbiguitySingleCollapses(t *testing.T) {
 	}
 	if f.Ambiguity(leaf, leaf) != leaf {
 		t.Error("duplicate alternatives should collapse")
+	}
+	if f.Ambiguous() {
+		t.Error("a collapsed Ambiguity made the forest ambiguous")
 	}
 }
 
@@ -229,8 +231,8 @@ func TestPackPromotesInPlace(t *testing.T) {
 	o1, o3 := f.Leaf(or, 1), f.Leaf(or, 3)
 	left := f.Rule(orRule, []*Node{f.Rule(orRule, []*Node{t0, o1, t2}), o3, t4})
 	parent := f.Rule(top, []*Node{left})
-	if n, _ := TreeCount(parent); n != 1 {
-		t.Fatalf("TreeCount before packing = %d, want 1", n)
+	if n, _ := TreeCount(parent); n != 1 || f.Ambiguous() {
+		t.Fatalf("TreeCount before packing = %d (ambiguous %v), want 1", n, f.Ambiguous())
 	}
 	leftID := left.ID()
 
@@ -238,6 +240,9 @@ func TestPackPromotesInPlace(t *testing.T) {
 	f.Pack(left, right)
 	if left.Kind() != Amb || len(left.Alts()) != 2 || left.ID() != leftID {
 		t.Fatalf("promoted node is %v #%d with %d alts, want amb #%d with 2", left.Kind(), left.ID(), len(left.Alts()), leftID)
+	}
+	if !f.Ambiguous() {
+		t.Error("a forest with a promoted node does not report itself ambiguous")
 	}
 	if n, err := TreeCount(parent); err != nil || n != 2 {
 		t.Errorf("parent built before packing counts %d trees (%v), want 2", n, err)

@@ -53,7 +53,7 @@ type EditResult struct {
 // dir, repeating each cell `repeat` times and keeping minima.
 func RunEdits(dir string, repeat int) ([]EditResult, error) {
 	g := sdf.MustBootstrapGrammar()
-	inputs, err := LoadInputs(dir, g.Symbols())
+	inputs, err := LoadInputs(dir, g)
 	if err != nil {
 		return nil, err
 	}

@@ -41,14 +41,8 @@ type EngineWorkload struct {
 // of growing size mixing the four operators and parentheses. No
 // randomness, so runs are comparable.
 func exprSentences(g *grammar.Grammar, n int) ([][]grammar.Symbol, error) {
+	front := lang.New(g)
 	ops := []string{"+", "-", "*", "/"}
-	lookup := func(name string) (grammar.Symbol, error) {
-		s, ok := g.Symbols().Lookup(name)
-		if !ok {
-			return grammar.NoSymbol, fmt.Errorf("harness: workload grammar lacks terminal %q", name)
-		}
-		return s, nil
-	}
 	out := make([][]grammar.Symbol, 0, n)
 	for i := 0; i < n; i++ {
 		var b strings.Builder
@@ -63,17 +57,13 @@ func exprSentences(g *grammar.Grammar, n int) ([][]grammar.Symbol, error) {
 				b.WriteString("n")
 			}
 		}
-		var toks []grammar.Symbol
-		for _, word := range strings.Fields(b.String()) {
-			s, err := lookup(word)
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, s)
-		}
 		// EOF-terminated: steady-state engine passes measure the
 		// zero-copy warm path, exactly like service traffic.
-		out = append(out, append(toks, grammar.EOF))
+		toks, err := front.Tokens(b.String())
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, toks)
 	}
 	return out, nil
 }
@@ -120,7 +110,7 @@ func EngineWorkloads(dir string) ([]EngineWorkload, error) {
 	}
 
 	sdfG := sdf.MustBootstrapGrammar()
-	inputs, err := LoadInputs(dir, sdfG.Symbols())
+	inputs, err := LoadInputs(dir, sdfG)
 	if err != nil {
 		return nil, err
 	}
@@ -173,11 +163,11 @@ func calcSDFWorkload(dir string) (*grammar.Grammar, [][]grammar.Symbol, error) {
 			}
 			fmt.Fprintf(&b, "%d", 1+(i+t)%9)
 		}
-		toks, _, err := front.ScanText(b.String())
+		toks, err := front.InputTokens(b.String())
 		if err != nil {
 			return nil, nil, err
 		}
-		sentences = append(sentences, append(toks, grammar.EOF))
+		sentences = append(sentences, toks)
 	}
 	return front.Grammar(), sentences, nil
 }
@@ -212,6 +202,10 @@ type EngineResult struct {
 	// the numbers the allocation-regression CI gate compares against.
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
+	// TreeAllocsPerOp and TreeBytesPerOp are the same for the fastest
+	// tree-building pass: what answering with forests costs in heap.
+	TreeAllocsPerOp int64 `json:"tree_allocs_per_op,omitempty"`
+	TreeBytesPerOp  int64 `json:"tree_bytes_per_op,omitempty"`
 	// P50NS/P95NS/P99NS are steady-state per-sentence latency
 	// percentiles in nanoseconds.
 	P50NS int64 `json:"p50_ns"`
@@ -225,12 +219,14 @@ type EngineResult struct {
 // engineRun is one measured run of one backend over one workload.
 type engineRun struct {
 	construct, warm, parse, treeParse time.Duration
-	// allocs/bytes are the heap cost of one steady pass; latencies the
-	// per-sentence durations of that pass (sorted).
-	allocs, bytes int64
-	latencies     []time.Duration
-	selected      string
-	reason        string
+	// allocs/bytes are the heap cost of one steady pass and treeAllocs/
+	// treeBytes of the tree pass; latencies the per-sentence durations
+	// of the steady pass (sorted).
+	allocs, bytes         int64
+	treeAllocs, treeBytes int64
+	latencies             []time.Duration
+	selected              string
+	reason                string
 }
 
 // RunEngines measures every workload under each of its backends,
@@ -267,6 +263,7 @@ func RunEngines(workloads []EngineWorkload, repeat int) []EngineResult {
 				}
 				if run.treeParse > 0 && (res.TreeParseNS == 0 || run.treeParse < time.Duration(res.TreeParseNS)) {
 					res.TreeParseNS = run.treeParse.Nanoseconds()
+					res.TreeAllocsPerOp, res.TreeBytesPerOp = run.treeAllocs, run.treeBytes
 				}
 				if i == 0 || run.parse < time.Duration(res.ParseNS) {
 					res.ParseNS = run.parse.Nanoseconds()
@@ -351,8 +348,11 @@ func runEnginesOnce(kind engine.Kind, w EngineWorkload) (engineRun, error) {
 
 	// Tree-building steady pass, where the backend supports it: since
 	// the Earley overhaul that is every engine except none — the column
-	// compares what answering with forests actually costs.
+	// compares what answering with forests actually costs, in time and,
+	// read outside the clock, in heap.
 	if e.Caps().Trees {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
 		start := time.Now()
 		for _, s := range w.Sentences {
 			res, err := e.Parse(s, true)
@@ -364,6 +364,8 @@ func runEnginesOnce(kind engine.Kind, w EngineWorkload) (engineRun, error) {
 			}
 		}
 		run.treeParse = time.Since(start)
+		runtime.ReadMemStats(&ms1)
+		run.treeAllocs, run.treeBytes = int64(ms1.Mallocs-ms0.Mallocs), int64(ms1.TotalAlloc-ms0.TotalAlloc)
 	}
 
 	// Instrumented steady pass: per-sentence latencies plus the heap

@@ -18,6 +18,7 @@ import (
 	"ipg/internal/glr"
 	"ipg/internal/grammar"
 	"ipg/internal/lalr"
+	"ipg/internal/lang"
 	"ipg/internal/lr"
 	"ipg/internal/sdf"
 )
@@ -36,24 +37,26 @@ type Input struct {
 // InputNames are the four inputs of Fig 7.1 in measurement order.
 var InputNames = []string{"exp.sdf", "Exam.sdf", "SDF.sdf", "ASF.sdf"}
 
-// LoadInputs tokenizes the four SDF definitions of Fig 7.1 from dir
-// against the symbol table of the bootstrap SDF grammar.
-func LoadInputs(dir string, syms *grammar.SymbolTable) ([]Input, error) {
+// LoadInputs tokenizes the four SDF definitions of Fig 7.1 from dir into
+// terminals of g, the bootstrap SDF grammar, through its front end with
+// the SDF scanner.
+func LoadInputs(dir string, g *grammar.Grammar) ([]Input, error) {
 	sc, err := sdf.NewScanner()
 	if err != nil {
 		return nil, err
 	}
+	front := lang.WithScanner(g, sc)
 	var out []Input
 	for _, name := range InputNames {
 		src, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
-		toks, _, err := sdf.TokenizeWith(sc, string(src), syms)
+		toks, err := front.InputTokens(string(src))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		out = append(out, Input{Name: name, Tokens: append(toks, grammar.EOF)})
+		out = append(out, Input{Name: name, Tokens: toks})
 	}
 	return out, nil
 }
@@ -91,103 +94,63 @@ func (t Timings) ByPhase() []time.Duration {
 
 // Run measures one (system, input) cell of Fig 7.1. Fresh grammars are
 // built per run so lazily accumulated state never leaks between runs.
-// The modification adds the Fig 7.1 rule <CF-ELEM> ::= "(" CF-ELEM+ ")?".
+// The modification adds the Fig 7.1 rule <CF-ELEM> ::= "(" CF-ELEM+ ")?":
+// IPG's MODIFY repairs its table in place, while Yacc and PG regenerate
+// theirs from scratch.
 func Run(sys System, input Input) (Timings, error) {
 	var t Timings
+	if sys != Yacc && sys != PG && sys != IPG {
+		return t, fmt.Errorf("harness: unknown system %q", sys)
+	}
 	g := sdf.MustBootstrapGrammar()
 	mod, err := sdf.ModificationRule(g)
 	if err != nil {
 		return t, err
 	}
-
-	parseOnce := func(tbl lr.Table) (time.Duration, error) {
-		start := time.Now()
-		res, err := glr.Parse(tbl, input.Tokens, &glr.Options{Engine: glr.GSS})
-		if err != nil {
-			return 0, err
+	build := func() lr.Table {
+		switch sys {
+		case Yacc:
+			return lalr.Generate(g)
+		case PG:
+			auto := lr.New(g)
+			auto.GenerateAll()
+			return auto
 		}
-		if !res.Accepted {
-			return 0, fmt.Errorf("%s rejected %s", sys, input.Name)
+		return core.New(g, nil)
+	}
+	parseTwice := func(tbl lr.Table) (d1, d2 time.Duration, err error) {
+		for _, d := range []*time.Duration{&d1, &d2} {
+			start := time.Now()
+			res, err := glr.Parse(tbl, input.Tokens, &glr.Options{Engine: glr.GSS})
+			if err != nil {
+				return 0, 0, err
+			}
+			if !res.Accepted {
+				return 0, 0, fmt.Errorf("%s rejected %s", sys, input.Name)
+			}
+			*d = time.Since(start)
 		}
-		return time.Since(start), nil
+		return d1, d2, nil
 	}
 
-	switch sys {
-	case Yacc:
-		start := time.Now()
-		tbl := lalr.Generate(g)
-		t.Construct = time.Since(start)
-		if t.Parse1, err = parseOnce(tbl); err != nil {
-			return t, err
-		}
-		if t.Parse2, err = parseOnce(tbl); err != nil {
-			return t, err
-		}
-		// Modification: the table must be regenerated from scratch.
-		start = time.Now()
-		if err := g.AddRule(mod); err != nil {
-			return t, err
-		}
-		tbl = lalr.Generate(g)
-		t.Modify = time.Since(start)
-		if t.Reparse1, err = parseOnce(tbl); err != nil {
-			return t, err
-		}
-		if t.Reparse2, err = parseOnce(tbl); err != nil {
-			return t, err
-		}
-
-	case PG:
-		start := time.Now()
-		auto := lr.New(g)
-		auto.GenerateAll()
-		t.Construct = time.Since(start)
-		if t.Parse1, err = parseOnce(auto); err != nil {
-			return t, err
-		}
-		if t.Parse2, err = parseOnce(auto); err != nil {
-			return t, err
-		}
-		start = time.Now()
-		if err := g.AddRule(mod); err != nil {
-			return t, err
-		}
-		auto = lr.New(g)
-		auto.GenerateAll()
-		t.Modify = time.Since(start)
-		if t.Reparse1, err = parseOnce(auto); err != nil {
-			return t, err
-		}
-		if t.Reparse2, err = parseOnce(auto); err != nil {
-			return t, err
-		}
-
-	case IPG:
-		start := time.Now()
-		gen := core.New(g, nil)
-		t.Construct = time.Since(start)
-		if t.Parse1, err = parseOnce(gen); err != nil {
-			return t, err
-		}
-		if t.Parse2, err = parseOnce(gen); err != nil {
-			return t, err
-		}
-		start = time.Now()
-		if err := gen.AddRule(mod); err != nil {
-			return t, err
-		}
-		t.Modify = time.Since(start)
-		if t.Reparse1, err = parseOnce(gen); err != nil {
-			return t, err
-		}
-		if t.Reparse2, err = parseOnce(gen); err != nil {
-			return t, err
-		}
-
-	default:
-		return t, fmt.Errorf("harness: unknown system %q", sys)
+	start := time.Now()
+	tbl := build()
+	t.Construct = time.Since(start)
+	if t.Parse1, t.Parse2, err = parseTwice(tbl); err != nil {
+		return t, err
 	}
-	return t, nil
+	start = time.Now()
+	if gen, ok := tbl.(*core.Generator); ok {
+		err = gen.AddRule(mod)
+	} else if err = g.AddRule(mod); err == nil {
+		tbl = build()
+	}
+	t.Modify = time.Since(start)
+	if err != nil {
+		return t, err
+	}
+	t.Reparse1, t.Reparse2, err = parseTwice(tbl)
+	return t, err
 }
 
 // RunBest runs Run repeat times and keeps the per-phase minimum, damping
@@ -203,19 +166,10 @@ func RunBest(sys System, input Input, repeat int) (Timings, error) {
 			best = t
 			continue
 		}
-		best.Construct = min(best.Construct, t.Construct)
-		best.Parse1 = min(best.Parse1, t.Parse1)
-		best.Parse2 = min(best.Parse2, t.Parse2)
-		best.Modify = min(best.Modify, t.Modify)
-		best.Reparse1 = min(best.Reparse1, t.Reparse1)
-		best.Reparse2 = min(best.Reparse2, t.Reparse2)
+		best = Timings{
+			min(best.Construct, t.Construct), min(best.Parse1, t.Parse1), min(best.Parse2, t.Parse2),
+			min(best.Modify, t.Modify), min(best.Reparse1, t.Reparse1), min(best.Reparse2, t.Reparse2),
+		}
 	}
 	return best, nil
-}
-
-func min(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

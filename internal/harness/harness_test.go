@@ -10,7 +10,7 @@ import (
 func loadAll(t *testing.T) []Input {
 	t.Helper()
 	g := sdf.MustBootstrapGrammar()
-	inputs, err := LoadInputs("../../testdata", g.Symbols())
+	inputs, err := LoadInputs("../../testdata", g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,12 @@
 // is scanned. Modifying the lexical syntax invalidates the materialized
 // DFA, which is then rebuilt by need, mirroring IPG's treatment of parse
 // tables.
+//
+// Scanning has one longest-match core, Scanner.Match, which returns the
+// matched rule's index and the token's end. Scan builds tokens with
+// texts and positions from it; a caller that only needs each token's
+// grammar terminal (internal/lang) maps rule indices itself and computes
+// no texts or positions.
 package isg
 
 import (

@@ -421,7 +421,7 @@ func refScan(rules []Rule, src string) ([]Token, *ScanError) {
 			return toks, &ScanError{Offset: offs[pos], Line: line, Col: col}
 		}
 		if r := rules[bestRule]; !r.Layout {
-			toks = append(toks, Token{Sort: r.Sort, Text: src[offs[pos]:offs[best]], Offset: offs[pos], Line: line, Col: col})
+			toks = append(toks, Token{Sort: r.Sort, Text: src[offs[pos]:offs[best]], Offset: offs[pos], Line: line, Col: col, Rule: bestRule})
 		}
 		for _, r := range runes[pos:best] {
 			if r == '\n' {

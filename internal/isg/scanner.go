@@ -15,6 +15,8 @@ type Token struct {
 	Text string
 	// Offset is the byte offset in the input; Line and Col are 1-based.
 	Offset, Line, Col int
+	// Rule is the matched rule's index in the scanner's Rules.
+	Rule int
 }
 
 // Stats counts scanner-generator work: the lazy DFA coverage measure.
@@ -337,49 +339,57 @@ func (e *ScanError) Error() string {
 	return fmt.Sprintf("isg: %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-// Scan tokenizes src with longest-match semantics; ties are broken by
-// rule order (earlier rules win). Layout matches are skipped. The token
-// stream does not include an end marker. Scan walks src's bytes and
-// decodes UTF-8 only at bytes from 0x80 up; an invalid byte scans as
-// utf8.RuneError and spans one byte. Token texts are substrings of src,
-// and offsets are byte offsets into it.
+// Match finds the longest token at byte offset pos of src: it returns
+// the index in Rules of the matched rule, earlier rules winning ties, and
+// the token's end, or rule -1 when no rule matches a nonempty prefix.
+// Match walks src's bytes and decodes UTF-8 only at bytes from 0x80 up;
+// an invalid byte scans as utf8.RuneError and spans one byte. It is the
+// one longest-match core: Scan adds token texts and positions, and a
+// caller that needs only each token's rule loops over Match itself.
+func (s *Scanner) Match(src string, pos int) (rule, end int) {
+	d := s.start
+	rule, end = -1, pos
+	for i := pos; i < len(src); {
+		r, size := rune(src[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(src[i:])
+		}
+		if d = s.step(d, r); d == nil {
+			break
+		}
+		i += size
+		if d.accept >= 0 {
+			rule, end = d.accept, i
+		}
+	}
+	return rule, end
+}
+
+// Scan tokenizes src by repeated Match. Layout matches are skipped. The
+// token stream does not include an end marker. Token texts are
+// substrings of src, and offsets are byte offsets into it.
 func (s *Scanner) Scan(src string) ([]Token, error) {
 	var out []Token
 	line, col := 1, 1
 	for pos := 0; pos < len(src); {
-		d := s.start
-		lastAccept, lastEnd := -1, pos
-		for i := pos; i < len(src); {
-			r, size := rune(src[i]), 1
-			if r >= utf8.RuneSelf {
-				r, size = utf8.DecodeRuneInString(src[i:])
-			}
-			if d = s.step(d, r); d == nil {
-				break
-			}
-			i += size
-			if d.accept >= 0 {
-				lastAccept, lastEnd = d.accept, i
-			}
-		}
-		if lastAccept < 0 || lastEnd == pos {
+		rule, end := s.Match(src, pos)
+		if rule < 0 {
 			_, size := utf8.DecodeRuneInString(src[pos:])
 			return out, &ScanError{
 				Offset: pos, Line: line, Col: col,
 				Msg: fmt.Sprintf("unexpected character %q", src[pos:pos+size]),
 			}
 		}
-		rule := s.rules[lastAccept]
-		if !rule.Layout {
-			out = append(out, Token{Sort: rule.Sort, Text: src[pos:lastEnd], Offset: pos, Line: line, Col: col})
+		text := src[pos:end]
+		if r := s.rules[rule]; !r.Layout {
+			out = append(out, Token{Sort: r.Sort, Text: text, Offset: pos, Line: line, Col: col, Rule: rule})
 		}
-		text := src[pos:lastEnd]
 		if nl := strings.LastIndexByte(text, '\n'); nl >= 0 {
 			line, col = line+strings.Count(text, "\n"), 1
 			text = text[nl+1:]
 		}
 		col += utf8.RuneCountInString(text)
-		pos = lastEnd
+		pos = end
 	}
 	return out, nil
 }

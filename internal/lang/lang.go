@@ -5,6 +5,12 @@
 // to terminal streams, applies rule-text updates, and filters parse
 // forests by the SDF priorities.
 //
+// A Front is the one place where text becomes terminals. It keeps a
+// table from each scanner rule to the grammar terminal its sort names,
+// so a scan for a parse goes straight from the scanner's longest match
+// (isg.Scanner.Match) to symbols, with no token texts, positions or
+// name lookups; positions are computed only for an error.
+//
 // In the paper's interactive environment (section 1) a user edits a
 // language definition and its programs together, so a rule that brings
 // a new keyword must reach the scanner as well as the parse table:
@@ -46,8 +52,18 @@ type Front struct {
 	// caller's symbol-table lock, then scanMu, then the table's locks.
 	scanMu  sync.Mutex
 	scanner *isg.Scanner
-	rel     *priority.Relation
+	// terms maps each scanner rule, by its index in Rules, to the symbol
+	// its sort names (NoSymbol for none, layout for a layout rule), as of
+	// the scanner's modification count lexAt and the symbol table's size
+	// symsAt; buf is InputTokens's scratch. scanMu guards all four.
+	terms         []grammar.Symbol
+	lexAt, symsAt int
+	buf           []grammar.Symbol
+	rel           *priority.Relation
 }
+
+// layout marks a layout rule in Front.terms: its matches are skipped.
+const layout grammar.Symbol = -1
 
 // New returns the front end of a grammar read from plain rules: input is
 // whitespace-separated terminal names.
@@ -69,7 +85,18 @@ func LoadSDF(src, startSort string) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Front{g: conv.Grammar, scanner: sc, rel: conv.Relation}, nil
+	f := WithScanner(conv.Grammar, sc)
+	f.rel = conv.Relation
+	return f, nil
+}
+
+// WithScanner returns the front end of g for source text scanned by sc,
+// whose rules' sorts name g's terminals: LoadSDF's, or the bootstrap
+// SDF grammar (sdf.BootstrapGrammar) with sdf.NewScanner.
+func WithScanner(g *grammar.Grammar, sc *isg.Scanner) *Front {
+	f := &Front{g: g, scanner: sc}
+	f.table()
+	return f
 }
 
 // Grammar returns the front end's grammar.
@@ -113,21 +140,74 @@ func (f *Front) ScanText(src string) ([]grammar.Symbol, []isg.Token, error) {
 	}
 	f.scanMu.Lock()
 	defer f.scanMu.Unlock()
-	return sdf.TokenizeWith(f.scanner, src, f.g.Symbols())
+	return f.scanText(src)
+}
+
+// scanText is ScanText under scanMu: Scan's tokens mapped through the
+// table. A scan error comes before an unmapped token.
+func (f *Front) scanText(src string) ([]grammar.Symbol, []isg.Token, error) {
+	toks, err := f.scanner.Scan(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	terms := f.table()
+	// One spare slot for the end marker parsers append.
+	out := make([]grammar.Symbol, len(toks), len(toks)+1)
+	for i, tk := range toks {
+		if out[i] = terms[tk.Rule]; out[i] == grammar.NoSymbol {
+			return nil, nil, fmt.Errorf("sdf: token sort %q (at %d:%d) is not a terminal of the SDF grammar",
+				tk.Sort, tk.Line, tk.Col)
+		}
+	}
+	return out, toks, nil
 }
 
 // InputTokens resolves input into an EOF-terminated token stream: source
 // text through the scanner for SDF-loaded grammars, whitespace-separated
-// terminal names otherwise.
+// terminal names otherwise. Source text is scanned straight into
+// symbols, the result its one allocation once the front end is warm; on
+// a failure it is scanned again by ScanText for the error.
 func (f *Front) InputTokens(input string) ([]grammar.Symbol, error) {
 	if f.scanner == nil {
 		return f.Tokens(input)
 	}
-	toks, _, err := f.ScanText(input)
-	if err != nil {
-		return nil, err
+	f.scanMu.Lock()
+	defer f.scanMu.Unlock()
+	terms, buf := f.table(), f.buf[:0]
+	for pos := 0; pos < len(input); {
+		rule, end := f.scanner.Match(input, pos)
+		if rule < 0 || terms[rule] == grammar.NoSymbol {
+			_, _, err := f.scanText(input)
+			return nil, err
+		}
+		if terms[rule] != layout {
+			buf = append(buf, terms[rule])
+		}
+		pos = end
 	}
-	return append(toks, grammar.EOF), nil
+	f.buf = buf
+	out := make([]grammar.Symbol, 0, len(buf)+1)
+	return append(append(out, buf...), grammar.EOF), nil
+}
+
+// table returns terms, rebuilt first when either side changed since it
+// was built: the scanner's rules (UpdateRules teaches it literals, a
+// caller of Scanner may change them itself, and every change counts in
+// Stats.Invalidations) or the symbol table (updates intern new names).
+// Callers hold scanMu.
+func (f *Front) table() []grammar.Symbol {
+	syms, lex := f.g.Symbols(), f.scanner.Stats.Invalidations
+	if f.terms == nil || f.lexAt != lex || f.symsAt != syms.Len() {
+		f.terms, f.lexAt, f.symsAt = f.terms[:0], lex, syms.Len()
+		for _, r := range f.scanner.Rules() {
+			t, _ := syms.Lookup(r.Sort)
+			if r.Layout {
+				t = layout
+			}
+			f.terms = append(f.terms, t)
+		}
+	}
+	return f.terms
 }
 
 // UpdateRules parses BNF rule lines against the grammar's symbol table

@@ -522,6 +522,8 @@ func (e *Entry) finishResult(res engine.Result, tr *obs.ParseTrace) (Result, err
 		return out, err
 	}
 	switch {
+	case out.Root != nil && !out.Forest.Ambiguous():
+		out.TreesKnown, out.Trees = true, 1 // one tree, no walk
 	case out.Root != nil:
 		out.TreesKnown = true
 		if n, err := forest.TreeCount(out.Root); err == nil {

@@ -5,37 +5,21 @@
 // a parser for SDF definitions, and the normalization of parsed
 // definitions into plain context-free grammars plus lexical rule sets —
 // which is how user-written .sdf files drive IPG/ISG, exactly as in the
-// ASF+SDF environment the paper describes.
+// ASF+SDF environment the paper describes. Package sdf produces grammars
+// and scanners; internal/lang turns text into their terminals.
 package sdf
 
-import (
-	"fmt"
+import "ipg/internal/isg"
 
-	"ipg/internal/grammar"
-	"ipg/internal/isg"
-)
-
-// Keywords of the SDF language. They double as terminal names in the
-// bootstrap grammar.
-var keywords = []string{
+// literals are the keywords and punctuation of the SDF language, each
+// scanned as a sort of its own text: they double as terminal names in
+// the bootstrap grammar.
+var literals = []string{
 	"module", "begin", "end",
 	"lexical", "syntax", "sorts", "layout", "functions",
 	"context-free", "priorities",
 	"par", "assoc", "left-assoc", "right-assoc",
-}
-
-// punct maps scanner sorts to the punctuation they match.
-var punct = []struct{ sort, text string }{
-	{"->", "->"},
-	{",", ","},
-	{"{", "{"},
-	{"}", "}"},
-	{"(", "("},
-	{")", ")"},
-	{">", ">"},
-	{"<", "<"},
-	{"~", "~"},
-	{"?", "?"},
+	"->", ",", "{", "}", "(", ")", ">", "<", "~", "?",
 }
 
 // NewScanner builds the ISG scanner for the SDF language itself,
@@ -44,42 +28,23 @@ var punct = []struct{ sort, text string }{
 // classes and iterators. Keywords take priority over ID on equal-length
 // matches (rule order).
 func NewScanner() (*isg.Scanner, error) {
-	letter, err := isg.ParseClass("[a-zA-Z]")
-	if err != nil {
-		return nil, err
-	}
-	idTail, err := isg.ParseClass(`[a-zA-Z0-9\-_]`)
-	if err != nil {
-		return nil, err
-	}
-	ws, err := isg.ParseClass("[ \\t\\n\\r\\f]")
-	if err != nil {
-		return nil, err
-	}
+	az, AZ := isg.RuneRange{Lo: 'a', Hi: 'z'}, isg.RuneRange{Lo: 'A', Hi: 'Z'}
+	letter := isg.NewCharClass(az, AZ)
+	idTail := isg.NewCharClass(az, AZ, isg.RuneRange{Lo: '0', Hi: '9'},
+		isg.RuneRange{Lo: '-', Hi: '-'}, isg.RuneRange{Lo: '_', Hi: '_'})
+	ws := isg.ClassOf(' ', '\t', '\n', '\r', '\f')
 	// L-CHAR: anything except '"' and backslash, or a backslash escape.
-	lchar, err := isg.ParseClass(`["\\]`)
-	if err != nil {
-		return nil, err
-	}
-	notQuote := lchar.Negate()
+	notQuote := isg.ClassOf('"', '\\').Negate()
 	// C-CHAR inside classes: anything except ']' and backslash, or a
 	// backslash escape.
-	cchar, err := isg.ParseClass(`[\]\\]`)
-	if err != nil {
-		return nil, err
-	}
-	notBracket := cchar.Negate()
+	notBracket := isg.ClassOf(']', '\\').Negate()
 	anyRune := isg.NewCharClass(isg.RuneRange{Lo: 0, Hi: isg.MaxRune})
-	newline := isg.ClassOf('\n')
-	notNewline := newline.Negate()
+	notNewline := isg.ClassOf('\n').Negate()
 
 	var rules []isg.Rule
 	// Keywords first: rule order breaks longest-match ties.
-	for _, kw := range keywords {
-		rules = append(rules, isg.Rule{Sort: kw, Pattern: isg.Lit(kw)})
-	}
-	for _, p := range punct {
-		rules = append(rules, isg.Rule{Sort: p.sort, Pattern: isg.Lit(p.text)})
+	for _, lit := range literals {
+		rules = append(rules, isg.Rule{Sort: lit, Pattern: isg.Lit(lit)})
 	}
 	escape := isg.Seq(isg.Lit(`\`), isg.Class(anyRune))
 	rules = append(rules,
@@ -102,34 +67,4 @@ func NewScanner() (*isg.Scanner, error) {
 		), Layout: true},
 	)
 	return isg.NewScanner(rules)
-}
-
-// Tokenize scans src and maps the tokens onto terminals of the bootstrap
-// grammar's symbol table — "the input of all parsers was a stream of
-// lexical tokens already in memory" (section 7).
-func Tokenize(src string, syms *grammar.SymbolTable) ([]grammar.Symbol, []isg.Token, error) {
-	sc, err := NewScanner()
-	if err != nil {
-		return nil, nil, err
-	}
-	return TokenizeWith(sc, src, syms)
-}
-
-// TokenizeWith is Tokenize reusing an existing scanner.
-func TokenizeWith(sc *isg.Scanner, src string, syms *grammar.SymbolTable) ([]grammar.Symbol, []isg.Token, error) {
-	toks, err := sc.Scan(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	// One spare slot for the end marker parsers append.
-	out := make([]grammar.Symbol, 0, len(toks)+1)
-	for _, tk := range toks {
-		s, ok := syms.Lookup(tk.Sort)
-		if !ok {
-			return nil, nil, fmt.Errorf("sdf: token sort %q (at %d:%d) is not a terminal of the SDF grammar",
-				tk.Sort, tk.Line, tk.Col)
-		}
-		out = append(out, s)
-	}
-	return out, toks, nil
 }

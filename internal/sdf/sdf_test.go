@@ -1,6 +1,7 @@
 package sdf
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -8,8 +9,35 @@ import (
 	"ipg/internal/core"
 	"ipg/internal/glr"
 	"ipg/internal/grammar"
+	"ipg/internal/isg"
 	"ipg/internal/lalr"
 )
+
+// tokenize scans src with sc (nil: the SDF scanner) and maps each
+// token's sort to its terminal in syms, as internal/lang's front end
+// does for every other caller; this package's tests cannot import it.
+func tokenize(t *testing.T, sc *isg.Scanner, src string, syms *grammar.SymbolTable) ([]grammar.Symbol, error) {
+	t.Helper()
+	if sc == nil {
+		var err error
+		if sc, err = NewScanner(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	toks, err := sc.Scan(src)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]grammar.Symbol, 0, len(toks)+1)
+	for _, tk := range toks {
+		s, ok := syms.Lookup(tk.Sort)
+		if !ok {
+			return nil, fmt.Errorf("token sort %q (at %d:%d) is not a terminal", tk.Sort, tk.Line, tk.Col)
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
 
 func readTestdata(t *testing.T, name string) string {
 	t.Helper()
@@ -92,7 +120,7 @@ func TestPaperTokenCounts(t *testing.T) {
 		"ASF.sdf":  475,
 	}
 	for name, n := range want {
-		toks, _, err := Tokenize(readTestdata(t, name), g.Symbols())
+		toks, err := tokenize(t, nil, readTestdata(t, name), g.Symbols())
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -107,7 +135,7 @@ func TestBootstrapAcceptsTestdata(t *testing.T) {
 	g := MustBootstrapGrammar()
 	gen := core.New(g, nil)
 	for _, name := range []string{"exp.sdf", "Exam.sdf", "SDF.sdf", "ASF.sdf"} {
-		toks, _, err := Tokenize(readTestdata(t, name), g.Symbols())
+		toks, err := tokenize(t, nil, readTestdata(t, name), g.Symbols())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -130,7 +158,7 @@ func TestBootstrapRejectsBrokenInput(t *testing.T) {
 		"module X begin context-free syntax end X",       // missing functions
 		"begin context-free syntax functions -> A end X", // missing module header
 	} {
-		toks, _, err := Tokenize(src, g.Symbols())
+		toks, err := tokenize(t, nil, src, g.Symbols())
 		if err != nil {
 			continue // scan errors also count as rejection
 		}
@@ -153,7 +181,7 @@ func TestModificationRule(t *testing.T) {
 	gen := core.New(g, nil)
 	// "( CF-ELEM+ ) ?" only parses after the Fig 7.1 modification.
 	src := `module M begin context-free syntax functions ( EXP "+" EXP ) ? -> EXP end M`
-	toks, _, err := Tokenize(src, g.Symbols())
+	toks, err := tokenize(t, nil, src, g.Symbols())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +203,7 @@ func TestModificationRule(t *testing.T) {
 		t.Error("optional-group syntax should be accepted after the modification")
 	}
 	// And the normal inputs still parse.
-	toks, _, err = Tokenize(readTestdata(t, "exp.sdf"), g.Symbols())
+	toks, err = tokenize(t, nil, readTestdata(t, "exp.sdf"), g.Symbols())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +285,7 @@ func TestConvertExpEndToEnd(t *testing.T) {
 		{"1 +", false},
 		{"+ 1", false},
 	} {
-		toks, _, err := TokenizeWith(sc, tc.input, conv.Grammar.Symbols())
+		toks, err := tokenize(t, sc, tc.input, conv.Grammar.Symbols())
 		if err != nil {
 			t.Fatalf("%q: %v", tc.input, err)
 		}
@@ -271,7 +299,7 @@ func TestConvertExpEndToEnd(t *testing.T) {
 	}
 	// The grammar is ambiguous (EXP OP EXP without priorities); check the
 	// forest records both parses of 1+2*3.
-	toks, _, err := TokenizeWith(sc, "1 + 2 * 3", conv.Grammar.Symbols())
+	toks, err := tokenize(t, sc, "1 + 2 * 3", conv.Grammar.Symbols())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +395,7 @@ func TestSelfApplication(t *testing.T) {
 	}
 	gen := core.New(conv.Grammar, nil)
 	for _, name := range []string{"exp.sdf", "Exam.sdf"} {
-		toks, _, err := TokenizeWith(sc, readTestdata(t, name), conv.Grammar.Symbols())
+		toks, err := tokenize(t, sc, readTestdata(t, name), conv.Grammar.Symbols())
 		if err != nil {
 			t.Fatalf("%s: scan with generated scanner: %v", name, err)
 		}

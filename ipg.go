@@ -434,9 +434,12 @@ func (p *Parser) ScanText(src string) ([]Symbol, []Token, error) {
 // stream, and applies the grammar's priority/associativity filters. It
 // requires an SDF-loaded parser.
 func (p *Parser) ParseText(src string) (Result, error) {
+	if p.front.Scanner() == nil {
+		return Result{}, lang.ErrNoScanner
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	toks, _, err := p.front.ScanText(src)
+	toks, err := p.front.InputTokens(src)
 	if err != nil {
 		return Result{}, err
 	}
